@@ -375,6 +375,12 @@ func main() {
 	}
 	m := eng.Metrics()
 	sess.SetExtra("serve", st)
+	// The engine has stopped, so the transports are quiescent. Retries and
+	// duplicates far above zero mean a retransmission storm; bypassed is
+	// every send that stayed inside this process — in a one-daemon
+	// deployment that is all of them and sent stays 0.
+	xp := sim.SumTransportStats(transports)
+	sess.SetExtra("transport", xp)
 	if procs > 1 && hb > 0 {
 		sess.SetExtra("peers", eng.Health())
 	}
@@ -389,8 +395,9 @@ func main() {
 		fail("%v", err)
 	}
 	tr := heap.Trace()
-	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d drained=%v\n",
-		*proc, st.Served, st.Rejected, st.LeasesGranted, st.Acked, st.Redeliveries, tr.Len(), st.Pending, m.Rounds, m.Messages, drained)
+	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d transport(sent=%d retries=%d dups=%d bypassed=%d) drained=%v\n",
+		*proc, st.Served, st.Rejected, st.LeasesGranted, st.Acked, st.Redeliveries, tr.Len(), st.Pending, m.Rounds, m.Messages,
+		xp.Sent, xp.Retries, xp.Duplicates, xp.Bypassed, drained)
 	if !drained || serr != nil {
 		os.Exit(1)
 	}

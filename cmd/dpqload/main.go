@@ -224,7 +224,9 @@ func (c *conn) readOne() error {
 // chained onto deliveries).
 func (c *conn) runPhase(insert bool, quota, window int, prios uint64) error {
 	for i := 0; i < quota; i++ {
-		if len(c.sent) >= window {
+		// A loop, not an if: reading a delivery chains its ack into
+		// c.sent, so one read does not always free a slot.
+		for len(c.sent) >= window {
 			if err := c.readOne(); err != nil {
 				return err
 			}

@@ -10,7 +10,10 @@ import (
 
 // The fixture interleaves two senders whose own rounds only grow while the
 // global sequence jumps backwards — the shape every network-runtime trace
-// has, because deliveries carry the sender's local tick.
+// has, because deliveries carry the sender's local tick. Each sender mixes
+// "xport/*" frames (cross-process links) with bare protocol kinds (links
+// inside one process, which the reliable transport bypasses), as a
+// daemon's trace does.
 func openFixture(t *testing.T) *os.File {
 	t.Helper()
 	f, err := os.Open("testdata/per_node_rounds.jsonl")
@@ -26,8 +29,12 @@ func TestPerNodeFixturePassesRelaxedCheck(t *testing.T) {
 	if err != nil {
 		t.Fatalf("per-node validation rejected the fixture: %v", err)
 	}
-	if sum.Deliveries != 5 {
-		t.Fatalf("got %d deliveries, want 5", sum.Deliveries)
+	if sum.Deliveries != 7 {
+		t.Fatalf("got %d deliveries, want 7", sum.Deliveries)
+	}
+	bare := sum.Kinds["tree/up"] + sum.Kinds["tree/up[1]"] + sum.Kinds["route/put"]
+	if framed := sum.Kinds["xport/msg"] + sum.Kinds["xport/ack"]; bare != 3 || framed != 4 {
+		t.Fatalf("fixture should mix bare and framed kinds, got %d bare, %d framed (%v)", bare, framed, sum.Kinds)
 	}
 }
 

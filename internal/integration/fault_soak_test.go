@@ -74,28 +74,59 @@ func runFaultSoak(t *testing.T, h faultSoakTarget, eng *sim.AsyncEngine, budget 
 	}
 }
 
+// skeapSoakCell builds one cell of the matrix: a 4-host Skeap with its
+// seeded batch injected, on a faulty asynchronous engine behind reliable
+// transports.
+func skeapSoakCell(t *testing.T, profile string, seed uint64) (*skeap.Heap, *sim.AsyncEngine) {
+	t.Helper()
+	prof, err := sim.ParseFaultProfile(profile, 10_000+seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := skeap.New(skeap.Config{N: 4, P: 3, Seed: 20_000 + seed})
+	rnd := hashutil.NewRand(30_000 + seed)
+	id := prio.ElemID(1)
+	for i := 0; i < 16; i++ {
+		if rnd.Bool(0.6) {
+			h.InjectInsert(rnd.Intn(4), id, rnd.Intn(3), "")
+			id++
+		} else {
+			h.InjectDelete(rnd.Intn(4))
+		}
+	}
+	eng, _ := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
+	return h, eng
+}
+
+// seapSoakCell is the 3-host Seap counterpart.
+func seapSoakCell(t *testing.T, profile string, seed uint64) (*seap.Heap, *sim.AsyncEngine) {
+	t.Helper()
+	prof, err := sim.ParseFaultProfile(profile, 40_000+seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := seap.New(seap.Config{N: 3, PrioBound: 200, Seed: 50_000 + seed})
+	rnd := hashutil.NewRand(60_000 + seed)
+	id := prio.ElemID(1)
+	for i := 0; i < 12; i++ {
+		if rnd.Bool(0.6) {
+			h.InjectInsert(rnd.Intn(3), id, rnd.Uint64n(200)+1, "")
+			id++
+		} else {
+			h.InjectDelete(rnd.Intn(3))
+		}
+	}
+	eng, _ := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
+	return h, eng
+}
+
 func TestFaultSoakSkeap(t *testing.T) {
 	seeds := soakSeedCount(t)
 	for _, profile := range soakProfiles {
 		for seed := uint64(0); seed < seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", profile, seed), func(t *testing.T) {
 				t.Parallel()
-				prof, err := sim.ParseFaultProfile(profile, 10_000+seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := skeap.New(skeap.Config{N: 4, P: 3, Seed: 20_000 + seed})
-				rnd := hashutil.NewRand(30_000 + seed)
-				id := prio.ElemID(1)
-				for i := 0; i < 16; i++ {
-					if rnd.Bool(0.6) {
-						h.InjectInsert(rnd.Intn(4), id, rnd.Intn(3), "")
-						id++
-					} else {
-						h.InjectDelete(rnd.Intn(4))
-					}
-				}
-				eng, _ := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
+				h, eng := skeapSoakCell(t, profile, seed)
 				runFaultSoak(t, h, eng, 10_000_000)
 				if rep := semantics.CheckAll(h.Trace(), semantics.FIFO); !rep.Ok() {
 					t.Fatalf("semantics violated (faults %v):\n%s", eng.Faults(), rep.Error())
@@ -111,22 +142,7 @@ func TestFaultSoakSeap(t *testing.T) {
 		for seed := uint64(0); seed < seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", profile, seed), func(t *testing.T) {
 				t.Parallel()
-				prof, err := sim.ParseFaultProfile(profile, 40_000+seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				h := seap.New(seap.Config{N: 3, PrioBound: 200, Seed: 50_000 + seed})
-				rnd := hashutil.NewRand(60_000 + seed)
-				id := prio.ElemID(1)
-				for i := 0; i < 12; i++ {
-					if rnd.Bool(0.6) {
-						h.InjectInsert(rnd.Intn(3), id, rnd.Uint64n(200)+1, "")
-						id++
-					} else {
-						h.InjectDelete(rnd.Intn(3))
-					}
-				}
-				eng, _ := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
+				h, eng := seapSoakCell(t, profile, seed)
 				runFaultSoak(t, h, eng, 15_000_000)
 				if rep := semantics.CheckSerializable(h.Trace(), semantics.ByID); !rep.Ok() {
 					t.Fatalf("semantics violated (faults %v):\n%s", eng.Faults(), rep.Error())

@@ -32,6 +32,10 @@ const (
 	handshakeBytes = 18
 	// frameHeader is the per-frame body prefix: from, to, sender tick.
 	frameHeaderBytes = 24
+	// readBufBytes sizes an inbound connection's read buffer: a saturated
+	// peer writes whole batches of ~50-byte frames, and everything one read
+	// returns is enqueued under one lock acquisition.
+	readBufBytes = 64 << 10
 )
 
 // heartbeatFrom marks a heartbeat frame: a body of exactly
@@ -165,7 +169,7 @@ func (e *Engine) serveConn(conn net.Conn) {
 		e.connMu.Unlock()
 	}()
 	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	br := bufio.NewReader(conn)
+	br := bufio.NewReaderSize(conn, readBufBytes)
 	peerProc, peerInc, err := readHandshake(br)
 	if err != nil {
 		e.cfg.Logf("netrun: inbound handshake: %v", err)
@@ -175,7 +179,26 @@ func (e *Engine) serveConn(conn net.Conn) {
 	e.cfg.Logf("netrun: proc %d connected from %s", peerProc, conn.RemoteAddr())
 	e.noteHandshake(peerProc, peerInc)
 	var scratch []byte // per-connection read buffer, reused across frames
+	// Frames are decoded for as long as the read buffer holds complete
+	// ones, then handed over together: one liveness note, one inbox lock
+	// and one wake-up per buffered read, not per frame.
+	var batch []inEnv
+	alive := false // a frame arrived since the last flush
+	flush := func() {
+		if alive {
+			e.noteAlive(peerProc)
+			alive = false
+		}
+		if len(batch) > 0 {
+			e.enqueue(batch)
+			batch = recycleEnvs(batch)
+		}
+	}
+	defer flush()
 	for {
+		if !frameBuffered(br) {
+			flush() // the next read may block
+		}
 		body, err := readFrameInto(br, &scratch)
 		if err != nil {
 			if err != io.EOF && !errors.Is(err, net.ErrClosed) {
@@ -183,17 +206,32 @@ func (e *Engine) serveConn(conn net.Conn) {
 			}
 			return
 		}
-		e.noteAlive(peerProc)
+		alive = true
 		if len(body) == frameHeaderBytes && int64(binary.BigEndian.Uint64(body)) == heartbeatFrom {
 			continue // liveness-only heartbeat, nothing to deliver
 		}
 		env, err := decodeFrame(body)
+		if err == nil && (int(env.from) < 0 || int(env.from) >= len(e.cfg.Handlers)) {
+			// Handlers index per-peer state by sender id; an id outside the
+			// network must not reach them.
+			err = fmt.Errorf("netrun: frame from unknown node %d", env.from)
+		}
 		if err != nil {
 			e.cfg.Logf("netrun: bad frame from proc %d: %v", peerProc, err)
 			return
 		}
-		e.enqueue(env)
+		batch = append(batch, env)
 	}
+}
+
+// frameBuffered reports whether br holds a complete frame, so that reading
+// it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	lenb, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(lenb))
 }
 
 // backoff is a seeded jittered exponential backoff: each step sleeps the
@@ -241,6 +279,11 @@ type peer struct {
 	addr string
 	bo   backoff // owned by the writer goroutine
 
+	// dirty marks a peer the engine's run goroutine has handed frames
+	// without waking the writer yet (Engine.flushPeers); owned by that
+	// goroutine.
+	dirty bool
+
 	mu      sync.Mutex
 	cond    *sync.Cond
 	pending []byte // length-prefixed frames awaiting write
@@ -254,8 +297,9 @@ func newPeer(proc int, addr string, min, max time.Duration, seed uint64) *peer {
 	return p
 }
 
-// enqueueMsg frames msg directly into the pending buffer. Unregistered
-// message types panic, matching encodeFrame.
+// enqueueMsg frames msg directly into the pending buffer; waking the writer
+// (p.cond.Signal) is the caller's business. Unregistered message types
+// panic, matching encodeFrame.
 func (p *peer) enqueueMsg(from, to sim.NodeID, tick int64, msg sim.Message) {
 	p.mu.Lock()
 	if p.closed {
@@ -269,7 +313,6 @@ func (p *peer) enqueueMsg(from, to sim.NodeID, tick int64, msg sim.Message) {
 	}
 	p.pending = buf
 	p.mu.Unlock()
-	p.cond.Signal()
 }
 
 // enqueueHeartbeat appends one heartbeat frame, but only when the pending

@@ -67,8 +67,10 @@ type healthRec struct {
 func (e *Engine) initHealth() {
 	now := time.Now()
 	e.health = make(map[int]*healthRec, len(e.peers))
-	for p := range e.peers {
-		e.health[p] = &healthRec{state: PeerUp, lastAlive: now}
+	for proc, p := range e.peers {
+		if p != nil {
+			e.health[proc] = &healthRec{state: PeerUp, lastAlive: now}
+		}
 	}
 }
 
@@ -182,9 +184,11 @@ func (e *Engine) monitor() {
 		case <-e.stop:
 			return
 		case <-t.C:
-			tick := e.currentTick()
+			tick := e.tick.Load()
 			for _, p := range e.peers {
-				p.enqueueHeartbeat(tick)
+				if p != nil {
+					p.enqueueHeartbeat(tick)
+				}
 			}
 			e.checkHealth(time.Now())
 		}

@@ -4,9 +4,27 @@
 // carried in a length-prefixed frame. Handlers are the exact objects the
 // in-memory engines drive — communication-closed-rounds theory
 // (arXiv:1804.07078) is what licenses running the round-structured
-// protocols on an asynchronous wire unchanged; pair the engine with
-// sim.WrapAllReliable when the deployment must survive connection resets
-// (a reconnect can replay frames, which the transport layer deduplicates).
+// protocols on an asynchronous wire unchanged.
+//
+// Reliability. A message between two nodes of one process travels through
+// an in-process queue and can be neither lost nor duplicated. A message to
+// another process can be: on a write error the peer writer redials and
+// replays its unwritten batch. A deployment that must survive connection
+// resets wraps its handlers with sim.WrapAllReliable; the engine tells the
+// transport which links are lossless (sim.LosslessSender, answered as
+// Owner(to) == Proc), so only cross-process links pay for sequence
+// numbers, acks and retransmission state. A single-process deployment may
+// wrap or not — the wrapped handlers send bare either way.
+//
+// Threads and queues. One run goroutine executes every handler upcall and
+// detector callback. The contexts it hands to handlers append local sends
+// to a queue only that goroutine touches — no lock, no wake-up — and
+// remote sends to the destination peer's frame buffer, whose writer is
+// woken once per delivery pass, not once per frame. Engine.Send is the
+// door for every other goroutine: it takes the inbox lock (local) or the
+// peer lock plus an immediate wake-up (remote). Each inbound connection
+// has a reader goroutine that decodes everything one buffered read
+// delivered and enqueues it under a single inbox lock acquisition.
 //
 // Model mapping. The engine has no global rounds; instead every process
 // counts local activation ticks (one Activate of every local handler per
@@ -23,6 +41,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dpq/internal/hashutil"
@@ -94,20 +113,36 @@ type inEnv struct {
 	msg        sim.Message
 }
 
-// Engine is a sim-compatible engine for one process of a network. It
-// implements sim.Sender for the contexts of its local handlers.
+// recycleEnvCap is the largest envelope buffer a drained queue keeps for
+// reuse; a burst beyond it is dropped for the GC so it cannot pin memory.
+const recycleEnvCap = 1 << 16
+
+// Engine is a sim-compatible engine for one process of a network.
 type Engine struct {
 	cfg      Config
 	ln       net.Listener
 	localIDs []sim.NodeID
-	ctxs     map[sim.NodeID]*sim.Context
+	ctxs     []*sim.Context // by node id; nil for nodes owned elsewhere
+
+	// Owned by the run goroutine. local collects the handlers' own local
+	// sends and is delivered a generation at a time; the spares are the
+	// drained buffers of the previous pass, swapped back in instead of
+	// reallocating. dirty lists the peers that were handed frames since the
+	// last flushPeers. acc is the authoritative cost accounting, published
+	// to metrics once per pass.
+	local      []inEnv
+	localSpare []inEnv
+	inboxSpare []inEnv
+	dirty      []*peer
+	acc        sim.Metrics
+	tickLoad   []int // per-group deliveries in the current tick window
 
 	mu     sync.Mutex // guards inbox and ctl
-	inbox  []inEnv
-	ctl    []func() // detector callbacks awaiting the run goroutine
+	inbox  []inEnv    // sends from other goroutines and inbound frames
+	ctl    []func()   // detector callbacks awaiting the run goroutine
 	notify chan struct{}
 
-	peers map[int]*peer
+	peers []*peer // by process; nil at Proc
 
 	// incarnation identifies this engine lifetime in handshakes; healthMu
 	// guards the failure detector's per-peer records.
@@ -118,17 +153,43 @@ type Engine struct {
 	connMu sync.Mutex // guards inbound conns for shutdown
 	conns  map[net.Conn]bool
 
-	statsMu sync.Mutex // guards metrics
-	metrics sim.Metrics
+	statsMu sync.Mutex  // guards metrics
+	metrics sim.Metrics // acc as of the end of the last pass
 
-	tick     int64 // owned by the run goroutine
-	tickLoad []int // per-group deliveries in the current tick window
+	tick atomic.Int64 // local activation ticks; written by the run goroutine
 
 	start    time.Time
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
 	started  bool
+}
+
+// handlerSender is the sim.Sender behind the contexts handed to handlers:
+// the run goroutine's private, lock-free way into the engine. It also
+// answers the reliable transport's lossless query (sim.LosslessSender).
+type handlerSender struct{ e *Engine }
+
+// Lossless reports whether from→to stays inside this process.
+func (s handlerSender) Lossless(from, to sim.NodeID) bool {
+	return s.e.cfg.Owner(to) == s.e.cfg.Proc
+}
+
+// Send queues a local destination for the next delivery generation and
+// frames a remote one into its peer's buffer, to be flushed at the end of
+// the current pass. Run goroutine only.
+func (s handlerSender) Send(from, to sim.NodeID, msg sim.Message) {
+	e := s.e
+	p := e.route(to)
+	if p == nil {
+		e.local = append(e.local, inEnv{from: from, to: to, senderTick: e.tick.Load(), msg: msg})
+		return
+	}
+	p.enqueueMsg(from, to, e.tick.Load(), msg)
+	if !p.dirty {
+		p.dirty = true
+		e.dirty = append(e.dirty, p)
+	}
 }
 
 // New validates cfg, binds the listener and prepares the local contexts.
@@ -179,13 +240,14 @@ func New(cfg Config) (*Engine, error) {
 
 	e := &Engine{
 		cfg:         cfg,
-		ctxs:        make(map[sim.NodeID]*sim.Context),
+		ctxs:        make([]*sim.Context, len(cfg.Handlers)),
 		notify:      make(chan struct{}, 1),
-		peers:       make(map[int]*peer),
+		peers:       make([]*peer, len(cfg.Addrs)),
 		conns:       make(map[net.Conn]bool),
 		stop:        make(chan struct{}),
 		incarnation: uint64(time.Now().UnixNano()),
 	}
+	e.acc.Deliveries = make([]int64, cfg.Groups)
 	e.metrics.Deliveries = make([]int64, cfg.Groups)
 	e.tickLoad = make([]int, cfg.Groups)
 	for i := range cfg.Handlers {
@@ -198,7 +260,7 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.localIDs = append(e.localIDs, id)
 		rnd := hashutil.NewRand(hashutil.Mix2(cfg.Seed, uint64(id)))
-		e.ctxs[id] = sim.NewExternalContext(id, rnd, e)
+		e.ctxs[id] = sim.NewExternalContext(id, rnd, handlerSender{e})
 	}
 	if len(e.localIDs) == 0 {
 		return nil, fmt.Errorf("netrun: process %d owns no nodes", cfg.Proc)
@@ -241,16 +303,6 @@ func (e *Engine) LocalNodes() []sim.NodeID {
 	return append([]sim.NodeID(nil), e.localIDs...)
 }
 
-// Context returns the context of a local node (drivers use it to issue
-// initial protocol actions). It panics for nodes owned elsewhere.
-func (e *Engine) Context(id sim.NodeID) *sim.Context {
-	ctx := e.ctxs[id]
-	if ctx == nil {
-		panic(fmt.Sprintf("netrun: node %d is not local to process %d", id, e.cfg.Proc))
-	}
-	return ctx
-}
-
 // Start launches the accept loop, the peer writers and the activation loop.
 func (e *Engine) Start() {
 	if e.started {
@@ -263,10 +315,12 @@ func (e *Engine) Start() {
 		go e.acceptLoop()
 	}
 	for _, p := range e.peers {
-		e.wg.Add(1)
-		go p.run(e)
+		if p != nil {
+			e.wg.Add(1)
+			go p.run(e)
+		}
 	}
-	if e.cfg.HeartbeatEvery > 0 && len(e.peers) > 0 {
+	if e.cfg.HeartbeatEvery > 0 && len(e.peers) > 1 {
 		e.wg.Add(1)
 		go e.monitor()
 	}
@@ -274,37 +328,44 @@ func (e *Engine) Start() {
 	go e.run()
 }
 
-// Send implements sim.Sender: local destinations are enqueued for the next
-// delivery drain, remote ones are framed and handed to the peer writer.
-// Handlers call it (through their contexts) from the run goroutine;
-// drivers may call it from any goroutine.
-func (e *Engine) Send(from, to sim.NodeID, msg sim.Message) {
+// route returns the peer that owns node to, or nil when it is local.
+func (e *Engine) route(to sim.NodeID) *peer {
 	if int(to) < 0 || int(to) >= len(e.cfg.Handlers) {
 		panic("netrun: send to unknown node")
 	}
-	tick := e.currentTick()
 	owner := e.cfg.Owner(to)
 	if owner == e.cfg.Proc {
-		e.enqueue(inEnv{from: from, to: to, senderTick: tick, msg: msg})
-		return
+		return nil
 	}
-	p := e.peers[owner]
-	if p == nil {
+	if owner < 0 || owner >= len(e.peers) {
 		panic(fmt.Sprintf("netrun: node %d owned by unknown process %d", to, owner))
 	}
-	p.enqueueMsg(from, to, tick, msg)
+	return e.peers[owner]
 }
 
-func (e *Engine) currentTick() int64 {
-	e.statsMu.Lock()
-	defer e.statsMu.Unlock()
-	return e.tick
+// Send implements sim.Sender for drivers on any goroutine: a local
+// destination goes through the locked inbox, a remote one is framed into
+// its peer's buffer and the writer is woken at once. Handlers do not come
+// through here — their contexts send through handlerSender.
+func (e *Engine) Send(from, to sim.NodeID, msg sim.Message) {
+	p := e.route(to)
+	if p == nil {
+		e.enqueue([]inEnv{{from: from, to: to, senderTick: e.tick.Load(), msg: msg}})
+		return
+	}
+	p.enqueueMsg(from, to, e.tick.Load(), msg)
+	p.cond.Signal()
 }
 
-func (e *Engine) enqueue(env inEnv) {
+// enqueue appends envelopes to the inbox and pokes the run goroutine.
+func (e *Engine) enqueue(envs []inEnv) {
 	e.mu.Lock()
-	e.inbox = append(e.inbox, env)
+	e.inbox = append(e.inbox, envs...)
 	e.mu.Unlock()
+	e.poke()
+}
+
+func (e *Engine) poke() {
 	select {
 	case e.notify <- struct{}{}:
 	default:
@@ -322,13 +383,15 @@ func (e *Engine) run() {
 		case <-e.stop:
 			return
 		case <-e.notify:
-			e.deliverPending()
+			e.drain()
 		case <-ticker.C:
-			e.deliverPending()
+			e.drain()
 			for _, id := range e.localIDs {
 				e.cfg.Handlers[id].Activate(e.ctxs[id])
 			}
+			e.flushPeers()
 			e.closeTickWindow()
+			e.drain() // what the activations sent locally
 		}
 	}
 }
@@ -339,69 +402,109 @@ func (e *Engine) pushCtl(f func()) {
 	e.mu.Lock()
 	e.ctl = append(e.ctl, f)
 	e.mu.Unlock()
-	select {
-	case e.notify <- struct{}{}:
-	default:
-	}
+	e.poke()
 }
 
-// deliverPending drains the control queue and the inbox and runs the
-// local handlers.
-func (e *Engine) deliverPending() {
+// drain runs delivery passes until nothing is queued. One pass takes the
+// control queue, the inbox and the current generation of handler sends,
+// runs them, publishes the accounting and wakes the writers of the peers
+// the pass sent to; what its handlers sent locally is the next pass's
+// generation.
+func (e *Engine) drain() {
 	for {
 		e.mu.Lock()
-		box := e.inbox
-		ctl := e.ctl
-		e.inbox, e.ctl = nil, nil
+		box, ctl := e.inbox, e.ctl
+		e.inbox, e.ctl = e.inboxSpare, nil
 		e.mu.Unlock()
-		if len(box) == 0 && len(ctl) == 0 {
+		gen := e.local
+		if len(box) == 0 && len(ctl) == 0 && len(gen) == 0 {
+			e.inboxSpare = box
 			return
 		}
+		e.local = e.localSpare
 		for _, f := range ctl {
 			f()
 		}
-		for _, env := range box {
-			ctx := e.ctxs[env.to]
-			if ctx == nil {
-				e.cfg.Logf("netrun: dropping frame for non-local node %d", env.to)
-				continue
-			}
-			g := e.cfg.Group(env.to)
-			bits := env.msg.Bits()
-			e.statsMu.Lock()
-			e.metrics.Observe(g, bits, e.cfg.Strict)
-			if g >= 0 && g < len(e.tickLoad) {
-				e.tickLoad[g]++
-			}
-			e.statsMu.Unlock()
-			if e.cfg.Observer != nil {
-				e.cfg.Observer(sim.Delivery{
-					Round: int(env.senderTick),
-					Time:  time.Since(e.start).Seconds(),
-					From:  env.from,
-					To:    env.to,
-					Group: g,
-					Bits:  bits,
-					Msg:   env.msg,
-				})
-			}
-			e.cfg.Handlers[env.to].HandleMessage(ctx, env.from, env.msg)
+		for i := range box {
+			e.deliver(&box[i])
 		}
+		for i := range gen {
+			e.deliver(&gen[i])
+		}
+		e.inboxSpare = recycleEnvs(box)
+		e.localSpare = recycleEnvs(gen)
+		e.publish()
+		e.flushPeers()
 	}
+}
+
+// recycleEnvs empties a delivered buffer for reuse, releasing its message
+// references.
+func recycleEnvs(b []inEnv) []inEnv {
+	if cap(b) > recycleEnvCap {
+		return nil
+	}
+	clear(b)
+	return b[:0]
+}
+
+// deliver accounts one message and hands it to its handler.
+func (e *Engine) deliver(env *inEnv) {
+	if int(env.to) < 0 || int(env.to) >= len(e.ctxs) || e.ctxs[env.to] == nil {
+		e.cfg.Logf("netrun: dropping frame for non-local node %d", env.to)
+		return
+	}
+	g := e.cfg.Group(env.to)
+	bits := env.msg.Bits()
+	e.acc.Observe(g, bits, e.cfg.Strict)
+	if g >= 0 && g < len(e.tickLoad) {
+		e.tickLoad[g]++
+	}
+	if e.cfg.Observer != nil {
+		e.cfg.Observer(sim.Delivery{
+			Round: int(env.senderTick),
+			Time:  time.Since(e.start).Seconds(),
+			From:  env.from,
+			To:    env.to,
+			Group: g,
+			Bits:  bits,
+			Msg:   env.msg,
+		})
+	}
+	e.cfg.Handlers[env.to].HandleMessage(e.ctxs[env.to], env.from, env.msg)
+}
+
+// flushPeers wakes the writer of every peer handed frames since the last
+// call.
+func (e *Engine) flushPeers() {
+	for i, p := range e.dirty {
+		p.dirty = false
+		p.cond.Signal()
+		e.dirty[i] = nil
+	}
+	e.dirty = e.dirty[:0]
+}
+
+// publish copies the run goroutine's accounting to where Metrics reads it.
+func (e *Engine) publish() {
+	e.statsMu.Lock()
+	d := e.metrics.Deliveries
+	copy(d, e.acc.Deliveries)
+	e.metrics = e.acc
+	e.metrics.Deliveries = d
+	e.statsMu.Unlock()
 }
 
 // closeTickWindow ends one congestion window and advances the local tick.
 func (e *Engine) closeTickWindow() {
-	e.statsMu.Lock()
 	for g, l := range e.tickLoad {
-		if l > e.metrics.Congestion {
-			e.metrics.Congestion = l
+		if l > e.acc.Congestion {
+			e.acc.Congestion = l
 		}
 		e.tickLoad[g] = 0
 	}
-	e.tick++
-	e.metrics.Rounds = int(e.tick)
-	e.statsMu.Unlock()
+	e.acc.Rounds = int(e.tick.Add(1))
+	e.publish()
 }
 
 // Metrics returns a snapshot of the engine's cost accounting.
@@ -422,7 +525,9 @@ func (e *Engine) Close() error {
 			e.ln.Close()
 		}
 		for _, p := range e.peers {
-			p.close()
+			if p != nil {
+				p.close()
+			}
 		}
 		e.connMu.Lock()
 		for c := range e.conns {

@@ -106,10 +106,33 @@ type Sender interface {
 	Send(from, to NodeID, msg Message)
 }
 
+// LosslessSender is an optional capability of a Sender: Lossless reports
+// whether the link from→to can neither lose nor duplicate a message — an
+// in-process queue, as opposed to a connection that can reset and replay.
+// The answer for a link must never change. ReliableTransport asks once per
+// destination and sends bare over lossless links; a Sender without the
+// method, like every engine of this package, is taken to be lossy
+// throughout.
+type LosslessSender interface {
+	Sender
+	Lossless(from, to NodeID) bool
+}
+
 // externalEngine adapts a Sender to the internal engine interface.
 type externalEngine struct{ s Sender }
 
 func (e externalEngine) send(from, to NodeID, msg Message) { e.s.Send(from, to, msg) }
+
+// lossless reports whether the context's engine vouches for its link to
+// node to (see LosslessSender).
+func (c *Context) lossless(to NodeID) bool {
+	if x, ok := c.engine.(externalEngine); ok {
+		if l, ok := x.s.(LosslessSender); ok {
+			return l.Lossless(c.id, to)
+		}
+	}
+	return false
+}
 
 // NewExternalContext builds a node Context bound to an external engine: the
 // context's Send primitive delegates to s. Handlers written against the

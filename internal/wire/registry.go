@@ -2,9 +2,11 @@ package wire
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"dpq/internal/sim"
 )
@@ -25,13 +27,30 @@ type entry struct {
 	samples []sim.Message
 }
 
+// registry is one immutable generation of the codec tables. Register
+// builds the next generation from a copy and swaps it in, so the encode and
+// decode paths read the tables with one atomic load and no lock: every
+// registration happens in a package init function, long before the first
+// frame, and the tables never change again.
+type registry struct {
+	byType map[reflect.Type]*entry
+	byID   map[uint32]*entry
+	byName map[string]*entry
+}
+
 var (
-	regMu    sync.RWMutex
-	byType   = map[reflect.Type]*entry{}
-	byID     = map[uint32]*entry{}
-	byName   = map[string]*entry{}
-	nilID    = uint32(0) // reserved: encodes a nil nested message
+	regMu sync.Mutex // serializes Register
+	// reg is set by a variable initializer, not an init function: those run
+	// in file order and the first Register call comes from one.
+	reg = func() *atomic.Pointer[registry] {
+		p := new(atomic.Pointer[registry])
+		p.Store(&registry{byType: map[reflect.Type]*entry{}, byID: map[uint32]*entry{}, byName: map[string]*entry{}})
+		return p
+	}()
 )
+
+// nilID is reserved: it encodes a nil nested message.
+const nilID = uint32(0)
 
 // fnv32a is the FNV-1a hash of the wire name; it is the message's on-wire
 // kind id. Stable across builds by construction (pure function of the
@@ -62,28 +81,27 @@ func Register(name string, prototype sim.Message, enc EncodeFunc, dec DecodeFunc
 	id := fnv32a(name)
 	regMu.Lock()
 	defer regMu.Unlock()
+	cur := reg.Load()
 	if id == nilID {
 		panic("wire: name " + name + " hashes to the reserved nil id")
 	}
-	if _, dup := byName[name]; dup {
+	if _, dup := cur.byName[name]; dup {
 		panic("wire: duplicate registration of name " + name)
 	}
-	if _, dup := byType[t]; dup {
+	if _, dup := cur.byType[t]; dup {
 		panic(fmt.Sprintf("wire: duplicate registration of type %v (name %s)", t, name))
 	}
-	if prev, dup := byID[id]; dup {
+	if prev, dup := cur.byID[id]; dup {
 		panic(fmt.Sprintf("wire: id collision between %s and %s — rename one", prev.name, name))
 	}
 	e := &entry{name: name, id: id, enc: enc, dec: dec, samples: samples}
-	byType[t] = e
-	byID[id] = e
-	byName[name] = e
+	next := &registry{byType: maps.Clone(cur.byType), byID: maps.Clone(cur.byID), byName: maps.Clone(cur.byName)}
+	next.byType[t], next.byID[id], next.byName[name] = e, e, e
+	reg.Store(next)
 }
 
 func lookupType(msg sim.Message) (*entry, error) {
-	regMu.RLock()
-	e := byType[reflect.TypeOf(msg)]
-	regMu.RUnlock()
+	e := reg.Load().byType[reflect.TypeOf(msg)]
 	if e == nil {
 		return nil, fmt.Errorf("wire: unregistered message type %T", msg)
 	}
@@ -180,9 +198,7 @@ func (r *Reader) Message() sim.Message {
 	if id == nilID {
 		return nil
 	}
-	regMu.RLock()
-	e := byID[id]
-	regMu.RUnlock()
+	e := reg.Load().byID[id]
 	if e == nil {
 		r.Fail(fmt.Errorf("wire: unknown message kind id %#x", id))
 		return nil
@@ -216,8 +232,7 @@ func (r *Reader) MustMessage() sim.Message {
 
 // RegisteredNames returns the sorted wire names of all registrations.
 func RegisteredNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
+	byName := reg.Load().byName
 	names := make([]string, 0, len(byName))
 	for n := range byName {
 		names = append(names, n)
@@ -229,9 +244,7 @@ func RegisteredNames() []string {
 // Samples returns the registered sample messages for name (nil if unknown).
 // The round-trip test encodes and decodes every sample of every name.
 func Samples(name string) []sim.Message {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	e := byName[name]
+	e := reg.Load().byName[name]
 	if e == nil {
 		return nil
 	}
