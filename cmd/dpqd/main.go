@@ -188,7 +188,6 @@ func main() {
 		}
 	}
 
-	handlers, transports := sim.WrapAllReliable(heap.Handlers(), sim.DefaultTransportConfig())
 	groups, group := heap.Overlay().Group()
 	nodeOwner := func(id sim.NodeID) int { return hostOwner[ldb.HostOf(id)] }
 	anchorProc := nodeOwner(heap.Overlay().Anchor)
@@ -209,7 +208,7 @@ func main() {
 	eng, err := netrun.New(netrun.Config{
 		Proc:           *proc,
 		Addrs:          addrs,
-		Handlers:       handlers,
+		Handlers:       heap.Handlers(),
 		Owner:          nodeOwner,
 		Seed:           *seed + 1,
 		Groups:         groups,
@@ -236,21 +235,8 @@ func main() {
 			}
 		},
 		OnPeerRejoin: func(p int) {
-			// Runs on the engine's handler goroutine, so the transports may
-			// be touched directly: the restarted process renumbers its
-			// reliable-transport frames from zero, and without forgetting
-			// the old dedup state every post-restart frame from its nodes
-			// would be swallowed as a duplicate.
-			for i, t := range transports {
-				if nodeOwner(sim.NodeID(i)) != *proc {
-					continue
-				}
-				for v := range transports {
-					if nodeOwner(sim.NodeID(v)) == p {
-						t.ResetPeer(sim.NodeID(v))
-					}
-				}
-			}
+			// The peer session has already switched to the restarted
+			// process's new stream; what is left is the protocol's business.
 			if rec != nil {
 				go rec.PeerRejoined(p)
 			}
@@ -375,12 +361,13 @@ func main() {
 	}
 	m := eng.Metrics()
 	sess.SetExtra("serve", st)
-	// The engine has stopped, so the transports are quiescent. Retries and
-	// duplicates far above zero mean a retransmission storm; bypassed is
-	// every send that stayed inside this process — in a one-daemon
-	// deployment that is all of them and sent stays 0.
-	xp := sim.SumTransportStats(transports)
-	sess.SetExtra("transport", xp)
+	// The peer sessions' counters. frames is every message that left for
+	// another daemon (0 in a one-daemon deployment); acks is the control
+	// frames written for them, nearly all in front of a batch that was
+	// being written anyway; replayed and skipped stay 0 unless a peer
+	// connection was lost.
+	lk := eng.Links()
+	sess.SetExtra("link", lk)
 	if procs > 1 && hb > 0 {
 		sess.SetExtra("peers", eng.Health())
 	}
@@ -395,9 +382,9 @@ func main() {
 		fail("%v", err)
 	}
 	tr := heap.Trace()
-	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d transport(sent=%d retries=%d dups=%d bypassed=%d) drained=%v\n",
+	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d link(frames=%d acks=%d replayed=%d skipped=%d retainedMax=%d) drained=%v\n",
 		*proc, st.Served, st.Rejected, st.LeasesGranted, st.Acked, st.Redeliveries, tr.Len(), st.Pending, m.Rounds, m.Messages,
-		xp.Sent, xp.Retries, xp.Duplicates, xp.Bypassed, drained)
+		lk.Frames, lk.Acks, lk.Replayed, lk.Skipped, lk.RetainedMax, drained)
 	if !drained || serr != nil {
 		os.Exit(1)
 	}

@@ -4,8 +4,8 @@
 // the cluster behaved like one priority queue:
 //
 //   - every inserted element id is consumed exactly once and nothing else
-//     appears (exactly-once end to end, through the reliable transport's
-//     dedup, the daemons' completion routing and the lease protocol);
+//     appears (exactly-once end to end, through the peer sessions, the
+//     daemons' completion routing and the lease protocol);
 //   - no delete returns ⊥ while the queue is non-empty (except transiently
 //     in -ack-mode nack, where every element is out under a lease once),
 //     and one trailing delete after the drain does return ⊥;

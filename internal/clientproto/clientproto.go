@@ -188,20 +188,23 @@ func writeFrame(w io.Writer, body []byte) error {
 	return err
 }
 
-func readFrame(r io.Reader) (*wire.Reader, error) {
+// readFrame reads one frame and points fr at its body. The caller owns fr
+// (a local: nothing here makes it escape, so it costs no allocation).
+func readFrame(r io.Reader, fr *wire.Reader) error {
 	var lenb [4]byte
 	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		return nil, err
+		return err
 	}
 	n := binary.BigEndian.Uint32(lenb[:])
 	if n == 0 || n > maxFrame {
-		return nil, fmt.Errorf("clientproto: implausible frame length %d", n)
+		return fmt.Errorf("clientproto: implausible frame length %d", n)
 	}
 	body := make([]byte, n)
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return err
 	}
-	return wire.NewReader(body), nil
+	fr.Reset(body)
+	return nil
 }
 
 // WriteRequest frames and writes one request.
@@ -228,8 +231,8 @@ func WriteRequest(w io.Writer, req *Request) error {
 // itself was consumed and the stream is still usable; any other error is
 // fatal for the connection.
 func ReadRequest(r io.Reader) (*Request, error) {
-	fr, err := readFrame(r)
-	if err != nil {
+	var fr wire.Reader
+	if err := readFrame(r, &fr); err != nil {
 		return nil, err
 	}
 	req := &Request{}
@@ -279,8 +282,8 @@ func WriteResponse(w io.Writer, resp *Response) error {
 // ReadResponse reads one framed response. StatusError responses are
 // returned as values, not errors — callers route them with Response.Err.
 func ReadResponse(r io.Reader) (*Response, error) {
-	fr, err := readFrame(r)
-	if err != nil {
+	var fr wire.Reader
+	if err := readFrame(r, &fr); err != nil {
 		return nil, err
 	}
 	resp := &Response{}

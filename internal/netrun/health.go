@@ -1,8 +1,9 @@
 package netrun
 
-// Failure detection. Each engine sends a tiny heartbeat frame to every
-// peer once per Config.HeartbeatEvery (only when the outbound buffer is
-// otherwise idle — real frames count as liveness evidence too), and a
+// Failure detection. Each engine sends a control frame to every peer once
+// per Config.HeartbeatEvery (only when the outbound buffer is otherwise
+// idle — real frames count as liveness evidence too; the frame is the
+// session's cumulative acknowledgement, see conn.go), and a
 // monitor goroutine grades peers by how long ago the last inbound frame
 // from them arrived: up → suspect after SuspectAfter → down after
 // DownAfter. A crash-and-restart is detected separately, by incarnation:
@@ -12,8 +13,8 @@ package netrun
 //
 // State transitions and rejoin events are marshaled onto the engine's run
 // goroutine (the one that executes handlers), so callbacks may touch
-// handler and transport state without extra locking — the same discipline
-// sim engines give their handlers.
+// handler state without extra locking — the same discipline sim engines
+// give their handlers.
 
 import (
 	"sort"
@@ -51,6 +52,7 @@ type PeerHealth struct {
 	LastAlive   time.Time
 	Incarnation uint64 // last incarnation seen in a handshake (0 = never)
 	Redials     int64  // failed outbound dial attempts
+	Link        LinkStats
 }
 
 // healthRec is the mutable detector record for one peer (guarded by
@@ -74,6 +76,22 @@ func (e *Engine) initHealth() {
 	}
 }
 
+// setStateLocked moves rec to s (healthMu held), keeping the down count,
+// and reports whether that was a transition.
+func (e *Engine) setStateLocked(rec *healthRec, s PeerState) bool {
+	if rec.state == s {
+		return false
+	}
+	if rec.state == PeerDown {
+		e.down.Add(-1)
+	}
+	if s == PeerDown {
+		e.down.Add(1)
+	}
+	rec.state = s
+	return true
+}
+
 // noteAlive records inbound-frame evidence from proc. A suspect or down
 // peer recovers to up immediately.
 func (e *Engine) noteAlive(proc int) {
@@ -84,22 +102,19 @@ func (e *Engine) noteAlive(proc int) {
 		return
 	}
 	rec.lastAlive = time.Now()
-	changed := rec.state != PeerUp
-	if changed {
-		rec.state = PeerUp
-	}
+	changed := e.setStateLocked(rec, PeerUp)
 	e.healthMu.Unlock()
 	if changed {
 		e.emitPeerState(proc, PeerUp)
 	}
 }
 
-// noteHandshake records an inbound connection's handshake. A different
-// incarnation than the previously recorded one means the peer process
-// restarted in between — survivors run restart reconciliation off this
-// event, not off the down→up transition (a short crash can beat the
-// suspicion window).
-func (e *Engine) noteHandshake(proc int, incarnation uint64) {
+// noteHandshake records an inbound connection's handshake. rejoined is the
+// receive session's verdict that the incarnation differs from the stream it
+// had — the peer process restarted in between. Survivors run restart
+// reconciliation off this event, not off the down→up transition (a short
+// crash can beat the suspicion window).
+func (e *Engine) noteHandshake(proc int, incarnation uint64, rejoined bool) {
 	e.healthMu.Lock()
 	rec := e.health[proc]
 	if rec == nil {
@@ -107,11 +122,7 @@ func (e *Engine) noteHandshake(proc int, incarnation uint64) {
 		return
 	}
 	rec.lastAlive = time.Now()
-	recovered := rec.state != PeerUp
-	if recovered {
-		rec.state = PeerUp
-	}
-	rejoined := rec.incarnation != 0 && rec.incarnation != incarnation
+	recovered := e.setStateLocked(rec, PeerUp)
 	rec.incarnation = incarnation
 	e.healthMu.Unlock()
 	if recovered {
@@ -161,8 +172,7 @@ func (e *Engine) checkHealth(now time.Time) {
 				want = PeerSuspect
 			}
 		}
-		if want != rec.state {
-			rec.state = want
+		if e.setStateLocked(rec, want) {
 			changes = append(changes, change{proc, want})
 		}
 	}
@@ -174,7 +184,8 @@ func (e *Engine) checkHealth(now time.Time) {
 }
 
 // monitor is the heartbeat/detector goroutine: every HeartbeatEvery it
-// offers a heartbeat to each idle peer buffer and re-grades the evidence.
+// offers a control frame to each idle peer buffer and re-grades the
+// evidence.
 func (e *Engine) monitor() {
 	defer e.wg.Done()
 	t := time.NewTicker(e.cfg.HeartbeatEvery)
@@ -184,10 +195,9 @@ func (e *Engine) monitor() {
 		case <-e.stop:
 			return
 		case <-t.C:
-			tick := e.tick.Load()
 			for _, p := range e.peers {
 				if p != nil {
-					p.enqueueHeartbeat(tick)
+					p.offerCtl()
 				}
 			}
 			e.checkHealth(time.Now())
@@ -195,8 +205,9 @@ func (e *Engine) monitor() {
 	}
 }
 
-// Health returns a snapshot of every peer's detector record, ordered by
-// process id. Empty when the detector is disabled or single-process.
+// Health returns a snapshot of every peer's detector record and link
+// counters, ordered by process id. Empty for a single-process engine; with
+// the detector disabled every peer reads up.
 func (e *Engine) Health() []PeerHealth {
 	e.healthMu.Lock()
 	out := make([]PeerHealth, 0, len(e.health))
@@ -211,6 +222,9 @@ func (e *Engine) Health() []PeerHealth {
 	}
 	e.healthMu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Proc < out[j].Proc })
+	for i := range out {
+		out[i].Link = e.peers[out[i].Proc].stats()
+	}
 	return out
 }
 
@@ -222,17 +236,9 @@ func (e *Engine) PeerIsDown(proc int) bool {
 	return rec != nil && rec.state == PeerDown
 }
 
-// AnyPeerDown reports whether any peer is currently graded down.
-func (e *Engine) AnyPeerDown() bool {
-	e.healthMu.Lock()
-	defer e.healthMu.Unlock()
-	for _, rec := range e.health {
-		if rec.state == PeerDown {
-			return true
-		}
-	}
-	return false
-}
+// AnyPeerDown reports whether any peer is currently graded down. It is on
+// every client request's path (serve.Config.Degraded): one atomic load.
+func (e *Engine) AnyPeerDown() bool { return e.down.Load() > 0 }
 
 // Incarnation returns this engine's own incarnation (what peers see in
 // the handshake).

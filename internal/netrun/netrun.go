@@ -6,15 +6,19 @@
 // (arXiv:1804.07078) is what licenses running the round-structured
 // protocols on an asynchronous wire unchanged.
 //
-// Reliability. A message between two nodes of one process travels through
-// an in-process queue and can be neither lost nor duplicated. A message to
-// another process can be: on a write error the peer writer redials and
-// replays its unwritten batch. A deployment that must survive connection
-// resets wraps its handlers with sim.WrapAllReliable; the engine tells the
-// transport which links are lossless (sim.LosslessSender, answered as
-// Owner(to) == Proc), so only cross-process links pay for sequence
-// numbers, acks and retransmission state. A single-process deployment may
-// wrap or not — the wrapped handlers send bare either way.
+// Reliability. Every link is the channel of the paper's model (§1.1):
+// messages are never lost or duplicated. Between two nodes of one process
+// that is an in-process queue. Between two processes it is the peer session
+// (conn.go): the sender counts its frames and keeps what it has written
+// until the receiver's cumulative acknowledgement — piggy-backed on the
+// reverse direction's writes or on the heartbeat — covers it, every
+// reconnect replays from the first unacknowledged frame, and the receiver
+// drops what it already has. Handlers therefore run bare: the engine
+// answers sim.LosslessSender with true for every link, so a network that is
+// wrapped in sim.ReliableTransport anyway sends bare as well. What a session
+// cannot give is a process that outlives its state: across a restart of the
+// receiver the unacknowledged tail is delivered at least once, and a
+// restarted sender starts a new stream (Config.OnPeerRejoin reports both).
 //
 // Threads and queues. One run goroutine executes every handler upcall and
 // detector callback. The contexts it hands to handlers append local sends
@@ -24,7 +28,8 @@
 // door for every other goroutine: it takes the inbox lock (local) or the
 // peer lock plus an immediate wake-up (remote). Each inbound connection
 // has a reader goroutine that decodes everything one buffered read
-// delivered and enqueues it under a single inbox lock acquisition.
+// delivered and enqueues it under a single inbox lock acquisition. A
+// healthy link costs no frame, write or wake-up beyond its payloads'.
 //
 // Model mapping. The engine has no global rounds; instead every process
 // counts local activation ticks (one Activate of every local handler per
@@ -87,18 +92,20 @@ type Config struct {
 	// (default 2s).
 	FlushTimeout time.Duration
 	// HeartbeatEvery enables the failure detector: each peer gets a
-	// heartbeat frame per period (when its buffer is idle) and is graded
+	// control frame per period (when its buffer is idle) and is graded
 	// up/suspect/down by inbound-frame recency. 0 disables the detector
-	// (the pre-detector behavior; single-process engines never need it).
+	// (single-process engines never need it); the acknowledgements of an
+	// idle direction then go out from the tick loop instead, at most one per
+	// tick and only when there is something new to acknowledge.
 	HeartbeatEvery time.Duration
 	// SuspectAfter/DownAfter are the detector's staleness thresholds
 	// (defaults 4× and 10× HeartbeatEvery).
 	SuspectAfter time.Duration
 	DownAfter    time.Duration
 	// OnPeerState fires on every detector transition; OnPeerRejoin fires
-	// when an inbound handshake shows a peer restarted (new incarnation).
-	// Both run on the engine's handler goroutine, so they may touch handler
-	// and transport state directly.
+	// when an inbound handshake shows a peer restarted (new incarnation),
+	// before any frame of its new stream is delivered. Both run on the
+	// engine's handler goroutine, so they may touch handler state directly.
 	OnPeerState  func(proc int, state PeerState)
 	OnPeerRejoin func(proc int)
 	// Logf, when set, receives connection lifecycle diagnostics.
@@ -145,10 +152,12 @@ type Engine struct {
 	peers []*peer // by process; nil at Proc
 
 	// incarnation identifies this engine lifetime in handshakes; healthMu
-	// guards the failure detector's per-peer records.
+	// guards the failure detector's per-peer records, down counts the peers
+	// they currently grade down.
 	incarnation uint64
 	healthMu    sync.Mutex
 	health      map[int]*healthRec
+	down        atomic.Int32
 
 	connMu sync.Mutex // guards inbound conns for shutdown
 	conns  map[net.Conn]bool
@@ -170,10 +179,10 @@ type Engine struct {
 // answers the reliable transport's lossless query (sim.LosslessSender).
 type handlerSender struct{ e *Engine }
 
-// Lossless reports whether from→to stays inside this process.
-func (s handlerSender) Lossless(from, to sim.NodeID) bool {
-	return s.e.cfg.Owner(to) == s.e.cfg.Proc
-}
+// Lossless vouches for every link: an in-process queue cannot lose, and a
+// cross-process link is a session that replays what a connection reset
+// lost and drops what it duplicated.
+func (handlerSender) Lossless(from, to sim.NodeID) bool { return true }
 
 // Send queues a local destination for the next delivery generation and
 // frames a remote one into its peer's buffer, to be flushed at the end of
@@ -392,6 +401,13 @@ func (e *Engine) run() {
 			e.flushPeers()
 			e.closeTickWindow()
 			e.drain() // what the activations sent locally
+			if e.cfg.HeartbeatEvery == 0 {
+				for _, p := range e.peers {
+					if p != nil {
+						p.tickOffer()
+					}
+				}
+			}
 		}
 	}
 }
@@ -516,8 +532,21 @@ func (e *Engine) Metrics() sim.Metrics {
 	return m
 }
 
+// Links totals the session counters of every peer link (per peer:
+// Health).
+func (e *Engine) Links() LinkStats {
+	var s LinkStats
+	for _, p := range e.peers {
+		if p != nil {
+			s.add(p.stats())
+		}
+	}
+	return s
+}
+
 // Close shuts the engine down: the activation loop stops, peers flush
-// queued frames (bounded by FlushTimeout) and all connections close.
+// queued frames (bounded by FlushTimeout, not waiting for their
+// acknowledgement) and all connections close.
 func (e *Engine) Close() error {
 	e.stopOnce.Do(func() {
 		close(e.stop)

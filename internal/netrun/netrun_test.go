@@ -84,21 +84,31 @@ func waitFor(t *testing.T, timeout time.Duration, what string, cond func() bool)
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	body := encodeFrame(3, 4, 77, &pingMsg{Seq: 9})
-	env, err := decodeFrame(body)
-	if err != nil {
+	var w wire.Writer
+	if err := appendFrame(&w, 3, 4, 77, &pingMsg{Seq: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if env.from != 3 || env.to != 4 || env.senderTick != 77 || env.msg.(*pingMsg).Seq != 9 {
-		t.Fatalf("frame mismatch: %+v", env)
+	body := w.Bytes()[4:]
+	var fr frameReader
+	var f frame
+	if err := fr.decode(body, &f); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := decodeFrame(body[:len(body)-1]); err == nil {
+	if env := f.env; f.ctl || env.from != 3 || env.to != 4 || env.senderTick != 77 || env.msg.(*pingMsg).Seq != 9 {
+		t.Fatalf("frame mismatch: %+v", f)
+	}
+	if err := fr.decode(body[:len(body)-1], &f); err == nil {
 		t.Fatal("truncated frame accepted")
 	}
-	if _, err := decodeFrame(append(body, 0)); err == nil {
+	if err := fr.decode(append(body, 0), &f); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
+	if err := appendFrame(&w, 3, 4, 77, &unregisteredMsg{}); err == nil || len(w.Bytes()) != 4+len(body) {
+		t.Fatalf("unregistered message: err %v, writer holds %d bytes, want the first frame's %d", err, len(w.Bytes()), 4+len(body))
+	}
 }
+
+type unregisteredMsg struct{ pingMsg }
 
 // TestTwoEnginesEcho bounces a counter between two nodes owned by two
 // engine instances connected over real loopback TCP.
@@ -179,17 +189,7 @@ func TestReconnectBackoff(t *testing.T) {
 	// Let the sender accumulate dial failures, then bring the peer up on
 	// the reserved address.
 	time.Sleep(150 * time.Millisecond)
-	var lnB net.Listener
-	for i := 0; i < 20; i++ {
-		lnB, err = net.Listen("tcp", addr)
-		if err == nil {
-			break
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	if err != nil {
-		t.Fatalf("rebinding reserved address: %v", err)
-	}
+	lnB := relisten(t, addr)
 	engB, err := New(Config{
 		Proc: 1, Addrs: addrs, Listener: lnB,
 		Handlers: handlers, Owner: owner,
@@ -209,9 +209,11 @@ func TestReconnectBackoff(t *testing.T) {
 }
 
 // TestTwoProcessSkeap runs a real Skeap network split across two engine
-// instances over loopback TCP, with every handler wrapped in the reliable
-// transport, and checks sequential consistency of the merged trace — the
-// in-process version of the dpqd cluster e2e.
+// instances over loopback TCP and checks sequential consistency of the
+// merged trace — the in-process version of the dpqd cluster e2e. The
+// handlers are wrapped in the reliable transport, which a daemon no longer
+// does: the engine vouches for every link, so the wrapper must send bare
+// and frame nothing.
 func TestTwoProcessSkeap(t *testing.T) {
 	if testing.Short() {
 		t.Skip("network cluster test")
@@ -242,7 +244,12 @@ func TestTwoProcessSkeap(t *testing.T) {
 	monotone := &fromRound{last: map[sim.NodeID]int{}}
 	for p := 0; p < 2; p++ {
 		h := skeap.New(skeap.Config{N: n, P: prios, Seed: 42})
-		handlers, _ := sim.WrapAllReliable(h.Handlers(), sim.DefaultTransportConfig())
+		handlers, transports := sim.WrapAllReliable(h.Handlers(), sim.DefaultTransportConfig())
+		defer func() {
+			if st := sim.SumTransportStats(transports); st.Sent != 0 || st.Bypassed == 0 {
+				t.Errorf("wrapped handlers framed %d payloads and bypassed %d, want 0 and all", st.Sent, st.Bypassed)
+			}
+		}()
 		groups, group := h.Overlay().Group()
 		cfg := Config{
 			Proc: p, Addrs: addrs, Listener: lns[p],

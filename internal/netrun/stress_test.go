@@ -21,6 +21,7 @@ type streamNode struct {
 	limit int64
 	next  map[sim.NodeID]int64
 	sent  atomic.Int64 // messages handed to the context so far
+	echo  bool         // send every message straight back
 
 	last map[sim.NodeID]int64
 	bad  []string
@@ -37,6 +38,9 @@ func (n *streamNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Me
 	}
 	n.last[from] = seq
 	n.got.Add(1)
+	if n.echo {
+		ctx.Send(from, msg)
+	}
 }
 
 func (n *streamNode) Activate(ctx *sim.Context) {

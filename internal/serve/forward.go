@@ -3,9 +3,9 @@
 // records live where its insert was accepted — the serving daemon forwards
 // the ack to that owner over the ordinary client protocol and completes
 // the client's ack only after the owner reports it durable. Connections
-// are dialed lazily, pipelined, and redialed after failures; a forward
-// outstanding on a broken connection fails (the element's lease then
-// expires into a redelivery, never a loss).
+// are dialed lazily, pipelined (a burst of acks shares one write), and
+// redialed after failures; a forward outstanding on a broken connection
+// fails (the element's lease then expires into a redelivery, never a loss).
 package serve
 
 import (
@@ -49,7 +49,11 @@ type AckForwarder struct {
 	// not terminal and are not reported. Set before the first Forward.
 	OnParkFlush func(owner int, id prio.ElemID, err error)
 
-	addrs  []string
+	addrs []string
+	// dial opens the connection to an owner; tests substitute a counting
+	// connection.
+	dial func(addr string) (net.Conn, error)
+
 	mu     sync.Mutex
 	peers  map[int]*peerConn
 	down   map[int]bool
@@ -59,20 +63,42 @@ type AckForwarder struct {
 	closed bool
 }
 
-// peerConn is one lazily-dialed connection to a peer daemon.
+// peerConn is the lazily-dialed connection to one peer daemon. Forward
+// registers a call and queues its request; a writer goroutine per owner
+// drains the queue with one flush per burst, not per ack, and one timer per
+// owner watches the oldest outstanding call.
 type peerConn struct {
-	mu    sync.Mutex
-	conn  net.Conn
-	bw    *bufio.Writer
-	next  uint64
-	calls map[uint64]*fwdCall
+	owner   int
+	timeout time.Duration
+
+	mu     sync.Mutex
+	cond   *sync.Cond
+	conn   net.Conn
+	bw     *bufio.Writer // the writer goroutine's, for conn
+	queue  []fwdReq      // registered, not yet written
+	spare  []fwdReq
+	next   uint64
+	calls  map[uint64]fwdCall
+	oldest uint64 // no outstanding call has a smaller request id
+	// watchdog fires at the deadline of the oldest outstanding call; armed
+	// says whether it is set. Deadlines are uniform, so calls expire in
+	// request order and one timer covers them all.
+	watchdog *time.Timer
+	armed    bool
+	closed   bool
 }
 
-// fwdCall is one outstanding forward: its completion callback and the
-// deadline timer that fails it if the owner never answers.
+// fwdReq is one queued ack request.
+type fwdReq struct {
+	reqID uint64
+	id    prio.ElemID
+}
+
+// fwdCall is one outstanding forward: its completion callback and when it
+// fails if the owner has not answered.
 type fwdCall struct {
-	done  func(error)
-	timer *time.Timer
+	done     func(error)
+	deadline time.Time
 }
 
 // NewAckForwarder builds a forwarder over the daemons' client addresses
@@ -80,6 +106,7 @@ type fwdCall struct {
 func NewAckForwarder(addrs []string) *AckForwarder {
 	return &AckForwarder{
 		addrs:  addrs,
+		dial:   func(addr string) (net.Conn, error) { return net.DialTimeout("tcp", addr, 2*time.Second) },
 		peers:  map[int]*peerConn{},
 		down:   map[int]bool{},
 		parked: map[int][]prio.ElemID{},
@@ -181,19 +208,28 @@ func (f *AckForwarder) Forward(owner int, id prio.ElemID, done func(error)) {
 	}
 	p := f.peers[owner]
 	if p == nil {
-		p = &peerConn{calls: map[uint64]*fwdCall{}}
+		timeout := f.Timeout
+		if timeout <= 0 {
+			timeout = DefaultForwardTimeout
+		}
+		p = &peerConn{owner: owner, timeout: timeout, calls: map[uint64]fwdCall{}}
+		p.cond = sync.NewCond(&p.mu)
+		p.watchdog = time.AfterFunc(timeout, p.checkDeadline)
+		p.watchdog.Stop()
 		f.peers[owner] = p
+		go p.writeLoop()
 	}
 	addr := f.addrs[owner]
-	timeout := f.Timeout
-	if timeout <= 0 {
-		timeout = DefaultForwardTimeout
-	}
 	f.mu.Unlock()
 
 	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		done(fmt.Errorf("ack forwarder closed"))
+		return
+	}
 	if p.conn == nil {
-		conn, err := net.DialTimeout("tcp", addr, 2*time.Second)
+		conn, err := f.dial(addr)
 		if err != nil {
 			p.mu.Unlock()
 			done(fmt.Errorf("dial owner %d: %v", owner, err))
@@ -204,41 +240,78 @@ func (f *AckForwarder) Forward(owner int, id prio.ElemID, done func(error)) {
 		go p.readLoop(conn)
 	}
 	p.next++
-	reqID := p.next
-	c := &fwdCall{done: done}
-	p.calls[reqID] = c
-	err := clientproto.WriteRequest(p.bw, &clientproto.Request{ReqID: reqID, Op: clientproto.OpAck, ID: uint64(id)})
-	if err == nil {
-		err = p.bw.Flush()
+	p.calls[p.next] = fwdCall{done: done, deadline: time.Now().Add(p.timeout)}
+	p.queue = append(p.queue, fwdReq{reqID: p.next, id: id})
+	if !p.armed {
+		p.armed = true
+		p.watchdog.Reset(p.timeout)
 	}
-	if err != nil {
-		delete(p.calls, reqID)
-		p.dropLocked(fmt.Errorf("owner %d: %v", owner, err))
-		p.mu.Unlock()
-		done(fmt.Errorf("forward to owner %d: %v", owner, err))
-		return
-	}
-	// Armed before p.mu is released, so the readLoop cannot observe the
-	// call without its timer.
-	c.timer = time.AfterFunc(timeout, func() { p.expire(reqID, owner, timeout) })
 	p.mu.Unlock()
+	p.cond.Signal()
 }
 
-// expire fails one forward whose deadline passed without a response. The
+// writeLoop drains the request queue onto the current connection: every
+// request queued while the previous burst was being written goes out under
+// one flush. It exits when the forwarder closes.
+func (p *peerConn) writeLoop() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for {
+		for len(p.queue) == 0 && !p.closed {
+			p.cond.Wait()
+		}
+		if p.closed {
+			return
+		}
+		// A drop empties the queue, so what is queued belongs to p.conn.
+		batch, conn, bw := p.queue, p.conn, p.bw
+		p.queue = p.spare[:0]
+		p.mu.Unlock()
+		var err error
+		for _, r := range batch {
+			if err = clientproto.WriteRequest(bw, &clientproto.Request{ReqID: r.reqID, Op: clientproto.OpAck, ID: uint64(r.id)}); err != nil {
+				break
+			}
+		}
+		if err == nil {
+			err = bw.Flush()
+		}
+		p.mu.Lock()
+		p.spare = batch
+		if err != nil && p.conn == conn {
+			p.dropLocked(fmt.Errorf("forward to owner %d: %v", p.owner, err))
+		}
+	}
+}
+
+// checkDeadline is the watchdog: it fails the oldest outstanding forward if
+// its deadline passed without a response, and otherwise re-arms for it. The
 // connection is dropped too: responses are matched by pipeline order, so
 // after an unanswered request the stream's state is unknowable and every
 // later outstanding call fails with it (they redial fresh).
-func (p *peerConn) expire(reqID uint64, owner int, timeout time.Duration) {
+func (p *peerConn) checkDeadline() {
 	p.mu.Lock()
-	c, ok := p.calls[reqID]
+	for p.oldest <= p.next {
+		if _, ok := p.calls[p.oldest]; ok {
+			break
+		}
+		p.oldest++
+	}
+	c, ok := p.calls[p.oldest]
 	if !ok {
+		p.armed = false
 		p.mu.Unlock()
 		return
 	}
-	delete(p.calls, reqID)
-	p.dropLocked(fmt.Errorf("owner %d: connection dropped after an ack went unanswered", owner))
+	if wait := time.Until(c.deadline); wait > 0 {
+		p.watchdog.Reset(wait)
+		p.mu.Unlock()
+		return
+	}
+	delete(p.calls, p.oldest)
+	p.dropLocked(fmt.Errorf("owner %d: connection dropped after an ack went unanswered", p.owner))
 	p.mu.Unlock()
-	c.done(fmt.Errorf("ack to owner %d unanswered after %v", owner, timeout))
+	c.done(fmt.Errorf("ack to owner %d unanswered after %v", p.owner, p.timeout))
 }
 
 // readLoop matches the peer's responses to outstanding forwards until the
@@ -259,29 +332,27 @@ func (p *peerConn) readLoop(conn net.Conn) {
 		c, ok := p.calls[resp.ReqID]
 		delete(p.calls, resp.ReqID)
 		p.mu.Unlock()
-		if !ok {
-			continue
+		if ok {
+			c.done(resp.Err())
 		}
-		c.timer.Stop()
-		c.done(resp.Err())
 	}
 }
 
 // dropLocked (p.mu held) closes the connection and fails every
-// outstanding forward; the next Forward redials.
+// outstanding forward, written or still queued; the next Forward redials.
 func (p *peerConn) dropLocked(err error) {
 	if p.conn != nil {
 		p.conn.Close()
 		p.conn = nil
 		p.bw = nil
 	}
+	p.queue = p.queue[:0]
 	for reqID, c := range p.calls {
 		delete(p.calls, reqID)
-		if c.timer != nil {
-			c.timer.Stop()
-		}
 		go c.done(err)
 	}
+	p.watchdog.Stop()
+	p.armed = false
 }
 
 // Close fails all outstanding forwards and closes the peer connections.
@@ -295,7 +366,9 @@ func (f *AckForwarder) Close() {
 	f.mu.Unlock()
 	for _, p := range peers {
 		p.mu.Lock()
+		p.closed = true
 		p.dropLocked(fmt.Errorf("ack forwarder closed"))
 		p.mu.Unlock()
+		p.cond.Broadcast()
 	}
 }

@@ -236,3 +236,88 @@ func TestPeerAckFailureKeepsLease(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 }
+
+// countingConn counts Write calls on a connection.
+type countingConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countingConn) Write(b []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(b)
+}
+
+// TestForwardBatchesWrites: forwards issued together share socket writes.
+// The owner here answers slowly (one flush per response), so requests pile
+// up behind the writer's first flush and the following ones carry many
+// each; every forward still completes exactly once.
+func TestForwardBatchesWrites(t *testing.T) {
+	const n = 2000
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+		for {
+			req, err := clientproto.ReadRequest(br)
+			if err != nil {
+				return
+			}
+			resp := &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID}
+			if clientproto.WriteResponse(bw, resp) != nil || bw.Flush() != nil {
+				return
+			}
+		}
+	}()
+
+	f := NewAckForwarder([]string{ln.Addr().String()})
+	defer f.Close()
+	var cc *countingConn
+	dial := f.dial
+	f.dial = func(addr string) (net.Conn, error) {
+		conn, err := dial(addr)
+		if err == nil {
+			cc = &countingConn{Conn: conn}
+			conn = cc
+		}
+		return conn, err
+	}
+	var completed [n]atomic.Int32
+	results := make(chan error, n)
+	for g := 0; g < 8; g++ {
+		go func(g int) {
+			for i := g; i < n; i += 8 {
+				f.Forward(0, prio.ElemID(i+1), func(err error) {
+					completed[i].Add(1)
+					results <- err
+				})
+			}
+		}(g)
+	}
+	for i := 0; i < n; i++ {
+		select {
+		case err := <-results:
+			if err != nil {
+				t.Fatalf("forward failed: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of %d forwards completed", i, n)
+		}
+	}
+	for i := range completed {
+		if c := completed[i].Load(); c != 1 {
+			t.Fatalf("forward %d completed %d times", i, c)
+		}
+	}
+	if w := cc.writes.Load(); w > n/4 {
+		t.Fatalf("%d forwards took %d socket writes, want far fewer", n, w)
+	}
+}

@@ -127,7 +127,6 @@ func (c *pcluster) startDaemon(proc int, peerLn, clientLn net.Listener, restart 
 	t := c.t
 	t.Helper()
 	h := skeap.New(skeap.Config{N: pcHosts, P: pcPrios, Seed: pcSeed})
-	handlers, transports := sim.WrapAllReliable(h.Handlers(), sim.DefaultTransportConfig())
 	groups, group := h.Overlay().Group()
 	nodeOwner := func(id sim.NodeID) int { return c.hostOwner[ldb.HostOf(id)] }
 	fwd := NewAckForwarder(c.clientAddrs)
@@ -142,7 +141,7 @@ func (c *pcluster) startDaemon(proc int, peerLn, clientLn net.Listener, restart 
 		Proc:           proc,
 		Addrs:          c.peerAddrs,
 		Listener:       peerLn,
-		Handlers:       handlers,
+		Handlers:       h.Handlers(),
 		Owner:          nodeOwner,
 		Seed:           pcSeed + 1,
 		Groups:         groups,
@@ -165,16 +164,6 @@ func (c *pcluster) startDaemon(proc int, peerLn, clientLn net.Listener, restart 
 		},
 		OnPeerRejoin: func(p int) {
 			c.lg.logf("daemon %d sees peer %d rejoin", proc, p)
-			for i, tr := range transports {
-				if nodeOwner(sim.NodeID(i)) != proc {
-					continue
-				}
-				for v := range transports {
-					if nodeOwner(sim.NodeID(v)) == p {
-						tr.ResetPeer(sim.NodeID(v))
-					}
-				}
-			}
 			if rec != nil {
 				go rec.PeerRejoined(p)
 			}

@@ -11,7 +11,6 @@ import (
 	"dpq/internal/netrun"
 	"dpq/internal/prio"
 	"dpq/internal/semantics"
-	"dpq/internal/sim"
 	"dpq/internal/skeap"
 )
 
@@ -40,7 +39,6 @@ type cluster struct {
 func startCluster(t *testing.T, walDir string, nextID func() prio.ElemID) *cluster {
 	t.Helper()
 	h := skeap.New(skeap.Config{N: recHosts, P: recPrios, Seed: recSeed})
-	handlers, _ := sim.WrapAllReliable(h.Handlers(), sim.DefaultTransportConfig())
 	groups, group := h.Overlay().Group()
 	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -50,7 +48,7 @@ func startCluster(t *testing.T, walDir string, nextID func() prio.ElemID) *clust
 		Proc:     0,
 		Addrs:    []string{peerLn.Addr().String()},
 		Listener: peerLn,
-		Handlers: handlers,
+		Handlers: h.Handlers(),
 		Seed:     recSeed + 1,
 		Groups:   groups,
 		Group:    group,
@@ -336,4 +334,59 @@ func TestRestartInsertIDsSkipRecovered(t *testing.T) {
 			t.Fatalf("element %d lost across the restart", id)
 		}
 	}
+}
+
+// resettableTestHeap is a testHeap the server treats as reset-capable: it
+// records appliedAt for it, as it does for Skeap. No reset ever happens, so
+// the floor stays 0 — a cold start.
+type resettableTestHeap struct{ *testHeap }
+
+func (resettableTestHeap) InjectReset()           {}
+func (resettableTestHeap) LastResetFloor() uint64 { return 0 }
+
+// TestColdStartReinjectsOnlyRecovered: on a fresh or full-cluster start
+// nobody resets, so the deferred recovery runs at floor 0 — after clients
+// have been served for the whole cold-start timeout. Elements they inserted
+// meanwhile are resident in the heap and must not be re-injected beside
+// the WAL-recovered ones, or every one of them is delivered twice.
+func TestColdStartReinjectsOnlyRecovered(t *testing.T) {
+	const k, m = 5, 7
+	walDir := t.TempDir()
+	s1, _, addr1 := newTestServer(t, func(c *Config) { c.WALDir = walDir })
+	c1 := dial(t, addr1)
+	for i := 0; i < k; i++ {
+		wantStatus(t, c1.insert(uint64(i)), clientproto.StatusInserted)
+	}
+	s1.Kill()
+
+	th := newTestHeap()
+	t.Cleanup(th.Stop)
+	var ids atomic.Uint64
+	ids.Store(1000)
+	s2, _, addr2 := newTestServer(t, func(c *Config) {
+		c.Heap = resettableTestHeap{th}
+		c.WALDir = walDir
+		c.DeferRecovery = true
+		c.NextID = func() prio.ElemID { return prio.ElemID(ids.Add(1)) }
+	})
+	c2 := dial(t, addr2)
+	for i := 0; i < m; i++ {
+		wantStatus(t, c2.insert(uint64(i)), clientproto.StatusInserted)
+	}
+	waitQuiesce(t, s2)
+	if n := s2.ReinjectPendingUnleased(nil); n != k {
+		t.Fatalf("cold-start recovery re-injected %d elements, want the %d the WAL recovered", n, k)
+	}
+	waitQuiesce(t, s2)
+	seen := map[uint64]bool{}
+	for i := 0; i < k+m; i++ {
+		d := c2.deleteMin()
+		wantStatus(t, d, clientproto.StatusElem)
+		if seen[d.ID] {
+			t.Fatalf("element %d delivered twice", d.ID)
+		}
+		seen[d.ID] = true
+		wantStatus(t, c2.ack(d.ID), clientproto.StatusAcked)
+	}
+	wantStatus(t, c2.deleteMin(), clientproto.StatusBottom)
 }

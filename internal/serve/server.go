@@ -154,10 +154,13 @@ type Server struct {
 	liveIns map[prio.ElemID]int
 	// appliedAt records, per pending element, the heap's reset floor at
 	// the moment its (re)insert op last applied. An element applied at or
-	// after the current floor is resident in the post-reset heap (its op
-	// was re-buffered and re-executed by the reset), so reconciliation
-	// must not re-inject it: liveIns alone cannot tell it from an orphan
-	// once the re-buffered op completes.
+	// after the current floor is resident in the heap (no reset has
+	// abandoned its position since; one that raced a reset had its op
+	// re-buffered and re-executed by it), so reconciliation must not
+	// re-inject it: liveIns alone cannot tell it from an orphan once the op
+	// completes. An entry exists only for elements applied in this process
+	// lifetime — what the WAL recovered and nothing re-inserted yet has
+	// none, and is an orphan at any floor, 0 (a cold start) included.
 	appliedAt map[prio.ElemID]uint64
 	rheap     ResettableHeap // cfg.Heap when it supports resets, else nil
 	leases    map[prio.ElemID]*lease
@@ -648,10 +651,8 @@ func (s *Server) reinjectableLocked(id prio.ElemID, floor uint64) bool {
 	if s.liveIns[id] > 0 {
 		return false
 	}
-	if floor > 0 {
-		if at, ok := s.appliedAt[id]; ok && at >= floor {
-			return false
-		}
+	if at, ok := s.appliedAt[id]; ok && at >= floor {
+		return false
 	}
 	return true
 }

@@ -108,7 +108,8 @@ type Sender interface {
 
 // LosslessSender is an optional capability of a Sender: Lossless reports
 // whether the link from→to can neither lose nor duplicate a message — an
-// in-process queue, as opposed to a connection that can reset and replay.
+// in-process queue, or a connection whose engine repairs resets itself
+// (netrun's peer session), as opposed to a bare one that can lose or replay.
 // The answer for a link must never change. ReliableTransport asks once per
 // destination and sends bare over lossless links; a Sender without the
 // method, like every engine of this package, is taken to be lossy

@@ -140,17 +140,26 @@ func Marshal(msg sim.Message) ([]byte, error) {
 // the extended slice — the allocation-free form of Marshal for callers
 // that own a reusable buffer. On error dst is returned unchanged.
 func MarshalAppend(dst []byte, msg sim.Message) ([]byte, error) {
+	w := Writer{buf: dst}
+	err := w.Marshal(msg)
+	return w.buf, err
+}
+
+// Marshal appends msg (kind id + body) to w as a top-level message — what
+// MarshalAppend does, for a caller that keeps its Writer (the func-valued
+// encoders make a Writer escape, so a fresh one per message is a heap
+// allocation). On error w is unchanged.
+func (w *Writer) Marshal(msg sim.Message) error {
 	if msg == nil {
-		return dst, fmt.Errorf("wire: cannot marshal nil message")
+		return fmt.Errorf("wire: cannot marshal nil message")
 	}
 	e, err := lookupType(msg)
 	if err != nil {
-		return dst, err
+		return err
 	}
-	w := Writer{buf: dst}
 	w.U32(e.id)
-	e.enc(&w, msg)
-	return w.buf, nil
+	e.enc(w, msg)
+	return nil
 }
 
 // Unmarshal decodes one message from data, requiring that the whole input

@@ -32,7 +32,10 @@ import (
 
 // Version is the codec version. It is carried in the netrun connection
 // handshake, not per message: all messages of one connection share it.
-const Version uint16 = 1
+// Version 2 is the sequenced peer session: the handshake states a stream
+// position and control frames carry cumulative acknowledgements; message
+// encodings are those of version 1.
+const Version uint16 = 2
 
 // MaxNesting bounds recursive message nesting while decoding. The deepest
 // legitimate chain is transport frame → routed message → DHT payload.
@@ -56,6 +59,19 @@ func (w *Writer) Bytes() []byte { return w.buf }
 
 // Reset empties the writer, keeping the buffer's capacity for reuse.
 func (w *Writer) Reset() { w.buf = w.buf[:0] }
+
+// Truncate cuts the encoded buffer back to its first n bytes — how a caller
+// that framed a header takes it back when the body fails to encode.
+func (w *Writer) Truncate(n int) { w.buf = w.buf[:n] }
+
+// Swap installs buf as the writer's buffer (appends continue after its
+// current length) and returns the one it held, so a long-lived writer can
+// hand a filled buffer on and keep encoding into a recycled one.
+func (w *Writer) Swap(buf []byte) []byte {
+	old := w.buf
+	w.buf = buf
+	return old
+}
 
 // U8 appends one byte.
 func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
@@ -118,6 +134,11 @@ type Reader struct {
 
 // NewReader returns a reader over data.
 func NewReader(data []byte) *Reader { return &Reader{buf: data} }
+
+// Reset points the reader at data and clears its position and latched
+// error: one long-lived Reader decodes a whole stream of frames without an
+// allocation per frame.
+func (r *Reader) Reset(data []byte) { *r = Reader{buf: data} }
 
 // Err returns the first error encountered, or nil.
 func (r *Reader) Err() error { return r.err }
