@@ -383,7 +383,9 @@ func BenchmarkSemanticsValidation(b *testing.B) {
 					h.InjectDelete(rnd.Intn(5))
 				}
 			}
-			eng := h.NewAsyncEngine(3.0)
+			spec := h.Spec(sim.KindAsync)
+			spec.MaxDelay = 3.0
+			eng := sim.Build(spec)
 			total++
 			if eng.RunUntil(h.Done, 3_000_000) && semantics.CheckAll(h.Trace(), semantics.FIFO).Ok() {
 				pass++

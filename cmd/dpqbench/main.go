@@ -91,84 +91,57 @@ type batch struct {
 	virt  int
 }
 
-func prepSkeap(n, opsPerNode, workers int, seed uint64) batch {
-	h := skeap.New(skeap.Config{N: n, P: 4, Seed: seed})
-	h.SetAutoRepeat(false)
+// prepHeap buffers ops operations in be — a seeded 60/40 insert/delete mix
+// over the priorities [1, bound], the i-th at hostOf(i) — and prepares one
+// driver-started batch on a round engine with the given pool size.
+func prepHeap(be relax.Backend, bound uint64, ops, workers int, seed uint64, hostOf func(i int, rnd *hashutil.Rand) int) batch {
+	be.SetAutoRepeat(false)
 	rnd := hashutil.NewRand(seed + 1)
 	id := prio.ElemID(1)
-	for host := 0; host < n; host++ {
-		for i := 0; i < opsPerNode; i++ {
-			if rnd.Bool(0.6) {
-				h.InjectInsert(host, id, rnd.Intn(4), "")
-				id++
-			} else {
-				h.InjectDelete(host)
-			}
+	for i := 0; i < ops; i++ {
+		host := hostOf(i, rnd)
+		if rnd.Bool(0.6) {
+			be.InjectInsert(host, id, rnd.Uint64n(bound)+1, "")
+			id++
+		} else {
+			be.InjectDelete(host)
 		}
 	}
-	eng := h.NewSyncEngine()
-	eng.SetParallel(workers)
+	spec := be.Spec(sim.KindSync)
+	spec.Workers = workers
+	eng := sim.Build(spec).(*sim.SyncEngine)
 	return batch{
 		eng:   eng,
-		start: func() { h.StartIteration(eng.Context(h.Overlay().Anchor)) },
-		done:  h.Done,
-		virt:  h.Overlay().NumVirtual(),
+		start: func() { be.StartBatch(eng.Context(be.Overlay().Anchor)) },
+		done:  be.Done,
+		virt:  be.Overlay().NumVirtual(),
 	}
 }
 
-func prepSeap(n, opsPerNode, workers int, seed uint64) batch {
+// prepPerNode is the standard workload: opsPerNode operations at every
+// host in turn. The relax rows run the seap workload (same op mix, same
+// priority universe) so they are directly comparable to the seap row of
+// the same n.
+func prepPerNode(proto string, n, opsPerNode, workers int, seed uint64) batch {
 	bound := uint64(n) * uint64(n) * 16
-	h := seap.New(seap.Config{N: n, PrioBound: bound, Seed: seed})
-	h.SetAutoRepeat(false)
-	rnd := hashutil.NewRand(seed + 1)
-	id := prio.ElemID(1)
-	for host := 0; host < n; host++ {
-		for i := 0; i < opsPerNode; i++ {
-			if rnd.Bool(0.6) {
-				h.InjectInsert(host, id, rnd.Uint64n(bound)+1, "")
-				id++
-			} else {
-				h.InjectDelete(host)
-			}
-		}
+	rx := func(mode relax.Mode, k, batchSz int) relax.Backend {
+		return relax.New(relax.Config{N: n, Seed: seed, Mode: mode, K: k, Batch: batchSz, PrioBound: bound})
 	}
-	eng := h.NewSyncEngine()
-	eng.SetParallel(workers)
-	return batch{
-		eng:   eng,
-		start: func() { h.StartCycle(eng.Context(h.Overlay().Anchor)) },
-		done:  h.Done,
-		virt:  h.Overlay().NumVirtual(),
+	var be relax.Backend
+	switch proto {
+	case "skeap":
+		bound = 4
+		be = relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: 4, Seed: seed}))
+	case "seap":
+		be = relax.WrapSeap(seap.New(seap.Config{N: n, PrioBound: bound, Seed: seed}))
+	case "relax-samplek2":
+		be = rx(relax.SampleK, 2, 0)
+	case "relax-samplek4":
+		be = rx(relax.SampleK, 4, 0)
+	case "relax-batchlocal":
+		be = rx(relax.BatchLocal, 0, 8)
 	}
-}
-
-// prepRelax drives the seap workload (same op mix, same priority
-// universe) through the relaxation engine instead of the strict
-// protocol, so a relax row is directly comparable to the seap row of the
-// same n.
-func prepRelax(n, opsPerNode, workers int, seed uint64, mode relax.Mode, k, batchSz int) batch {
-	bound := uint64(n) * uint64(n) * 16
-	h := relax.New(relax.Config{N: n, Seed: seed, Mode: mode, K: k, Batch: batchSz, PrioBound: bound})
-	rnd := hashutil.NewRand(seed + 1)
-	id := prio.ElemID(1)
-	for host := 0; host < n; host++ {
-		for i := 0; i < opsPerNode; i++ {
-			if rnd.Bool(0.6) {
-				h.InjectInsert(host, id, rnd.Uint64n(bound)+1, "")
-				id++
-			} else {
-				h.InjectDelete(host)
-			}
-		}
-	}
-	eng := h.NewSyncEngine()
-	eng.SetParallel(workers)
-	return batch{
-		eng:   eng,
-		start: func() {}, // relax nodes self-start on activation
-		done:  h.Done,
-		virt:  h.Overlay().NumVirtual(),
-	}
+	return prepHeap(be, bound, n*opsPerNode, workers, seed, func(i int, _ *hashutil.Rand) int { return i / opsPerNode })
 }
 
 // prepSkeapScale is the -scale workload: a bounded total operation count
@@ -177,27 +150,8 @@ func prepRelax(n, opsPerNode, workers int, seed uint64, mode relax.Mode, k, batc
 // bytes/node — rather than workload volume. Mirrors harness experiment
 // E29.
 func prepSkeapScale(n, totalOps, workers int, seed uint64) batch {
-	h := skeap.New(skeap.Config{N: n, P: 8, Seed: seed})
-	h.SetAutoRepeat(false)
-	rnd := hashutil.NewRand(seed + 1)
-	id := prio.ElemID(1)
-	for i := 0; i < totalOps; i++ {
-		host := rnd.Intn(n)
-		if rnd.Bool(0.6) {
-			h.InjectInsert(host, id, rnd.Intn(8), "")
-			id++
-		} else {
-			h.InjectDelete(host)
-		}
-	}
-	eng := h.NewSyncEngine()
-	eng.SetParallel(workers)
-	return batch{
-		eng:   eng,
-		start: func() { h.StartIteration(eng.Context(h.Overlay().Anchor)) },
-		done:  h.Done,
-		virt:  h.Overlay().NumVirtual(),
-	}
+	be := relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: 8, Seed: seed}))
+	return prepHeap(be, 8, totalOps, workers, seed, func(_ int, rnd *hashutil.Rand) int { return rnd.Intn(n) })
 }
 
 func prepKSelect(n, workers int, seed uint64) batch {
@@ -367,19 +321,10 @@ func main() {
 			for _, proto := range protos {
 				fmt.Fprintf(os.Stderr, "dpqbench: %s n=%d workers=%d\n", proto, n, e.w)
 				var b batch
-				switch proto {
-				case "skeap":
-					b = prepSkeap(n, opsPerNode, e.w, *seed)
-				case "seap":
-					b = prepSeap(n, opsPerNode, e.w, *seed)
-				case "relax-samplek2":
-					b = prepRelax(n, opsPerNode, e.w, *seed, relax.SampleK, 2, 0)
-				case "relax-samplek4":
-					b = prepRelax(n, opsPerNode, e.w, *seed, relax.SampleK, 4, 0)
-				case "relax-batchlocal":
-					b = prepRelax(n, opsPerNode, e.w, *seed, relax.BatchLocal, 0, 8)
-				default:
+				if proto == "kselect" {
 					b = prepKSelect(n, e.w, *seed)
+				} else {
+					b = prepPerNode(proto, n, opsPerNode, e.w, *seed)
 				}
 				out.Cases = append(out.Cases, run(proto, e.label, n, b))
 			}

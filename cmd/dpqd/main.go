@@ -133,7 +133,7 @@ func main() {
 			K: *relaxK, Batch: *relaxBatch,
 			PrioBound: uint64(*prios),
 		})
-		heap = serve.NewRelaxHeap(relaxH, uint64(*prios))
+		heap = serve.NewHeap(relaxH, uint64(*prios))
 		*proto = "relax-" + mode.String()
 	}
 

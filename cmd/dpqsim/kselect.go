@@ -1,15 +1,8 @@
-// Command kselectsim runs the standalone KSelect protocol and verifies the
-// result against a local sort.
-//
-// Usage:
-//
-//	kselectsim [-n 64] [-m 4096] [-k 2048] [-seed 1]
 package main
 
 import (
 	"flag"
 	"fmt"
-	"os"
 	"sort"
 
 	"dpq/internal/hashutil"
@@ -17,43 +10,34 @@ import (
 	"dpq/internal/ldb"
 	"dpq/internal/mathx"
 	"dpq/internal/obs"
+	"dpq/internal/sim"
 )
 
-func main() {
+// kselectMain runs the standalone KSelect protocol and verifies the result
+// against a local sort.
+func kselectMain() {
 	n := flag.Int("n", 64, "number of processes")
 	m := flag.Int("m", 4096, "number of elements (poly(n))")
 	k := flag.Int64("k", 0, "target rank (default m/2)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", 1, "round-engine worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for any value")
+	workers := flag.Int("workers", 1, workersUsage)
 	of := obs.AddFlags()
-	flag.Parse()
+	parse()
 	if *k == 0 {
 		*k = int64(*m / 2)
 	}
 
-	sess, err := of.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "kselectsim:", err)
-		os.Exit(1)
-	}
+	sess := start(of)
 	ov := ldb.New(*n, hashutil.New(*seed))
 	sel := kselect.New(ov, hashutil.New(*seed+1))
 	elems := sel.LoadUniform(*m, uint64(*m)*4, *seed+2)
-	eng := sel.NewSyncEngine(*seed + 3)
-	if *workers != 1 {
-		eng.SetParallel(*workers)
-	}
-	eng.SetBatchObserver(sess.BatchObserver())
+	eng := syncEngine(sel.Spec(sim.KindSync, *seed+3), *workers, sess)
 	sel.SetObs(sess.Collector())
 	sel.Start(eng.Context(sel.Anchor()), *k)
 	if !eng.RunUntil(sel.Done, 50000*(mathx.Log2Ceil(*n)+3)) {
-		fmt.Fprintln(os.Stderr, "kselectsim: selection did not terminate")
-		os.Exit(1)
+		fail(1, "selection did not terminate")
 	}
-	if err := sess.Close(eng.Metrics()); err != nil {
-		fmt.Fprintln(os.Stderr, "kselectsim:", err)
-		os.Exit(1)
-	}
+	finish(sess, eng)
 
 	res := sel.Result()
 	met := eng.Metrics()
@@ -69,8 +53,7 @@ func main() {
 
 	sort.Slice(elems, func(i, j int) bool { return elems[i].Less(elems[j]) })
 	if want := elems[*k-1]; res.Elem != want {
-		fmt.Fprintf(os.Stderr, "kselectsim: WRONG — local sort says %v\n", want)
-		os.Exit(1)
+		fail(1, "WRONG — local sort says %v", want)
 	}
 	fmt.Println("  verification      matches the local sort ✓")
 }

@@ -1,9 +1,10 @@
-// Package viz renders protocol executions as compact round timelines: a
-// per-round tally of delivered message types, compressed into spans of
-// identical composition. cmd/phasetrace uses it to make the paper's
-// phases visible; tests use it to assert the *structure* of an execution
-// (e.g. "tree traffic strictly precedes DHT traffic in a Skeap batch").
-package viz
+package main
+
+// Round timelines: a per-round tally of delivered message types,
+// compressed into spans of identical composition. The phases mode renders
+// one to make the paper's phases visible; tests use it to assert the
+// *structure* of an execution (e.g. "tree traffic strictly precedes DHT
+// traffic in a Skeap batch").
 
 import (
 	"fmt"
@@ -13,12 +14,6 @@ import (
 
 	"dpq/internal/sim"
 )
-
-// TypeName classifies a message for display. Since the instrumentation
-// layer, the classification lives on the messages themselves (their Kind
-// methods, see sim.KindOf); routed payloads keep their historical
-// "route/<kind>" names via ldb.RouteMsg.Kind.
-func TypeName(msg sim.Message) string { return sim.KindOf(msg) }
 
 // Timeline accumulates per-round message tallies.
 type Timeline struct {
@@ -39,7 +34,7 @@ func (tl *Timeline) Observer() func(sim.Delivery) {
 			t = map[string]int{}
 			tl.perRound[d.Round] = t
 		}
-		t[TypeName(d.Msg)]++
+		t[sim.KindOf(d.Msg)]++
 		if d.Round > tl.rounds {
 			tl.rounds = d.Round
 		}

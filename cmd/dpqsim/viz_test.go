@@ -1,4 +1,4 @@
-package viz
+package main
 
 import (
 	"bytes"
@@ -107,7 +107,7 @@ type fakeMsg struct{}
 
 func (f *fakeMsg) Bits() int { return 1 }
 
-func TestTypeNameTable(t *testing.T) {
+func TestKindTable(t *testing.T) {
 	// Every protocol message type must classify to a stable label.
 	cases := map[string]interface{ Bits() int }{
 		"tree/start[3]":     &aggtree.StartMsg{Tag: 3},
@@ -123,11 +123,11 @@ func TestTypeNameTable(t *testing.T) {
 		"sort/vector":       &kselect.VecMsg{},
 	}
 	for want, msg := range cases {
-		if got := TypeName(msg); got != want {
-			t.Errorf("TypeName(%T) = %q, want %q", msg, got, want)
+		if got := sim.KindOf(msg); got != want {
+			t.Errorf("KindOf(%T) = %q, want %q", msg, got, want)
 		}
 	}
-	if got := TypeName(&fakeMsg{}); got == "" {
+	if got := sim.KindOf(&fakeMsg{}); got == "" {
 		t.Error("unknown types must still get a label")
 	}
 }

@@ -1,88 +1,190 @@
 package dpq
 
 import (
+	"bufio"
+	"crypto/sha256"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
 
 // Smoke tests for the command-line tools: each binary must run a small
-// configuration to completion and report verified semantics.
+// configuration to completion and report verified semantics. Every main
+// package is built once per test binary, on first use, and then executed
+// directly — so exit codes are the program's own.
 
-func runCmd(t *testing.T, args ...string) string {
+var bins struct {
+	sync.Mutex
+	dir   string
+	built map[string]string // package path → executable ("" after a failed build)
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if bins.dir != "" {
+		os.RemoveAll(bins.dir)
+	}
+	os.Exit(code)
+}
+
+// binary returns the executable of the main package at pkg, building it if
+// this is its first use.
+func binary(t *testing.T, pkg string) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping CLI smoke test in -short mode")
 	}
-	cmd := exec.Command("go", append([]string{"run"}, args...)...)
-	cmd.Dir = "."
-	out, err := cmd.CombinedOutput()
+	bins.Lock()
+	defer bins.Unlock()
+	if bin, ok := bins.built[pkg]; ok {
+		if bin == "" {
+			t.Fatalf("%s failed to build earlier in this run", pkg)
+		}
+		return bin
+	}
+	if bins.dir == "" {
+		dir, err := os.MkdirTemp("", "dpq-cmds-")
+		if err != nil {
+			t.Fatal(err)
+		}
+		bins.dir, bins.built = dir, map[string]string{}
+	}
+	bin := filepath.Join(bins.dir, filepath.Base(pkg))
+	bins.built[pkg] = ""
+	if out, err := exec.Command("go", "build", "-o", bin, pkg).CombinedOutput(); err != nil {
+		t.Fatalf("go build %s: %v\n%s", pkg, err, out)
+	}
+	bins.built[pkg] = bin
+	return bin
+}
+
+// runCmd runs the main package at pkg to a zero exit and returns its
+// combined output.
+func runCmd(t *testing.T, pkg string, args ...string) string {
+	t.Helper()
+	out, err := exec.Command(binary(t, pkg), args...).CombinedOutput()
 	if err != nil {
-		t.Fatalf("go run %v failed: %v\n%s", args, err, out)
+		t.Fatalf("%s %v failed: %v\n%s", pkg, args, err, out)
 	}
 	return string(out)
 }
 
-// runCmdFail runs a binary expecting a non-zero exit and returns its output.
-func runCmdFail(t *testing.T, args ...string) string {
+// runCmdFail runs the main package at pkg expecting it to exit with code,
+// and returns its combined output.
+func runCmdFail(t *testing.T, code int, pkg string, args ...string) string {
 	t.Helper()
-	if testing.Short() {
-		t.Skip("skipping CLI smoke test in -short mode")
-	}
-	cmd := exec.Command("go", append([]string{"run"}, args...)...)
-	cmd.Dir = "."
-	out, err := cmd.CombinedOutput()
-	if err == nil {
-		t.Fatalf("go run %v succeeded, want failure\n%s", args, out)
+	out, err := exec.Command(binary(t, pkg), args...).CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != code {
+		t.Fatalf("%s %v: got %v, want exit status %d\n%s", pkg, args, err, code, out)
 	}
 	return string(out)
+}
+
+// TestCmdDpqsimGoldenDigests pins the simulator's reference invocations
+// byte for byte: the dpq-trace/1 export, stdout and (for the fault run) the
+// recorded fault schedule must hash to the digests in
+// testdata/dpqsim_digests.txt, which were generated from the five commands
+// dpqsim replaced (skeapsim, seapsim, kselectsim, phasetrace, churnsim) at
+// the commit before they were removed. Each line is
+// "<trace|stdout|trace-out> <sha256> <dpqsim arguments>".
+func TestCmdDpqsimGoldenDigests(t *testing.T) {
+	f, err := os.Open("testdata/dpqsim_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	want := map[string]map[string]string{} // arguments → output → digest
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		parts := strings.SplitN(sc.Text(), " ", 3)
+		if len(parts) != 3 {
+			t.Fatalf("malformed digest line %q", sc.Text())
+		}
+		if want[parts[2]] == nil {
+			want[parts[2]] = map[string]string{}
+		}
+		want[parts[2]][parts[0]] = parts[1]
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != 6 {
+		t.Fatalf("%d reference invocations recorded, want 6", len(want))
+	}
+	bin := binary(t, "./cmd/dpqsim")
+	for args, digests := range want {
+		dir := t.TempDir()
+		files := map[string]string{"trace": filepath.Join(dir, "run.jsonl"), "trace-out": filepath.Join(dir, "faults.txt")}
+		argv := append(strings.Fields(args), "-trace-jsonl", files["trace"])
+		if _, ok := digests["trace-out"]; ok {
+			argv = append(argv, "-trace-out", files["trace-out"])
+		}
+		stdout, err := exec.Command(bin, argv...).Output()
+		if err != nil {
+			t.Fatalf("dpqsim %s: %v", args, err)
+		}
+		for output, digest := range digests {
+			data := stdout
+			if output != "stdout" {
+				if data, err = os.ReadFile(files[output]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != digest {
+				t.Errorf("dpqsim %s: %s digest %s, recorded %s", args, output, got, digest)
+			}
+		}
+	}
 }
 
 func TestCmdSkeapsim(t *testing.T) {
-	out := runCmd(t, "./cmd/skeapsim", "-n", "8", "-rounds", "8", "-lambda", "2")
+	out := runCmd(t, "./cmd/dpqsim", "skeap", "-n", "8", "-rounds", "8", "-lambda", "2")
 	if !strings.Contains(out, "sequentially consistent") {
-		t.Fatalf("skeapsim output:\n%s", out)
+		t.Fatalf("dpqsim skeap output:\n%s", out)
 	}
 }
 
 func TestCmdSeapsim(t *testing.T) {
-	out := runCmd(t, "./cmd/seapsim", "-n", "8", "-rounds", "8", "-lambda", "2")
+	out := runCmd(t, "./cmd/dpqsim", "seap", "-n", "8", "-rounds", "8", "-lambda", "2")
 	if !strings.Contains(out, "serializable") {
-		t.Fatalf("seapsim output:\n%s", out)
+		t.Fatalf("dpqsim seap output:\n%s", out)
 	}
 }
 
 func TestCmdKselectsim(t *testing.T) {
-	out := runCmd(t, "./cmd/kselectsim", "-n", "8", "-m", "256")
+	out := runCmd(t, "./cmd/dpqsim", "kselect", "-n", "8", "-m", "256")
 	if !strings.Contains(out, "matches the local sort") {
-		t.Fatalf("kselectsim output:\n%s", out)
+		t.Fatalf("dpqsim kselect output:\n%s", out)
 	}
 }
 
 func TestCmdPhasetrace(t *testing.T) {
-	out := runCmd(t, "./cmd/phasetrace", "-n", "8", "-ops", "1")
+	out := runCmd(t, "./cmd/dpqsim", "phases", "-n", "8", "-ops", "1")
 	if !strings.Contains(out, "batch anatomy") || !strings.Contains(out, "tree/up") {
-		t.Fatalf("phasetrace output:\n%s", out)
+		t.Fatalf("dpqsim phases output:\n%s", out)
 	}
 }
 
 func TestCmdChurnsim(t *testing.T) {
-	out := runCmd(t, "./cmd/churnsim", "-proto", "skeap", "-waves", "3", "-ops", "8")
+	out := runCmd(t, "./cmd/dpqsim", "churn", "-proto", "skeap", "-waves", "3", "-ops", "8")
 	if !strings.Contains(out, "churn complete") {
-		t.Fatalf("churnsim output:\n%s", out)
+		t.Fatalf("dpqsim churn output:\n%s", out)
 	}
 }
 
 func TestCmdChurnsimFaults(t *testing.T) {
-	out := runCmd(t, "./cmd/churnsim", "-faults", "drop20dup", "-fault-seed", "7", "-waves", "3", "-ops", "8")
+	out := runCmd(t, "./cmd/dpqsim", "churn", "-faults", "drop20dup", "-fault-seed", "7", "-waves", "3", "-ops", "8")
 	if !strings.Contains(out, "fault soak complete") || !strings.Contains(out, "conservation ok") {
-		t.Fatalf("churnsim -faults output:\n%s", out)
+		t.Fatalf("dpqsim churn -faults output:\n%s", out)
 	}
 	if !strings.Contains(out, "retries=") || strings.Contains(out, "drops=0 ") {
-		t.Fatalf("churnsim -faults injected nothing:\n%s", out)
+		t.Fatalf("dpqsim churn -faults injected nothing:\n%s", out)
 	}
 }
 
@@ -92,12 +194,12 @@ func TestCmdChurnsimFaultTraceReplayIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "faults.txt")
-	base := []string{"./cmd/churnsim", "-proto", "seap", "-n", "4", "-waves", "2", "-ops", "6"}
+	base := []string{"churn", "-proto", "seap", "-n", "4", "-waves", "2", "-ops", "6"}
 	args := append(append([]string{}, base...), "-faults", "drop5", "-fault-seed", "3")
-	out1 := runCmd(t, append(args, "-trace-out", trace)...)
+	out1 := runCmd(t, "./cmd/dpqsim", append(args, "-trace-out", trace)...)
 	// Replay mode takes the schedule from the trace alone; combining it
 	// with -faults/-fault-seed is rejected (see TestCmdChurnsimConflictingFlags).
-	out2 := runCmd(t, append(append([]string{}, base...), "-trace-in", trace)...)
+	out2 := runCmd(t, "./cmd/dpqsim", append(append([]string{}, base...), "-trace-in", trace)...)
 	if out1 != out2 {
 		t.Fatalf("fault replay differs from recording:\n--- record\n%s\n--- replay\n%s", out1, out2)
 	}
@@ -105,7 +207,7 @@ func TestCmdChurnsimFaultTraceReplayIdentical(t *testing.T) {
 		t.Fatalf("fault trace not written: %v", err)
 	}
 	// Same seed without the trace must also reproduce bit-identically.
-	out3 := runCmd(t, args...)
+	out3 := runCmd(t, "./cmd/dpqsim", args...)
 	if out3 != out1 {
 		t.Fatalf("same-seed rerun differs:\n--- first\n%s\n--- rerun\n%s", out1, out3)
 	}
@@ -132,7 +234,7 @@ func TestCmdBenchallExpFilter(t *testing.T) {
 	if strings.Contains(out, "### E1 ") || strings.Contains(out, "### E15") {
 		t.Fatalf("benchall -exp ran unselected tables:\n%.600s", out)
 	}
-	out = runCmdFail(t, "./cmd/benchall", "-quick", "-exp", "E999")
+	out = runCmdFail(t, 1, "./cmd/benchall", "-quick", "-exp", "E999")
 	if !strings.Contains(out, "unknown experiment") {
 		t.Fatalf("benchall unknown -exp message:\n%s", out)
 	}
@@ -170,7 +272,7 @@ func TestCmdDpqbenchBaselineGates(t *testing.T) {
 	// A baseline claiming absurd throughput must trip the >25% rounds/s
 	// gate — unless -speedtol 0 disables the wall-clock comparison.
 	fast := benchBaseline(t, dir, 1e12, 1e12)
-	out = runCmdFail(t, "./cmd/dpqbench", "-quick", "-baseline", fast)
+	out = runCmdFail(t, 1, "./cmd/dpqbench", "-quick", "-baseline", fast)
 	if !strings.Contains(out, "rounds/s") || !strings.Contains(out, "REGRESSION") {
 		t.Fatalf("rounds/s regression not flagged:\n%s", out)
 	}
@@ -180,31 +282,31 @@ func TestCmdDpqbenchBaselineGates(t *testing.T) {
 	}
 	// An alloc-free baseline must trip the 2x allocations gate.
 	lean := benchBaseline(t, dir, 0.001, 0.000001)
-	out = runCmdFail(t, "./cmd/dpqbench", "-quick", "-baseline", lean)
+	out = runCmdFail(t, 1, "./cmd/dpqbench", "-quick", "-baseline", lean)
 	if !strings.Contains(out, "allocs/round") || !strings.Contains(out, "REGRESSION") {
 		t.Fatalf("allocation regression not flagged:\n%s", out)
 	}
 }
 
 func TestCmdChurnsimConflictingFlags(t *testing.T) {
-	out := runCmdFail(t, "./cmd/churnsim", "-trace-in", "whatever.txt", "-faults", "drop5")
+	out := runCmdFail(t, 2, "./cmd/dpqsim", "churn", "-trace-in", "whatever.txt", "-faults", "drop5")
 	if !strings.Contains(out, "cannot be combined") {
-		t.Fatalf("churnsim conflict message:\n%s", out)
+		t.Fatalf("dpqsim churn conflict message:\n%s", out)
 	}
-	out = runCmdFail(t, "./cmd/churnsim", "-trace-in", "whatever.txt", "-fault-seed", "3")
+	out = runCmdFail(t, 2, "./cmd/dpqsim", "churn", "-trace-in", "whatever.txt", "-fault-seed", "3")
 	if !strings.Contains(out, "cannot be combined") {
-		t.Fatalf("churnsim conflict message:\n%s", out)
+		t.Fatalf("dpqsim churn conflict message:\n%s", out)
 	}
 }
 
 func TestCmdTracedRunValidates(t *testing.T) {
-	// End-to-end instrumentation: a traced skeapsim run must produce a
+	// End-to-end instrumentation: a traced dpqsim skeap run must produce a
 	// JSONL trace and a metrics document that tracecheck accepts and
 	// cross-checks against each other.
 	dir := t.TempDir()
 	trace := filepath.Join(dir, "run.jsonl")
 	metrics := filepath.Join(dir, "run.json")
-	runCmd(t, "./cmd/skeapsim", "-n", "8", "-rounds", "6", "-lambda", "2",
+	runCmd(t, "./cmd/dpqsim", "skeap", "-n", "8", "-rounds", "6", "-lambda", "2",
 		"-trace-jsonl", trace, "-metrics-out", metrics)
 	out := runCmd(t, "./cmd/tracecheck", "-metrics", metrics, trace)
 	if !strings.Contains(out, "trace ok") || !strings.Contains(out, "cross-check ok") {
@@ -221,9 +323,9 @@ func TestCmdTracedFaultyRunByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	t1 := filepath.Join(dir, "a.jsonl")
 	t2 := filepath.Join(dir, "b.jsonl")
-	args := []string{"./cmd/churnsim", "-faults", "drop20dup", "-fault-seed", "7", "-n", "6", "-waves", "2", "-ops", "8"}
-	runCmd(t, append(append([]string{}, args...), "-trace-jsonl", t1)...)
-	runCmd(t, append(append([]string{}, args...), "-trace-jsonl", t2)...)
+	args := []string{"churn", "-faults", "drop20dup", "-fault-seed", "7", "-n", "6", "-waves", "2", "-ops", "8"}
+	runCmd(t, "./cmd/dpqsim", append(append([]string{}, args...), "-trace-jsonl", t1)...)
+	runCmd(t, "./cmd/dpqsim", append(append([]string{}, args...), "-trace-jsonl", t2)...)
 	b1, err := os.ReadFile(t1)
 	if err != nil {
 		t.Fatal(err)
@@ -246,8 +348,8 @@ func TestCmdRecordReplayIdentical(t *testing.T) {
 	}
 	dir := t.TempDir()
 	rec := filepath.Join(dir, "wl.txt")
-	out1 := runCmd(t, "./cmd/seapsim", "-n", "6", "-rounds", "6", "-record", rec)
-	out2 := runCmd(t, "./cmd/seapsim", "-n", "6", "-rounds", "6", "-replay", rec)
+	out1 := runCmd(t, "./cmd/dpqsim", "seap", "-n", "6", "-rounds", "6", "-record", rec)
+	out2 := runCmd(t, "./cmd/dpqsim", "seap", "-n", "6", "-rounds", "6", "-replay", rec)
 	if out1 != out2 {
 		t.Fatalf("replay differs from recording:\n--- record\n%s\n--- replay\n%s", out1, out2)
 	}
@@ -291,7 +393,7 @@ func TestCmdDpqsweepMatrixAndList(t *testing.T) {
 }
 
 func TestCmdDpqsweepRejectsBadMatrix(t *testing.T) {
-	out := runCmdFail(t, "./cmd/dpqsweep", "-matrix", "proto=ftp")
+	out := runCmdFail(t, 1, "./cmd/dpqsweep", "-matrix", "proto=ftp")
 	if !strings.Contains(out, "unknown proto") {
 		t.Fatalf("bad matrix error:\n%s", out)
 	}

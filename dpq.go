@@ -28,10 +28,11 @@
 //		fmt.Println(d.Payload) // "job-b" — the most prioritized element
 //	}
 //
-// Options.Engine selects how the simulated network executes each batch:
-// the serial round engine (EngineSync, the default), the worker-pool round
-// engine with identical traces (EngineSyncParallel), bounded-delay
-// asynchrony (EngineAsync), or real goroutines (EngineConc).
+// Options.Engine selects how the simulated network executes each batch —
+// the paper's two execution models (§1.1): synchronous rounds, stepped
+// serially (EngineSync, the default) or by a worker pool with identical
+// traces (EngineSyncParallel), and bounded-delay asynchrony (EngineAsync).
+// Real concurrency is cmd/dpqd's job: the same handlers on TCP.
 package dpq
 
 import (
@@ -75,8 +76,6 @@ const (
 	// EngineAsync delivers messages with random bounded delay
 	// (Options.MaxDelay).
 	EngineAsync = core.EngineAsync
-	// EngineConc runs nodes as goroutines; one batch→Drain cycle per PQ.
-	EngineConc = core.EngineConc
 )
 
 // Relaxation configures relaxed DeleteMin semantics (Options.Relaxation):

@@ -92,23 +92,18 @@ type Delivery struct {
 	Payload  string
 }
 
-// PQ is a distributed priority queue running on a simulated network.
+// PQ is a distributed priority queue running on a simulated network: one
+// protocol Backend on one sim.Engine.
 type PQ struct {
-	proto    Protocol
-	be       relax.Backend // the uniform injection interface (always set)
-	sk       *skeap.Heap   // strict Skeap (nil when relaxed or Seap)
-	se       *seap.Heap    // strict Seap (nil when relaxed or Skeap)
-	rx       *relax.Heap   // relaxation engine (nil when strict)
-	kind     EngineKind
-	eng      *sim.SyncEngine  // EngineSync / EngineSyncParallel
-	async    *sim.AsyncEngine // EngineAsync
-	conc     *sim.ConcEngine  // EngineConc
-	concUsed bool             // EngineConc has run its single batch
-	nodes    int
-	maxHeap  bool
-	seqCons  bool
-	nextID   uint64
-	drained  int // deliveries already returned by Drain
+	proto   Protocol
+	be      relax.Backend
+	relaxed bool
+	kind    EngineKind
+	eng     sim.Engine
+	budget  int // per-Drain budget, in the engine's unit (see sim.Engine)
+	nodes   int
+	nextID  uint64
+	drained int // deliveries already returned by Drain
 }
 
 // New creates a distributed priority queue.
@@ -133,48 +128,37 @@ func New(proto Protocol, opts Options) (*PQ, error) {
 			return nil, errors.New("core: Relaxation is incompatible with SeqConsistent (a relaxed heap is not even serializable)")
 		}
 	}
-	pq := &PQ{proto: proto, nodes: opts.Nodes}
+	var bound uint64
 	switch proto {
 	case Skeap:
-		p := opts.Priorities
-		if p == 0 {
-			p = 4
+		if bound = opts.Priorities; bound == 0 {
+			bound = 4
 		}
-		if p > 64 {
-			return nil, fmt.Errorf("core: Skeap needs a constant priority universe (got %d; use Seap)", p)
+		if bound > 64 {
+			return nil, fmt.Errorf("core: Skeap needs a constant priority universe (got %d; use Seap)", bound)
 		}
-		if opts.Relaxation.Enabled() {
-			pq.rx = relax.New(relax.Config{N: opts.Nodes, Seed: opts.Seed,
-				Mode: opts.Relaxation.Mode, K: opts.Relaxation.K, Batch: opts.Relaxation.Batch,
-				PrioBound: p})
-			pq.be = pq.rx
-			break
-		}
-		pq.sk = skeap.New(skeap.Config{N: opts.Nodes, P: int(p), Seed: opts.Seed, MaxHeap: opts.MaxHeap})
-		pq.be = relax.WrapSkeap(pq.sk)
-		pq.maxHeap = opts.MaxHeap
 	case Seap:
 		if opts.MaxHeap {
 			return nil, errors.New("core: MaxHeap mode is Skeap-only")
 		}
-		bound := opts.Priorities
-		if bound == 0 {
+		if bound = opts.Priorities; bound == 0 {
 			bound = 1 << 30 // "arbitrary" priorities: a generous poly(n) default
 		}
-		if opts.Relaxation.Enabled() {
-			pq.rx = relax.New(relax.Config{N: opts.Nodes, Seed: opts.Seed,
-				Mode: opts.Relaxation.Mode, K: opts.Relaxation.K, Batch: opts.Relaxation.Batch,
-				PrioBound: bound})
-			pq.be = pq.rx
-			break
-		}
-		pq.se = seap.New(seap.Config{N: opts.Nodes, PrioBound: bound, Seed: opts.Seed, SeqConsistent: opts.SeqConsistent})
-		pq.be = relax.WrapSeap(pq.se)
-		pq.seqCons = opts.SeqConsistent
 	default:
 		return nil, fmt.Errorf("core: unknown protocol %d", proto)
 	}
-	pq.buildEngine(opts)
+	pq := &PQ{proto: proto, nodes: opts.Nodes, relaxed: opts.Relaxation.Enabled(), kind: opts.Engine}
+	switch {
+	case pq.relaxed:
+		pq.be = relax.New(relax.Config{N: opts.Nodes, Seed: opts.Seed,
+			Mode: opts.Relaxation.Mode, K: opts.Relaxation.K, Batch: opts.Relaxation.Batch,
+			PrioBound: bound})
+	case proto == Skeap:
+		pq.be = relax.WrapSkeap(skeap.New(skeap.Config{N: opts.Nodes, P: int(bound), Seed: opts.Seed, MaxHeap: opts.MaxHeap}))
+	default:
+		pq.be = relax.WrapSeap(seap.New(seap.Config{N: opts.Nodes, PrioBound: bound, Seed: opts.Seed, SeqConsistent: opts.SeqConsistent}))
+	}
+	pq.eng, pq.budget = buildEngine(pq.be, opts)
 	return pq, nil
 }
 
@@ -205,13 +189,11 @@ func (pq *PQ) checkHost(host int) {
 	}
 }
 
-func (pq *PQ) done() bool { return pq.be.Done() }
-
 // Results returns the outcome of every completed DeleteMin since the PQ
 // was created, in serialization order. Drain is usually more convenient:
 // it runs the network and returns only the new deliveries.
 func (pq *PQ) Results() []Delivery {
-	ops := pq.trace().Ops()
+	ops := pq.be.Trace().Ops()
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Value < ops[j].Value })
 	var out []Delivery
 	for _, op := range ops {
@@ -222,17 +204,12 @@ func (pq *PQ) Results() []Delivery {
 		if d.Found {
 			d.ID = op.Result.ID
 			d.Payload = op.Result.Payload
-			d.Priority = uint64(op.Result.Prio)
-			if pq.sk != nil {
-				d.Priority++ // Skeap stores 0-based priorities internally
-			}
+			d.Priority = pq.be.Priority(op.Result)
 		}
 		out = append(out, d)
 	}
 	return out
 }
-
-func (pq *PQ) trace() *semantics.Trace { return pq.be.Trace() }
 
 // Verify replays the recorded execution against the paper's correctness
 // definitions and returns an error describing the first violations, if
@@ -241,63 +218,33 @@ func (pq *PQ) trace() *semantics.Trace { return pq.be.Trace() }
 // relaxed PQ is checked for relaxed validity only — ordering strictness is
 // quantified by RankError, not judged here.
 func (pq *PQ) Verify() error {
-	var rep *semantics.Report
-	switch {
-	case pq.rx != nil:
-		rep = semantics.CheckRelaxedValidity(pq.trace())
-	case pq.sk != nil && pq.maxHeap:
-		rep = semantics.CheckAllMax(pq.trace(), semantics.FIFO)
-	case pq.sk != nil:
-		rep = semantics.CheckAll(pq.trace(), semantics.FIFO)
-	case pq.seqCons:
-		rep = semantics.CheckAll(pq.trace(), semantics.ByID)
-	default:
-		rep = semantics.CheckSerializable(pq.trace(), semantics.ByID)
-	}
-	if !rep.Ok() {
+	if rep := pq.be.Check(); !rep.Ok() {
 		return errors.New(rep.Error())
 	}
 	return nil
 }
 
-// Metrics returns the accumulated network cost of the run. EngineConc
-// reports message counts only (no rounds or congestion).
-func (pq *PQ) Metrics() sim.Metrics {
-	switch pq.kind {
-	case EngineAsync:
-		return *pq.async.Metrics()
-	case EngineConc:
-		return *pq.conc.Metrics()
-	default:
-		return *pq.eng.Metrics()
-	}
-}
+// Metrics returns the accumulated network cost of the run.
+func (pq *PQ) Metrics() sim.Metrics { return *pq.eng.Metrics() }
 
 // Trace exposes the raw execution trace for custom analysis.
-func (pq *PQ) Trace() *semantics.Trace { return pq.trace() }
-
-// SkeapHeap / SeapHeap expose the underlying protocol instances for
-// experiments (nil for the other protocol).
-func (pq *PQ) SkeapHeap() *skeap.Heap { return pq.sk }
-
-// SeapHeap exposes the underlying Seap instance (nil when running Skeap).
-func (pq *PQ) SeapHeap() *seap.Heap { return pq.se }
-
-// RelaxHeap exposes the relaxation engine (nil when running strict).
-func (pq *PQ) RelaxHeap() *relax.Heap { return pq.rx }
+func (pq *PQ) Trace() *semantics.Trace { return pq.be.Trace() }
 
 // Relaxed reports whether the PQ runs a relaxed DeleteMin discipline.
-func (pq *PQ) Relaxed() bool { return pq.rx != nil }
+func (pq *PQ) Relaxed() bool { return pq.relaxed }
 
 // RankError replays the execution trace against the sequential oracle and
 // returns the rank-error histogram of its DeleteMins: how far each
 // delivered element ranked from the true minimum of the live set. Strict
 // PQs report all zeros — the observer doubles as a strictness proof.
-func (pq *PQ) RankError() obs.RankStats { return obs.TraceRankError(pq.trace()) }
+func (pq *PQ) RankError() obs.RankStats { return obs.TraceRankError(pq.be.Trace()) }
 
 // Engine exposes the synchronous engine driving the PQ (nil unless the
 // engine kind is EngineSync or EngineSyncParallel).
-func (pq *PQ) Engine() *sim.SyncEngine { return pq.eng }
+func (pq *PQ) Engine() *sim.SyncEngine {
+	e, _ := pq.eng.(*sim.SyncEngine)
+	return e
+}
 
 // Select runs the standalone KSelect protocol: it distributes elems
 // uniformly over a fresh n-process overlay and returns the element of rank

@@ -1,12 +1,11 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"time"
 
 	"dpq/internal/mathx"
 	"dpq/internal/prio"
+	"dpq/internal/relax"
 	"dpq/internal/sim"
 )
 
@@ -28,9 +27,6 @@ const (
 	// (Options.MaxDelay), modeling an asynchronous network. Deterministic
 	// per seed but not round-structured.
 	EngineAsync
-	// EngineConc runs every node as a real goroutine with channel inboxes.
-	// A PQ on this engine supports exactly one batch→Drain cycle.
-	EngineConc
 )
 
 func (k EngineKind) String() string {
@@ -41,20 +37,15 @@ func (k EngineKind) String() string {
 		return "sync-parallel"
 	case EngineAsync:
 		return "async"
-	case EngineConc:
-		return "conc"
 	default:
 		return fmt.Sprintf("engine-%d", int(k))
 	}
 }
 
-// concTimeout bounds the wall-clock time one EngineConc Drain may take.
-const concTimeout = 30 * time.Second
-
 // validateEngine checks the engine-selection fields of opts.
 func validateEngine(opts Options) error {
 	switch opts.Engine {
-	case EngineSync, EngineSyncParallel, EngineAsync, EngineConc:
+	case EngineSync, EngineSyncParallel, EngineAsync:
 	default:
 		return fmt.Errorf("core: unknown engine kind %d", int(opts.Engine))
 	}
@@ -73,51 +64,24 @@ func validateEngine(opts Options) error {
 	return nil
 }
 
-// buildEngine constructs the engine selected by opts for the freshly built
-// heap inside pq.
-func (pq *PQ) buildEngine(opts Options) {
-	pq.kind = opts.Engine
+// buildEngine translates the (validated) engine options into the heap's
+// sim.Spec, builds it, and returns it with the per-Drain budget: a generous
+// number of rounds, scaled for the asynchronous engine to events (one round
+// is roughly one activation per node).
+func buildEngine(be relax.Backend, opts Options) (sim.Engine, int) {
+	budget := 20000 * (mathx.Log2Ceil(opts.Nodes) + 3)
+	spec := be.Spec(sim.KindSync)
 	switch opts.Engine {
-	case EngineSync, EngineSyncParallel:
-		pq.eng = pq.be.NewSyncEngine()
-		if opts.Engine == EngineSyncParallel {
-			pq.eng.SetParallel(opts.Workers)
-		}
+	case EngineSyncParallel:
+		spec.Workers = sim.PoolWorkers(opts.Workers)
 	case EngineAsync:
-		d := opts.MaxDelay
-		if d == 0 {
-			d = 2
+		spec.Kind = sim.KindAsync
+		if spec.MaxDelay = opts.MaxDelay; spec.MaxDelay == 0 {
+			spec.MaxDelay = 2
 		}
-		pq.async = pq.be.NewAsyncEngine(d)
-	case EngineConc:
-		pq.conc = pq.be.NewConcEngine()
+		budget *= opts.Nodes + 1
 	}
-}
-
-// runBatch drives the selected engine until every issued operation
-// completed or the budget is exhausted. budget ≤ 0 picks a generous
-// default, measured in rounds (sync engines) or scaled to events (async).
-func (pq *PQ) runBatch(budget int) (bool, error) {
-	if budget <= 0 {
-		budget = 20000 * (mathx.Log2Ceil(pq.nodes) + 3)
-	}
-	switch pq.kind {
-	case EngineSync, EngineSyncParallel:
-		return pq.eng.RunUntil(pq.done, budget), nil
-	case EngineAsync:
-		// One synchronous round corresponds to roughly one activation per
-		// node, so scale the round budget to an event budget.
-		return pq.async.RunUntil(pq.done, budget*(pq.nodes+1)), nil
-	default: // EngineConc
-		if pq.concUsed {
-			if pq.done() {
-				return true, nil // nothing new was issued
-			}
-			return false, errors.New("core: EngineConc supports a single batch→Drain cycle; create a new PQ for the next batch")
-		}
-		pq.concUsed = true
-		return pq.conc.Run(pq.done, concTimeout), nil
-	}
+	return sim.Build(spec), budget
 }
 
 // At returns a builder that issues operations at the given host. It panics
@@ -159,13 +123,9 @@ func (h Host) DeleteMin() Host {
 // Drain drives the network until every operation issued so far completed,
 // then returns the outcomes of the DeleteMins that completed since the
 // previous Drain, in serialization order. It errors when the batch cannot
-// complete (budget exhausted, or a second batch on EngineConc).
+// complete within the engine's budget.
 func (pq *PQ) Drain() ([]Delivery, error) {
-	ok, err := pq.runBatch(0)
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
+	if !pq.eng.RunUntil(pq.be.Done, pq.budget) {
 		return nil, fmt.Errorf("core: %v engine did not complete the batch within its budget", pq.kind)
 	}
 	all := pq.Results()
@@ -176,9 +136,3 @@ func (pq *PQ) Drain() ([]Delivery, error) {
 
 // EngineKind reports which engine drives the PQ.
 func (pq *PQ) EngineKind() EngineKind { return pq.kind }
-
-// AsyncEngine exposes the asynchronous engine (nil unless EngineAsync).
-func (pq *PQ) AsyncEngine() *sim.AsyncEngine { return pq.async }
-
-// ConcEngine exposes the concurrent engine (nil unless EngineConc).
-func (pq *PQ) ConcEngine() *sim.ConcEngine { return pq.conc }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{"workers on async", Options{Nodes: 2, Engine: EngineAsync, Workers: 4}, "Workers"},
 		{"negative workers", Options{Nodes: 2, Engine: EngineSyncParallel, Workers: -1}, "Workers"},
 		{"maxdelay on sync", Options{Nodes: 2, MaxDelay: 3}, "MaxDelay"},
-		{"maxdelay on conc", Options{Nodes: 2, Engine: EngineConc, MaxDelay: 3}, "MaxDelay"},
 		{"negative maxdelay", Options{Nodes: 2, Engine: EngineAsync, MaxDelay: -1}, "MaxDelay"},
 		{"unknown engine", Options{Nodes: 2, Engine: EngineKind(99)}, "unknown engine"},
 	}
@@ -31,7 +31,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		{Nodes: 2, Engine: EngineSyncParallel},
 		{Nodes: 2, Engine: EngineSyncParallel, Workers: 3},
 		{Nodes: 2, Engine: EngineAsync, MaxDelay: 1.5},
-		{Nodes: 2, Engine: EngineConc},
 	} {
 		pq, err := New(Seap, opts)
 		if err != nil {
@@ -47,7 +46,7 @@ func TestEngineOptionValidation(t *testing.T) {
 // kind and both protocols; every engine must deliver the same multiset in
 // priority order and pass verification.
 func TestBatchAPIAllEngines(t *testing.T) {
-	kinds := []EngineKind{EngineSync, EngineSyncParallel, EngineAsync, EngineConc}
+	kinds := []EngineKind{EngineSync, EngineSyncParallel, EngineAsync}
 	for _, proto := range []Protocol{Skeap, Seap} {
 		for _, kind := range kinds {
 			opts := Options{Nodes: 4, Priorities: 3, Seed: 11, Engine: kind}
@@ -116,26 +115,29 @@ func TestDrainIncremental(t *testing.T) {
 	}
 }
 
-// TestConcSingleCycle checks the one-batch contract of EngineConc.
-func TestConcSingleCycle(t *testing.T) {
-	pq, err := New(Skeap, Options{Nodes: 3, Priorities: 2, Seed: 31, Engine: EngineConc})
-	if err != nil {
-		t.Fatal(err)
+// TestParallelWorkersConvention pins the translation from Options.Workers
+// (0 = one per core, because EngineSyncParallel already asked for a pool)
+// to sim.Spec.Workers (0 = serial): a parallel PQ must never silently step
+// serially, and the other engines never get a pool.
+func TestParallelWorkersConvention(t *testing.T) {
+	workers := func(opts Options) int {
+		pq, err := New(Seap, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return pq.Engine().Workers()
 	}
-	pq.At(0).Insert(1, "x")
-	pq.At(1).DeleteMin()
-	got, err := pq.Drain()
-	if err != nil || len(got) != 1 || got[0].Payload != "x" {
-		t.Fatalf("first drain: %+v, %v", got, err)
+	if got, want := workers(Options{Nodes: 2, Engine: EngineSyncParallel}), runtime.GOMAXPROCS(0); got != want {
+		t.Fatalf("EngineSyncParallel, Workers 0: %d workers, want GOMAXPROCS = %d", got, want)
 	}
-	// Draining again without new work is a no-op, not an error.
-	if again, err := pq.Drain(); err != nil || len(again) != 0 {
-		t.Fatalf("idempotent drain: %+v, %v", again, err)
+	if got := workers(Options{Nodes: 2, Engine: EngineSyncParallel, Workers: 3}); got != 3 {
+		t.Fatalf("EngineSyncParallel, Workers 3: %d workers", got)
 	}
-	// A second batch cannot run: the goroutines are gone.
-	pq.At(2).DeleteMin()
-	if _, err := pq.Drain(); err == nil || !strings.Contains(err.Error(), "single batch") {
-		t.Fatalf("second conc batch: got %v, want single-batch error", err)
+	if got := workers(Options{Nodes: 2}); got != 1 {
+		t.Fatalf("EngineSync: %d workers, want serial", got)
+	}
+	if pq, _ := New(Seap, Options{Nodes: 2, Engine: EngineAsync}); pq.Engine() != nil {
+		t.Fatal("Engine() must be nil on the asynchronous engine")
 	}
 }
 

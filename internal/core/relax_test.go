@@ -16,12 +16,12 @@ func TestRelaxedPQEndToEnd(t *testing.T) {
 			{Mode: relax.SampleK, K: 2},
 			{Mode: relax.BatchLocal, Batch: 4},
 		} {
-			for _, kind := range []EngineKind{EngineSync, EngineSyncParallel, EngineAsync, EngineConc} {
+			for _, kind := range []EngineKind{EngineSync, EngineSyncParallel, EngineAsync} {
 				pq, err := New(proto, Options{Nodes: 4, Seed: 5, Engine: kind, Relaxation: rx})
 				if err != nil {
 					t.Fatalf("%v/%v/%v: %v", proto, rx, kind, err)
 				}
-				if !pq.Relaxed() || pq.RelaxHeap() == nil {
+				if !pq.Relaxed() {
 					t.Fatalf("%v/%v/%v: PQ not relaxed", proto, rx, kind)
 				}
 				maxP := uint64(4)

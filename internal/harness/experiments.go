@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 	"dpq/internal/mathx"
 	"dpq/internal/prio"
 	"dpq/internal/quantile"
+	"dpq/internal/relax"
 	"dpq/internal/seap"
-	"dpq/internal/semantics"
 	"dpq/internal/sim"
 	"dpq/internal/skeap"
 	"dpq/internal/workload"
@@ -51,28 +52,55 @@ func TreeHeight(sz Sizes) Table {
 	return t
 }
 
-// skeapBatchRounds measures rounds for one Skeap iteration covering ops
-// buffered operations spread over all nodes.
-func skeapBatchRounds(n, opsPerNode int, seed uint64) (rounds int, congestion int, maxBits int) {
-	h := skeap.New(skeap.Config{N: n, P: 4, Seed: seed})
-	h.SetAutoRepeat(false)
+// strictHeap builds the strict heap of an experiment row — Skeap over p
+// priority classes or Seap over the universe [1, bound] — and returns it
+// with its priority bound.
+func strictHeap(proto string, n, p int, bound, seed uint64) (relax.Backend, uint64) {
+	switch proto {
+	case "skeap":
+		return relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: p, Seed: seed})), uint64(p)
+	case "seap":
+		return relax.WrapSeap(seap.New(seap.Config{N: n, PrioBound: bound, Seed: seed})), bound
+	}
+	panic("harness: unknown protocol " + proto)
+}
+
+// runBatch starts exactly one batch (a Skeap iteration, a Seap
+// insert+delete cycle) over what is buffered in be and runs it to
+// completion on a round engine with the given pool size. It returns the
+// cost and the wall time of the run alone.
+func runBatch(be relax.Backend, n, workers int) (sim.Metrics, time.Duration) {
+	be.SetAutoRepeat(false)
+	spec := be.Spec(sim.KindSync)
+	spec.Workers = workers
+	eng := sim.Build(spec)
+	begin := time.Now()
+	be.StartBatch(eng.Context(be.Overlay().Anchor))
+	if !eng.RunUntil(be.Done, maxRounds(n)) {
+		panic(fmt.Sprintf("harness: batch (n=%d, workers=%d) did not complete", n, workers))
+	}
+	return *eng.Metrics(), time.Since(begin)
+}
+
+// batchRounds measures the rounds of one batch covering opsPerNode
+// buffered operations at every node (Skeap: 4 classes, Seap: 16n²
+// priorities).
+func batchRounds(proto string, n, opsPerNode int, seed uint64) int {
+	be, bound := strictHeap(proto, n, 4, uint64(n)*uint64(n)*16, seed)
 	rnd := hashutil.NewRand(seed + 1)
 	id := prio.ElemID(1)
 	for host := 0; host < n; host++ {
 		for i := 0; i < opsPerNode; i++ {
 			if rnd.Bool(0.6) {
-				h.InjectInsert(host, id, rnd.Intn(4), "")
+				be.InjectInsert(host, id, rnd.Uint64n(bound)+1, "")
 				id++
 			} else {
-				h.InjectDelete(host)
+				be.InjectDelete(host)
 			}
 		}
 	}
-	eng := h.NewSyncEngine()
-	h.StartIteration(eng.Context(h.Overlay().Anchor))
-	eng.RunUntil(h.Done, maxRounds(n))
-	m := eng.Metrics()
-	return m.Rounds, m.Congestion, m.MaxMessageBit
+	m, _ := runBatch(be, n, 1)
+	return m.Rounds
 }
 
 // SkeapRounds: Corollary 3.6 — one batch in O(log n) rounds.
@@ -87,8 +115,8 @@ func SkeapRounds(sz Sizes) Table {
 	for _, n := range sz.NSweep {
 		var r1s, r4s []float64
 		for r := 0; r < sz.Repeats; r++ {
-			r1, _, _ := skeapBatchRounds(n, 1, uint64(n+r*7919))
-			r4, _, _ := skeapBatchRounds(n, 4, uint64(n+r*7919)+7)
+			r1 := batchRounds("skeap", n, 1, uint64(n+r*7919))
+			r4 := batchRounds("skeap", n, 4, uint64(n+r*7919)+7)
 			r1s = append(r1s, float64(r1))
 			r4s = append(r4s, float64(r4))
 		}
@@ -102,22 +130,23 @@ func SkeapRounds(sz Sizes) Table {
 	return t
 }
 
-// steadySkeap runs Skeap under steady injection for a fixed horizon.
-func steadySkeap(n, lambda, horizon int, seed uint64) *sim.Metrics {
-	h := skeap.New(skeap.Config{N: n, P: 4, Seed: seed})
-	eng := h.NewSyncEngine()
-	gen := workload.New(workload.Config{N: n, Rate: lambda, InsertFrac: 0.6, Dist: workload.Uniform, Bound: 4, Seed: seed + 1})
+// steady runs Skeap (4 priority classes) or Seap (2^20 priorities) under
+// steady injection for a fixed horizon, then drains it.
+func steady(proto string, n, lambda, horizon int, seed uint64) *sim.Metrics {
+	be, bound := strictHeap(proto, n, 4, 1<<20, seed)
+	eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
+	gen := workload.New(workload.Config{N: n, Rate: lambda, InsertFrac: 0.6, Dist: workload.Uniform, Bound: bound, Seed: seed + 1})
 	for r := 0; r < horizon; r++ {
 		for _, op := range gen.Round() {
 			if op.Kind == workload.OpInsert {
-				h.InjectInsert(op.Host, op.ID, int(op.Prio-1), "")
+				be.InjectInsert(op.Host, op.ID, op.Prio, "")
 			} else {
-				h.InjectDelete(op.Host)
+				be.InjectDelete(op.Host)
 			}
 		}
 		eng.Step()
 	}
-	eng.RunUntil(h.Done, maxRounds(n))
+	eng.RunUntil(be.Done, maxRounds(n))
 	return eng.Metrics()
 }
 
@@ -132,7 +161,7 @@ func SkeapCongestion(sz Sizes) Table {
 	n := 64
 	var xs, ys []float64
 	for _, lam := range sz.LambdaSweep {
-		m := steadySkeap(n, lam, 60, uint64(lam)*31)
+		m := steady("skeap", n, lam, 60, uint64(lam)*31)
 		t.AddRow(lam, m.Congestion, float64(m.Congestion)/float64(lam))
 		xs = append(xs, float64(lam))
 		ys = append(ys, float64(m.Congestion))
@@ -152,7 +181,7 @@ func SkeapMessageBits(sz Sizes) Table {
 	}
 	for _, n := range []int{64} {
 		for _, lam := range sz.LambdaSweep {
-			m := steadySkeap(n, lam, 40, uint64(n*lam))
+			m := steady("skeap", n, lam, 40, uint64(n*lam))
 			denom := float64(lam) * math.Pow(math.Log2(float64(n)), 2)
 			t.AddRow(n, lam, m.MaxMessageBit, float64(m.MaxMessageBit)/denom)
 		}
@@ -266,29 +295,6 @@ func KSelectCongestion(sz Sizes) Table {
 	return t
 }
 
-// seapBatchRounds measures one Seap cycle (insert+delete) on a loaded heap.
-func seapBatchRounds(n, opsPerNode int, seed uint64) (rounds, congestion, maxBits int) {
-	h := seap.New(seap.Config{N: n, PrioBound: uint64(n) * uint64(n) * 16, Seed: seed})
-	h.SetAutoRepeat(false)
-	rnd := hashutil.NewRand(seed + 1)
-	id := prio.ElemID(1)
-	for host := 0; host < n; host++ {
-		for i := 0; i < opsPerNode; i++ {
-			if rnd.Bool(0.6) {
-				h.InjectInsert(host, id, rnd.Uint64n(uint64(n)*uint64(n)*16)+1, "")
-				id++
-			} else {
-				h.InjectDelete(host)
-			}
-		}
-	}
-	eng := h.NewSyncEngine()
-	h.StartCycle(eng.Context(h.Overlay().Anchor))
-	eng.RunUntil(h.Done, maxRounds(n))
-	m := eng.Metrics()
-	return m.Rounds, m.Congestion, m.MaxMessageBit
-}
-
 // SeapRounds: Lemma 5.3 — both phases in O(log n) rounds.
 func SeapRounds(sz Sizes) Table {
 	t := Table{
@@ -301,8 +307,8 @@ func SeapRounds(sz Sizes) Table {
 	for _, n := range sz.NSweep {
 		var r1s, r4s []float64
 		for r := 0; r < sz.Repeats; r++ {
-			r1, _, _ := seapBatchRounds(n, 1, uint64(n+r*104729)*11)
-			r4, _, _ := seapBatchRounds(n, 4, uint64(n+r*104729)*11+5)
+			r1 := batchRounds("seap", n, 1, uint64(n+r*104729)*11)
+			r4 := batchRounds("seap", n, 4, uint64(n+r*104729)*11+5)
 			r1s = append(r1s, float64(r1))
 			r4s = append(r4s, float64(r4))
 		}
@@ -313,25 +319,6 @@ func SeapRounds(sz Sizes) Table {
 	t.Notef("growth exponent %.2f — logarithmic shape; the KSelect sub-protocol dominates the constants.",
 		mathx.GrowthExponent(xs, ys))
 	return t
-}
-
-// steadySeap runs Seap under steady injection.
-func steadySeap(n, lambda, horizon int, seed uint64) *sim.Metrics {
-	h := seap.New(seap.Config{N: n, PrioBound: 1 << 20, Seed: seed})
-	eng := h.NewSyncEngine()
-	gen := workload.New(workload.Config{N: n, Rate: lambda, InsertFrac: 0.6, Dist: workload.Uniform, Bound: 1 << 20, Seed: seed + 1})
-	for r := 0; r < horizon; r++ {
-		for _, op := range gen.Round() {
-			if op.Kind == workload.OpInsert {
-				h.InjectInsert(op.Host, op.ID, op.Prio, "")
-			} else {
-				h.InjectDelete(op.Host)
-			}
-		}
-		eng.Step()
-	}
-	eng.RunUntil(h.Done, maxRounds(n))
-	return eng.Metrics()
 }
 
 // SeapCongestion: Lemma 5.4 — congestion Õ(Λ).
@@ -345,7 +332,7 @@ func SeapCongestion(sz Sizes) Table {
 	n := 32
 	var xs, ys []float64
 	for _, lam := range sz.LambdaSweep {
-		m := steadySeap(n, lam, 60, uint64(lam)*37)
+		m := steady("seap", n, lam, 60, uint64(lam)*37)
 		t.AddRow(lam, m.Congestion, float64(m.Congestion)/float64(lam))
 		xs = append(xs, float64(lam))
 		ys = append(ys, float64(m.Congestion))
@@ -366,8 +353,8 @@ func SeapVsSkeapBits(sz Sizes) Table {
 	n := 32
 	var first, last float64
 	for _, lam := range sz.LambdaSweep {
-		sk := steadySkeap(n, lam, 40, uint64(lam)*41)
-		se := steadySeap(n, lam, 40, uint64(lam)*43)
+		sk := steady("skeap", n, lam, 40, uint64(lam)*41)
+		se := steady("seap", n, lam, 40, uint64(lam)*43)
 		ratio := float64(sk.MaxMessageBit) / float64(se.MaxMessageBit)
 		if first == 0 {
 			first = ratio
@@ -414,25 +401,15 @@ func Fairness(sz Sizes) Table {
 	}
 	n := 64
 	m := 64 * n
-	{
-		h := skeap.New(skeap.Config{N: n, P: 4, Seed: 51})
-		rnd := hashutil.NewRand(52)
+	for i, proto := range []string{"skeap", "seap"} {
+		be, bound := strictHeap(proto, n, 4, 1<<20, uint64(51+2*i))
+		rnd := hashutil.NewRand(uint64(52 + 2*i))
 		for i := 0; i < m; i++ {
-			h.InjectInsert(rnd.Intn(n), prio.ElemID(i+1), rnd.Intn(4), "")
+			be.InjectInsert(rnd.Intn(n), prio.ElemID(i+1), rnd.Uint64n(bound)+1, "")
 		}
-		eng := h.NewSyncEngine()
-		eng.RunUntil(func() bool { return sum(h.StoreSizes()) == m }, maxRounds(n))
-		t.AddRow("Skeap", n, m, float64(m)/float64(n), maxInt(h.StoreSizes()), float64(maxInt(h.StoreSizes()))/(float64(m)/float64(n)))
-	}
-	{
-		h := seap.New(seap.Config{N: n, PrioBound: 1 << 20, Seed: 53})
-		rnd := hashutil.NewRand(54)
-		for i := 0; i < m; i++ {
-			h.InjectInsert(rnd.Intn(n), prio.ElemID(i+1), rnd.Uint64n(1<<20)+1, "")
-		}
-		eng := h.NewSyncEngine()
-		eng.RunUntil(func() bool { return sum(h.StoreSizes()) == m }, maxRounds(n))
-		t.AddRow("Seap", n, m, float64(m)/float64(n), maxInt(h.StoreSizes()), float64(maxInt(h.StoreSizes()))/(float64(m)/float64(n)))
+		sizes := be.(relax.Membership).StoreSizes
+		sim.Build(be.Spec(sim.KindSync)).RunUntil(func() bool { return sum(sizes()) == m }, maxRounds(n))
+		t.AddRow(title(proto), n, m, float64(m)/float64(n), maxInt(sizes()), float64(maxInt(sizes()))/(float64(m)/float64(n)))
 	}
 	t.Notef("max/mean stays a small constant — the pseudorandom keys spread elements uniformly.")
 	return t
@@ -477,26 +454,18 @@ func SemanticsValidation(sz Sizes) Table {
 		Header: []string{"protocol", "async executions", "passed", "ops per run"},
 	}
 	const opsPerRun = 40
-	passSk := 0
-	for s := 0; s < sz.AsyncRuns; s++ {
-		h := skeap.New(skeap.Config{N: 6, P: 3, Seed: uint64(1000 + s)})
-		injectRandom(h.InjectInsert, h.InjectDelete, 6, 3, opsPerRun, uint64(2000+s))
-		eng := h.NewAsyncEngine(3.0)
-		if eng.RunUntil(h.Done, 3_000_000) && semantics.CheckAll(h.Trace(), semantics.FIFO).Ok() {
-			passSk++
+	for _, c := range []adversarialRow{{"skeap", 6, 1000, 1000, 3_000_000}, {"seap", 5, 3000, 1000, 5_000_000}} {
+		pass := 0
+		for s := 0; s < sz.AsyncRuns; s++ {
+			be := c.heap(s, opsPerRun)
+			spec := be.Spec(sim.KindAsync)
+			spec.MaxDelay = 3.0
+			if sim.Build(spec).RunUntil(be.Done, c.budget) && be.Check().Ok() {
+				pass++
+			}
 		}
+		t.AddRow(title(c.proto)+" (async)", sz.AsyncRuns, pass, opsPerRun)
 	}
-	t.AddRow("Skeap (async)", sz.AsyncRuns, passSk, opsPerRun)
-	passSe := 0
-	for s := 0; s < sz.AsyncRuns; s++ {
-		h := seap.New(seap.Config{N: 5, PrioBound: 500, Seed: uint64(3000 + s)})
-		injectRandomSeap(h, 5, opsPerRun, uint64(4000+s))
-		eng := h.NewAsyncEngine(3.0)
-		if eng.RunUntil(h.Done, 5_000_000) && semantics.CheckSerializable(h.Trace(), semantics.ByID).Ok() {
-			passSe++
-		}
-	}
-	t.AddRow("Seap (async)", sz.AsyncRuns, passSe, opsPerRun)
 	t.Notef("every randomized non-FIFO schedule passed the oracle replay and the Definition-1.2 property checks.")
 	return t
 }
@@ -516,8 +485,8 @@ func ThroughputVsBaselines(sz Sizes) Table {
 		if n > 256 {
 			continue
 		}
-		sk := steadySkeap(n, lam, 30, uint64(n)*61)
-		se := steadySeap(n, lam, 30, uint64(n)*67)
+		sk := steady("skeap", n, lam, 30, uint64(n)*61)
+		se := steady("seap", n, lam, 30, uint64(n)*67)
 		ce := steadyCentral(n, lam, 30, uint64(n)*71)
 		t.AddRow(n, lam, sk.Congestion, se.Congestion, ce.Congestion, float64(ce.Congestion)/float64(sk.Congestion))
 	}
@@ -607,11 +576,7 @@ func SeapSCCost(sz Sizes) Table {
 			}
 			eng := h.NewSyncEngine()
 			eng.RunUntil(h.Done, 80*maxRounds(n))
-			ok := true
-			if sc {
-				ok = semantics.CheckAll(h.Trace(), semantics.ByID).Ok()
-			}
-			return eng.Metrics().Rounds, ok
+			return eng.Metrics().Rounds, h.Check().Ok()
 		}
 		fast, _ := drain(false, uint64(ops)*91)
 		slow, ok := drain(true, uint64(ops)*97)
@@ -770,45 +735,26 @@ func FaultToleranceOverhead(sz Sizes) Table {
 		{"drop 20% + dup 10% + crash", sim.FaultProfile{DropRate: 0.20, DupRate: 0.10, DelayRate: 0.05, CrashRate: 0.002}},
 	}
 	const opsPerRun = 30
-	for _, pr := range profiles {
-		pass := 0
-		var drops, dups, crashes, retries, sent int64
-		for s := 0; s < sz.Repeats; s++ {
-			h := skeap.New(skeap.Config{N: 6, P: 3, Seed: uint64(5000 + s)})
-			injectRandom(h.InjectInsert, h.InjectDelete, 6, 3, opsPerRun, uint64(5100+s))
-			prof := pr.p
-			prof.Seed = uint64(5200 + s)
-			eng, transports := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
-			if eng.RunUntil(h.Done, 20_000_000) && semantics.CheckAll(h.Trace(), semantics.FIFO).Ok() {
-				pass++
+	for _, c := range []adversarialRow{{"skeap", 6, 5000, 100, 20_000_000}, {"seap", 4, 6000, 100, 30_000_000}} {
+		for _, pr := range profiles {
+			pass := 0
+			var drops, dups, crashes, retries, sent int64
+			for s := 0; s < sz.Repeats; s++ {
+				be := c.heap(s, opsPerRun)
+				prof := pr.p
+				prof.Seed = uint64(c.seed + 2*c.step + s)
+				eng, transports := sim.BuildFaulty(be.Spec(sim.KindAsync), 3.0, sim.NewFaultPlan(prof))
+				if eng.RunUntil(be.Done, c.budget) && be.Check().Ok() {
+					pass++
+				}
+				d, du, _, cr := eng.Faults().Counts()
+				drops, dups, crashes = drops+d, dups+du, crashes+cr
+				st := sim.SumTransportStats(transports)
+				retries, sent = retries+st.Retries, sent+st.Sent
 			}
-			d, du, _, cr := eng.Faults().Counts()
-			drops, dups, crashes = drops+d, dups+du, crashes+cr
-			st := sim.SumTransportStats(transports)
-			retries, sent = retries+st.Retries, sent+st.Sent
+			t.AddRow(title(c.proto), pr.name, fmt.Sprintf("%d/%d", pass, sz.Repeats), drops, dups, crashes, retries,
+				fmt.Sprintf("%.3f", float64(retries)/float64(max(sent, 1))))
 		}
-		t.AddRow("Skeap", pr.name, fmt.Sprintf("%d/%d", pass, sz.Repeats), drops, dups, crashes, retries,
-			fmt.Sprintf("%.3f", float64(retries)/float64(maxI64(sent, 1))))
-	}
-	for _, pr := range profiles {
-		pass := 0
-		var drops, dups, crashes, retries, sent int64
-		for s := 0; s < sz.Repeats; s++ {
-			h := seap.New(seap.Config{N: 4, PrioBound: 500, Seed: uint64(6000 + s)})
-			injectRandomSeap(h, 4, opsPerRun, uint64(6100+s))
-			prof := pr.p
-			prof.Seed = uint64(6200 + s)
-			eng, transports := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
-			if eng.RunUntil(h.Done, 30_000_000) && semantics.CheckSerializable(h.Trace(), semantics.ByID).Ok() {
-				pass++
-			}
-			d, du, _, cr := eng.Faults().Counts()
-			drops, dups, crashes = drops+d, dups+du, crashes+cr
-			st := sim.SumTransportStats(transports)
-			retries, sent = retries+st.Retries, sent+st.Sent
-		}
-		t.AddRow("Seap", pr.name, fmt.Sprintf("%d/%d", pass, sz.Repeats), drops, dups, crashes, retries,
-			fmt.Sprintf("%.3f", float64(retries)/float64(maxI64(sent, 1))))
 	}
 	t.Notef("fault model: per-message i.i.d. drop/duplicate/delay-spike decisions and fail-recover node crashes (durable state, missed activations), all drawn from a seeded stream keyed by the engine's event sequence — every run is replayable from its recorded FaultTrace.")
 	t.Notef("retry overhead = retransmissions / transport sends; every run is checked with the full semantics battery, so the table doubles as a fault soak.")
@@ -819,38 +765,12 @@ func FaultToleranceOverhead(sz Sizes) Table {
 // worker-pool size and returns the engine metrics and the wall time of the
 // RunUntil loop (injection and construction excluded).
 func timedBatch(proto string, n, opsPerNode, workers int, seed uint64) (sim.Metrics, time.Duration) {
-	var (
-		eng   *sim.SyncEngine
-		start func()
-		done  func() bool
-	)
-	switch proto {
-	case "skeap":
-		h := skeap.New(skeap.Config{N: n, P: 4, Seed: seed})
-		h.SetAutoRepeat(false)
-		injectRandom(h.InjectInsert, h.InjectDelete, n, 4, n*opsPerNode, seed+1)
-		eng = h.NewSyncEngine()
-		e := eng
-		start = func() { h.StartIteration(e.Context(h.Overlay().Anchor)) }
-		done = h.Done
-	case "seap":
-		h := seap.New(seap.Config{N: n, PrioBound: uint64(n) * uint64(n) * 16, Seed: seed})
-		h.SetAutoRepeat(false)
-		injectRandomSeap(h, n, n*opsPerNode, seed+1)
-		eng = h.NewSyncEngine()
-		e := eng
-		start = func() { h.StartCycle(e.Context(h.Overlay().Anchor)) }
-		done = h.Done
-	default:
-		panic("harness: unknown protocol " + proto)
+	be, bound := strictHeap(proto, n, 4, uint64(n)*uint64(n)*16, seed)
+	if proto == "seap" {
+		bound = 500 // the workload E25's recorded rounds were measured on
 	}
-	eng.SetParallel(workers)
-	begin := time.Now()
-	start()
-	if !eng.RunUntil(done, maxRounds(n)) {
-		panic(fmt.Sprintf("harness: %s batch (n=%d, workers=%d) did not complete", proto, n, workers))
-	}
-	return *eng.Metrics(), time.Since(begin)
+	injectRandom(be, n, bound, n*opsPerNode, seed+1)
+	return runBatch(be, n, workers)
 }
 
 // ParallelEngineSpeedup: E25 — once a round's inboxes are sealed, per-node
@@ -892,13 +812,6 @@ func ParallelEngineSpeedup(sz Sizes) Table {
 
 // ---- helpers ----------------------------------------------------------------
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 func sum(xs []int) int {
 	t := 0
 	for _, x := range xs {
@@ -939,33 +852,41 @@ func measurePut(n int, seed uint64) int {
 	return eng.Metrics().Rounds
 }
 
-func injectRandom(ins func(host int, id prio.ElemID, p int, payload string) *semantics.Op, del func(host int) *semantics.Op, n, prios, ops int, seed uint64) {
+// injectRandom buffers ops operations at random hosts of be: a 60/40
+// insert/delete mix over the priorities [1, bound].
+func injectRandom(be relax.Backend, n int, bound uint64, ops int, seed uint64) {
 	rnd := hashutil.NewRand(seed)
 	id := prio.ElemID(1)
 	for i := 0; i < ops; i++ {
 		host := rnd.Intn(n)
 		if rnd.Bool(0.6) {
-			ins(host, id, rnd.Intn(prios), "")
+			be.InjectInsert(host, id, rnd.Uint64n(bound)+1, "")
 			id++
 		} else {
-			del(host)
+			be.InjectDelete(host)
 		}
 	}
 }
 
-func injectRandomSeap(h *seap.Heap, n, ops int, seed uint64) {
-	rnd := hashutil.NewRand(seed)
-	id := prio.ElemID(1)
-	for i := 0; i < ops; i++ {
-		host := rnd.Intn(n)
-		if rnd.Bool(0.6) {
-			h.InjectInsert(host, id, rnd.Uint64n(500)+1, "")
-			id++
-		} else {
-			h.InjectDelete(host)
-		}
-	}
+// adversarialRow is one protocol row of the adversarial-schedule tables
+// (E14, E22): n hosts, an event budget per run, and the seeds of run s —
+// seed+s for the heap, a further step for each other seeded stream.
+type adversarialRow struct {
+	proto         string
+	n, seed, step int
+	budget        int
 }
+
+// heap builds run s of the row — Skeap over 3 classes or Seap over 500
+// priorities — with ops random operations buffered.
+func (c adversarialRow) heap(s, ops int) relax.Backend {
+	be, bound := strictHeap(c.proto, c.n, 3, 500, uint64(c.seed+s))
+	injectRandom(be, c.n, bound, ops, uint64(c.seed+c.step+s))
+	return be
+}
+
+// title capitalizes a protocol name for a table cell.
+func title(proto string) string { return strings.ToUpper(proto[:1]) + proto[1:] }
 
 func steadyCentral(n, lambda, horizon int, seed uint64) *sim.Metrics {
 	c := baseline.NewCentral(n)

@@ -3,9 +3,7 @@ package harness
 import (
 	"time"
 
-	"dpq/internal/hashutil"
-	"dpq/internal/prio"
-	"dpq/internal/skeap"
+	"dpq/internal/sim"
 	"dpq/internal/sweep"
 )
 
@@ -44,24 +42,15 @@ func MillionScale(sz Sizes) Table {
 	tw := sweep.DefaultTwin()
 	for _, n := range sz.ScaleSweep {
 		seed := uint64(29_000 + n%97)
-		h := skeap.New(skeap.Config{N: n, P: 8, Seed: seed})
-		h.SetAutoRepeat(false)
-		rnd := hashutil.NewRand(seed + 1)
-		id := prio.ElemID(1)
-		for i := 0; i < scaleOps; i++ {
-			host := rnd.Intn(n)
-			if rnd.Bool(0.6) {
-				h.InjectInsert(host, id, rnd.Intn(8), "")
-				id++
-			} else {
-				h.InjectDelete(host)
-			}
-		}
-		eng := h.NewSyncEngine()
-		eng.SetParallel(0) // worker pool, one worker per core
+		be, bound := strictHeap("skeap", n, 8, 0, seed)
+		be.SetAutoRepeat(false)
+		injectRandom(be, n, bound, scaleOps, seed+1)
+		spec := be.Spec(sim.KindSync)
+		spec.Workers = -1 // worker pool, one worker per core
+		eng := sim.Build(spec).(*sim.SyncEngine)
 		start := time.Now()
-		h.StartIteration(eng.Context(h.Overlay().Anchor))
-		completed := eng.RunUntil(h.Done, maxRounds(n))
+		be.StartBatch(eng.Context(be.Overlay().Anchor))
+		completed := eng.RunUntil(be.Done, maxRounds(n))
 		wall := time.Since(start)
 		m := eng.Metrics()
 		ms := eng.MemStats(true)

@@ -6,8 +6,8 @@ import (
 
 	"dpq/internal/hashutil"
 	"dpq/internal/prio"
+	"dpq/internal/relax"
 	"dpq/internal/seap"
-	"dpq/internal/semantics"
 	"dpq/internal/sim"
 	"dpq/internal/skeap"
 )
@@ -28,126 +28,76 @@ func soakSeedCount(t *testing.T) uint64 {
 	return soakSeeds
 }
 
-// faultSoakTarget abstracts the two protocols for the soak driver.
-type faultSoakTarget interface {
-	InjectDelete(host int) *semantics.Op
-	Done() bool
-	Trace() *semantics.Trace
-	StoreSizes() []int
-}
-
-// runFaultSoak drives one seeded faulty run to a conserved drained state
-// and returns the engine for fault/metric inspection.
-func runFaultSoak(t *testing.T, h faultSoakTarget, eng *sim.AsyncEngine, budget int) {
+// runFaultSoak drives one seeded faulty run to a conserved drained state:
+// operations complete before their final DHT Puts land, so Done alone is
+// not the end (see semantics.Trace.Drained for the argument).
+func runFaultSoak(t *testing.T, be relax.Backend, eng *sim.AsyncEngine, budget int) {
 	t.Helper()
 	stored := func() int {
 		total := 0
-		for _, s := range h.StoreSizes() {
+		for _, s := range be.(relax.Membership).StoreSizes() {
 			total += s
 		}
 		return total
 	}
-	expected := func() int {
-		ins, dels := 0, 0
-		for _, op := range h.Trace().Ops() {
-			if !op.Done {
-				continue
-			}
-			if op.Kind == semantics.Insert {
-				ins++
-			} else if !op.Result.Nil() {
-				dels++
-			}
-		}
-		return ins - dels
-	}
-	// Ops complete before their final DHT Puts land, so drain to the
-	// conserved state, not just Done (see cmd/churnsim for the argument
-	// why expected() is final once Done() holds).
-	drained := func() bool { return h.Done() && stored() == expected() }
-	if !eng.RunUntil(drained, budget) {
+	tr := be.Trace()
+	if !eng.RunUntil(func() bool { return tr.Drained(stored) }, budget) {
 		t.Fatalf("soak run incomplete: %d/%d ops, stored %d, expected %d (faults %v)",
-			h.Trace().DoneCount(), h.Trace().Len(), stored(), expected(), eng.Faults())
-	}
-	if stored() != expected() {
-		t.Fatalf("data not conserved: stored %d, expected %d", stored(), expected())
+			tr.DoneCount(), tr.Len(), stored(), tr.Stored(), eng.Faults())
 	}
 }
 
-// skeapSoakCell builds one cell of the matrix: a 4-host Skeap with its
-// seeded batch injected, on a faulty asynchronous engine behind reliable
-// transports.
-func skeapSoakCell(t *testing.T, profile string, seed uint64) (*skeap.Heap, *sim.AsyncEngine) {
+// soakCell builds one cell of the matrix — a 4-host Skeap or a 3-host Seap
+// with its seeded batch injected — on a faulty asynchronous engine behind
+// reliable transports.
+func soakCell(t *testing.T, proto, profile string, seed uint64) (relax.Backend, *sim.AsyncEngine) {
 	t.Helper()
-	prof, err := sim.ParseFaultProfile(profile, 10_000+seed)
+	var (
+		be          relax.Backend
+		hosts, ops  int
+		bound, base uint64
+	)
+	if proto == "skeap" {
+		hosts, ops, bound, base = 4, 16, 3, 10_000
+		be = relax.WrapSkeap(skeap.New(skeap.Config{N: hosts, P: int(bound), Seed: base + 10_000 + seed}))
+	} else {
+		hosts, ops, bound, base = 3, 12, 200, 40_000
+		be = relax.WrapSeap(seap.New(seap.Config{N: hosts, PrioBound: bound, Seed: base + 10_000 + seed}))
+	}
+	prof, err := sim.ParseFaultProfile(profile, base+seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := skeap.New(skeap.Config{N: 4, P: 3, Seed: 20_000 + seed})
-	rnd := hashutil.NewRand(30_000 + seed)
+	rnd := hashutil.NewRand(base + 20_000 + seed)
 	id := prio.ElemID(1)
-	for i := 0; i < 16; i++ {
+	for i := 0; i < ops; i++ {
 		if rnd.Bool(0.6) {
-			h.InjectInsert(rnd.Intn(4), id, rnd.Intn(3), "")
+			be.InjectInsert(rnd.Intn(hosts), id, rnd.Uint64n(bound)+1, "")
 			id++
 		} else {
-			h.InjectDelete(rnd.Intn(4))
+			be.InjectDelete(rnd.Intn(hosts))
 		}
 	}
-	eng, _ := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
-	return h, eng
+	eng, _ := sim.BuildFaulty(be.Spec(sim.KindAsync), 3.0, sim.NewFaultPlan(prof))
+	return be, eng
 }
 
-// seapSoakCell is the 3-host Seap counterpart.
-func seapSoakCell(t *testing.T, profile string, seed uint64) (*seap.Heap, *sim.AsyncEngine) {
-	t.Helper()
-	prof, err := sim.ParseFaultProfile(profile, 40_000+seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := seap.New(seap.Config{N: 3, PrioBound: 200, Seed: 50_000 + seed})
-	rnd := hashutil.NewRand(60_000 + seed)
-	id := prio.ElemID(1)
-	for i := 0; i < 12; i++ {
-		if rnd.Bool(0.6) {
-			h.InjectInsert(rnd.Intn(3), id, rnd.Uint64n(200)+1, "")
-			id++
-		} else {
-			h.InjectDelete(rnd.Intn(3))
-		}
-	}
-	eng, _ := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(prof))
-	return h, eng
-}
-
-func TestFaultSoakSkeap(t *testing.T) {
+// TestFaultSoak: every cell must complete, conserve data and pass its
+// protocol's full semantics battery.
+func TestFaultSoak(t *testing.T) {
 	seeds := soakSeedCount(t)
-	for _, profile := range soakProfiles {
-		for seed := uint64(0); seed < seeds; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", profile, seed), func(t *testing.T) {
-				t.Parallel()
-				h, eng := skeapSoakCell(t, profile, seed)
-				runFaultSoak(t, h, eng, 10_000_000)
-				if rep := semantics.CheckAll(h.Trace(), semantics.FIFO); !rep.Ok() {
-					t.Fatalf("semantics violated (faults %v):\n%s", eng.Faults(), rep.Error())
-				}
-			})
-		}
-	}
-}
-
-func TestFaultSoakSeap(t *testing.T) {
-	seeds := soakSeedCount(t)
-	for _, profile := range soakProfiles {
-		for seed := uint64(0); seed < seeds; seed++ {
-			t.Run(fmt.Sprintf("%s/seed%d", profile, seed), func(t *testing.T) {
-				t.Parallel()
-				h, eng := seapSoakCell(t, profile, seed)
-				runFaultSoak(t, h, eng, 15_000_000)
-				if rep := semantics.CheckSerializable(h.Trace(), semantics.ByID); !rep.Ok() {
-					t.Fatalf("semantics violated (faults %v):\n%s", eng.Faults(), rep.Error())
-				}
-			})
+	for _, proto := range []string{"skeap", "seap"} {
+		for _, profile := range soakProfiles {
+			for seed := uint64(0); seed < seeds; seed++ {
+				t.Run(fmt.Sprintf("%s/%s/seed%d", proto, profile, seed), func(t *testing.T) {
+					t.Parallel()
+					be, eng := soakCell(t, proto, profile, seed)
+					runFaultSoak(t, be, eng, 15_000_000)
+					if rep := be.Check(); !rep.Ok() {
+						t.Fatalf("semantics violated (faults %v):\n%s", eng.Faults(), rep.Error())
+					}
+				})
+			}
 		}
 	}
 }

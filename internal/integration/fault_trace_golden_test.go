@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"dpq/internal/obs"
-	"dpq/internal/sim"
 )
 
 // The reliable transport's wire behaviour is pinned, not just its
@@ -36,13 +35,7 @@ func faultTraceDigest(t *testing.T, proto, profile string, seed uint64) string {
 	t.Helper()
 	sum := sha256.New()
 	tw := obs.NewTraceWriter(sum)
-	var eng *sim.AsyncEngine
-	var target faultSoakTarget
-	if proto == "skeap" {
-		target, eng = skeapSoakCell(t, profile, seed)
-	} else {
-		target, eng = seapSoakCell(t, profile, seed)
-	}
+	target, eng := soakCell(t, proto, profile, seed)
 	eng.SetObserver(tw.Observer())
 	runFaultSoak(t, target, eng, 15_000_000)
 	if err := tw.Flush(); err != nil {

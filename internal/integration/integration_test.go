@@ -7,7 +7,6 @@ package integration
 import (
 	"sort"
 	"testing"
-	"time"
 
 	"dpq/internal/core"
 	"dpq/internal/hashutil"
@@ -179,28 +178,6 @@ func TestDeterministicTraces(t *testing.T) {
 		if b[v] != id {
 			t.Fatalf("value %d: %d vs %d", v, id, b[v])
 		}
-	}
-}
-
-// TestSeapConcurrentEngine runs Seap on real goroutines.
-func TestSeapConcurrentEngine(t *testing.T) {
-	h := seap.New(seap.Config{N: 3, PrioBound: 100, Seed: 940})
-	rnd := hashutil.NewRand(941)
-	id := prio.ElemID(1)
-	for i := 0; i < 15; i++ {
-		if rnd.Bool(0.6) {
-			h.InjectInsert(rnd.Intn(3), id, rnd.Uint64n(100)+1, "")
-			id++
-		} else {
-			h.InjectDelete(rnd.Intn(3))
-		}
-	}
-	eng := h.NewConcEngine()
-	if !eng.Run(h.Done, 60*time.Second) {
-		t.Fatalf("concurrent seap incomplete: %d/%d", h.Trace().DoneCount(), h.Trace().Len())
-	}
-	if rep := semantics.CheckSerializable(h.Trace(), semantics.ByID); !rep.Ok() {
-		t.Fatalf("semantics:\n%s", rep.Error())
 	}
 }
 

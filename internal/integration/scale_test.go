@@ -116,7 +116,7 @@ func TestScaleFootprint(t *testing.T) {
 	h := skeap.New(skeap.Config{N: n, P: 8, Seed: 1030})
 	h.SetAutoRepeat(false)
 	eng := h.NewSyncEngine()
-	eng.SetParallel(0)
+	eng.SetParallel(-1)
 	rnd := hashutil.NewRand(1031)
 	id := prio.ElemID(1)
 	for i := 0; i < 2048; i++ {

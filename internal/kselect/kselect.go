@@ -168,16 +168,16 @@ func (s *Selector) Handlers() []sim.Handler {
 	return hs
 }
 
-// NewSyncEngine wires the selector into a synchronous engine.
-func (s *Selector) NewSyncEngine(seed uint64) *sim.SyncEngine {
+// Spec is the selector's wiring — handlers, per-host congestion grouping —
+// as the start of an engine description (see sim.Build).
+func (s *Selector) Spec(kind sim.EngineKind, seed uint64) sim.Spec {
 	groups, group := s.ov.Group()
-	return sim.Build(sim.Spec{Handlers: s.Handlers(), Seed: seed, Groups: groups, Group: group}).(*sim.SyncEngine)
+	return sim.Spec{Kind: kind, Handlers: s.Handlers(), Seed: seed, Groups: groups, Group: group}
 }
 
-// NewAsyncEngine wires the selector into the asynchronous engine.
-func (s *Selector) NewAsyncEngine(seed uint64, maxDelay float64) *sim.AsyncEngine {
-	groups, group := s.ov.Group()
-	return sim.Build(sim.Spec{Kind: sim.KindAsync, Handlers: s.Handlers(), Seed: seed, MaxDelay: maxDelay, Groups: groups, Group: group}).(*sim.AsyncEngine)
+// NewSyncEngine wires the selector into a synchronous engine.
+func (s *Selector) NewSyncEngine(seed uint64) *sim.SyncEngine {
+	return sim.Build(s.Spec(sim.KindSync, seed)).(*sim.SyncEngine)
 }
 
 // OnDone, when set, is invoked in the anchor's context as soon as the

@@ -169,7 +169,9 @@ func TestAsyncExecution(t *testing.T) {
 		ov := ldb.New(8, hashutil.New(60+seed))
 		sel := New(ov, hashutil.New(70+seed))
 		elems := sel.LoadUniform(200, 800, 80+seed)
-		eng := sel.NewAsyncEngine(90+seed, 3.0)
+		spec := sel.Spec(sim.KindAsync, 90+seed)
+		spec.MaxDelay = 3.0
+		eng := sim.Build(spec)
 		sel.Start(eng.Context(sel.Anchor()), 77)
 		if !eng.RunUntil(sel.Done, 5_000_000) {
 			t.Fatalf("seed %d: async selection stuck", seed)

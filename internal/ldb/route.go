@@ -40,7 +40,7 @@ const labelBits = 64
 func (m *RouteMsg) Bits() int { return labelBits + 8 + m.Payload.Bits() }
 
 // Kind classifies the routed message by its payload. The names are part of
-// the trace schema (and cmd/phasetrace's output): the payload kinds that
+// the trace schema (and dpqsim phases' output): the payload kinds that
 // predate the instrumentation layer keep their historical "route/<kind>"
 // names; anything else is "route/other".
 func (m *RouteMsg) Kind() string {

@@ -1,6 +1,6 @@
-// Package obs is the structured instrumentation layer shared by all three
-// simulation engines. It turns the engines' per-delivery observer callback
-// (sim.Delivery) into
+// Package obs is the structured instrumentation layer shared by the
+// simulation engines and the network runtime. It turns the engines'
+// per-delivery observer callback (sim.Delivery) into
 //
 //   - per-message-kind counters and bit histograms, keyed by the Kind()
 //     the protocol messages expose (sim.KindOf);
@@ -15,9 +15,9 @@
 //	engine ──func(sim.Delivery)──▶ Collector ──Snapshot──▶ metrics JSON
 //	                        └─────▶ TraceWriter ──────────▶ JSONL trace
 //
-// The Collector is mutex-protected (the ConcEngine observes from many
-// goroutines) and nil-safe on its Phase method, so protocols can carry an
-// optional *Collector and call Phase unconditionally.
+// The Collector is mutex-protected (internal/netrun's run loop observes
+// while client goroutines read) and nil-safe on its Phase method, so
+// protocols can carry an optional *Collector and call Phase unconditionally.
 package obs
 
 import (

@@ -109,7 +109,7 @@ func TestFaultyAsyncTraceByteIdentical(t *testing.T) {
 			h.InjectInsert(host, prio.ElemID(host+1), host%4, "")
 			h.InjectDelete(host)
 		}
-		eng, _ := h.NewFaultyAsyncEngine(3.0, sim.NewFaultPlan(sim.FaultProfile{
+		eng, _ := sim.BuildFaulty(h.Spec(sim.KindAsync), 3.0, sim.NewFaultPlan(sim.FaultProfile{
 			DropRate: 0.2, DupRate: 0.1, DelayRate: 0.05, Seed: 11,
 		}))
 		var buf bytes.Buffer

@@ -10,64 +10,80 @@ import (
 	"dpq/internal/skeap"
 )
 
-// Backend is the single injection interface the facade drives, whatever
-// heap runs underneath: the exact Skeap/Seap protocols (via the wrappers
-// below) or the relaxation engine (*Heap implements it directly).
+// Backend is everything a driver must know to run a heap protocol,
+// whichever runs underneath: the exact Skeap/Seap protocols (via the
+// wrappers below) or the relaxation engine (*Heap implements it directly).
+// The facade, the serving layer, the sweep and the simulator command all
+// drive this one interface on a sim.Engine built from Spec.
+//
 // Priorities are always the caller's 1-based values; a wrapper owns any
-// protocol-internal remapping, so the facade has exactly one code path.
+// protocol-internal remapping, in both directions.
 type Backend interface {
 	InjectInsert(host int, id prio.ElemID, p uint64, payload string) *semantics.Op
 	InjectDelete(host int) *semantics.Op
+	// Priority inverts InjectInsert's mapping: the caller's priority of an
+	// element as the protocol stored and delivered it.
+	Priority(e prio.Element) uint64
+
 	Trace() *semantics.Trace
+	// Done reports whether every injected operation has completed.
 	Done() bool
+	// Check replays the trace against the guarantee the heap was
+	// configured to give.
+	Check() *semantics.Report
+
+	// Batches counts the batches the anchor has started (Skeap iterations,
+	// Seap cycles). By default the anchor starts them itself;
+	// SetAutoRepeat(false) hands that to the driver, which starts exactly
+	// one with StartBatch in the anchor's context.
+	Batches() int
+	SetAutoRepeat(on bool)
+	StartBatch(ctx *sim.Context)
+
 	Handlers() []sim.Handler
 	Overlay() *ldb.Overlay
 	SetObs(c *obs.Collector)
-	NewSyncEngine() *sim.SyncEngine
-	NewAsyncEngine(maxDelay float64) *sim.AsyncEngine
-	NewConcEngine() *sim.ConcEngine
+	// Spec is the heap's wiring as the start of an engine description.
+	Spec(kind sim.EngineKind) sim.Spec
+}
+
+// Membership is the dynamic-membership face (§1.4(4)) of the strict heaps;
+// the relaxation engine has none. Changes apply to a quiescent heap with
+// auto-repeat off; eng must be the heap's engine.
+type Membership interface {
+	AddHost(eng *sim.SyncEngine, id uint64) int
+	RemoveHost(eng *sim.SyncEngine, host int)
+	// MigratedLastChange is how many stored elements changed hosts in the
+	// most recent change; StoreSizes is what each node's DHT shard holds.
+	MigratedLastChange() int
+	StoreSizes() []int
 }
 
 // skeapBackend adapts *skeap.Heap: Skeap takes 0-based int priorities.
-type skeapBackend struct{ h *skeap.Heap }
+type skeapBackend struct{ *skeap.Heap }
 
 // WrapSkeap adapts a strict Skeap heap to Backend.
 func WrapSkeap(h *skeap.Heap) Backend { return skeapBackend{h} }
 
 func (b skeapBackend) InjectInsert(host int, id prio.ElemID, p uint64, payload string) *semantics.Op {
-	return b.h.InjectInsert(host, id, int(p-1), payload)
+	return b.Heap.InjectInsert(host, id, int(p-1), payload)
 }
-func (b skeapBackend) InjectDelete(host int) *semantics.Op { return b.h.InjectDelete(host) }
-func (b skeapBackend) Trace() *semantics.Trace             { return b.h.Trace() }
-func (b skeapBackend) Done() bool                          { return b.h.Done() }
-func (b skeapBackend) Handlers() []sim.Handler             { return b.h.Handlers() }
-func (b skeapBackend) Overlay() *ldb.Overlay               { return b.h.Overlay() }
-func (b skeapBackend) SetObs(c *obs.Collector)             { b.h.SetObs(c) }
-func (b skeapBackend) NewSyncEngine() *sim.SyncEngine      { return b.h.NewSyncEngine() }
-func (b skeapBackend) NewAsyncEngine(d float64) *sim.AsyncEngine {
-	return b.h.NewAsyncEngine(d)
-}
-func (b skeapBackend) NewConcEngine() *sim.ConcEngine { return b.h.NewConcEngine() }
+func (b skeapBackend) Priority(e prio.Element) uint64 { return uint64(e.Prio) + 1 }
+func (b skeapBackend) Batches() int                   { return b.Iterations() }
+func (b skeapBackend) StartBatch(ctx *sim.Context)    { b.StartIteration(ctx) }
 
-// seapBackend adapts *seap.Heap, whose signature already matches.
-type seapBackend struct{ h *seap.Heap }
+// seapBackend adapts *seap.Heap, whose priorities already match.
+type seapBackend struct{ *seap.Heap }
 
 // WrapSeap adapts a strict Seap heap to Backend.
 func WrapSeap(h *seap.Heap) Backend { return seapBackend{h} }
 
-func (b seapBackend) InjectInsert(host int, id prio.ElemID, p uint64, payload string) *semantics.Op {
-	return b.h.InjectInsert(host, id, p, payload)
-}
-func (b seapBackend) InjectDelete(host int) *semantics.Op { return b.h.InjectDelete(host) }
-func (b seapBackend) Trace() *semantics.Trace             { return b.h.Trace() }
-func (b seapBackend) Done() bool                          { return b.h.Done() }
-func (b seapBackend) Handlers() []sim.Handler             { return b.h.Handlers() }
-func (b seapBackend) Overlay() *ldb.Overlay               { return b.h.Overlay() }
-func (b seapBackend) SetObs(c *obs.Collector)             { b.h.SetObs(c) }
-func (b seapBackend) NewSyncEngine() *sim.SyncEngine      { return b.h.NewSyncEngine() }
-func (b seapBackend) NewAsyncEngine(d float64) *sim.AsyncEngine {
-	return b.h.NewAsyncEngine(d)
-}
-func (b seapBackend) NewConcEngine() *sim.ConcEngine { return b.h.NewConcEngine() }
+func (b seapBackend) Priority(e prio.Element) uint64 { return uint64(e.Prio) }
+func (b seapBackend) Batches() int                   { return b.Cycles() }
+func (b seapBackend) StartBatch(ctx *sim.Context)    { b.StartCycle(ctx) }
 
-var _ Backend = (*Heap)(nil)
+var (
+	_ Backend    = (*Heap)(nil)
+	_ Membership = skeapBackend{}
+	_ Membership = seapBackend{}
+)

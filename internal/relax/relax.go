@@ -164,6 +164,22 @@ func (h *Heap) Trace() *semantics.Trace { return h.trace }
 // Done reports whether every injected operation has completed.
 func (h *Heap) Done() bool { return h.trace.DoneCount() == h.trace.Len() }
 
+// Check judges the trace on relaxed validity only: a relaxed delivery
+// stream legitimately violates strict oracle order, which RankError
+// quantifies instead.
+func (h *Heap) Check() *semantics.Report { return semantics.CheckRelaxedValidity(h.trace) }
+
+// Priority returns the priority e was injected with: the relaxation engine
+// stores elements exactly as injected.
+func (h *Heap) Priority(e prio.Element) uint64 { return uint64(e.Prio) }
+
+// Batches, SetAutoRepeat and StartBatch complete Backend for an engine with
+// no anchor: hosts serve their own operations on every activation, so the
+// whole run counts as one batch and there is nothing to start or to stop.
+func (h *Heap) Batches() int            { return 1 }
+func (h *Heap) SetAutoRepeat(bool)      {}
+func (h *Heap) StartBatch(*sim.Context) {}
+
 // Mode returns the configured relaxation mode.
 func (h *Heap) Mode() Mode { return h.cfg.Mode }
 
@@ -189,8 +205,9 @@ func (h *Heap) Handlers() []sim.Handler {
 	return hs
 }
 
-// spec is the common part of every engine the heap wires itself into.
-func (h *Heap) spec(kind sim.EngineKind) sim.Spec {
+// Spec is the heap's wiring as the start of an engine description (see
+// skeap.Heap.Spec).
+func (h *Heap) Spec(kind sim.EngineKind) sim.Spec {
 	groups, group := h.ov.Group()
 	return sim.Spec{Kind: kind, Handlers: h.Handlers(), Seed: h.cfg.Seed + 1, Groups: groups, Group: group}
 }
@@ -198,19 +215,7 @@ func (h *Heap) spec(kind sim.EngineKind) sim.Spec {
 // NewSyncEngine wires the heap into a synchronous engine with per-host
 // congestion grouping.
 func (h *Heap) NewSyncEngine() *sim.SyncEngine {
-	return sim.Build(h.spec(sim.KindSync)).(*sim.SyncEngine)
-}
-
-// NewAsyncEngine wires the heap into the seeded asynchronous engine.
-func (h *Heap) NewAsyncEngine(maxDelay float64) *sim.AsyncEngine {
-	spec := h.spec(sim.KindAsync)
-	spec.MaxDelay = maxDelay
-	return sim.Build(spec).(*sim.AsyncEngine)
-}
-
-// NewConcEngine wires the heap into the goroutine-backed engine.
-func (h *Heap) NewConcEngine() *sim.ConcEngine {
-	return sim.Build(h.spec(sim.KindConc)).(*sim.ConcEngine)
+	return sim.Build(h.Spec(sim.KindSync)).(*sim.SyncEngine)
 }
 
 // InjectInsert buffers Insert(e) at host. p is the 1-based raw priority

@@ -213,7 +213,9 @@ func TestAsyncEngineValidity(t *testing.T) {
 		cfg.N, cfg.Seed = 8, 29
 		h := New(cfg)
 		injectMixed(h, cfg.N, 6, 43)
-		eng := h.NewAsyncEngine(3.0)
+		spec := h.Spec(sim.KindAsync)
+		spec.MaxDelay = 3.0
+		eng := sim.Build(spec)
 		if !eng.RunUntil(h.Done, 200000) {
 			t.Fatalf("%v: async run stuck", cfg.Mode)
 		}

@@ -21,7 +21,7 @@ func TestFaultyAsyncSerializable(t *testing.T) {
 			DelayRate: 0.05,
 			CrashRate: 0.002,
 		})
-		eng, transports := h.NewFaultyAsyncEngine(3.0, plan)
+		eng, transports := sim.BuildFaulty(h.Spec(sim.KindAsync), 3.0, plan)
 		if !eng.RunUntil(h.Done, 12_000_000) {
 			t.Fatalf("seed %d: faulty run incomplete (%d/%d; faults %v)",
 				seed, h.trace.DoneCount(), h.trace.Len(), plan)

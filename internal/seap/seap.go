@@ -190,6 +190,16 @@ func (h *Heap) Overlay() *ldb.Overlay { return h.ov }
 // Trace returns the execution trace.
 func (h *Heap) Trace() *semantics.Trace { return h.trace }
 
+// Check replays the trace against the guarantee this configuration gives:
+// serializability + heap consistency (Theorem 5.1), or sequential
+// consistency + heap consistency for the §6 variant.
+func (h *Heap) Check() *semantics.Report {
+	if h.cfg.SeqConsistent {
+		return semantics.CheckAll(h.trace, semantics.ByID)
+	}
+	return semantics.CheckSerializable(h.trace, semantics.ByID)
+}
+
 // Cycles returns how many insert+delete cycles the anchor has started.
 func (h *Heap) Cycles() int { return h.cycles }
 
@@ -219,44 +229,16 @@ func (h *Heap) Handlers() []sim.Handler {
 	return hs
 }
 
-// spec is the common part of every engine the heap wires itself into.
-func (h *Heap) spec(kind sim.EngineKind) sim.Spec {
+// Spec is the heap's wiring as the start of an engine description (see
+// skeap.Heap.Spec).
+func (h *Heap) Spec(kind sim.EngineKind) sim.Spec {
 	groups, group := h.ov.Group()
 	return sim.Spec{Kind: kind, Handlers: h.Handlers(), Seed: h.cfg.Seed + 1, Groups: groups, Group: group}
 }
 
 // NewSyncEngine wires the heap into a synchronous engine.
 func (h *Heap) NewSyncEngine() *sim.SyncEngine {
-	return sim.Build(h.spec(sim.KindSync)).(*sim.SyncEngine)
-}
-
-// NewAsyncEngine wires the heap into the asynchronous engine.
-func (h *Heap) NewAsyncEngine(maxDelay float64) *sim.AsyncEngine {
-	spec := h.spec(sim.KindAsync)
-	spec.MaxDelay = maxDelay
-	return sim.Build(spec).(*sim.AsyncEngine)
-}
-
-// NewConcEngine wires the heap into the goroutine-backed engine.
-func (h *Heap) NewConcEngine() *sim.ConcEngine {
-	return sim.Build(h.spec(sim.KindConc)).(*sim.ConcEngine)
-}
-
-// NewFaultyAsyncEngine wires the heap into an asynchronous engine governed
-// by the given fault plan, wrapping every virtual node in a
-// sim.ReliableTransport so dropped, duplicated and crash-swallowed
-// messages are retried and suppressed. Drive it in autoRepeat mode (the
-// default): manual StartCycle sends bypass the transports and would not
-// survive a drop. The transports are returned for overhead stats.
-func (h *Heap) NewFaultyAsyncEngine(maxDelay float64, plan *sim.FaultPlan) (*sim.AsyncEngine, []*sim.ReliableTransport) {
-	spec := h.spec(sim.KindAsync)
-	spec.MaxDelay = maxDelay
-	spec.Faults = plan
-	spec.Reliable = true
-	spec.Transport = sim.DefaultTransportConfig()
-	var transports []*sim.ReliableTransport
-	spec.OnTransports = func(ts []*sim.ReliableTransport) { transports = ts }
-	return sim.Build(spec).(*sim.AsyncEngine), transports
+	return sim.Build(h.Spec(sim.KindSync)).(*sim.SyncEngine)
 }
 
 // InjectInsert buffers Insert(e) at host's middle virtual node. The

@@ -183,7 +183,9 @@ func TestAsyncExecutionSerializable(t *testing.T) {
 	for seed := uint64(0); seed < 3; seed++ {
 		h := New(Config{N: 5, PrioBound: 500, Seed: 100 + seed})
 		randomWorkload(h, 200+seed, 30)
-		eng := h.NewAsyncEngine(3.0)
+		spec := h.Spec(sim.KindAsync)
+		spec.MaxDelay = 3.0
+		eng := sim.Build(spec)
 		if !eng.RunUntil(h.Done, 5_000_000) {
 			t.Fatalf("seed %d: async run incomplete (%d/%d)", seed, h.trace.DoneCount(), h.trace.Len())
 		}

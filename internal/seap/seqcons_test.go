@@ -6,6 +6,7 @@ import (
 	"dpq/internal/hashutil"
 	"dpq/internal/prio"
 	"dpq/internal/semantics"
+	"dpq/internal/sim"
 )
 
 // The §6 variant: at most one op per node per phase restores local
@@ -47,7 +48,9 @@ func TestSeqConsistentRandomWorkload(t *testing.T) {
 func TestSeqConsistentAsync(t *testing.T) {
 	h := New(Config{N: 4, PrioBound: 200, Seed: 630, SeqConsistent: true})
 	randomWorkload(h, 631, 18)
-	eng := h.NewAsyncEngine(3.0)
+	spec := h.Spec(sim.KindAsync)
+	spec.MaxDelay = 3.0
+	eng := sim.Build(spec)
 	if !eng.RunUntil(h.Done, 8_000_000) {
 		t.Fatalf("async run incomplete (%d/%d)", h.trace.DoneCount(), h.trace.Len())
 	}

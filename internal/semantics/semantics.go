@@ -51,7 +51,8 @@ type Op struct {
 }
 
 // Trace collects operations across all processes. It is safe for
-// concurrent use so the goroutine-backed engine can share one Trace.
+// concurrent use: the parallel round engine's workers, the network
+// runtime and the serving layer's client goroutines share one Trace.
 type Trace struct {
 	mu         sync.Mutex
 	ops        []*Op
@@ -142,6 +143,47 @@ func (t *Trace) DoneCount() int {
 		}
 	}
 	return n
+}
+
+// Stored returns how many elements the completed operations leave in the
+// heap: completed inserts minus DeleteMins that returned an element.
+func (t *Trace) Stored() int {
+	n, _ := t.tally()
+	return n
+}
+
+// Drained is the conservation predicate of a run whose messages can be
+// lost and retried: every operation completed AND the protocol's stores,
+// which stored counts (it is only asked once everything completed), hold
+// exactly Stored() elements.
+//
+// Done alone is not enough: an operation can complete before its DHT Put
+// lands (phase 4 traffic overlaps the next iteration). Once every operation
+// is done, all delete responses have arrived, so Stored() is final and the
+// stores can only grow towards it as the last Puts land. Transport idleness
+// is not a usable signal instead: with auto-repeat on the anchor pipelines
+// iterations, so some message is almost always unacknowledged.
+func (t *Trace) Drained(stored func() int) bool {
+	n, done := t.tally()
+	return done && stored() == n
+}
+
+// tally returns Stored's count and whether every operation completed.
+func (t *Trace) tally() (stored int, allDone bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	allDone = true
+	for _, op := range t.ops {
+		switch {
+		case !op.Done:
+			allDone = false
+		case op.Kind == Insert:
+			stored++
+		case !op.Result.Nil():
+			stored--
+		}
+	}
+	return stored, allDone
 }
 
 // PendingSet replays the completed operations in serialization order and

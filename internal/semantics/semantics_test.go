@@ -263,3 +263,39 @@ func TestTraceConcurrencySafe(t *testing.T) {
 		t.Fatalf("len=%d done=%d", tr.Len(), tr.DoneCount())
 	}
 }
+
+// TestDrained pins the conservation predicate: stored must equal completed
+// inserts minus matched deletes, and only once nothing is outstanding.
+func TestDrained(t *testing.T) {
+	tr := NewTrace()
+	holding := func(n int) func() int { return func() int { return n } }
+	if !tr.Drained(holding(0)) || tr.Stored() != 0 {
+		t.Fatal("an empty trace is drained with nothing stored")
+	}
+	ins1 := tr.Issue(0, Insert, elem(1, 5))
+	ins2 := tr.Issue(1, Insert, elem(2, 3))
+	tr.Complete(ins1, prio.Element{}, 1)
+	if tr.Stored() != 1 {
+		t.Fatalf("stored=%d after one completed insert", tr.Stored())
+	}
+	if tr.Drained(holding(1)) {
+		t.Fatal("drained with an insert outstanding")
+	}
+	tr.Complete(ins2, prio.Element{}, 2)
+	if tr.Drained(holding(1)) {
+		t.Fatal("drained while a completed insert's Put has not landed")
+	}
+	if !tr.Drained(holding(2)) {
+		t.Fatal("both inserts stored: drained")
+	}
+	hit := tr.Issue(0, DeleteMin, prio.Element{})
+	if tr.Drained(holding(2)) {
+		t.Fatal("drained with a delete outstanding")
+	}
+	tr.Complete(hit, elem(2, 3), 3)
+	miss := tr.Issue(1, DeleteMin, prio.Element{})
+	tr.Complete(miss, prio.Element{}, 4) // ⊥ removes nothing
+	if tr.Stored() != 1 || !tr.Drained(holding(1)) || tr.Drained(holding(2)) {
+		t.Fatalf("stored=%d drained(1)=%v drained(2)=%v", tr.Stored(), tr.Drained(holding(1)), tr.Drained(holding(2)))
+	}
+}

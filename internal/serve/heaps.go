@@ -1,9 +1,9 @@
-// Adapters binding the two heap protocols to the serving layer. The
-// crucial asymmetry: Insert maps a raw client priority into the protocol's
+// The adapter binding the heap protocols to the serving layer. The crucial
+// asymmetry: Insert maps a raw client priority into the protocol's
 // universe, while Reinsert replays an element whose priority was already
-// mapped by the original Insert — re-mapping would corrupt it (Seap's
-// p%bound+1 is not idempotent at p = bound), so recovery and redelivery
-// always go through Reinsert.
+// mapped by the original Insert — re-mapping would corrupt it (p%bound+1
+// is not idempotent at p = bound), so recovery and redelivery always go
+// through Reinsert.
 package serve
 
 import (
@@ -25,31 +25,27 @@ type ProtocolHeap interface {
 	SetObs(c *obs.Collector)
 }
 
-// skeapHeap adapts skeap: client priorities map onto the constant universe
-// by index modulo |𝒫|.
-type skeapHeap struct {
-	h *skeap.Heap
-	p int
+// backendHeap serves any relax.Backend: client priorities fold into its
+// universe [1, bound] — Skeap's constant classes, Seap's and the relaxation
+// engine's poly(n) range alike, so a relaxed daemon is drop-in comparable
+// with a strict one under the same load. Leases, the WAL and redelivery
+// compose untouched whichever protocol runs: the serving layer only sees
+// completed operations.
+type backendHeap struct {
+	relax.Backend
+	bound uint64
 }
 
-// NewSkeapHeap wraps a skeap heap whose priority universe has p classes.
-func NewSkeapHeap(h *skeap.Heap, p int) ProtocolHeap { return skeapHeap{h: h, p: p} }
+// NewHeap serves be, whose priority universe is [1, bound].
+func NewHeap(be relax.Backend, bound uint64) ProtocolHeap { return backendHeap{be, bound} }
 
-func (q skeapHeap) Insert(host int, id prio.ElemID, p uint64, payload string) *semantics.Op {
-	return q.h.InjectInsert(host, id, int(p%uint64(q.p)), payload)
+func (q backendHeap) Insert(host int, id prio.ElemID, p uint64, payload string) *semantics.Op {
+	return q.InjectInsert(host, id, p%q.bound+1, payload)
 }
-func (q skeapHeap) Reinsert(host int, e prio.Element) *semantics.Op {
-	return q.h.InjectInsert(host, e.ID, int(e.Prio), e.Payload)
+func (q backendHeap) Reinsert(host int, e prio.Element) *semantics.Op {
+	return q.InjectInsert(host, e.ID, q.Priority(e), e.Payload)
 }
-func (q skeapHeap) Delete(host int) *semantics.Op { return q.h.InjectDelete(host) }
-func (q skeapHeap) Trace() *semantics.Trace       { return q.h.Trace() }
-func (q skeapHeap) Handlers() []sim.Handler       { return q.h.Handlers() }
-func (q skeapHeap) Overlay() *ldb.Overlay         { return q.h.Overlay() }
-func (q skeapHeap) SetObs(c *obs.Collector)       { q.h.SetObs(c) }
-
-// Skeap supports the partial-failure reset (see ResettableHeap).
-func (q skeapHeap) InjectReset()           { q.h.InjectReset() }
-func (q skeapHeap) LastResetFloor() uint64 { return q.h.LastResetFloor() }
+func (q backendHeap) Delete(host int) *semantics.Op { return q.InjectDelete(host) }
 
 // ResettableHeap is implemented by protocol heaps that support the
 // partial-failure reset protocol (Skeap). The Reconciler requires it;
@@ -63,50 +59,15 @@ type ResettableHeap interface {
 	LastResetFloor() uint64
 }
 
-// seapHeap adapts seap (sequentially consistent variant): client
-// priorities map into [1, bound].
-type seapHeap struct {
-	h     *seap.Heap
-	bound uint64
+// NewSkeapHeap serves a skeap heap whose priority universe has p classes.
+// It alone is also a ResettableHeap.
+func NewSkeapHeap(h *skeap.Heap, p int) ProtocolHeap {
+	return struct {
+		backendHeap
+		ResettableHeap
+	}{backendHeap{relax.WrapSkeap(h), uint64(p)}, h}
 }
 
-// NewSeapHeap wraps a seap heap with the given priority bound.
-func NewSeapHeap(h *seap.Heap, bound uint64) ProtocolHeap { return seapHeap{h: h, bound: bound} }
-
-func (q seapHeap) Insert(host int, id prio.ElemID, p uint64, payload string) *semantics.Op {
-	return q.h.InjectInsert(host, id, p%q.bound+1, payload)
-}
-func (q seapHeap) Reinsert(host int, e prio.Element) *semantics.Op {
-	return q.h.InjectInsert(host, e.ID, uint64(e.Prio), e.Payload)
-}
-func (q seapHeap) Delete(host int) *semantics.Op { return q.h.InjectDelete(host) }
-func (q seapHeap) Trace() *semantics.Trace       { return q.h.Trace() }
-func (q seapHeap) Handlers() []sim.Handler       { return q.h.Handlers() }
-func (q seapHeap) Overlay() *ldb.Overlay         { return q.h.Overlay() }
-func (q seapHeap) SetObs(c *obs.Collector)       { q.h.SetObs(c) }
-
-// relaxHeap adapts the relaxed-DeleteMin engine: client priorities map
-// into [1, bound] exactly like seap's, so a relaxed daemon is drop-in
-// comparable with a strict seap one under the same load. Leases, the
-// WAL and redelivery compose untouched — the serving layer only sees
-// completed operations, and relaxation changes which element a delete
-// returns, not the pending-set lifecycle around it.
-type relaxHeap struct {
-	h     *relax.Heap
-	bound uint64
-}
-
-// NewRelaxHeap wraps a relaxation engine with the given priority bound.
-func NewRelaxHeap(h *relax.Heap, bound uint64) ProtocolHeap { return relaxHeap{h: h, bound: bound} }
-
-func (q relaxHeap) Insert(host int, id prio.ElemID, p uint64, payload string) *semantics.Op {
-	return q.h.InjectInsert(host, id, p%q.bound+1, payload)
-}
-func (q relaxHeap) Reinsert(host int, e prio.Element) *semantics.Op {
-	return q.h.InjectInsert(host, e.ID, uint64(e.Prio), e.Payload)
-}
-func (q relaxHeap) Delete(host int) *semantics.Op { return q.h.InjectDelete(host) }
-func (q relaxHeap) Trace() *semantics.Trace       { return q.h.Trace() }
-func (q relaxHeap) Handlers() []sim.Handler       { return q.h.Handlers() }
-func (q relaxHeap) Overlay() *ldb.Overlay         { return q.h.Overlay() }
-func (q relaxHeap) SetObs(c *obs.Collector)       { q.h.SetObs(c) }
+// NewSeapHeap serves a seap heap (sequentially consistent variant) with
+// the given priority bound.
+func NewSeapHeap(h *seap.Heap, bound uint64) ProtocolHeap { return NewHeap(relax.WrapSeap(h), bound) }

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // Regression tests for the metrics-accounting fixes: deliveries to
 // out-of-range congestion groups must never vanish silently, AddHandler
@@ -15,7 +12,7 @@ func badGroup(id NodeID) int { return int(id) + 100 }
 
 func TestSyncStrictPanicsOnOutOfRangeGroup(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 1, badGroup) // groups=1, group() ≥ 100
+	eng := newSync(hs, 1, 1, badGroup) // groups=1, group() ≥ 100
 	eng.Context(0).Send(1, &ping{TTL: 0})
 	defer func() {
 		if recover() == nil {
@@ -27,7 +24,7 @@ func TestSyncStrictPanicsOnOutOfRangeGroup(t *testing.T) {
 
 func TestSyncDroppedCountedWhenNotStrict(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 1, badGroup)
+	eng := newSync(hs, 1, 1, badGroup)
 	eng.SetStrictAccounting(false)
 	eng.Context(0).Send(1, &ping{TTL: 1})
 	for i := 0; i < 5; i++ {
@@ -44,7 +41,7 @@ func TestSyncDroppedCountedWhenNotStrict(t *testing.T) {
 
 func TestAsyncAddHandlerGrowsDeliveries(t *testing.T) {
 	hs := newPingPair()
-	eng := NewAsync(hs, 1, 1.0, 0, nil)
+	eng := newAsync(hs, 1, 1.0, 0, nil)
 	id := eng.AddHandler(&pingNode{}, 3)
 	eng.Context(0).Send(id, &ping{TTL: 0})
 	eng.RunUntil(func() bool { return eng.Metrics().Messages >= 1 }, 10000)
@@ -56,7 +53,7 @@ func TestAsyncAddHandlerGrowsDeliveries(t *testing.T) {
 
 func TestAsyncAddHandlerCustomGrouping(t *testing.T) {
 	hs := []Handler{&pingNode{}}
-	eng := NewAsync(hs, 1, 1.0, 1, func(id NodeID) int { return int(id) })
+	eng := newAsync(hs, 1, 1.0, 1, func(id NodeID) int { return int(id) })
 	id := eng.AddHandler(&pingNode{}, 4)
 	eng.Context(0).Send(id, &ping{TTL: 0})
 	eng.RunUntil(func() bool { return eng.Metrics().Messages >= 1 }, 10000)
@@ -66,25 +63,11 @@ func TestAsyncAddHandlerCustomGrouping(t *testing.T) {
 	}
 }
 
-func TestConcAddHandlerGrowsDeliveries(t *testing.T) {
-	hs := newPingPair()
-	eng := NewConc(hs, 1, 0, nil)
-	id := eng.AddHandler(&pingNode{}, 3)
-	eng.Context(0).Send(id, &ping{TTL: 0})
-	if !eng.Run(func() bool { return eng.Metrics().Messages >= 1 }, 5*time.Second) {
-		t.Fatal("delivery did not happen")
-	}
-	m := eng.Metrics()
-	if len(m.Deliveries) < 3 || m.Deliveries[int(id)] != 1 {
-		t.Fatalf("deliveries not tracked for the new conc node: %v", m.Deliveries)
-	}
-}
-
 func TestAsyncLostToCrashCounted(t *testing.T) {
 	// A certain-crash profile suppresses deliveries to down nodes; those
 	// must be counted, not silently skipped.
 	hs := newPingPair()
-	eng := NewAsync(hs, 1, 1.0, 0, nil)
+	eng := newAsync(hs, 1, 1.0, 0, nil)
 	eng.SetFaultPlan(NewFaultPlan(FaultProfile{CrashRate: 1.0, CrashLength: 1e9, Seed: 1}))
 	eng.Context(0).Send(1, &ping{TTL: 3})
 	eng.RunUntil(func() bool { return false }, 5000)
@@ -105,7 +88,7 @@ func TestFaultDupReplaySameDeliverySequence(t *testing.T) {
 	}
 	run := func(plan *FaultPlan) []evt {
 		hs := newPingPair()
-		eng := NewAsync(hs, 42, 2.0, 0, nil)
+		eng := newAsync(hs, 42, 2.0, 0, nil)
 		eng.SetFaultPlan(plan)
 		var seen []evt
 		eng.SetObserver(func(d Delivery) {

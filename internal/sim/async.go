@@ -62,18 +62,10 @@ func eventLess(a, b event) bool {
 	return a.seq < b.seq
 }
 
-// NewAsync creates an asynchronous engine. maxDelay bounds the random
+// newAsync creates an asynchronous engine. maxDelay bounds the random
 // delivery delay of each message (delays are uniform in (0, maxDelay]);
 // any positive value preserves the "arbitrary finite delay" model while
 // keeping runs finite.
-//
-// Deprecated: use Build with a Spec{Kind: KindAsync, ...}; this
-// constructor is a thin shim kept for compatibility.
-func NewAsync(handlers []Handler, seed uint64, maxDelay float64, groups int, group func(NodeID) int) *AsyncEngine {
-	return newAsync(handlers, seed, maxDelay, groups, group)
-}
-
-// newAsync is the real constructor behind Build.
 func newAsync(handlers []Handler, seed uint64, maxDelay float64, groups int, group func(NodeID) int) *AsyncEngine {
 	n := len(handlers)
 	if group == nil {

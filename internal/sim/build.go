@@ -1,37 +1,23 @@
 package sim
 
-// Unified engine construction. Historically every engine family had its
-// own constructor signature (NewSync, NewAsync, NewConc, plus per-protocol
-// NewFaultyAsyncEngine wrappers) and the cross-cutting options — worker
-// count, fault plans, reliable transports, observers — were bolted on with
-// post-construction setters in caller-specific order. Build takes one
-// options struct covering every axis and returns the engine behind the
-// Engine interface; the old constructors remain as thin deprecated shims.
+// Engine construction. Build takes one options struct covering every axis
+// — engine family, worker count, fault plan, reliable transports,
+// observers — and returns the engine behind the Engine interface. It is
+// the only construction path: protocols describe their wiring as a Spec
+// (Handlers, Seed, congestion grouping) and drivers fill in the rest.
 
-// EngineKind selects the engine family a Spec builds.
+// EngineKind selects the engine family a Spec builds. The paper has
+// exactly two execution models (§1.1), and so does this package.
 type EngineKind uint8
 
 const (
 	// KindSync is the synchronous round engine (SyncEngine) — the model the
 	// paper's performance theorems are stated in. Default.
 	KindSync EngineKind = iota
-	// KindAsync is the seeded asynchronous engine (AsyncEngine).
+	// KindAsync is the seeded asynchronous engine (AsyncEngine) — the model
+	// the paper's safety arguments assume.
 	KindAsync
-	// KindConc is the goroutine-backed concurrent engine (ConcEngine).
-	KindConc
 )
-
-func (k EngineKind) String() string {
-	switch k {
-	case KindSync:
-		return "sync"
-	case KindAsync:
-		return "async"
-	case KindConc:
-		return "conc"
-	}
-	return "unknown"
-}
 
 // Spec describes an engine to Build. Zero values mean "default": identity
 // congestion grouping, serial stepping, fault-free, no observers.
@@ -45,9 +31,13 @@ type Spec struct {
 	Groups int
 	Group  func(NodeID) int
 
-	// Workers configures the synchronous engine's stepping mode: 0 or 1 is
-	// serial, >1 a worker pool of that size, <0 GOMAXPROCS workers.
-	// KindSync only.
+	// Workers is the synchronous engine's stepping mode, and the one
+	// worker-count convention of the repository: 0 (the zero value) or 1 is
+	// serial, n > 1 a pool of n workers, < 0 one worker per core
+	// (GOMAXPROCS). SyncEngine.SetParallel takes the same values. Surfaces
+	// where a pool was already asked for spell "one per core" as 0 (the
+	// -workers flags, core.Options.Workers under EngineSyncParallel) and
+	// translate with PoolWorkers. KindSync only.
 	Workers int
 
 	// MaxDelay bounds the asynchronous engine's random delivery delay
@@ -71,29 +61,35 @@ type Spec struct {
 	// SetBatchObserver). BatchObserver is KindSync only.
 	Observer      func(Delivery)
 	BatchObserver func([]Delivery)
-
-	// Strict overrides the strict-accounting default (panic on an
-	// out-of-range congestion group under `go test`). Leave nil for the
-	// default.
-	Strict *bool
 }
 
-// Engine is the construction-time face common to all engine families.
-// Kind-specific control (SyncEngine.Step/RunUntil/SetParallel,
-// AsyncEngine.RunUntil, ConcEngine.Run) stays on the concrete types —
-// assert the result of Build when the kind is statically known.
+// PoolWorkers translates a pool size in the user-facing convention, where
+// a pool is already asked for and 0 means one worker per core, into
+// Spec.Workers. Every other value means the same in both.
+func PoolWorkers(n int) int {
+	if n == 0 {
+		return -1
+	}
+	return n
+}
+
+// Engine is what a driver needs of an engine, whichever family runs
+// underneath: inject through Context, run until the protocol reports
+// completion, read the cost. budget counts rounds on the synchronous
+// engine and processed events on the asynchronous one. Family-specific
+// control (SyncEngine.Step/RunQuiescent/Pending, AsyncEngine.Faults) stays
+// on the concrete types — assert the result of Build when the kind is
+// statically known.
 type Engine interface {
 	Context(id NodeID) *Context
+	RunUntil(done func() bool, budget int) bool
 	Metrics() *Metrics
-	AddHandler(h Handler, seed uint64) NodeID
 	SetObserver(func(Delivery))
-	SetStrictAccounting(bool)
 }
 
 var (
 	_ Engine = (*SyncEngine)(nil)
 	_ Engine = (*AsyncEngine)(nil)
-	_ Engine = (*ConcEngine)(nil)
 )
 
 // Build constructs the engine a Spec describes. Options that do not apply
@@ -116,9 +112,7 @@ func Build(spec Spec) Engine {
 			panic("sim: Spec.MaxDelay requires KindAsync")
 		}
 		e := newSync(handlers, spec.Seed, spec.Groups, spec.Group)
-		if spec.Workers > 1 || spec.Workers < 0 {
-			e.SetParallel(spec.Workers)
-		}
+		e.SetParallel(spec.Workers)
 		if spec.BatchObserver != nil {
 			e.SetBatchObserver(spec.BatchObserver)
 		}
@@ -139,31 +133,29 @@ func Build(spec Spec) Engine {
 			e.SetFaultPlan(spec.Faults)
 		}
 		eng = e
-	case KindConc:
-		if spec.Workers != 0 {
-			panic("sim: Spec.Workers requires KindSync")
-		}
-		if spec.Faults != nil {
-			panic("sim: Spec.Faults requires KindAsync")
-		}
-		if spec.MaxDelay != 0 {
-			panic("sim: Spec.MaxDelay requires KindAsync")
-		}
-		if spec.BatchObserver != nil {
-			panic("sim: Spec.BatchObserver requires KindSync")
-		}
-		eng = newConc(handlers, spec.Seed, spec.Groups, spec.Group)
 	default:
 		panic("sim: unknown engine kind")
 	}
 	if spec.Observer != nil {
 		eng.SetObserver(spec.Observer)
 	}
-	if spec.Strict != nil {
-		eng.SetStrictAccounting(*spec.Strict)
-	}
 	if spec.OnTransports != nil {
 		spec.OnTransports(transports)
 	}
 	return eng
+}
+
+// BuildFaulty builds spec (KindAsync) as an engine governed by plan, with
+// every handler behind a ReliableTransport so dropped, duplicated and
+// crash-swallowed messages are retried and suppressed. The protocol must
+// drive itself (autoRepeat, the default): a manually started batch is sent
+// around the transports and would not survive a drop. The transports are
+// returned for overhead stats.
+func BuildFaulty(spec Spec, maxDelay float64, plan *FaultPlan) (*AsyncEngine, []*ReliableTransport) {
+	spec.MaxDelay = maxDelay
+	spec.Faults = plan
+	spec.Reliable = true
+	var transports []*ReliableTransport
+	spec.OnTransports = func(ts []*ReliableTransport) { transports = ts }
+	return Build(spec).(*AsyncEngine), transports
 }

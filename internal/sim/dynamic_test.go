@@ -6,7 +6,7 @@ import "testing"
 
 func TestAddHandlerExtendsNetwork(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	eng.Context(0).Send(1, &ping{TTL: 0})
 	eng.Step()
 
@@ -30,7 +30,7 @@ func TestAddHandlerExtendsNetwork(t *testing.T) {
 
 func TestAddHandlerGrowsMetrics(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	id := eng.AddHandler(&pingNode{}, 3)
 	eng.Context(0).Send(id, &ping{TTL: 0})
 	eng.Step()
@@ -44,7 +44,7 @@ func TestAddHandlerCustomGrouping(t *testing.T) {
 	// Group function maps new ids beyond the initial group count; nGrp
 	// must grow.
 	hs := []Handler{&pingNode{}}
-	eng := NewSync(hs, 1, 1, func(id NodeID) int { return int(id) })
+	eng := newSync(hs, 1, 1, func(id NodeID) int { return int(id) })
 	id := eng.AddHandler(&pingNode{}, 4)
 	eng.Context(0).Send(id, &ping{TTL: 0})
 	eng.Step()
@@ -76,7 +76,7 @@ func TestAsyncActivationKeepsFiring(t *testing.T) {
 	// A node that only produces work on activation must still make
 	// progress in the async engine.
 	n := &activationCounter{}
-	eng := NewAsync([]Handler{n}, 5, 1.0, 0, nil)
+	eng := newAsync([]Handler{n}, 5, 1.0, 0, nil)
 	eng.RunUntil(func() bool { return n.count >= 10 }, 100000)
 	if n.count < 10 {
 		t.Fatalf("activations: %d", n.count)
@@ -90,7 +90,7 @@ func (a *activationCounter) Activate(*Context)                       { a.count++
 
 func TestContextIdentity(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	if eng.Context(0).ID() != 0 || eng.Context(1).ID() != 1 {
 		t.Fatal("context ids wrong")
 	}
@@ -101,7 +101,7 @@ func TestContextIdentity(t *testing.T) {
 
 func TestObserverSeesDeliveries(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	var seen []NodeID
 	eng.SetObserver(func(d Delivery) {
 		seen = append(seen, d.To)

@@ -31,7 +31,7 @@ type FaultProfile struct {
 	CrashLength float64
 }
 
-// Named fault profiles used by the soak matrix, churnsim -faults and the
+// Named fault profiles used by the soak matrix, dpqsim churn -faults and the
 // experiments. "lossless" is the paper's model; "drop5" loses 5% of
 // messages; "drop20dup" loses 20% and duplicates 10%, with delay spikes
 // and node crashes on top.

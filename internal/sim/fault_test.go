@@ -48,7 +48,7 @@ func runFaultyFlood(t *testing.T, profile FaultProfile, nodes, count, budget int
 		hs[i] = inner[i]
 	}
 	wrapped, transports := WrapAllReliable(hs, TransportConfig{})
-	eng := NewAsync(wrapped, 42, 3.0, 0, nil)
+	eng := newAsync(wrapped, 42, 3.0, 0, nil)
 	eng.SetFaultPlan(NewFaultPlan(profile))
 	done := func() bool {
 		for _, n := range inner {
@@ -120,7 +120,7 @@ func TestTransportNoFaultsNoRetries(t *testing.T) {
 // messages under a drop plan — the faults are injected, not simulated.
 func TestFaultPlanDropsWithoutTransport(t *testing.T) {
 	rec := &recorder{}
-	eng := NewAsync([]Handler{&pingNode{}, rec}, 3, 3.0, 0, nil)
+	eng := newAsync([]Handler{&pingNode{}, rec}, 3, 3.0, 0, nil)
 	eng.SetFaultPlan(NewFaultPlan(FaultProfile{Seed: 3, DropRate: 0.5}))
 	for i := 0; i < 100; i++ {
 		eng.Context(0).Send(1, &seqMsg{N: i})
@@ -233,7 +233,7 @@ func TestFaultReplayMatchesRecording(t *testing.T) {
 			hs[i] = inner[i]
 		}
 		wrapped, transports := WrapAllReliable(hs, TransportConfig{})
-		eng := NewAsync(wrapped, 77, 3.0, 0, nil)
+		eng := newAsync(wrapped, 77, 3.0, 0, nil)
 		eng.SetFaultPlan(plan)
 		done := func() bool {
 			for _, n := range inner {

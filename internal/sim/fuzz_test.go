@@ -31,7 +31,7 @@ func FuzzReliableTransport(f *testing.F) {
 			hs[i] = inner[i]
 		}
 		wrapped, transports := WrapAllReliable(hs, TransportConfig{})
-		eng := NewAsync(wrapped, seed^0x5eed, 3.0, 0, nil)
+		eng := newAsync(wrapped, seed^0x5eed, 3.0, 0, nil)
 		eng.SetFaultPlan(NewFaultPlan(profile))
 		done := func() bool {
 			for _, n := range inner {

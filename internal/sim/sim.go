@@ -53,10 +53,10 @@ func KindOf(msg Message) string {
 // Delivery describes one delivered message, as seen by an engine observer
 // immediately after metric accounting and before the handler runs.
 //
-// Round is the synchronous round (SyncEngine), the unit-sim-time window
-// ⌊now⌋ (AsyncEngine) or 0 (ConcEngine, which has no global clock). Time is
-// the simulation time of the delivery (0 in the synchronous and concurrent
-// engines). Group is the congestion group (real process) of the receiver.
+// Round is the synchronous round (SyncEngine) or the unit-sim-time window
+// ⌊now⌋ (AsyncEngine). Time is the simulation time of the delivery (0 in
+// the synchronous engine). Group is the congestion group (real process) of
+// the receiver.
 type Delivery struct {
 	Round int
 	Time  float64

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
 // pingNode echoes Ping messages back until a hop budget is exhausted.
 type ping struct{ TTL int }
@@ -33,7 +30,7 @@ func newPingPair() []Handler {
 
 func TestSyncRoundSemantics(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	eng.Context(0).Send(1, &ping{TTL: 3})
 	// Message sent "in round 0" is delivered in round 1 etc.: 4 messages
 	// total (TTL 3,2,1,0), one per round.
@@ -52,7 +49,7 @@ func TestSyncRoundSemantics(t *testing.T) {
 
 func TestSyncOneRoundPerHop(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	eng.Context(0).Send(1, &ping{TTL: 0})
 	eng.Step()
 	if hs[1].(*pingNode).received != 1 {
@@ -62,7 +59,7 @@ func TestSyncOneRoundPerHop(t *testing.T) {
 
 func TestSyncRunUntil(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	eng.Context(0).Send(1, &ping{TTL: 9})
 	ok := eng.RunUntil(func() bool { return hs[0].(*pingNode).received == 5 }, 100)
 	if !ok {
@@ -80,7 +77,7 @@ func TestSyncCongestionCounting(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		handlers = append(handlers, &pingNode{})
 	}
-	eng := NewSync(handlers, 1, 0, nil)
+	eng := newSync(handlers, 1, 0, nil)
 	for i := 1; i <= 8; i++ {
 		eng.Context(NodeID(i)).Send(0, &ping{TTL: 0})
 	}
@@ -93,7 +90,7 @@ func TestSyncCongestionCounting(t *testing.T) {
 func TestSyncGroupedCongestion(t *testing.T) {
 	// Two sim nodes mapped to one group: their deliveries add up.
 	handlers := []Handler{&pingNode{}, &pingNode{}, &pingNode{}}
-	eng := NewSync(handlers, 1, 2, func(id NodeID) int {
+	eng := newSync(handlers, 1, 2, func(id NodeID) int {
 		if id <= 1 {
 			return 0
 		}
@@ -112,7 +109,7 @@ func TestSyncGroupedCongestion(t *testing.T) {
 
 func TestSyncBitAccounting(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	eng.Context(0).Send(1, &ping{TTL: 1})
 	eng.RunUntil(func() bool { return false }, 5)
 	if eng.Metrics().MaxMessageBit != 8 || eng.Metrics().TotalBits != 16 {
@@ -122,7 +119,7 @@ func TestSyncBitAccounting(t *testing.T) {
 
 func TestSyncPending(t *testing.T) {
 	hs := newPingPair()
-	eng := NewSync(hs, 1, 0, nil)
+	eng := newSync(hs, 1, 0, nil)
 	if eng.Pending() {
 		t.Fatal("no message should be pending initially")
 	}
@@ -139,7 +136,7 @@ func TestSyncPending(t *testing.T) {
 
 func TestAsyncDeliversAll(t *testing.T) {
 	hs := newPingPair()
-	eng := NewAsync(hs, 7, 5.0, 0, nil)
+	eng := newAsync(hs, 7, 5.0, 0, nil)
 	eng.Context(0).Send(1, &ping{TTL: 7})
 	ok := eng.RunUntil(func() bool {
 		return hs[0].(*pingNode).received+hs[1].(*pingNode).received == 8
@@ -152,7 +149,7 @@ func TestAsyncDeliversAll(t *testing.T) {
 func TestAsyncDeterministicPerSeed(t *testing.T) {
 	run := func(seed uint64) int64 {
 		hs := newPingPair()
-		eng := NewAsync(hs, seed, 5.0, 0, nil)
+		eng := newAsync(hs, seed, 5.0, 0, nil)
 		eng.Context(0).Send(1, &ping{TTL: 20})
 		eng.RunUntil(func() bool { return false }, 500)
 		return eng.Metrics().Messages
@@ -179,7 +176,7 @@ func TestAsyncNonFIFO(t *testing.T) {
 	// appear for some seed.
 	for seed := uint64(0); seed < 10; seed++ {
 		rec := &recorder{}
-		eng := NewAsync([]Handler{&pingNode{}, rec}, seed, 10.0, 0, nil)
+		eng := newAsync([]Handler{&pingNode{}, rec}, seed, 10.0, 0, nil)
 		for i := 0; i < 20; i++ {
 			eng.Context(0).Send(1, &seqMsg{N: i})
 		}
@@ -193,31 +190,12 @@ func TestAsyncNonFIFO(t *testing.T) {
 	t.Fatal("async engine appears to deliver FIFO; the model requires non-FIFO")
 }
 
-func TestConcEngineDeliversAll(t *testing.T) {
-	hs := newPingPair()
-	eng := NewConc(hs, 5, 0, nil)
-	eng.Context(0).Send(1, &ping{TTL: 9})
-	ok := eng.Run(func() bool {
-		total := 0
-		for i := range hs {
-			eng.Inspect(NodeID(i), func(h Handler) { total += h.(*pingNode).received })
-		}
-		return total == 10
-	}, 5*time.Second)
-	if !ok {
-		t.Fatal("concurrent engine did not complete")
-	}
-	if eng.Metrics().Messages != 10 {
-		t.Fatalf("messages=%d", eng.Metrics().Messages)
-	}
-}
-
 func TestSendToUnknownNodePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	eng := NewSync(newPingPair(), 1, 0, nil)
+	eng := newSync(newPingPair(), 1, 0, nil)
 	eng.Context(0).Send(99, &ping{})
 }

@@ -22,7 +22,7 @@ func TestSyncPRNGStreamsMatchEagerForkChain(t *testing.T) {
 	for i := range handlers {
 		handlers[i] = &pingNode{}
 	}
-	eng := NewSync(handlers, seed, 0, nil)
+	eng := newSync(handlers, seed, 0, nil)
 	root := hashutil.NewRand(seed)
 	for i := 0; i < n; i++ {
 		want := root.Fork()
@@ -43,7 +43,7 @@ func TestSyncPRNGStreamsMatchEagerForkChain(t *testing.T) {
 func addHandlerScenario(t *testing.T, workers int) (Metrics, []Delivery, []int) {
 	t.Helper()
 	hs := newPingPair()
-	eng := NewSync(hs, 9, 0, nil)
+	eng := newSync(hs, 9, 0, nil)
 	if workers > 1 {
 		eng.SetParallel(workers)
 	}
@@ -94,7 +94,7 @@ func TestAddHandlerAfterSetParallel(t *testing.T) {
 func TestAddHandlerAfterSetParallelGrowsGroups(t *testing.T) {
 	run := func(workers int) (Metrics, []int64) {
 		hs := []Handler{&pingNode{}, &pingNode{}}
-		eng := NewSync(hs, 3, 2, func(id NodeID) int { return int(id) })
+		eng := newSync(hs, 3, 2, func(id NodeID) int { return int(id) })
 		if workers > 1 {
 			eng.SetParallel(workers)
 		}
@@ -129,7 +129,7 @@ func TestMemStatsFootprint(t *testing.T) {
 	for i := range handlers {
 		handlers[i] = &pingNode{}
 	}
-	eng := NewSync(handlers, 1, 0, nil)
+	eng := newSync(handlers, 1, 0, nil)
 	idle := eng.MemStats(false)
 	if idle.Nodes != n {
 		t.Fatalf("nodes=%d", idle.Nodes)

@@ -65,17 +65,9 @@ type boxedEnv struct {
 	msg  Message
 }
 
-// NewSync creates a synchronous engine over the given handlers. groups is
+// newSync creates a synchronous engine over the given handlers. groups is
 // the number of real processes and group maps node → process; pass 0 and
 // nil for the identity mapping.
-//
-// Deprecated: use Build with a Spec{Kind: KindSync, ...}; this constructor
-// is a thin shim kept for compatibility.
-func NewSync(handlers []Handler, seed uint64, groups int, group func(NodeID) int) *SyncEngine {
-	return Build(Spec{Kind: KindSync, Handlers: handlers, Seed: seed, Groups: groups, Group: group}).(*SyncEngine)
-}
-
-// newSync is the real constructor behind Build.
 func newSync(handlers []Handler, seed uint64, groups int, group func(NodeID) int) *SyncEngine {
 	n := len(handlers)
 	if group == nil {

@@ -17,9 +17,9 @@ import (
 // its inbox, then activate once) depends only on (a) the node's own state
 // at the start of the round and (b) the content of its inbox, which was
 // sealed when the round began — a message sent during round r is never
-// delivered in round r. Handlers own their node's state exclusively (the
-// ConcEngine's model; cross-node shared state such as the semantics trace
-// is internally synchronized and order-insensitive), so running nodes on
+// delivered in round r. Handlers own their node's state exclusively
+// (cross-node shared state such as the semantics trace is internally
+// synchronized and order-insensitive), so running nodes on
 // different workers cannot change any node's outcome. The only
 // order-sensitive effects are the append order of the next round's pending
 // arena, the observer stream and the metrics fold; all three are buffered
@@ -76,14 +76,15 @@ func (pw *parWorker) send(from, to NodeID, msg Message) {
 }
 
 // SetParallel switches the engine to parallel stepping with the given
-// worker count (1 restores serial mode, 0 or negative picks GOMAXPROCS).
-// Parallel stepping is byte-identical to serial stepping — traces, metrics
-// and protocol state do not depend on the mode or the worker count. It
-// requires handlers that confine their mutable state to their own node
-// (true for every protocol in this repository; the ConcEngine imposes the
-// same contract) and pure group functions.
+// worker count, in Spec.Workers' convention: 0 or 1 is serial, n > 1 a pool
+// of n, negative one worker per core (GOMAXPROCS). Parallel stepping is
+// byte-identical to serial stepping — traces, metrics and protocol state
+// do not depend on the mode or the worker count. It requires handlers that
+// confine their mutable state to their own node (true for every protocol
+// in this repository; `go test -race ./internal/sim` checks it) and pure
+// group functions.
 func (e *SyncEngine) SetParallel(workers int) {
-	if workers <= 0 {
+	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e.workers = workers

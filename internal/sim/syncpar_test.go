@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"dpq/internal/hashutil"
@@ -52,7 +53,7 @@ func newGossipNet(n int, seed uint64, workers int) (*SyncEngine, []*gossipNode) 
 		nodes[i] = &gossipNode{n: n}
 		handlers[i] = nodes[i]
 	}
-	e := NewSync(handlers, seed, 0, nil)
+	e := newSync(handlers, seed, 0, nil)
 	if workers > 1 {
 		e.SetParallel(workers)
 	}
@@ -134,7 +135,7 @@ func TestBatchObserverMatchesObserver(t *testing.T) {
 func TestParallelStrictPanic(t *testing.T) {
 	nodes := []Handler{&gossipNode{n: 2}, &gossipNode{n: 2}}
 	// A group function mapping node 1 out of range of the 1 declared group.
-	e := NewSync(nodes, 1, 1, func(id NodeID) int { return int(id) })
+	e := newSync(nodes, 1, 1, func(id NodeID) int { return int(id) })
 	e.SetParallel(4)
 	e.Context(0).Send(1, gossipMsg{Hop: 0, Val: 7})
 	defer func() {
@@ -155,7 +156,7 @@ func TestParallelStrictPanic(t *testing.T) {
 // worker-buffered send too.
 func TestParallelSendUnknownNode(t *testing.T) {
 	bad := &badSender{}
-	e := NewSync([]Handler{bad, &gossipNode{n: 2}}, 1, 0, nil)
+	e := newSync([]Handler{bad, &gossipNode{n: 2}}, 1, 0, nil)
 	e.SetParallel(2)
 	defer func() {
 		if r := recover(); fmt.Sprint(r) != "sim: send to unknown node" {
@@ -204,5 +205,22 @@ func TestSerialStepAllocFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("serial Step allocates %.1f objects/round in quiescent steady state", allocs)
+	}
+}
+
+// TestWorkersConvention pins the one worker-count convention (Spec.Workers,
+// SetParallel) and PoolWorkers' translation into it.
+func TestWorkersConvention(t *testing.T) {
+	cores := runtime.GOMAXPROCS(0)
+	for workers, want := range map[int]int{0: 1, 1: 1, 3: 3, -1: cores} {
+		e := Build(Spec{Handlers: newPingPair(), Workers: workers}).(*SyncEngine)
+		if got := e.Workers(); got != want {
+			t.Errorf("Spec.Workers %d: %d workers, want %d", workers, got, want)
+		}
+	}
+	for pool, want := range map[int]int{0: -1, 1: 1, 3: 3, -2: -2} {
+		if got := PoolWorkers(pool); got != want {
+			t.Errorf("PoolWorkers(%d) = %d, want %d", pool, got, want)
+		}
 	}
 }

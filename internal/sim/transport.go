@@ -219,7 +219,7 @@ func WrapReliable(h Handler, cfg TransportConfig) *ReliableTransport {
 }
 
 // WrapAllReliable wraps every handler of a network, returning the wrapped
-// handler slice (pass to NewAsync) and the transports for stats access.
+// handler slice and the transports for stats access.
 func WrapAllReliable(hs []Handler, cfg TransportConfig) ([]Handler, []*ReliableTransport) {
 	wrapped := make([]Handler, len(hs))
 	transports := make([]*ReliableTransport, len(hs))

@@ -142,7 +142,7 @@ type Heap struct {
 func (h *Heap) MigratedLastChange() int { return h.lastMigrated }
 
 // New builds a Skeap network. The heap is inert until its handlers run on
-// an engine (see NewSyncEngine / NewAsyncEngine) and ops are injected.
+// an engine (see Spec and NewSyncEngine) and ops are injected.
 func New(cfg Config) *Heap {
 	if cfg.N < 1 || cfg.P < 1 {
 		panic("skeap: invalid config")
@@ -185,6 +185,22 @@ func (h *Heap) Overlay() *ldb.Overlay { return h.ov }
 // Trace returns the execution trace for the semantics checkers.
 func (h *Heap) Trace() *semantics.Trace { return h.trace }
 
+// Check replays the trace against the guarantee this configuration gives
+// (Theorem 3.2): sequential consistency + heap consistency, for the
+// inverted order under MaxHeap. LIFO order is not heap order, so the oracle
+// replay does not apply to it; local consistency still must hold
+// (internal/queue.CheckStack checks the stack order itself).
+func (h *Heap) Check() *semantics.Report {
+	switch {
+	case h.cfg.LIFO:
+		return semantics.CheckLocalConsistency(h.trace)
+	case h.cfg.MaxHeap:
+		return semantics.CheckAllMax(h.trace, semantics.FIFO)
+	default:
+		return semantics.CheckAll(h.trace, semantics.FIFO)
+	}
+}
+
 // Iterations returns how many batch iterations the anchor has started.
 func (h *Heap) Iterations() int { return h.nodes[h.ov.Anchor].iterations }
 
@@ -209,8 +225,10 @@ func (h *Heap) Handlers() []sim.Handler {
 	return hs
 }
 
-// spec is the common part of every engine the heap wires itself into.
-func (h *Heap) spec(kind sim.EngineKind) sim.Spec {
+// Spec is the heap's wiring — handlers, engine seed, per-host congestion
+// grouping — as the start of an engine description; the driver adds what it
+// wants on top (workers, delay, faults, observers) and calls sim.Build.
+func (h *Heap) Spec(kind sim.EngineKind) sim.Spec {
 	groups, group := h.ov.Group()
 	return sim.Spec{Kind: kind, Handlers: h.Handlers(), Seed: h.cfg.Seed + 1, Groups: groups, Group: group}
 }
@@ -218,36 +236,7 @@ func (h *Heap) spec(kind sim.EngineKind) sim.Spec {
 // NewSyncEngine wires the heap into a synchronous engine with per-host
 // congestion grouping.
 func (h *Heap) NewSyncEngine() *sim.SyncEngine {
-	return sim.Build(h.spec(sim.KindSync)).(*sim.SyncEngine)
-}
-
-// NewAsyncEngine wires the heap into the seeded asynchronous engine.
-func (h *Heap) NewAsyncEngine(maxDelay float64) *sim.AsyncEngine {
-	spec := h.spec(sim.KindAsync)
-	spec.MaxDelay = maxDelay
-	return sim.Build(spec).(*sim.AsyncEngine)
-}
-
-// NewConcEngine wires the heap into the goroutine-backed engine.
-func (h *Heap) NewConcEngine() *sim.ConcEngine {
-	return sim.Build(h.spec(sim.KindConc)).(*sim.ConcEngine)
-}
-
-// NewFaultyAsyncEngine wires the heap into an asynchronous engine governed
-// by the given fault plan, wrapping every virtual node in a
-// sim.ReliableTransport so dropped, duplicated and crash-swallowed
-// messages are retried and suppressed. Drive it in autoRepeat mode (the
-// default): manual StartIteration sends bypass the transports and would
-// not survive a drop. The transports are returned for overhead stats.
-func (h *Heap) NewFaultyAsyncEngine(maxDelay float64, plan *sim.FaultPlan) (*sim.AsyncEngine, []*sim.ReliableTransport) {
-	spec := h.spec(sim.KindAsync)
-	spec.MaxDelay = maxDelay
-	spec.Faults = plan
-	spec.Reliable = true
-	spec.Transport = sim.DefaultTransportConfig()
-	var transports []*sim.ReliableTransport
-	spec.OnTransports = func(ts []*sim.ReliableTransport) { transports = ts }
-	return sim.Build(spec).(*sim.AsyncEngine), transports
+	return sim.Build(h.Spec(sim.KindSync)).(*sim.SyncEngine)
 }
 
 // InjectInsert buffers Insert(e) at host's middle virtual node. p is the

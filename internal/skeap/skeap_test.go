@@ -221,25 +221,15 @@ func TestAsyncExecutionSequentiallyConsistent(t *testing.T) {
 	for seed := uint64(0); seed < 5; seed++ {
 		h := New(Config{N: 6, P: 3, Seed: 100 + seed})
 		randomWorkload(h, 200+seed, 40)
-		eng := h.NewAsyncEngine(3.0)
+		spec := h.Spec(sim.KindAsync)
+		spec.MaxDelay = 3.0
+		eng := sim.Build(spec)
 		if !eng.RunUntil(h.Done, 2_000_000) {
 			t.Fatalf("seed %d: async run incomplete (%d/%d)", seed, h.trace.DoneCount(), h.trace.Len())
 		}
 		if rep := semantics.CheckAll(h.Trace(), semantics.FIFO); !rep.Ok() {
 			t.Fatalf("seed %d: semantics violated:\n%s", seed, rep.Error())
 		}
-	}
-}
-
-func TestConcurrentExecutionSequentiallyConsistent(t *testing.T) {
-	h := New(Config{N: 4, P: 2, Seed: 300})
-	randomWorkload(h, 301, 30)
-	eng := h.NewConcEngine()
-	if !eng.Run(h.Done, 30_000_000_000) {
-		t.Fatalf("concurrent run incomplete (%d/%d)", h.trace.DoneCount(), h.trace.Len())
-	}
-	if rep := semantics.CheckAll(h.Trace(), semantics.FIFO); !rep.Ok() {
-		t.Fatalf("semantics violated:\n%s", rep.Error())
 	}
 }
 

@@ -241,95 +241,54 @@ func runHeapCell(c Cell) (Measured, Conformance, error) {
 		return Measured{}, Conformance{}, err
 	}
 
-	var (
-		eng     *sim.SyncEngine
-		done    func() bool
-		batches func() int
-		inject  func(op workload.Op)
-		check   func() *semantics.Report
-		rank    func() obs.RankStats
-	)
+	// Skeap cells, strict or relaxed, fold the workload's priority universe
+	// into the constant class count the protocol requires.
+	fold := c.Bound
+	if c.Proto == ProtoSkeap {
+		fold = skeapP
+	}
+	var be relax.Backend
 	switch {
 	case rx.Enabled():
 		// A relaxed cell runs the relaxation engine over per-host heaps.
-		// It is judged on relaxed validity + measured rank error — NOT on
-		// strict oracle order, which a relaxed delivery stream legitimately
-		// violates (it would read as a spurious DIVERGED).
-		h := relax.New(relax.Config{N: c.N, Seed: c.Seed + 1,
+		// Its Check is relaxed validity, with the rank error measured
+		// below — NOT strict oracle order, which a relaxed delivery stream
+		// legitimately violates (it would read as a spurious DIVERGED).
+		be = relax.New(relax.Config{N: c.N, Seed: c.Seed + 1,
 			Mode: rx.Mode, K: rx.K, Batch: rx.Batch, PrioBound: c.Bound})
-		eng = h.NewSyncEngine()
-		done = h.Done
-		batches = func() int { return 1 }
-		inject = func(op workload.Op) {
-			if op.Kind == workload.OpInsert {
-				p := op.Prio
-				if c.Proto == ProtoSkeap {
-					// Same constant-class fold as the strict Skeap cells,
-					// shifted back to the 1-based raw priorities relax stores.
-					p = (op.Prio-1)%skeapP + 1
-				}
-				h.InjectInsert(op.Host, op.ID, p, "")
-			} else {
-				h.InjectDelete(op.Host)
-			}
-		}
-		check = func() *semantics.Report { return semantics.CheckRelaxedValidity(h.Trace()) }
-		rank = func() obs.RankStats { return obs.TraceRankError(h.Trace()) }
 	case c.Proto == ProtoSkeap:
-		h := skeap.New(skeap.Config{N: c.N, P: skeapP, Seed: c.Seed + 1})
-		eng = h.NewSyncEngine()
-		done = h.Done
-		batches = h.Iterations
-		inject = func(op workload.Op) {
-			if op.Kind == workload.OpInsert {
-				// Fold the workload's priority universe into the constant
-				// class count Skeap requires.
-				h.InjectInsert(op.Host, op.ID, int((op.Prio-1)%skeapP), "")
-			} else {
-				h.InjectDelete(op.Host)
-			}
-		}
-		check = func() *semantics.Report { return semantics.CheckAll(h.Trace(), semantics.FIFO) }
-	case c.Proto == ProtoSeap:
-		h := seap.New(seap.Config{N: c.N, PrioBound: c.Bound, Seed: c.Seed + 1})
-		eng = h.NewSyncEngine()
-		done = h.Done
-		batches = h.Cycles
-		inject = func(op workload.Op) {
-			if op.Kind == workload.OpInsert {
-				h.InjectInsert(op.Host, op.ID, op.Prio, "")
-			} else {
-				h.InjectDelete(op.Host)
-			}
-		}
-		check = func() *semantics.Report { return semantics.CheckSerializable(h.Trace(), semantics.ByID) }
+		be = relax.WrapSkeap(skeap.New(skeap.Config{N: c.N, P: skeapP, Seed: c.Seed + 1}))
+	default:
+		be = relax.WrapSeap(seap.New(seap.Config{N: c.N, PrioBound: c.Bound, Seed: c.Seed + 1}))
 	}
-	if c.Workers > 1 {
-		eng.SetParallel(c.Workers)
-	}
+	spec := be.Spec(sim.KindSync)
+	spec.Workers = c.Workers
+	eng := sim.Build(spec).(*sim.SyncEngine)
 
 	ops := 0
 	start := time.Now()
 	for r := 0; r < c.Rounds; r++ {
 		for _, op := range gen.Round() {
-			inject(op)
+			if op.Kind == workload.OpInsert {
+				be.InjectInsert(op.Host, op.ID, (op.Prio-1)%fold+1, "")
+			} else {
+				be.InjectDelete(op.Host)
+			}
 			ops++
 		}
 		eng.Step()
 	}
-	if !eng.RunUntil(done, maxRounds(c.N)) {
+	if !eng.RunUntil(be.Done, maxRounds(c.N)) {
 		return Measured{}, Conformance{}, fmt.Errorf("sweep: %s did not drain within the round budget", c.Label())
 	}
 	wall := time.Since(start)
 
-	met := eng.Metrics()
-	m := measure(met, batches(), ops, wall)
-	if rank != nil {
-		st := rank()
+	m := measure(eng.Metrics(), be.Batches(), ops, wall)
+	if rx.Enabled() {
+		st := obs.TraceRankError(be.Trace())
 		m.RankMax, m.RankMean, m.RankP99, m.EmptyMisses = st.Max, st.Mean, st.P99, st.EmptyMisses
 	}
-	conf := conformance(check())
-	return m, conf, nil
+	return m, conformance(be.Check()), nil
 }
 
 // runKSelectCell runs one standalone selection over m = 16n elements
@@ -356,9 +315,7 @@ func runKSelectCell(c Cell) (Measured, Conformance, error) {
 	k := int64(m / 2)
 
 	eng := sel.NewSyncEngine(c.Seed + 3)
-	if c.Workers > 1 {
-		eng.SetParallel(c.Workers)
-	}
+	eng.SetParallel(c.Workers)
 	start := time.Now()
 	sel.Start(eng.Context(sel.Anchor()), k)
 	if !eng.RunUntil(sel.Done, maxRounds(c.N)) {
