@@ -368,6 +368,9 @@ func main() {
 	// connection was lost.
 	lk := eng.Links()
 	sess.SetExtra("link", lk)
+	// What a routed operation (every Skeap/Seap operation ends in one DHT
+	// Put or Get) cost in hops, over the routes delivered at this daemon.
+	sess.SetExtra("routeHops", heap.Overlay().HopStats())
 	if procs > 1 && hb > 0 {
 		sess.SetExtra("peers", eng.Health())
 	}
@@ -382,9 +385,9 @@ func main() {
 		fail("%v", err)
 	}
 	tr := heap.Trace()
-	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d link(frames=%d acks=%d replayed=%d skipped=%d retainedMax=%d) drained=%v\n",
+	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d link(frames=%d acks=%d replayed=%d skipped=%d retainedMax=%d) hops(mean=%.1f) drained=%v\n",
 		*proc, st.Served, st.Rejected, st.LeasesGranted, st.Acked, st.Redeliveries, tr.Len(), st.Pending, m.Rounds, m.Messages,
-		lk.Frames, lk.Acks, lk.Replayed, lk.Skipped, lk.RetainedMax, drained)
+		lk.Frames, lk.Acks, lk.Replayed, lk.Skipped, lk.RetainedMax, heap.Overlay().MeanHops(), drained)
 	if !drained || serr != nil {
 		os.Exit(1)
 	}

@@ -1,9 +1,9 @@
 package dpq
 
 import (
-	"bufio"
 	"crypto/sha256"
 	"errors"
+	"flag"
 	"fmt"
 	"os"
 	"os/exec"
@@ -89,56 +89,75 @@ func runCmdFail(t *testing.T, code int, pkg string, args ...string) string {
 // TestCmdDpqsimGoldenDigests pins the simulator's reference invocations
 // byte for byte: the dpq-trace/1 export, stdout and (for the fault run) the
 // recorded fault schedule must hash to the digests in
-// testdata/dpqsim_digests.txt, which were generated from the five commands
-// dpqsim replaced (skeapsim, seapsim, kselectsim, phasetrace, churnsim) at
-// the commit before they were removed. Each line is
-// "<trace|stdout|trace-out> <sha256> <dpqsim arguments>".
+// testdata/dpqsim_digests.txt. Each line is
+// "<trace|stdout|trace-out> <sha256> <dpqsim arguments>"; the invocations
+// are the file's, so adding a line adds a pinned run. Regenerate (only when
+// a change to what the protocols send is intended) with
+//
+//	go test -run TestCmdDpqsimGoldenDigests -update-golden .
+var updateGolden = flag.Bool("update-golden", false, "rewrite the digests in testdata/dpqsim_digests.txt from this build")
+
 func TestCmdDpqsimGoldenDigests(t *testing.T) {
-	f, err := os.Open("testdata/dpqsim_digests.txt")
+	const file = "testdata/dpqsim_digests.txt"
+	raw, err := os.ReadFile(file)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	want := map[string]map[string]string{} // arguments → output → digest
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		parts := strings.SplitN(sc.Text(), " ", 3)
+	type pin struct{ output, digest, args string }
+	var pins []pin
+	var invocations []string               // distinct arguments, in file order
+	wanted := map[string]map[string]bool{} // arguments → outputs pinned
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
+		parts := strings.SplitN(line, " ", 3)
 		if len(parts) != 3 {
-			t.Fatalf("malformed digest line %q", sc.Text())
+			t.Fatalf("malformed digest line %q", line)
 		}
-		if want[parts[2]] == nil {
-			want[parts[2]] = map[string]string{}
+		p := pin{parts[0], parts[1], parts[2]}
+		pins = append(pins, p)
+		if wanted[p.args] == nil {
+			wanted[p.args] = map[string]bool{}
+			invocations = append(invocations, p.args)
 		}
-		want[parts[2]][parts[0]] = parts[1]
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if len(want) != 6 {
-		t.Fatalf("%d reference invocations recorded, want 6", len(want))
+		wanted[p.args][p.output] = true
 	}
 	bin := binary(t, "./cmd/dpqsim")
-	for args, digests := range want {
+	got := map[string]map[string]string{} // arguments → output → digest
+	for _, args := range invocations {
 		dir := t.TempDir()
 		files := map[string]string{"trace": filepath.Join(dir, "run.jsonl"), "trace-out": filepath.Join(dir, "faults.txt")}
 		argv := append(strings.Fields(args), "-trace-jsonl", files["trace"])
-		if _, ok := digests["trace-out"]; ok {
+		if wanted[args]["trace-out"] {
 			argv = append(argv, "-trace-out", files["trace-out"])
 		}
 		stdout, err := exec.Command(bin, argv...).Output()
 		if err != nil {
 			t.Fatalf("dpqsim %s: %v", args, err)
 		}
-		for output, digest := range digests {
+		got[args] = map[string]string{}
+		for output := range wanted[args] {
 			data := stdout
 			if output != "stdout" {
 				if data, err = os.ReadFile(files[output]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != digest {
-				t.Errorf("dpqsim %s: %s digest %s, recorded %s", args, output, got, digest)
-			}
+			got[args][output] = fmt.Sprintf("%x", sha256.Sum256(data))
+		}
+	}
+	if len(got) != 6 {
+		t.Fatalf("%d reference invocations recorded, want 6", len(got))
+	}
+	var out strings.Builder
+	for _, p := range pins {
+		digest := got[p.args][p.output]
+		if digest != p.digest && !*updateGolden {
+			t.Errorf("dpqsim %s: %s digest %s, recorded %s", p.args, p.output, digest, p.digest)
+		}
+		fmt.Fprintf(&out, "%s %s %s\n", p.output, digest, p.args)
+	}
+	if *updateGolden {
+		if err := os.WriteFile(file, []byte(out.String()), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

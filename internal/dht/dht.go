@@ -234,7 +234,7 @@ func (d *DHT) setReply(reqID uint64, cb func(prio.Element, bool)) {
 
 func (d *DHT) dispatch(ctx *sim.Context, self *ldb.VInfo, key uint64, payload sim.Message) {
 	route := ldb.NewRoute(d.ov.N, KeyPoint(key), payload)
-	if ldb.Forward(ctx, self, route) {
+	if ldb.Forward(ctx, d.ov, self, route) {
 		// This node is itself responsible for the key.
 		d.deliver(ctx, payload)
 	}

@@ -19,7 +19,7 @@ type dhtNode struct {
 func (n *dhtNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Message) {
 	switch m := msg.(type) {
 	case *ldb.RouteMsg:
-		if ldb.Forward(ctx, n.ov.Info(ctx.ID()), m) {
+		if ldb.Forward(ctx, n.ov, n.ov.Info(ctx.ID()), m) {
 			if !n.d.HandleRouted(ctx, m.Payload) {
 				panic("unexpected routed payload")
 			}

@@ -101,3 +101,33 @@ func TestFaultSoak(t *testing.T) {
 		}
 	}
 }
+
+// TestDoneCountMatchesScanAfterResets: Trace.DoneCount is a counter kept by
+// Complete, not a scan of the trace. Iteration resets re-buffer and
+// re-execute operations mid-flight; whatever that does to an operation, it
+// must be counted done exactly once.
+func TestDoneCountMatchesScanAfterResets(t *testing.T) {
+	for seed := uint64(0); seed < 4; seed++ {
+		be, eng := soakCell(t, "skeap", "drop5", seed)
+		for i := 0; i < 3; i++ {
+			eng.RunUntil(func() bool { return false }, 300)
+			be.(interface{ InjectReset() }).InjectReset()
+		}
+		tr := be.Trace()
+		if !eng.RunUntil(be.Done, 15_000_000) {
+			t.Fatalf("seed %d: run incomplete after resets: %d/%d ops", seed, tr.DoneCount(), tr.Len())
+		}
+		scan := 0
+		for _, op := range tr.Ops() {
+			if op.Done {
+				scan++
+			}
+		}
+		if tr.DoneCount() != scan || scan != tr.Len() {
+			t.Fatalf("seed %d: DoneCount %d, scan %d, Len %d", seed, tr.DoneCount(), scan, tr.Len())
+		}
+		if be.(interface{ Resets() int64 }).Resets() == 0 {
+			t.Fatalf("seed %d: no reset was applied", seed)
+		}
+	}
+}

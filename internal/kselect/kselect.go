@@ -294,7 +294,7 @@ type selHandler struct {
 func (sh *selHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Message) {
 	if m, ok := msg.(*ldb.RouteMsg); ok {
 		self := sh.n.sel.ov.Info(sh.id)
-		if ldb.Forward(ctx, self, m) {
+		if ldb.Forward(ctx, sh.n.sel.ov, self, m) {
 			if !sh.n.HandleRouted(ctx, self, m.Payload) {
 				panic("kselect: unexpected routed payload")
 			}

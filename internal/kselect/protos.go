@@ -295,7 +295,7 @@ func (n *Node) sampleProto() *aggtree.Proto {
 				pos := iv.Lo + int64(i)
 				msg := &SampleRootMsg{Epoch: p.Epoch, Pos: pos, NPrime: iv.NPrime, Elem: e}
 				route := ldb.NewRoute(n.sel.ov.N, n.sel.rootPoint(p.Epoch, pos), msg)
-				if ldb.Forward(ctx, self, route) {
+				if ldb.Forward(ctx, n.sel.ov, self, route) {
 					n.HandleRouted(ctx, self, msg)
 				}
 			}

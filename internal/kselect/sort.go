@@ -160,7 +160,7 @@ func (n *Node) newHolder(ctx *sim.Context, self *ldb.VInfo, epoch uint64, rootPo
 	}
 	copyMsg := &CopyMsg{Epoch: epoch, I: rootPos, J: mid, Key: key, Holder: self.ID}
 	route := ldb.NewRoute(n.sel.ov.N, n.sel.meetPoint(epoch, rootPos, mid), copyMsg)
-	if ldb.Forward(ctx, self, route) {
+	if ldb.Forward(ctx, n.sel.ov, self, route) {
 		n.onCopy(ctx, self, copyMsg)
 	}
 }

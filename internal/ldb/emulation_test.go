@@ -77,7 +77,7 @@ func TestRoutingAsyncEngine(t *testing.T) {
 		target := rnd.Float64()
 		targets[tag] = target
 		m := NewRoute(ov.N, target, &payload{tag: tag})
-		if Forward(eng.Context(src), ov.Info(src), m) {
+		if Forward(eng.Context(src), ov, ov.Info(src), m) {
 			delivered[tag] = src
 		}
 	}
@@ -98,7 +98,7 @@ type asyncRouteNode struct {
 
 func (a *asyncRouteNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Message) {
 	m := msg.(*RouteMsg)
-	if Forward(ctx, a.ov.Info(ctx.ID()), m) {
+	if Forward(ctx, a.ov, a.ov.Info(ctx.ID()), m) {
 		a.delivered[m.Payload.(*payload).tag] = ctx.ID()
 	}
 }

@@ -49,7 +49,7 @@ type dynNode struct {
 func (d *dynNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Message) {
 	switch m := msg.(type) {
 	case *RouteMsg:
-		if Forward(ctx, d.ov.Info(ctx.ID()), m) {
+		if Forward(ctx, d.ov, d.ov.Info(ctx.ID()), m) {
 			// Splice point found: in a full implementation the responsible
 			// node rewires succ pointers here; the simulation applies the
 			// structural change afterwards and only measures delivery.
@@ -96,7 +96,7 @@ func RunBatch(ov *Overlay, joins []uint64, leaves []int, seed uint64) JoinLeaveR
 		m := ov.hasher.Unit(id)
 		for _, lbl := range []float64{m / 2, m, (m + 1) / 2} {
 			route := NewRoute(ov.N, lbl, &SpliceMsg{NewLabel: lbl, NewHost: id})
-			if Forward(eng.Context(src), ov.Info(src), route) {
+			if Forward(eng.Context(src), ov, ov.Info(src), route) {
 				done++
 			}
 		}

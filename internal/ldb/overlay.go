@@ -47,8 +47,9 @@ func (k Kind) String() string {
 
 // VInfo is the local knowledge of one virtual node: its identity on the
 // cycle and its overlay neighbours. Protocol handlers only ever read the
-// VInfo of the virtual nodes they emulate — this is what keeps the
-// simulation honest about locality.
+// VInfo of the virtual nodes their own host emulates (a real process runs
+// its left, middle and right node together, and routing's stop rules use
+// all three) — this is what keeps the simulation honest about locality.
 type VInfo struct {
 	ID    sim.NodeID
 	Host  int // real process emulating this virtual node
@@ -80,6 +81,9 @@ type Overlay struct {
 	// allocation for the whole tree instead of one per parent, rebuilt by
 	// buildTree. Children views into it are read-only by convention.
 	kids []sim.NodeID
+	// hops is the path-length histogram per routed payload kind, fed by
+	// Forward at delivery (see HopStats).
+	hops [len(routeKinds)]hopHist
 }
 
 // VID returns the virtual node id of (host, kind).

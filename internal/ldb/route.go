@@ -1,16 +1,21 @@
 package ldb
 
 import (
-	"math"
+	"sync/atomic"
 
 	"dpq/internal/mathx"
+	"dpq/internal/obs"
 	"dpq/internal/sim"
 )
 
 // RouteMsg carries a payload toward the virtual node responsible for
 // Target using the continuous–discrete de Bruijn emulation of Appendix A.
 //
-// Routing alternates two local moves until Hops de Bruijn steps are spent:
+// A route is defined by its destination, not by a walk length: at every hop
+// the real process emulating the current virtual node first checks whether
+// it can already name the owner from the neighbourhood of the three virtual
+// nodes it emulates (see RouteStep), and only otherwise alternates the two
+// local moves of the emulation until Hops de Bruijn steps are spent:
 //
 //  1. at a middle node with label m, the next target bit b is consumed and
 //     the message crosses the virtual edge to the host's left (b=0, label
@@ -23,7 +28,8 @@ import (
 // After the last de Bruijn step the current label equals the target's
 // d-bit prefix up to an O(log n / n) w.h.p. drift, and a final monotone
 // linear walk reaches the responsible node (the predecessor of Target).
-// Total: O(log n) hops w.h.p. (Lemma A.2).
+// Total: O(log n) hops w.h.p. (Lemma A.2); on a small cycle the walk would
+// pass through the owner several times, which is what the early stop saves.
 type RouteMsg struct {
 	Target  float64     // destination point in [0,1)
 	Hops    int         // remaining de Bruijn steps
@@ -39,18 +45,84 @@ const labelBits = 64
 // payload.
 func (m *RouteMsg) Bits() int { return labelBits + 8 + m.Payload.Bits() }
 
-// Kind classifies the routed message by its payload. The names are part of
-// the trace schema (and dpqsim phases' output): the payload kinds that
-// predate the instrumentation layer keep their historical "route/<kind>"
-// names; anything else is "route/other".
-func (m *RouteMsg) Kind() string {
+// routeKinds are the names Kind reports. They are part of the trace schema
+// (and dpqsim phases' output): the payload kinds that predate the
+// instrumentation layer keep their historical "route/<kind>" names;
+// anything else is "route/other".
+var routeKinds = [...]string{"route/put", "route/get", "route/sample-root", "route/copy", "route/other"}
+
+// kindIndex classifies the routed message by its payload, as an index into
+// routeKinds.
+func (m *RouteMsg) kindIndex() int {
 	if k, ok := m.Payload.(interface{ Kind() string }); ok {
-		switch kind := k.Kind(); kind {
-		case "put", "get", "sample-root", "copy":
-			return "route/" + kind
+		switch k.Kind() {
+		case "put":
+			return 0
+		case "get":
+			return 1
+		case "sample-root":
+			return 2
+		case "copy":
+			return 3
 		}
 	}
-	return "route/other"
+	return len(routeKinds) - 1
+}
+
+// Kind classifies the routed message by its payload.
+func (m *RouteMsg) Kind() string { return routeKinds[m.kindIndex()] }
+
+// hopHist accumulates the path lengths of the routes of one kind delivered
+// on an overlay, in obs's log2 buckets. Atomic: the parallel engine's
+// workers deliver concurrently, and a daemon reads while its engine runs.
+type hopHist struct {
+	count, hops atomic.Int64
+	hist        [obs.HistBuckets]atomic.Int64
+}
+
+// HopStats is the distribution of Path over the routes of one kind that
+// were delivered on this overlay: how many hops an operation that ends in
+// a routed message costs here. Bucket i of Hist counts paths of
+// [2^i, 2^(i+1)) hops; bucket 0 also holds the routes delivered where they
+// originated.
+type HopStats struct {
+	Count int64         `json:"count"`
+	Hops  int64         `json:"hops"`
+	Hist  map[int]int64 `json:"log2Hist"`
+}
+
+// HopStats returns the per-kind path-length statistics of every route
+// Forward has delivered on this overlay, omitting kinds never seen.
+func (ov *Overlay) HopStats() map[string]HopStats {
+	out := map[string]HopStats{}
+	for i := range ov.hops {
+		h := &ov.hops[i]
+		if h.count.Load() == 0 {
+			continue
+		}
+		st := HopStats{Count: h.count.Load(), Hops: h.hops.Load(), Hist: map[int]int64{}}
+		for b := range h.hist {
+			if c := h.hist[b].Load(); c != 0 {
+				st.Hist[b] = c
+			}
+		}
+		out[routeKinds[i]] = st
+	}
+	return out
+}
+
+// MeanHops returns the mean path length over every delivered route (0
+// before the first).
+func (ov *Overlay) MeanHops() float64 {
+	var count, hops int64
+	for i := range ov.hops {
+		count += ov.hops[i].count.Load()
+		hops += ov.hops[i].hops.Load()
+	}
+	if count == 0 {
+		return 0
+	}
+	return float64(hops) / float64(count)
 }
 
 // RouteHops returns the number of de Bruijn steps used for an overlay of n
@@ -66,27 +138,53 @@ func NewRoute(n int, target float64, payload sim.Message) *RouteMsg {
 }
 
 // bitAt returns the i-th most significant bit of target's binary expansion
-// (i ≥ 1).
+// (1 ≤ i ≤ 53), read from the 53-bit integer image of target ∈ [0,1):
+// scaling by 2^53 is exact and the conversion truncates, so the image is
+// ⌊target·2^53⌋ and its bit 53−i is ⌊target·2^i⌋ mod 2.
 func bitAt(target float64, i int) int {
-	x := target * math.Pow(2, float64(i))
-	return int(math.Floor(x)) & 1
+	return int(uint64(target*(1<<53)) >> (53 - uint(i)) & 1)
+}
+
+// inArc reports whether point q lies on the cycle arc [lo, hi), which
+// wraps through 1 when lo ≥ hi.
+func inArc(lo, hi, q float64) bool {
+	if lo < hi {
+		return lo <= q && q < hi
+	}
+	return q >= lo || q < hi
 }
 
 // owns reports whether virtual node v is responsible for point q, i.e. v
-// is the predecessor of q on the cycle (v ≤ q < succ(v), wrapping at the
-// maximal label).
-func owns(v *VInfo, q float64) bool {
-	if v.Label < v.SuccLabel {
-		return v.Label <= q && q < v.SuccLabel
-	}
-	// v holds the maximal label: it owns [label, 1) ∪ [0, min-label).
-	return q >= v.Label || q < v.SuccLabel
-}
+// is the predecessor of q on the cycle (v ≤ q < succ(v); the maximal label
+// owns [label, 1) ∪ [0, min-label)).
+func owns(v *VInfo, q float64) bool { return inArc(v.Label, v.SuccLabel, q) }
+
+// predOwns reports whether v's cycle predecessor is responsible for q.
+func predOwns(v *VInfo, q float64) bool { return inArc(v.PredLabel, v.Label, q) }
 
 // RouteStep advances m by one hop at virtual node self. It returns the
 // next virtual node to forward to, or deliver=true when self is
 // responsible for the target and must consume the payload.
-func RouteStep(self *VInfo, m *RouteMsg) (next sim.NodeID, deliver bool) {
+//
+// The walk ends as soon as the real process emulating self can name the
+// owner from state it holds anyway, the VInfo of its own three virtual
+// nodes: self owns the target (deliver); self's predecessor owns it (one
+// hop, remaining de Bruijn steps cancelled); or a co-hosted virtual node
+// is in one of those two positions (cross the virtual edge to it).
+// Otherwise the message takes the next step of the emulation.
+func RouteStep(ov *Overlay, self *VInfo, m *RouteMsg) (next sim.NodeID, deliver bool) {
+	if owns(self, m.Target) {
+		return sim.None, true
+	}
+	if predOwns(self, m.Target) {
+		m.Hops = 0
+		return self.Pred, false
+	}
+	for k := Left; k <= Right; k++ {
+		if sib := &ov.V[VID(self.Host, k)]; sib != self && (owns(sib, m.Target) || predOwns(sib, m.Target)) {
+			return sib.ID, false
+		}
+	}
 	if m.Hops > 0 {
 		if self.Kind == Middle {
 			b := bitAt(m.Target, m.Hops)
@@ -100,10 +198,7 @@ func RouteStep(self *VInfo, m *RouteMsg) (next sim.NodeID, deliver bool) {
 		// Bruijn step from.
 		return self.Pred, false
 	}
-	// Final linear phase: monotone walk to the owner of Target.
-	if owns(self, m.Target) {
-		return sim.None, true
-	}
+	// Final linear phase: monotone walk toward the owner of Target.
 	if m.Target > self.Label {
 		return self.Succ, false
 	}
@@ -114,9 +209,13 @@ func RouteStep(self *VInfo, m *RouteMsg) (next sim.NodeID, deliver bool) {
 // onward (returning false) or reports that the payload must be delivered
 // at self (returning true). It is the single entry point protocols use for
 // both originating and relaying routed messages.
-func Forward(ctx *sim.Context, self *VInfo, m *RouteMsg) (deliver bool) {
-	next, done := RouteStep(self, m)
+func Forward(ctx *sim.Context, ov *Overlay, self *VInfo, m *RouteMsg) (deliver bool) {
+	next, done := RouteStep(ov, self, m)
 	if done {
+		h := &ov.hops[m.kindIndex()]
+		h.count.Add(1)
+		h.hops.Add(int64(m.Path))
+		h.hist[obs.Log2Bucket(m.Path)].Add(1)
 		return true
 	}
 	m.Path++

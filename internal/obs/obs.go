@@ -28,17 +28,17 @@ import (
 	"dpq/internal/sim"
 )
 
-// histBuckets is the number of log2 bit-size buckets: bucket i counts
-// messages with bit-length in [2^i, 2^(i+1)) (bucket 0 also holds 0-bit
-// messages). 32 buckets cover any realistic message.
-const histBuckets = 32
+// HistBuckets is the number of log2 buckets of a histogram: bucket i counts
+// values (a message's bit-length, a route's hop count) in [2^i, 2^(i+1));
+// bucket 0 also holds 0. 32 buckets cover any realistic message.
+const HistBuckets = 32
 
 // KindStats aggregates deliveries of one message kind.
 type KindStats struct {
 	Count      int64              `json:"count"`
 	Bits       int64              `json:"bits"`
 	MaxBits    int                `json:"maxBits"`
-	Hist       [histBuckets]int64 `json:"-"`
+	Hist       [HistBuckets]int64 `json:"-"`
 	FirstRound int                `json:"firstRound"`
 	LastRound  int                `json:"lastRound"`
 }
@@ -177,7 +177,7 @@ func (c *Collector) observeLocked(d sim.Delivery) {
 	if d.Bits > ks.MaxBits {
 		ks.MaxBits = d.Bits
 	}
-	ks.Hist[bucketOf(d.Bits)]++
+	ks.Hist[Log2Bucket(d.Bits)]++
 	ks.LastRound = d.Round
 
 	ph := c.cur
@@ -203,14 +203,14 @@ func (c *Collector) observeLocked(d sim.Delivery) {
 	}
 }
 
-// bucketOf maps a bit length to its log2 histogram bucket.
-func bucketOf(b int) int {
+// Log2Bucket maps a non-negative value to its log2 histogram bucket.
+func Log2Bucket(b int) int {
 	if b <= 0 {
 		return 0
 	}
 	n := bits.Len(uint(b)) - 1
-	if n >= histBuckets {
-		n = histBuckets - 1
+	if n >= HistBuckets {
+		n = HistBuckets - 1
 	}
 	return n
 }

@@ -392,7 +392,7 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 	ks := n.heap.selector.NodeAt(nh.id)
 	switch m := msg.(type) {
 	case *ldb.RouteMsg:
-		if ldb.Forward(ctx, self, m) {
+		if ldb.Forward(ctx, n.heap.ov, self, m) {
 			if n.store.HandleRouted(ctx, m.Payload) {
 				return
 			}

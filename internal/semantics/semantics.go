@@ -56,6 +56,7 @@ type Op struct {
 type Trace struct {
 	mu         sync.Mutex
 	ops        []*Op
+	done       int // operations with Done set; kept by Complete so DoneCount is O(1)
 	byNode     map[int]int
 	onComplete func(*Op)
 }
@@ -78,12 +79,16 @@ func (t *Trace) Issue(node int, kind OpKind, elem prio.Element) *Op {
 
 // Complete marks op done with the given result (⊥ for an empty-heap
 // DeleteMin; ignored for Insert) and its serialization value. An installed
-// completion callback fires after the trace lock is released.
+// completion callback fires after the trace lock is released. Completing
+// the same operation again overwrites its result and counts it done once.
 func (t *Trace) Complete(op *Op, result prio.Element, value int64) {
 	t.mu.Lock()
 	op.Result = result
 	op.Value = value
-	op.Done = true
+	if !op.Done {
+		op.Done = true
+		t.done++
+	}
 	cb := t.onComplete
 	t.mu.Unlock()
 	if cb != nil {
@@ -113,6 +118,9 @@ func Merge(traces ...*Trace) *Trace {
 				out.byNode[op.Node] = op.Index
 			}
 			out.ops = append(out.ops, op)
+			if op.Done {
+				out.done++
+			}
 		}
 	}
 	return out
@@ -136,13 +144,7 @@ func (t *Trace) Len() int {
 func (t *Trace) DoneCount() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := 0
-	for _, op := range t.ops {
-		if op.Done {
-			n++
-		}
-	}
-	return n
+	return t.done
 }
 
 // Stored returns how many elements the completed operations leave in the

@@ -264,6 +264,23 @@ func TestTraceConcurrencySafe(t *testing.T) {
 	}
 }
 
+// TestDoneCountCountsAnOpOnce: DoneCount is a counter, so completing the
+// same operation again (a re-execution after a reset) and merging traces
+// must both leave it equal to a scan.
+func TestDoneCountCountsAnOpOnce(t *testing.T) {
+	tr := NewTrace()
+	a := tr.Issue(0, Insert, elem(1, 1))
+	tr.Issue(1, DeleteMin, prio.Element{})
+	tr.Complete(a, prio.Element{}, 1)
+	tr.Complete(a, prio.Element{}, 2)
+	if tr.DoneCount() != 1 || tr.Len() != 2 {
+		t.Fatalf("done=%d len=%d, want 1 and 2", tr.DoneCount(), tr.Len())
+	}
+	if m := Merge(tr, NewTrace()); m.DoneCount() != 1 || m.Len() != 2 {
+		t.Fatalf("merged: done=%d len=%d, want 1 and 2", m.DoneCount(), m.Len())
+	}
+}
+
 // TestDrained pins the conservation predicate: stored must equal completed
 // inserts minus matched deletes, and only once nothing is outstanding.
 func TestDrained(t *testing.T) {

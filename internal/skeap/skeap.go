@@ -298,7 +298,7 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 	self := n.heap.ov.Info(nh.id)
 	switch m := msg.(type) {
 	case *ldb.RouteMsg:
-		if ldb.Forward(ctx, self, m) {
+		if ldb.Forward(ctx, n.heap.ov, self, m) {
 			if !n.store.HandleRouted(ctx, m.Payload) {
 				panic("skeap: unexpected routed payload")
 			}
