@@ -265,48 +265,6 @@ func TestCmdBenchallExpFilter(t *testing.T) {
 	}
 }
 
-// benchBaseline fabricates a dpq-bench/1 baseline with one case matching
-// the quick run's (skeap, n=256, serial) cell.
-func benchBaseline(t *testing.T, dir string, roundsPerSec, allocsPerRound float64) string {
-	t.Helper()
-	path := filepath.Join(dir, "base.json")
-	doc := fmt.Sprintf(`{"schema":"dpq-bench/1","goVersion":"test","goMaxProcs":1,"quick":true,"seed":1,
-		"cases":[{"proto":"skeap","n":256,"engine":"serial","workers":1,"rounds":1,"messages":1,
-		"activations":1,"wallNs":1,"roundsPerSec":%f,"nsPerActivation":1,"allocsPerRound":%f,"allocKBPerRound":1}]}`,
-		roundsPerSec, allocsPerRound)
-	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCmdDpqbenchBaselineGates(t *testing.T) {
-	dir := t.TempDir()
-	// A baseline this slow and alloc-heavy can only pass.
-	pass := benchBaseline(t, dir, 0.001, 1e12)
-	out := runCmd(t, "./cmd/dpqbench", "-quick", "-baseline", pass)
-	if !strings.Contains(out, "1 cases compared, 0 regressions") {
-		t.Fatalf("generous baseline should pass:\n%s", out)
-	}
-	// A baseline claiming absurd throughput must trip the >25% rounds/s
-	// gate — unless -speedtol 0 disables the wall-clock comparison.
-	fast := benchBaseline(t, dir, 1e12, 1e12)
-	out = runCmdFail(t, 1, "./cmd/dpqbench", "-quick", "-baseline", fast)
-	if !strings.Contains(out, "rounds/s") || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("rounds/s regression not flagged:\n%s", out)
-	}
-	out = runCmd(t, "./cmd/dpqbench", "-quick", "-baseline", fast, "-speedtol", "0")
-	if !strings.Contains(out, "0 regressions") {
-		t.Fatalf("-speedtol 0 should disable the wall-clock gate:\n%s", out)
-	}
-	// An alloc-free baseline must trip the 2x allocations gate.
-	lean := benchBaseline(t, dir, 0.001, 0.000001)
-	out = runCmdFail(t, 1, "./cmd/dpqbench", "-quick", "-baseline", lean)
-	if !strings.Contains(out, "allocs/round") || !strings.Contains(out, "REGRESSION") {
-		t.Fatalf("allocation regression not flagged:\n%s", out)
-	}
-}
-
 func TestCmdChurnsimConflictingFlags(t *testing.T) {
 	out := runCmdFail(t, 2, "./cmd/dpqsim", "churn", "-trace-in", "whatever.txt", "-faults", "drop5")
 	if !strings.Contains(out, "cannot be combined") {

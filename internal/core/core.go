@@ -103,7 +103,7 @@ type PQ struct {
 	budget  int // per-Drain budget, in the engine's unit (see sim.Engine)
 	nodes   int
 	nextID  uint64
-	drained int // deliveries already returned by Drain
+	drained int // trace length at the previous Drain; Drain returned every op before it
 }
 
 // New creates a distributed priority queue.
@@ -192,8 +192,11 @@ func (pq *PQ) checkHost(host int) {
 // Results returns the outcome of every completed DeleteMin since the PQ
 // was created, in serialization order. Drain is usually more convenient:
 // it runs the network and returns only the new deliveries.
-func (pq *PQ) Results() []Delivery {
-	ops := pq.be.Trace().Ops()
+func (pq *PQ) Results() []Delivery { return pq.deliveries(pq.be.Trace().Ops()) }
+
+// deliveries returns the outcomes of the completed DeleteMins among ops,
+// in serialization order; it sorts ops in place.
+func (pq *PQ) deliveries(ops []*semantics.Op) []Delivery {
 	sort.Slice(ops, func(i, j int) bool { return ops[i].Value < ops[j].Value })
 	var out []Delivery
 	for _, op := range ops {

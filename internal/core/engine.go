@@ -121,16 +121,20 @@ func (h Host) DeleteMin() Host {
 }
 
 // Drain drives the network until every operation issued so far completed,
-// then returns the outcomes of the DeleteMins that completed since the
-// previous Drain, in serialization order. It errors when the batch cannot
-// complete within the engine's budget.
+// then returns the outcomes of the DeleteMins issued since the previous
+// Drain, in serialization order. It errors when the batch cannot complete
+// within the engine's budget.
+//
+// The new deliveries are the trace's suffix past the previous Drain, not
+// the tail of Results: a relaxed mode's serialization values (BatchLocal's
+// Lamport stamps) may sort a new delivery before an old one.
 func (pq *PQ) Drain() ([]Delivery, error) {
 	if !pq.eng.RunUntil(pq.be.Done, pq.budget) {
 		return nil, fmt.Errorf("core: %v engine did not complete the batch within its budget", pq.kind)
 	}
-	all := pq.Results()
-	out := all[pq.drained:]
-	pq.drained = len(all)
+	ops := pq.be.Trace().Ops()
+	out := pq.deliveries(ops[pq.drained:])
+	pq.drained = len(ops)
 	return out, nil
 }
 

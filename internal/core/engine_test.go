@@ -5,6 +5,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"dpq/internal/hashutil"
+	"dpq/internal/relax"
 )
 
 func TestEngineOptionValidation(t *testing.T) {
@@ -115,6 +118,63 @@ func TestDrainIncremental(t *testing.T) {
 	}
 }
 
+// TestDrainReturnsEachDeliveryOnce: over many Drains, the union of their
+// outputs is Results() with every delivery exactly once — also when a mode's
+// serialization values do not respect Drain boundaries (BatchLocal's
+// Lamport stamps) and on the asynchronous engine.
+func TestDrainReturnsEachDeliveryOnce(t *testing.T) {
+	cases := []struct {
+		name  string
+		proto Protocol
+		opts  Options
+	}{
+		{"skeap", Skeap, Options{}},
+		{"seap", Seap, Options{}},
+		{"samplek", Skeap, Options{Relaxation: relax.Options{Mode: relax.SampleK, K: 2}}},
+		{"batchlocal", Skeap, Options{Relaxation: relax.Options{Mode: relax.BatchLocal}}},
+		{"async", Seap, Options{Engine: EngineAsync}},
+	}
+	for _, c := range cases {
+		for seed := uint64(1); seed <= 3; seed++ {
+			opts := c.opts
+			opts.Nodes, opts.Priorities, opts.Seed = 8, 3, seed
+			pq, err := New(c.proto, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rnd := hashutil.NewRand(seed)
+			count := map[Delivery]int{}
+			for d := 0; d < 10; d++ {
+				for i := 0; i < 40; i++ {
+					if rnd.Bool(0.5) {
+						pq.At(rnd.Intn(8)).Insert(rnd.Uint64n(3)+1, "")
+					} else {
+						pq.At(rnd.Intn(8)).DeleteMin()
+					}
+				}
+				got, err := pq.Drain()
+				if err != nil {
+					t.Fatalf("%s seed %d: %v", c.name, seed, err)
+				}
+				for _, dl := range got {
+					count[dl]++
+				}
+			}
+			for _, dl := range pq.Results() {
+				count[dl]--
+			}
+			for dl, k := range count {
+				if k != 0 {
+					t.Fatalf("%s seed %d: delivery %+v: Drain count minus Results() count = %d", c.name, seed, dl, k)
+				}
+			}
+			if err := pq.Verify(); err != nil {
+				t.Fatalf("%s seed %d: %v", c.name, seed, err)
+			}
+		}
+	}
+}
+
 // TestParallelWorkersConvention pins the translation from Options.Workers
 // (0 = one per core, because EngineSyncParallel already asked for a pool)
 // to sim.Spec.Workers (0 = serial): a parallel PQ must never silently step
@@ -151,7 +211,7 @@ func TestParallelFacadeMatchesSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 20; i++ {
-			pq.At(i % 8).Insert(uint64(i*13%50+1), "p")
+			pq.At(i%8).Insert(uint64(i*13%50+1), "p")
 		}
 		for i := 0; i < 20; i++ {
 			pq.At((i * 3) % 8).DeleteMin()

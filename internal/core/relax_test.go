@@ -70,7 +70,7 @@ func TestStrictPQReportsZeroRankError(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 8; i++ {
-		pq.At(i % 4).Insert(uint64(i*31%97+1), "")
+		pq.At(i%4).Insert(uint64(i*31%97+1), "")
 	}
 	for i := 0; i < 8; i++ {
 		pq.At(i % 4).DeleteMin()

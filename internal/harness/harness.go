@@ -6,7 +6,6 @@
 package harness
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"strings"
@@ -183,42 +182,4 @@ func (r *Report) Render(w io.Writer) {
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "_Suite completed in %v._\n", r.Elapsed.Round(time.Millisecond))
-}
-
-// jsonExperiment is one experiment's entry in the machine-readable summary.
-type jsonExperiment struct {
-	Title string `json:"title"`
-	Claim string `json:"claim"`
-	// Headline maps the table's column names to the values of its last
-	// row — the largest configuration measured, which is the number a perf
-	// trajectory wants to track.
-	Headline map[string]string `json:"headline"`
-	Rows     int               `json:"rows"`
-}
-
-// RenderJSON writes the machine-readable summary (experiment id → headline
-// metric) consumed by CI perf tracking (BENCH_*.json).
-func (r *Report) RenderJSON(w io.Writer) error {
-	doc := struct {
-		ElapsedSeconds float64                   `json:"elapsedSeconds"`
-		Experiments    map[string]jsonExperiment `json:"experiments"`
-	}{
-		ElapsedSeconds: r.Elapsed.Seconds(),
-		Experiments:    map[string]jsonExperiment{},
-	}
-	for _, t := range r.Tables {
-		e := jsonExperiment{Title: t.Title, Claim: t.Claim, Rows: len(t.Rows), Headline: map[string]string{}}
-		if len(t.Rows) > 0 {
-			last := t.Rows[len(t.Rows)-1]
-			for i, h := range t.Header {
-				if i < len(last) {
-					e.Headline[h] = last[i]
-				}
-			}
-		}
-		doc.Experiments[t.ID] = e
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(&doc)
 }

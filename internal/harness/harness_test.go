@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
@@ -171,42 +170,5 @@ func TestRenderMarkdown(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q in:\n%s", want, out)
 		}
-	}
-}
-
-// TestRenderJSON checks the machine-readable summary against a hand-built
-// report.
-func TestRenderJSON(t *testing.T) {
-	rep := &Report{Tables: []Table{
-		{
-			ID: "E1", Title: "Skeap rounds", Claim: "O(log n)",
-			Header: []string{"n", "rounds"},
-			Rows:   [][]string{{"8", "12"}, {"128", "21"}},
-		},
-		{ID: "E2", Title: "empty", Claim: "none", Header: []string{"x"}},
-	}}
-	var buf bytes.Buffer
-	if err := rep.RenderJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Experiments map[string]struct {
-			Title    string            `json:"title"`
-			Headline map[string]string `json:"headline"`
-			Rows     int               `json:"rows"`
-		} `json:"experiments"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("summary is not valid JSON: %v\n%s", err, buf.String())
-	}
-	e1, ok := doc.Experiments["E1"]
-	if !ok {
-		t.Fatalf("E1 missing from %s", buf.String())
-	}
-	if e1.Rows != 2 || e1.Headline["n"] != "128" || e1.Headline["rounds"] != "21" {
-		t.Fatalf("E1 headline should be the last row: %+v", e1)
-	}
-	if e2 := doc.Experiments["E2"]; e2.Rows != 0 || len(e2.Headline) != 0 {
-		t.Fatalf("rowless table should have an empty headline: %+v", e2)
 	}
 }

@@ -193,8 +193,8 @@ func TestFacadeMixedProtocolsSideBySide(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		sk.At(i % 4).Insert(uint64(i%2)+1, "")
-		se.At(i % 4).Insert(uint64(i*37+1), "")
+		sk.At(i%4).Insert(uint64(i%2)+1, "")
+		se.At(i%4).Insert(uint64(i*37+1), "")
 	}
 	if _, err := sk.Drain(); err != nil {
 		t.Fatalf("skeap batch: %v", err)

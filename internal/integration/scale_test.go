@@ -1,12 +1,17 @@
 package integration
 
 import (
+	"runtime"
 	"testing"
 
 	"dpq/internal/hashutil"
+	"dpq/internal/kselect"
+	"dpq/internal/ldb"
 	"dpq/internal/prio"
+	"dpq/internal/relax"
 	"dpq/internal/seap"
 	"dpq/internal/semantics"
+	"dpq/internal/sim"
 	"dpq/internal/skeap"
 )
 
@@ -143,4 +148,81 @@ func TestScaleFootprint(t *testing.T) {
 		t.Errorf("process heap %.1f B/vnode exceeds the 1 KiB/vnode budget (%+v)", ms.HeapBytesPerNode(), ms)
 	}
 	t.Logf("footprint at %d vnodes: %s", ms.Nodes, ms.String())
+}
+
+// TestAllocationBudget is the allocation regression gate: one seeded batch
+// per protocol at n=256 — 2 operations per host, 60/40 insert/delete over
+// the priorities [1,4] (Skeap) and [1,16n²] (Seap), and KSelect of rank 2n
+// over 4n uniform elements — run from its start to completion on the
+// serial and on the 2-worker engine. It counts heap allocations per
+// operation (per element for KSelect), not per round, so a change that
+// only saves rounds cannot move it. Each budget is 2x the value measured
+// when the gate was set, which repeats exactly run to run.
+func TestAllocationBudget(t *testing.T) {
+	const n, seed = 256, 1
+	// heap buffers the batch in be and returns its run and operation count.
+	heap := func(be relax.Backend, bound uint64, workers int) (func() bool, int) {
+		be.SetAutoRepeat(false)
+		rnd := hashutil.NewRand(seed + 1)
+		id := prio.ElemID(1)
+		for i := 0; i < 2*n; i++ {
+			if rnd.Bool(0.6) {
+				be.InjectInsert(i/2, id, rnd.Uint64n(bound)+1, "")
+				id++
+			} else {
+				be.InjectDelete(i / 2)
+			}
+		}
+		eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
+		eng.SetParallel(workers)
+		return func() bool {
+			be.StartBatch(eng.Context(be.Overlay().Anchor))
+			return eng.RunUntil(be.Done, maxRounds(n))
+		}, 2 * n
+	}
+	cases := []struct {
+		name    string
+		workers int
+		budget  float64 // allocations per operation (per element for KSelect)
+	}{
+		{"skeap", 1, 91},    // measured 45.5
+		{"skeap", 2, 97},    // measured 48.3
+		{"seap", 1, 906},    // measured 453
+		{"seap", 2, 974},    // measured 487
+		{"kselect", 1, 452}, // measured 226
+		{"kselect", 2, 486}, // measured 243
+	}
+	for _, c := range cases {
+		var run func() bool
+		var ops int
+		switch c.name {
+		case "skeap":
+			run, ops = heap(relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: 4, Seed: seed})), 4, c.workers)
+		case "seap":
+			run, ops = heap(relax.WrapSeap(seap.New(seap.Config{N: n, PrioBound: 16 * n * n, Seed: seed})), 16*n*n, c.workers)
+		case "kselect":
+			sel := kselect.New(ldb.New(n, hashutil.New(seed)), hashutil.New(seed+1))
+			sel.LoadUniform(4*n, 16*n, seed+2)
+			eng := sel.NewSyncEngine(seed + 3)
+			eng.SetParallel(c.workers)
+			run = func() bool {
+				sel.Start(eng.Context(sel.Anchor()), 2*n)
+				return eng.RunUntil(sel.Done, maxRounds(n))
+			}
+			ops = 4 * n
+		}
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if !run() {
+			t.Fatalf("%s workers=%d: batch incomplete", c.name, c.workers)
+		}
+		runtime.ReadMemStats(&after)
+		perOp := float64(after.Mallocs-before.Mallocs) / float64(ops)
+		if perOp > c.budget {
+			t.Errorf("%s workers=%d: %.1f allocations per operation exceed the budget of %.0f", c.name, c.workers, perOp, c.budget)
+		} else {
+			t.Logf("%s workers=%d: %.1f allocations per operation", c.name, c.workers, perOp)
+		}
+	}
 }

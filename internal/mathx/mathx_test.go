@@ -126,10 +126,10 @@ func TestNearestRankCeilConvention(t *testing.T) {
 		{10, 1, 9},
 		{10, 1.5, 9},
 		{10, -2, 0},
-		{10, 0.5, 4},   // ⌈5⌉ = 5 → index 4
-		{10, 0.99, 9},  // ⌈9.9⌉ = 10 → index 9
-		{4, 0.90, 3},   // ⌈3.6⌉ = 4 → index 3; truncation would say 2
-		{3, 0.5, 1},    // ⌈1.5⌉ = 2 → index 1
+		{10, 0.5, 4},    // ⌈5⌉ = 5 → index 4
+		{10, 0.99, 9},   // ⌈9.9⌉ = 10 → index 9
+		{4, 0.90, 3},    // ⌈3.6⌉ = 4 → index 3; truncation would say 2
+		{3, 0.5, 1},     // ⌈1.5⌉ = 2 → index 1
 		{100, 0.99, 98}, // ⌈99⌉ = 99 → index 98
 		{101, 0.99, 99}, // ⌈99.99⌉ = 100 → index 99
 		{10, 0.001, 0},

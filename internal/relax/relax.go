@@ -97,11 +97,11 @@ type node struct {
 	inFlight int
 
 	// BatchLocal state.
-	prefetch      []prio.Element   // host-local delivery buffer (FIFO)
-	waitingDel    []*semantics.Op  // deletes waiting for the next refill
-	stealing      bool             // one steal in flight at a time
-	stealAttempts int              // consecutive empty steals
-	surveyReq     uint64           // nonzero while an all-host survey runs
+	prefetch      []prio.Element  // host-local delivery buffer (FIFO)
+	waitingDel    []*semantics.Op // deletes waiting for the next refill
+	stealing      bool            // one steal in flight at a time
+	stealAttempts int             // consecutive empty steals
+	surveyReq     uint64          // nonzero while an all-host survey runs
 	surveyWaiting int
 	surveyBestSet bool
 	surveyBest    prio.Key

@@ -18,10 +18,10 @@ import (
 
 // rsNode is one treap node with subtree-size augmentation.
 type rsNode struct {
-	key   prio.Key
-	hpri  uint64
-	size  int
-	l, r  *rsNode
+	key  prio.Key
+	hpri uint64
+	size int
+	l, r *rsNode
 }
 
 func size(t *rsNode) int {

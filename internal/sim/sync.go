@@ -37,10 +37,10 @@ type SyncEngine struct {
 	// destination's cnt; Step seals the round by stable counting-sorting
 	// pend into box, after which node i's inbox is the contiguous range
 	// box[start[i]:start[i+1]].
-	pend  []envelope  // sent this round, deliverable next round (unsorted)
-	cnt   []int32     // per-node pending counts, len == len(handlers)
-	box   []boxedEnv  // sealed inbox arena of the current round
-	start []int32     // per-node offsets into box, len == len(handlers)+1
+	pend  []envelope // sent this round, deliverable next round (unsorted)
+	cnt   []int32    // per-node pending counts, len == len(handlers)
+	box   []boxedEnv // sealed inbox arena of the current round
+	start []int32    // per-node offsets into box, len == len(handlers)+1
 
 	// roundLoad is the per-group delivery count of the current round,
 	// reused across rounds to keep Step allocation-free.
