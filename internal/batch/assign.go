@@ -237,143 +237,112 @@ func (s *AnchorState) popRuns(q int, want int64) (pieces []Piece, took int64) {
 // combined batch of this subtree, split it into the node's own part and
 // one part per child sub-batch, in the own-first order used by Combine.
 // kidBatches must be the memorized sub-batches in the order they were
-// combined.
+// combined. A consumer gets one entry per entry of its own batch (at most
+// the combined length); all entries, insert intervals and delete pieces of
+// the parts are carved out of three arrays sized up front.
 func Decompose(combined *Assign, own *Batch, kidBatches []*Batch) (ownA *Assign, kidA []*Assign) {
 	p := own.P
-	nKids := len(kidBatches)
-	ownA = &Assign{}
-	kidA = make([]*Assign, nKids)
-	for i := range kidA {
-		kidA[i] = &Assign{}
-	}
-	for j, ea := range combined.Entries {
-		// Per-consumer insert counts for this entry, per priority.
-		ownEntry := entryAt(own, j, p)
-		ownEA := EntryAssign{Ins: make([]Interval, p)}
-		kidEAs := make([]EntryAssign, nKids)
-		for i := range kidEAs {
-			kidEAs[i] = EntryAssign{Ins: make([]Interval, p)}
+	nE := len(combined.Entries)
+	consumer := func(c int) *Batch {
+		if c == 0 {
+			return own
 		}
+		return kidBatches[c-1]
+	}
+	parts := make([]Assign, 1+len(kidBatches))
+	nEntries, nPieces := 0, 0
+	for c := range parts {
+		nEntries += min(nE, consumer(c).Len())
+	}
+	for _, ea := range combined.Entries {
+		// The consumers cut the entry's pieces into at most
+		// len(ea.Del)+len(parts)-1 parts.
+		if len(ea.Del) > 0 {
+			nPieces += len(ea.Del) + len(parts) - 1
+		}
+	}
+	var entries []EntryAssign
+	if nE > 0 {
+		entries = make([]EntryAssign, nEntries)
+	}
+	ins := make([]Interval, nEntries*p)
+	pieces := make([]Piece, 0, nPieces)
+	for c, off := 0, 0; c < len(parts); c++ {
+		l := min(nE, consumer(c).Len())
+		parts[c].Entries = entries[off : off+l : off+l]
+		for k := range parts[c].Entries {
+			i := (off + k) * p
+			parts[c].Entries[k].Ins = ins[i : i+p : i+p]
+		}
+		off += l
+	}
 
-		// Split the insert intervals: own first, then children in order.
-		insBase := ea.InsBase
-		ownEA.InsBase = insBase
-		// Bases advance by each consumer's total inserts in this entry.
-		ownTotalIns := int64(0)
-		for q := 0; q < p; q++ {
-			lo := ea.Ins[q].Lo
-			c := ownEntry.insCount(q)
-			ownEA.Ins[q] = Interval{Lo: lo, Hi: lo + c - 1}
-			lo += c
-			ownTotalIns += c
-			for i, kb := range kidBatches {
-				kc := entryAt(kb, j, p).insCount(q)
-				kidEAs[i].Ins[q] = Interval{Lo: lo, Hi: lo + kc - 1}
-				lo += kc
+	for j, ea := range combined.Entries {
+		insBase, delBase := ea.InsBase, ea.DelBase
+		// rest[0] is the next delete piece, cut positions of which are
+		// already handed out.
+		rest, cut := ea.Del, int64(0)
+		var prev []Interval // the previous consumer's insert intervals
+		for c := range parts {
+			if j >= len(parts[c].Entries) {
+				continue // no entry j: a zero contribution
 			}
-			if lo != ea.Ins[q].Hi+1 {
+			e, out := &consumer(c).Entries[j], &parts[c].Entries[j]
+			out.InsBase, out.DelBase = insBase, delBase
+			for q, n := range e.Ins {
+				lo := ea.Ins[q].Lo
+				if prev != nil {
+					lo = prev[q].Hi + 1
+				}
+				out.Ins[q] = Interval{Lo: lo, Hi: lo + n - 1}
+				insBase += n
+			}
+			prev = out.Ins
+			delBase += e.Del
+			// Surplus deletes beyond the pieces get no position and return
+			// ⊥; descending pieces (stack mode) are consumed top-down.
+			start := len(pieces)
+			for want := e.Del; want > 0 && len(rest) > 0; {
+				pc := rest[0]
+				if pc.Desc {
+					pc.Iv.Hi -= cut
+				} else {
+					pc.Iv.Lo += cut
+				}
+				if sz := pc.Iv.Size(); sz <= want {
+					pieces = append(pieces, pc)
+					want -= sz
+					rest, cut = rest[1:], 0
+					continue
+				}
+				if pc.Desc {
+					pc.Iv.Lo = pc.Iv.Hi - want + 1
+				} else {
+					pc.Iv.Hi = pc.Iv.Lo + want - 1
+				}
+				pieces = append(pieces, pc)
+				cut += want
+				want = 0
+			}
+			if n := len(pieces); n > start {
+				out.Del = pieces[start:n:n]
+			}
+		}
+		for q, iv := range ea.Ins {
+			end := iv.Lo - 1
+			if prev != nil {
+				end = prev[q].Hi
+			}
+			if end != iv.Hi {
 				panic("batch: insert decomposition does not cover the interval")
 			}
 		}
-		base := insBase + ownTotalIns
-		for i, kb := range kidBatches {
-			kidEAs[i].InsBase = base
-			base += entryAt(kb, j, p).totalIns()
-		}
-
-		// Split the delete pieces sequentially: own first, then children.
-		delBase := ea.DelBase
-		pieces := ea.Del
-		ownEA.DelBase = delBase
-		ownEA.Del, pieces = takePieces(pieces, ownEntry.del())
-		delBase += ownEntry.del()
-		for i, kb := range kidBatches {
-			kidEAs[i].DelBase = delBase
-			kidEAs[i].Del, pieces = takePieces(pieces, entryAt(kb, j, p).del())
-			delBase += entryAt(kb, j, p).del()
-		}
-
-		ownA.Entries = append(ownA.Entries, ownEA)
-		for i := range kidEAs {
-			kidA[i].Entries = append(kidA[i].Entries, kidEAs[i])
-		}
 	}
-	// Trim trailing all-zero entries from children shorter than the
-	// combined batch, so message sizes track actual sub-batch lengths.
-	for i, kb := range kidBatches {
-		if kb.Len() < len(kidA[i].Entries) {
-			kidA[i].Entries = kidA[i].Entries[:kb.Len()]
-		}
+	kidA = make([]*Assign, len(kidBatches))
+	for i := range kidA {
+		kidA[i] = &parts[1+i]
 	}
-	if own.Len() < len(ownA.Entries) {
-		ownA.Entries = ownA.Entries[:own.Len()]
-	}
-	return ownA, kidA
-}
-
-// entryView avoids materializing padded entries for short batches.
-type entryView struct {
-	e  *Entry
-	np int
-}
-
-func entryAt(b *Batch, j, p int) entryView {
-	if j < len(b.Entries) {
-		return entryView{e: &b.Entries[j], np: p}
-	}
-	return entryView{np: p}
-}
-
-func (v entryView) insCount(q int) int64 {
-	if v.e == nil {
-		return 0
-	}
-	return v.e.Ins[q]
-}
-
-func (v entryView) totalIns() int64 {
-	if v.e == nil {
-		return 0
-	}
-	var t int64
-	for _, c := range v.e.Ins {
-		t += c
-	}
-	return t
-}
-
-func (v entryView) del() int64 {
-	if v.e == nil {
-		return 0
-	}
-	return v.e.Del
-}
-
-// takePieces removes the first want positions from pieces, returning the
-// taken prefix and the remainder. When pieces hold fewer than want
-// positions the taken list is short — the consumer's surplus deletes
-// return ⊥. Descending pieces (stack mode) are consumed top-down.
-func takePieces(pieces []Piece, want int64) (taken, rest []Piece) {
-	rest = pieces
-	for want > 0 && len(rest) > 0 {
-		pc := rest[0]
-		sz := pc.Iv.Size()
-		if sz <= want {
-			taken = append(taken, pc)
-			want -= sz
-			rest = rest[1:]
-			continue
-		}
-		if pc.Desc {
-			taken = append(taken, Piece{P: pc.P, Iv: Interval{Lo: pc.Iv.Hi - want + 1, Hi: pc.Iv.Hi}, Desc: true})
-			rest = append([]Piece{{P: pc.P, Iv: Interval{Lo: pc.Iv.Lo, Hi: pc.Iv.Hi - want}, Desc: true}}, rest[1:]...)
-		} else {
-			taken = append(taken, Piece{P: pc.P, Iv: Interval{Lo: pc.Iv.Lo, Hi: pc.Iv.Lo + want - 1}})
-			rest = append([]Piece{{P: pc.P, Iv: Interval{Lo: pc.Iv.Lo + want, Hi: pc.Iv.Hi}}}, rest[1:]...)
-		}
-		want = 0
-	}
-	return taken, rest
+	return &parts[0], kidA
 }
 
 // PieceTotal returns the number of positions covered by pieces.

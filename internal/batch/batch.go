@@ -60,19 +60,12 @@ type Piece struct {
 	Desc bool
 }
 
-// Positions expands the piece into its (ordered) position sequence.
-func (pc Piece) Positions() []int64 {
-	out := make([]int64, 0, pc.Iv.Size())
+// At returns the i-th position the piece hands out, 0 ≤ i < Iv.Size().
+func (pc Piece) At(i int64) int64 {
 	if pc.Desc {
-		for pos := pc.Iv.Hi; pos >= pc.Iv.Lo; pos-- {
-			out = append(out, pos)
-		}
-	} else {
-		for pos := pc.Iv.Lo; pos <= pc.Iv.Hi; pos++ {
-			out = append(out, pos)
-		}
+		return pc.Iv.Hi - i
 	}
-	return out
+	return pc.Iv.Lo + i
 }
 
 // Entry is one (i_j, d_j) pair of a batch.
@@ -169,10 +162,7 @@ func Combine(batches ...*Batch) *Batch {
 		}
 	}
 	out := New(p)
-	out.Entries = make([]Entry, maxLen)
-	for j := range out.Entries {
-		out.Entries[j] = Entry{Ins: make([]int64, p)}
-	}
+	out.Entries = newEntries(maxLen, p)
 	for _, b := range batches {
 		for j, e := range b.Entries {
 			for q, c := range e.Ins {
@@ -182,6 +172,17 @@ func Combine(batches ...*Batch) *Batch {
 		}
 	}
 	return out
+}
+
+// newEntries returns n zero entries whose insert counts share one array,
+// each cut to length and capacity p so no append reaches a neighbour.
+func newEntries(n, p int) []Entry {
+	es := make([]Entry, n)
+	counts := make([]int64, n*p)
+	for j := range es {
+		es[j].Ins = counts[j*p : (j+1)*p : (j+1)*p]
+	}
+	return es
 }
 
 // Bits returns the encoded size of the batch: one O(log n)-bit count per

@@ -414,25 +414,6 @@ func TestOpsCount(t *testing.T) {
 	}
 }
 
-func TestTakePiecesSplitsAcrossBoundary(t *testing.T) {
-	pieces := []Piece{{P: 0, Iv: Interval{1, 3}}, {P: 1, Iv: Interval{1, 2}}}
-	taken, rest := takePieces(pieces, 4)
-	if PieceTotal(taken) != 4 || PieceTotal(rest) != 1 {
-		t.Fatalf("taken=%v rest=%v", taken, rest)
-	}
-	if rest[0].P != 1 || rest[0].Iv != (Interval{2, 2}) {
-		t.Fatalf("rest=%v", rest)
-	}
-}
-
-func TestTakePiecesShortfall(t *testing.T) {
-	pieces := []Piece{{P: 0, Iv: Interval{1, 2}}}
-	taken, rest := takePieces(pieces, 10)
-	if PieceTotal(taken) != 2 || len(rest) != 0 {
-		t.Fatalf("taken=%v rest=%v", taken, rest)
-	}
-}
-
 func TestAnchorSizeTracksOperations(t *testing.T) {
 	st := NewAnchorState(2)
 	b := New(2)

@@ -7,9 +7,10 @@ import (
 )
 
 // FuzzDecompose drives the full assign/decompose pipeline from a fuzzed
-// byte script and asserts the structural invariants: the anchor invariant
-// holds, insert intervals tile exactly, delete pieces are conserved, and
-// sequence values are unique and gap-free per entry.
+// byte script, checks Combine and Decompose against their references and
+// asserts the structural invariants: the anchor invariant holds, insert
+// intervals tile exactly, delete pieces are conserved, and sequence values
+// are unique and gap-free per entry.
 func FuzzDecompose(f *testing.F) {
 	f.Add(uint64(1), []byte{1, 2, 3, 4, 5})
 	f.Add(uint64(2), []byte{0, 0, 9, 9, 1, 0, 1})
@@ -56,7 +57,7 @@ func FuzzDecompose(f *testing.F) {
 		if !st.Invariant() {
 			t.Fatal("anchor invariant broken")
 		}
-		ownA, kidA := Decompose(asn, own, []*Batch{kid1, kid2})
+		ownA, kidA := matchReference(t, asn, own, []*Batch{kid1, kid2})
 		parts := append([]*Assign{ownA}, kidA...)
 		batches := []*Batch{own, kid1, kid2}
 
@@ -156,7 +157,7 @@ func FuzzLIFOModel(f *testing.F) {
 				}
 				asn := st.AssignPositions(b)
 				for _, pc := range asn.Entries[0].Del {
-					for _, pos := range pc.Positions() {
+					for _, pos := range positions(pc) {
 						if len(model) == 0 || model[len(model)-1] != pos {
 							t.Fatalf("pop %d does not match stack top", pos)
 						}

@@ -26,7 +26,7 @@ func TestLIFOPopNewestFirst(t *testing.T) {
 	if len(pieces) != 1 || !pieces[0].Desc {
 		t.Fatalf("pieces %+v", pieces)
 	}
-	pos := pieces[0].Positions()
+	pos := positions(pieces[0])
 	if pos[0] != 5 || pos[1] != 4 {
 		t.Fatalf("pop order %v, want newest first", pos)
 	}
@@ -71,7 +71,7 @@ func TestLIFOPopSpansRuns(t *testing.T) {
 	asn := st.AssignPositions(del3)
 	var got []int64
 	for _, pc := range asn.Entries[0].Del {
-		got = append(got, pc.Positions()...)
+		got = append(got, positions(pc)...)
 	}
 	want := []int64{4, 3, 1}
 	if len(got) != len(want) {
@@ -120,7 +120,7 @@ func TestLIFOMatchesModelStack(t *testing.T) {
 				asn := st.AssignPositions(bt)
 				var got []int64
 				for _, pc := range asn.Entries[0].Del {
-					got = append(got, pc.Positions()...)
+					got = append(got, positions(pc)...)
 				}
 				for _, pos := range got {
 					if len(model) == 0 || model[len(model)-1] != pos {

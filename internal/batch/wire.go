@@ -33,13 +33,15 @@ func init() {
 			}
 			n := r.Len(8*p + 8)
 			b := &Batch{P: p}
-			for j := 0; j < n && r.Err() == nil; j++ {
-				e := Entry{Ins: make([]int64, p)}
+			if n > 0 {
+				b.Entries = newEntries(n, p)
+			}
+			for j := range b.Entries {
+				e := &b.Entries[j]
 				for q := range e.Ins {
 					e.Ins[q] = r.I64()
 				}
 				e.Del = r.I64()
-				b.Entries = append(b.Entries, e)
 			}
 			return b
 		},

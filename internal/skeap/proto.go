@@ -65,46 +65,57 @@ func (n *Node) snapshot(seq uint64) *batch.Batch {
 	}
 	n.mu.Unlock()
 
-	b := batch.New(n.heap.cfg.P)
-	slots := make([]slot, 0, len(ops))
+	p := n.heap.cfg.P
+	// Nothing buffered → nothing to remember: apply treats a missing
+	// snapshot as empty, and returning here keeps idle nodes from ever
+	// allocating the map (most nodes of a large simulation contribute no
+	// operations to a given batch).
+	if len(ops) == 0 {
+		return batch.New(p)
+	}
+	// The first operation opens an entry, and so does every insert after
+	// a delete (§3.1): count the entries, then cut their insert counts out
+	// of one array.
+	opens := func(i int) bool {
+		return i == 0 || ops[i].kind == semantics.Insert && ops[i-1].kind != semantics.Insert
+	}
+	k := 0
+	for i := range ops {
+		if opens(i) {
+			k++
+		}
+	}
+	b := &batch.Batch{P: p, Entries: make([]batch.Entry, k)}
+	counts := make([]int64, k*p)
+	slots := make([]slot, len(ops))
 	entry := -1
-	var insIdx, delIdx int64
-	insPIdx := make([]int64, n.heap.cfg.P)
-	for _, po := range ops {
-		if po.kind == semantics.Insert {
-			b.AddInsert(int(po.elem.Prio))
-		} else {
-			b.AddDelete()
+	var insIdx int64
+	for i, po := range ops {
+		if opens(i) {
+			entry++
+			b.Entries[entry].Ins = counts[entry*p : (entry+1)*p : (entry+1)*p]
+			insIdx = 0
 		}
-		if b.Len()-1 != entry {
-			entry = b.Len() - 1
-			insIdx, delIdx = 0, 0
-			for i := range insPIdx {
-				insPIdx[i] = 0
-			}
-		}
+		e := &b.Entries[entry]
 		s := slot{op: po, entry: entry}
 		if po.kind == semantics.Insert {
-			p := int(po.elem.Prio)
-			s.insIdx, s.insPIdx = insIdx, insPIdx[p]
+			q := int(po.elem.Prio)
+			if q < 0 || q >= p {
+				panic("skeap: priority out of range")
+			}
+			s.insIdx, s.insPIdx = insIdx, e.Ins[q]
 			insIdx++
-			insPIdx[p]++
+			e.Ins[q]++
 		} else {
-			s.delIdx = delIdx
-			delIdx++
+			s.delIdx = e.Del
+			e.Del++
 		}
-		slots = append(slots, s)
+		slots[i] = s
 	}
-	// Nothing buffered → nothing to remember: apply treats a missing
-	// snapshot as empty, and skipping the write keeps idle nodes from
-	// ever allocating the map (most nodes of a large simulation contribute
-	// no operations to a given batch).
-	if len(slots) > 0 {
-		if n.snapshots == nil {
-			n.snapshots = make(map[uint64][]slot)
-		}
-		n.snapshots[seq] = slots
+	if n.snapshots == nil {
+		n.snapshots = make(map[uint64][]slot)
 	}
+	n.snapshots[seq] = slots
 	return b
 }
 
@@ -117,20 +128,6 @@ func (n *Node) apply(ctx *sim.Context, self *ldb.VInfo, seq uint64, asn *batch.A
 		return
 	}
 	n.heap.col.Phase("skeap:dht")
-	// Pre-expand each entry's delete pieces into (priority, position)
-	// lists so the i-th delete of an entry takes the i-th position.
-	delPositions := make([][]batch.Piece, len(asn.Entries))
-	for j, ea := range asn.Entries {
-		delPositions[j] = ea.Del
-	}
-	expanded := make([][]pp, len(asn.Entries))
-	for j, pieces := range delPositions {
-		for _, pc := range pieces {
-			for _, pos := range pc.Positions() {
-				expanded[j] = append(expanded[j], pp{p: pc.P, pos: pos})
-			}
-		}
-	}
 	for _, s := range slots {
 		ea := asn.Entries[s.entry]
 		if s.op.kind == semantics.Insert {
@@ -143,8 +140,7 @@ func (n *Node) apply(ctx *sim.Context, self *ldb.VInfo, seq uint64, asn *batch.A
 			continue
 		}
 		value := ea.DelBase + s.delIdx
-		if s.delIdx < int64(len(expanded[s.entry])) {
-			loc := expanded[s.entry][s.delIdx]
+		if loc, ok := deletePosition(ea.Del, s.delIdx); ok {
 			key := n.heap.hasher.Pair(uint64(loc.p), uint64(loc.pos))
 			po := s.op
 			var reqID uint64
@@ -168,4 +164,18 @@ func (n *Node) apply(ctx *sim.Context, self *ldb.VInfo, seq uint64, asn *batch.A
 type pp struct {
 	p   int
 	pos int64
+}
+
+// deletePosition returns the position the i-th delete of an entry takes:
+// the entry's pieces are handed out in order. ok is false when the pieces
+// hold fewer than i+1 positions — the heap was empty at that point.
+func deletePosition(pieces []batch.Piece, i int64) (loc pp, ok bool) {
+	for _, pc := range pieces {
+		if sz := pc.Iv.Size(); i >= sz {
+			i -= sz
+			continue
+		}
+		return pp{p: pc.P, pos: pc.At(i)}, true
+	}
+	return pp{}, false
 }
