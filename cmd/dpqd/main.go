@@ -385,9 +385,10 @@ func main() {
 		fail("%v", err)
 	}
 	tr := heap.Trace()
-	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d link(frames=%d acks=%d replayed=%d skipped=%d retainedMax=%d) hops(mean=%.1f) drained=%v\n",
+	meanHops, maxHops := heap.Overlay().HopSummary()
+	fmt.Printf("dpqd[%d]: served %d ops (%d rejected, %d leases, %d acked, %d redelivered), %d ops local, %d pending, ticks=%d msgs=%d link(frames=%d acks=%d replayed=%d skipped=%d retainedMax=%d) hops(mean=%.1f, max=%d) drained=%v\n",
 		*proc, st.Served, st.Rejected, st.LeasesGranted, st.Acked, st.Redeliveries, tr.Len(), st.Pending, m.Rounds, m.Messages,
-		lk.Frames, lk.Acks, lk.Replayed, lk.Skipped, lk.RetainedMax, heap.Overlay().MeanHops(), drained)
+		lk.Frames, lk.Acks, lk.Replayed, lk.Skipped, lk.RetainedMax, meanHops, maxHops, drained)
 	if !drained || serr != nil {
 		os.Exit(1)
 	}

@@ -372,24 +372,35 @@ func DHTHops(sz Sizes) Table {
 		ID:     "E11",
 		Title:  "DHT/routing: rounds and hops per operation vs n",
 		Claim:  "Put/Get served in O(log n) rounds w.h.p. (Lemma 2.2(iii)); routing dilation O(log n) (Lemma A.2)",
-		Header: []string{"n", "rounds per put+ack (mean)", "rounds/log2(n)", "hops per route (mean)", "de Bruijn steps ⌈log₂3n⌉+2"},
+		Header: []string{"n", "rounds per put+ack (mean)", "rounds/log2(n)", "hops per route (mean)", "hops per route (max)", "de Bruijn steps max(0, ⌈log₂3n⌉−4)"},
 	}
 	var xs, ys []float64
 	for _, n := range sz.NSweep {
 		var rs, hs []float64
+		longest := 0
 		for r := 0; r < sz.Repeats; r++ {
 			rounds := measurePut(n, uint64(n*100+r))
 			rs = append(rs, float64(rounds))
-			hs = append(hs, meanRouteHops(n, uint64(n*100+r)))
+			mean, worst := routeHops(n, ldb.RouteHops(n), uint64(n*100+r))
+			hs = append(hs, mean)
+			longest = max(longest, worst)
 		}
 		mean := mathx.Mean(rs)
-		t.AddRow(n, mean, mean/math.Log2(float64(n)+1), mathx.Mean(hs), ldb.RouteHops(n))
+		t.AddRow(n, mean, mean/math.Log2(float64(n)+1), mathx.Mean(hs), longest, ldb.RouteHops(n))
 		xs = append(xs, float64(n))
 		ys = append(ys, mean)
 	}
 	fit := mathx.FitLogN(xs, ys)
 	t.Notef("fit: rounds ≈ %.2f·log₂(n) + %.2f (R²=%.3f).", fit.A, fit.B, fit.R2)
-	t.Notef("a walk of fixed length spends all ⌈log₂3n⌉+2 de Bruijn steps — about four hops each, one virtual edge plus the pred-ward walk to the next middle node — before asking who owns the target. A route ends earlier, at the first node whose host can name the owner: most of that walk on a small overlay, its tail on a large one; the slope is Lemma A.2's either way.")
+	t.Notef("each de Bruijn step costs about four hops, one virtual edge plus the pred-ward walk to the next middle node, and a route ends at the first node whose host can name the owner; stopping the steps 2^4 label gaps short of the target leaves a final walk that costs less than the steps it replaces. Offset sweep, mean/max hops per route with ⌈log₂3n⌉+o steps (first repeat's overlay):")
+	for _, n := range sz.NSweep {
+		var cells []string
+		for o := 2; o >= -6; o-- {
+			mean, worst := routeHops(n, max(0, mathx.Log2Ceil(3*n)+o), uint64(n*100))
+			cells = append(cells, fmt.Sprintf("%+d %.1f/%d", o, mean, worst))
+		}
+		t.Notef("n=%d: %s.", n, strings.Join(cells, " · "))
+	}
 	return t
 }
 
@@ -854,9 +865,10 @@ func measurePut(n int, seed uint64) int {
 	return eng.Metrics().Rounds
 }
 
-// meanRouteHops routes 400 random points from random virtual nodes of a
-// fresh n-process overlay and returns the mean path length.
-func meanRouteHops(n int, seed uint64) float64 {
+// routeHops routes 400 random points from random virtual nodes of a fresh
+// n-process overlay, each spending up to steps de Bruijn steps, and
+// returns the mean and the longest path length.
+func routeHops(n, steps int, seed uint64) (mean float64, longest int) {
 	const routes = 400
 	ov := ldb.New(n, hashutil.New(seed))
 	rnd := hashutil.NewRand(seed + 1)
@@ -864,16 +876,20 @@ func meanRouteHops(n int, seed uint64) float64 {
 	for i := 0; i < routes; i++ {
 		at := sim.NodeID(rnd.Intn(ov.NumVirtual()))
 		m := ldb.NewRoute(n, rnd.Float64(), nil)
+		m.Hops = steps
+		path := 0
 		for {
 			next, deliver := ldb.RouteStep(ov, ov.Info(at), m)
 			if deliver {
 				break
 			}
 			at = next
-			hops++
+			path++
 		}
+		hops += path
+		longest = max(longest, path)
 	}
-	return float64(hops) / routes
+	return float64(hops) / routes, longest
 }
 
 // injectRandom buffers ops operations at random hosts of be: a 60/40

@@ -1,6 +1,7 @@
 package ldb
 
 import (
+	"math"
 	"sync/atomic"
 
 	"dpq/internal/mathx"
@@ -17,19 +18,20 @@ import (
 // nodes it emulates (see RouteStep), and only otherwise alternates the two
 // local moves of the emulation until Hops de Bruijn steps are spent:
 //
-//  1. at a middle node with label m, the next target bit b is consumed and
-//     the message crosses the virtual edge to the host's left (b=0, label
-//     exactly m/2) or right (b=1, label exactly (m+1)/2) node — the de
-//     Bruijn step p ← (p+b)/2 on actual labels;
+//  1. at a middle node with label m and h steps left, the message crosses
+//     the virtual edge to the host's left (label exactly m/2) or right
+//     (label exactly (m+1)/2) node, whichever is cyclically closer to the
+//     ideal point frac(Target·2^(h−1)) — the de Bruijn step p ← (p+b)/2
+//     on actual labels (see deBruijnStep);
 //  2. at a non-middle node the message walks pred-ward to the nearest
 //     middle node (O(1) expected linear hops, since middle labels are a
 //     constant fraction of the cycle).
 //
-// After the last de Bruijn step the current label equals the target's
-// d-bit prefix up to an O(log n / n) w.h.p. drift, and a final monotone
-// linear walk reaches the responsible node (the predecessor of Target).
-// Total: O(log n) hops w.h.p. (Lemma A.2); on a small cycle the walk would
-// pass through the owner several times, which is what the early stop saves.
+// After the last de Bruijn step the current label is within O(2^-d) of the
+// target on the cycle, and a final monotone linear walk, the short way
+// round, reaches the responsible node (the predecessor of Target). Total:
+// O(log n) hops w.h.p. (Lemma A.2); on a small cycle the walk would pass
+// through the owner several times, which is what the early stop saves.
 type RouteMsg struct {
 	Target  float64     // destination point in [0,1)
 	Hops    int         // remaining de Bruijn steps
@@ -76,18 +78,19 @@ func (m *RouteMsg) Kind() string { return routeKinds[m.kindIndex()] }
 // on an overlay, in obs's log2 buckets. Atomic: the parallel engine's
 // workers deliver concurrently, and a daemon reads while its engine runs.
 type hopHist struct {
-	count, hops atomic.Int64
-	hist        [obs.HistBuckets]atomic.Int64
+	count, hops, max atomic.Int64
+	hist             [obs.HistBuckets]atomic.Int64
 }
 
 // HopStats is the distribution of Path over the routes of one kind that
 // were delivered on this overlay: how many hops an operation that ends in
 // a routed message costs here. Bucket i of Hist counts paths of
 // [2^i, 2^(i+1)) hops; bucket 0 also holds the routes delivered where they
-// originated.
+// originated. Max is the longest path, exactly.
 type HopStats struct {
 	Count int64         `json:"count"`
 	Hops  int64         `json:"hops"`
+	Max   int64         `json:"max"`
 	Hist  map[int]int64 `json:"log2Hist"`
 }
 
@@ -100,7 +103,7 @@ func (ov *Overlay) HopStats() map[string]HopStats {
 		if h.count.Load() == 0 {
 			continue
 		}
-		st := HopStats{Count: h.count.Load(), Hops: h.hops.Load(), Hist: map[int]int64{}}
+		st := HopStats{Count: h.count.Load(), Hops: h.hops.Load(), Max: h.max.Load(), Hist: map[int]int64{}}
 		for b := range h.hist {
 			if c := h.hist[b].Load(); c != 0 {
 				st.Hist[b] = c
@@ -111,24 +114,26 @@ func (ov *Overlay) HopStats() map[string]HopStats {
 	return out
 }
 
-// MeanHops returns the mean path length over every delivered route (0
-// before the first).
-func (ov *Overlay) MeanHops() float64 {
+// HopSummary returns the mean and the longest path length over every
+// delivered route (0 before the first).
+func (ov *Overlay) HopSummary() (mean float64, longest int64) {
 	var count, hops int64
 	for i := range ov.hops {
 		count += ov.hops[i].count.Load()
 		hops += ov.hops[i].hops.Load()
+		longest = max(longest, ov.hops[i].max.Load())
 	}
 	if count == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(hops) / float64(count)
+	return float64(hops) / float64(count), longest
 }
 
 // RouteHops returns the number of de Bruijn steps used for an overlay of n
-// real processes: d ≈ log₂(3n) puts the point within 2^-d of the target;
-// two extra steps shorten the final walk.
-func RouteHops(n int) int { return mathx.Log2Ceil(3*n) + 2 }
+// real processes: d = max(0, ⌈log₂3n⌉ − 4). Each step costs ≈ 4 hops (the
+// virtual edge and ≈ 3 pred hops to a middle node); the early stop ends the
+// final walk from ≈ 2^4 label gaps away for less than the last four would.
+func RouteHops(n int) int { return max(0, mathx.Log2Ceil(3*n)-4) }
 
 // NewRoute creates a routing message toward point target in an overlay of
 // n real processes. The creator should apply RouteStep locally to take the
@@ -137,12 +142,12 @@ func NewRoute(n int, target float64, payload sim.Message) *RouteMsg {
 	return &RouteMsg{Target: target, Hops: RouteHops(n), Payload: payload}
 }
 
-// bitAt returns the i-th most significant bit of target's binary expansion
-// (1 ≤ i ≤ 53), read from the 53-bit integer image of target ∈ [0,1):
-// scaling by 2^53 is exact and the conversion truncates, so the image is
-// ⌊target·2^53⌋ and its bit 53−i is ⌊target·2^i⌋ mod 2.
-func bitAt(target float64, i int) int {
-	return int(uint64(target*(1<<53)) >> (53 - uint(i)) & 1)
+// fracAt returns frac(target·2^i) (0 ≤ i ≤ 52), read from the 53-bit
+// integer image of target ∈ [0,1): scaling by 2^53 is exact and the
+// conversion truncates, so the image is ⌊target·2^53⌋, and its low 53−i
+// bits, shifted up by i, are the image of frac(target·2^i).
+func fracAt(target float64, i int) float64 {
+	return float64(uint64(target*(1<<53))<<uint(i)&(1<<53-1)) / (1 << 53)
 }
 
 // inArc reports whether point q lies on the cycle arc [lo, hi), which
@@ -187,22 +192,37 @@ func RouteStep(ov *Overlay, self *VInfo, m *RouteMsg) (next sim.NodeID, deliver 
 	}
 	if m.Hops > 0 {
 		if self.Kind == Middle {
-			b := bitAt(m.Target, m.Hops)
-			m.Hops--
-			if b == 0 {
-				return VID(self.Host, Left), false
-			}
-			return VID(self.Host, Right), false
+			return deBruijnStep(self, m), false
 		}
 		// Walk pred-ward to the nearest middle node to take the next de
 		// Bruijn step from.
 		return self.Pred, false
 	}
-	// Final linear phase: monotone walk toward the owner of Target.
-	if m.Target > self.Label {
-		return self.Succ, false
+	return finalStep(self, m), false
+}
+
+// deBruijnStep spends one de Bruijn step at middle node self, crossing to
+// the child cyclically closer to u = frac(Target·2^(Hops−1)). That is the
+// child the target's Hops-th bit names unless a pred-ward walk wrapped
+// through 0; then it is the other one, in the target's half of the cycle.
+// The children are antipodal, so the left one is the closer iff it lies
+// within a quarter cycle of u.
+func deBruijnStep(self *VInfo, m *RouteMsg) sim.NodeID {
+	u := fracAt(m.Target, m.Hops-1)
+	m.Hops--
+	if d := math.Abs(self.Label/2 - u); d <= 0.25 || d >= 0.75 {
+		return VID(self.Host, Left)
 	}
-	return self.Pred, false
+	return VID(self.Host, Right)
+}
+
+// finalStep is one hop of the final linear phase: a monotone walk toward
+// the owner of Target, the short way round the cycle.
+func finalStep(self *VInfo, m *RouteMsg) sim.NodeID {
+	if ahead := m.Target - self.Label; ahead >= 0 && ahead < 0.5 || ahead < -0.5 {
+		return self.Succ
+	}
+	return self.Pred
 }
 
 // Forward applies RouteStep at self and either sends the message one hop
@@ -215,6 +235,11 @@ func Forward(ctx *sim.Context, ov *Overlay, self *VInfo, m *RouteMsg) (deliver b
 		h := &ov.hops[m.kindIndex()]
 		h.count.Add(1)
 		h.hops.Add(int64(m.Path))
+		for p := int64(m.Path); ; {
+			if cur := h.max.Load(); p <= cur || h.max.CompareAndSwap(cur, p) {
+				break
+			}
+		}
 		h.hist[obs.Log2Bucket(m.Path)].Add(1)
 		return true
 	}
