@@ -392,7 +392,7 @@ func DHTHops(sz Sizes) Table {
 	}
 	fit := mathx.FitLogN(xs, ys)
 	t.Notef("fit: rounds ≈ %.2f·log₂(n) + %.2f (R²=%.3f).", fit.A, fit.B, fit.R2)
-	t.Notef("each de Bruijn step costs about four hops, one virtual edge plus the pred-ward walk to the next middle node, and a route ends at the first node whose host can name the owner; stopping the steps 2^4 label gaps short of the target leaves a final walk that costs less than the steps it replaces. Offset sweep, mean/max hops per route with ⌈log₂3n⌉+o steps (first repeat's overlay):")
+	t.Notef("each de Bruijn step costs one hop: a middle node sends the message straight to the nearest middle node pred-ward of the child it chose (that child's MidPred edge), where the next step leaves from, and a route ends at the first node whose host can name the owner. Offset sweep, mean/max hops per route with ⌈log₂3n⌉+o steps (first repeat's overlay):")
 	for _, n := range sz.NSweep {
 		var cells []string
 		for o := 2; o >= -6; o-- {
@@ -434,7 +434,7 @@ func JoinLeave(sz Sizes) Table {
 		ID:     "E13",
 		Title:  "Join/Leave: batch restoration rounds vs n",
 		Claim:  "batches of Join/Leave restore the topology in O(log n) rounds w.h.p. (§1.4(4))",
-		Header: []string{"n", "joins", "leaves", "rounds", "rounds/log2(n)", "tree valid"},
+		Header: []string{"n", "joins", "leaves", "rounds", "rounds/log2(n)", "messages", "tree valid"},
 	}
 	var xs, ys []float64
 	for _, n := range sz.NSweep {
@@ -449,12 +449,13 @@ func JoinLeave(sz Sizes) Table {
 		}
 		leaves = dedupe(leaves)
 		res := ldb.RunBatch(ov, joins, leaves, uint64(n)*17)
-		t.AddRow(n, len(joins), len(leaves), res.Rounds, float64(res.Rounds)/math.Log2(float64(n)+1), ov.IsTree())
+		t.AddRow(n, len(joins), len(leaves), res.Rounds, float64(res.Rounds)/math.Log2(float64(n)+1), res.Messages, ov.IsTree())
 		xs = append(xs, float64(n))
 		ys = append(ys, float64(res.Rounds))
 	}
 	fit := mathx.FitLogN(xs, ys)
 	t.Notef("fit: rounds ≈ %.2f·log₂(n) + %.2f (R²=%.3f).", fit.A, fit.B, fit.R2)
+	t.Notef("messages = splice routes + six leave notifications per leave + the MidPred hand-offs: a joining or leaving middle node passes its role along the non-middle run succ-ward of it, one message per node (2 on average).")
 	return t
 }
 

@@ -10,8 +10,8 @@ import (
 // Distributed sorting (§4.3, Algorithm 3). Each sampled candidate c_i is
 // routed to the sorting root responsible for the pseudorandom point of its
 // position; the root spreads n′ copies over a distribution tree T(v_i)
-// whose edges are de Bruijn steps (virtual edges of the LDB, reached via a
-// short pred-walk to the nearest middle node); copy (i,j) is routed to the
+// whose edges are de Bruijn steps (virtual edges of the LDB, taken at the
+// nearest middle node pred-ward, one MidPred hop away); copy (i,j) is routed to the
 // meeting point h(i,j) = h(j,i) where it is compared against copy (j,i);
 // the outcome vectors are aggregated back up T(v_i), giving v_i the order
 // of c_i as L+1.
@@ -34,7 +34,7 @@ func (m *SampleRootMsg) Bits() int { return 3*64 + m.Elem.Bits() }
 // Kind names the message for instrumentation (routed: "route/sample-root").
 func (m *SampleRootMsg) Kind() string { return "sample-root" }
 
-// DistSeekMsg walks pred-ward to the nearest middle node, which then takes
+// DistSeekMsg jumps to the nearest middle node pred-ward, which then takes
 // the de Bruijn step for the [Lo,Hi] subtree of root Root's distribution
 // tree.
 type DistSeekMsg struct {
@@ -167,8 +167,8 @@ func (n *Node) newHolder(ctx *sim.Context, self *ldb.VInfo, epoch uint64, rootPo
 
 // forwardSeek moves a DistSeekMsg one step: a middle node takes the de
 // Bruijn step to its left/right sibling (whose label is exactly
-// (m+bit)/2); any other node walks pred-ward toward the nearest middle
-// node.
+// (m+bit)/2); any other node sends it over its MidPred edge to the nearest
+// middle node pred-ward.
 func (n *Node) forwardSeek(ctx *sim.Context, self *ldb.VInfo, m *DistSeekMsg) {
 	if self.Kind == ldb.Middle {
 		kind := ldb.Left
@@ -181,7 +181,7 @@ func (n *Node) forwardSeek(ctx *sim.Context, self *ldb.VInfo, m *DistSeekMsg) {
 		})
 		return
 	}
-	ctx.Send(self.Pred, m)
+	ctx.Send(self.MidPred, m)
 }
 
 func (n *Node) onSeek(ctx *sim.Context, self *ldb.VInfo, m *DistSeekMsg) {

@@ -11,8 +11,12 @@ import (
 // node itself (lazy processing) while the topology restoration for a batch
 // of Join/Leave operations completes in O(log n) rounds w.h.p. A join must
 // splice three virtual nodes into the cycle, each located by routing to the
-// responsible node of its label; a leave only notifies the cycle
-// neighbours of its three virtual nodes.
+// responsible node of its label; a leave notifies the cycle neighbours of
+// its three virtual nodes. Either way a middle node that comes or goes
+// hands the MidPred edge over to the non-middle run succ-ward of it, up to
+// the next middle node: one MidPredMsg per node of the run (2 on average,
+// O(log n) w.h.p.). A joining left or right node changes no one's MidPred
+// and learns its own from its splice point.
 
 // SpliceMsg asks the responsible node of a new virtual node's label to
 // splice the newcomer in between itself and its successor.
@@ -39,24 +43,56 @@ func (m *LeaveMsg) Bits() int { return labelBits }
 // Kind names the message for instrumentation.
 func (m *LeaveMsg) Kind() string { return "ldb/leave" }
 
-// dynNode relays routed splice requests and counts completed splices and
-// leave notifications.
+// MidPredMsg passes a MidPred hand-off along a non-middle run, succ-ward:
+// the receiver's nearest middle node pred-ward is now Mid (a joining
+// middle node, or a leaving one's own MidPred).
+type MidPredMsg struct {
+	Mid sim.NodeID
+}
+
+// Bits: one node reference.
+func (m *MidPredMsg) Bits() int { return labelBits }
+
+// Kind names the message for instrumentation.
+func (m *MidPredMsg) Kind() string { return "ldb/midpred" }
+
+// dynNode relays routed splice requests and MidPred hand-offs, and counts
+// completed splices, leave notifications and hand-offs.
 type dynNode struct {
-	ov   *Overlay
-	done *int
+	ov         *Overlay
+	done, want *int
 }
 
 func (d *dynNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Message) {
+	self := d.ov.Info(ctx.ID())
 	switch m := msg.(type) {
 	case *RouteMsg:
-		if Forward(ctx, d.ov, d.ov.Info(ctx.ID()), m) {
+		if Forward(ctx, d.ov, self, m) {
 			// Splice point found: in a full implementation the responsible
 			// node rewires succ pointers here; the simulation applies the
-			// structural change afterwards and only measures delivery.
+			// structural change afterwards and only measures delivery. A
+			// joining middle node (its label is the hash of its identifier)
+			// lands just succ-ward of self and takes over the run after it.
 			*d.done++
+			if s := m.Payload.(*SpliceMsg); s.NewLabel == d.ov.hasher.Unit(s.NewHost) {
+				d.handOff(ctx, self, sim.None)
+			}
 		}
 	case *LeaveMsg:
 		*d.done++
+	case *MidPredMsg:
+		*d.done++
+		d.handOff(ctx, self, m.Mid)
+	}
+}
+
+// handOff sends a MidPredMsg to self's successor unless that is a middle
+// node, which ends the run. mid is the new MidPred, sim.None for a joining
+// node that exists only after the batch.
+func (d *dynNode) handOff(ctx *sim.Context, self *VInfo, mid sim.NodeID) {
+	if KindOf(self.Succ) != Middle {
+		*d.want++
+		ctx.Send(self.Succ, &MidPredMsg{Mid: mid})
 	}
 }
 
@@ -71,15 +107,15 @@ type JoinLeaveResult struct {
 
 // RunBatch performs a batch of joins (new process identifiers) and leaves
 // (host slots) against the overlay: it measures the rounds needed to route
-// every splice request and leave notification on the *current* topology,
-// then applies the membership changes structurally. The caller can verify
-// restoration via IsTree.
+// every splice request, leave notification and MidPred hand-off on the
+// *current* topology, then applies the membership changes structurally.
+// The caller can verify restoration via IsTree.
 func RunBatch(ov *Overlay, joins []uint64, leaves []int, seed uint64) JoinLeaveResult {
 	done := 0
 	want := 3*len(joins) + 6*len(leaves)
 	handlers := make([]sim.Handler, ov.NumVirtual())
 	for i := range handlers {
-		handlers[i] = &dynNode{ov: ov, done: &done}
+		handlers[i] = &dynNode{ov: ov, done: &done, want: &want}
 	}
 	groups, group := ov.Group()
 	eng := sim.Build(sim.Spec{Handlers: handlers, Seed: seed, Groups: groups, Group: group}).(*sim.SyncEngine)
@@ -101,13 +137,16 @@ func RunBatch(ov *Overlay, joins []uint64, leaves []int, seed uint64) JoinLeaveR
 			}
 		}
 	}
-	// Inject leaves: each departing virtual node notifies pred and succ.
+	// Inject leaves: each departing virtual node notifies pred and succ,
+	// and the middle one hands its own MidPred to the run after it.
 	for _, host := range leaves {
 		for _, k := range []Kind{Left, Middle, Right} {
 			v := ov.Info(VID(host, k))
 			eng.Context(v.ID).Send(v.Pred, &LeaveMsg{Replacement: v.Succ})
 			eng.Context(v.ID).Send(v.Succ, &LeaveMsg{Replacement: v.Pred})
 		}
+		mid := ov.Info(VID(host, Middle))
+		handlers[mid.ID].(*dynNode).handOff(eng.Context(mid.ID), mid, mid.MidPred)
 	}
 
 	eng.RunUntil(func() bool { return done >= want }, 64*(mathx.Log2Ceil(ov.N)+4))

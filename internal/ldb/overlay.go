@@ -59,6 +59,10 @@ type VInfo struct {
 	Pred, Succ sim.NodeID // linear edges on the sorted cycle
 	PredLabel  float64
 	SuccLabel  float64
+	// MidPred is the nearest middle node strictly pred-ward on the cycle
+	// (the node itself only when it is the sole middle node): the shortcut
+	// that lets a de Bruijn step leave from any node in one hop.
+	MidPred sim.NodeID
 
 	Parent   sim.NodeID // aggregation-tree parent (sim.None for the anchor)
 	Children []sim.NodeID
@@ -173,8 +177,8 @@ func (ov *Overlay) RemoveHost(host int) {
 // ActiveHost reports whether the host slot is part of the network.
 func (ov *Overlay) ActiveHost(host int) bool { return ov.active[host] }
 
-// rebuild recomputes the sorted cycle, linear edges and the aggregation
-// tree from the current labels of active hosts.
+// rebuild recomputes the sorted cycle, linear edges, MidPred shortcuts and
+// the aggregation tree from the current labels of active hosts.
 func (ov *Overlay) rebuild() {
 	ov.N = 0
 	ov.order = ov.order[:0]
@@ -197,6 +201,14 @@ func (ov *Overlay) rebuild() {
 	})
 	nv := len(ov.order)
 	ov.labels = make([]float64, nv)
+	// The nearest middle node pred-ward of the cycle's first position is
+	// the last middle node in order (the wrap).
+	mid := sim.None
+	for pos := nv - 1; mid == sim.None; pos-- {
+		if KindOf(ov.order[pos]) == Middle {
+			mid = ov.order[pos]
+		}
+	}
 	for pos, id := range ov.order {
 		ov.labels[pos] = ov.V[id].Label
 		pred := ov.order[(pos-1+nv)%nv]
@@ -204,6 +216,10 @@ func (ov *Overlay) rebuild() {
 		v := &ov.V[id]
 		v.Pred, v.PredLabel = pred, ov.V[pred].Label
 		v.Succ, v.SuccLabel = succ, ov.V[succ].Label
+		v.MidPred = mid
+		if v.Kind == Middle {
+			mid = id
+		}
 	}
 	ov.buildTree()
 }

@@ -18,20 +18,24 @@ import (
 // nodes it emulates (see RouteStep), and only otherwise alternates the two
 // local moves of the emulation until Hops de Bruijn steps are spent:
 //
-//  1. at a middle node with label m and h steps left, the message crosses
-//     the virtual edge to the host's left (label exactly m/2) or right
-//     (label exactly (m+1)/2) node, whichever is cyclically closer to the
-//     ideal point frac(Target·2^(h−1)) — the de Bruijn step p ← (p+b)/2
-//     on actual labels (see deBruijnStep);
-//  2. at a non-middle node the message walks pred-ward to the nearest
-//     middle node (O(1) expected linear hops, since middle labels are a
-//     constant fraction of the cycle).
+//  1. at a middle node with label m and h steps left, the step picks the
+//     host's left (label exactly m/2) or right (label exactly (m+1)/2)
+//     node c, whichever is cyclically closer to the ideal point
+//     frac(Target·2^(h−1)) — the de Bruijn step p ← (p+b)/2 on actual
+//     labels (see deBruijnStep);
+//  2. the next step must leave from a middle node, the nearest one
+//     pred-ward of c; the message goes there in one hop over c's MidPred
+//     edge (if that is the node itself, it steps again at once). A route
+//     originating at a non-middle node likewise starts at its MidPred.
 //
-// After the last de Bruijn step the current label is within O(2^-d) of the
-// target on the cycle, and a final monotone linear walk, the short way
-// round, reaches the responsible node (the predecessor of Target). Total:
-// O(log n) hops w.h.p. (Lemma A.2); on a small cycle the walk would pass
-// through the owner several times, which is what the early stop saves.
+// After the last de Bruijn step the message crosses to c itself: its label
+// is within O(2^-d) of the target on the cycle, and a final monotone linear
+// walk, the short way round, reaches the responsible node (the predecessor
+// of Target). Each step costs one message, and the shortcut lands where
+// the pred-ward walk to a middle node would, so the visited labels are
+// those of the walk Lemma A.2 analyses: O(log n) hops w.h.p. On a small
+// cycle the walk would pass through the owner several times, which is what
+// the early stop saves.
 type RouteMsg struct {
 	Target  float64     // destination point in [0,1)
 	Hops    int         // remaining de Bruijn steps
@@ -130,9 +134,8 @@ func (ov *Overlay) HopSummary() (mean float64, longest int64) {
 }
 
 // RouteHops returns the number of de Bruijn steps used for an overlay of n
-// real processes: d = max(0, ⌈log₂3n⌉ − 4). Each step costs ≈ 4 hops (the
-// virtual edge and ≈ 3 pred hops to a middle node); the early stop ends the
-// final walk from ≈ 2^4 label gaps away for less than the last four would.
+// real processes: d = max(0, ⌈log₂3n⌉ − 4). The early stop ends the final
+// walk from ≈ 2^4 label gaps away.
 func RouteHops(n int) int { return max(0, mathx.Log2Ceil(3*n)-4) }
 
 // NewRoute creates a routing message toward point target in an overlay of
@@ -192,19 +195,37 @@ func RouteStep(ov *Overlay, self *VInfo, m *RouteMsg) (next sim.NodeID, deliver 
 	}
 	if m.Hops > 0 {
 		if self.Kind == Middle {
-			return deBruijnStep(self, m), false
+			return deBruijnHop(ov, self, m), false
 		}
-		// Walk pred-ward to the nearest middle node to take the next de
-		// Bruijn step from.
-		return self.Pred, false
+		// Take the first de Bruijn step from the nearest middle node.
+		return self.MidPred, false
 	}
 	return finalStep(self, m), false
 }
 
+// deBruijnHop spends de Bruijn steps at middle node self until the message
+// leaves it: the last step crosses to the child c itself, any other jumps
+// to c's MidPred, where the next step leaves from. When that is self (c is
+// the right node and no other middle node lies below it) the next step is
+// taken here, in the same activation. The stop rules have already been
+// applied at self, and c is co-hosted, so c owning the target or its
+// predecessor owning it would have sent the message to c before the step.
+func deBruijnHop(ov *Overlay, self *VInfo, m *RouteMsg) sim.NodeID {
+	for {
+		c := deBruijnStep(self, m)
+		if m.Hops == 0 {
+			return c
+		}
+		if next := ov.V[c].MidPred; next != self.ID {
+			return next
+		}
+	}
+}
+
 // deBruijnStep spends one de Bruijn step at middle node self, crossing to
 // the child cyclically closer to u = frac(Target·2^(Hops−1)). That is the
-// child the target's Hops-th bit names unless a pred-ward walk wrapped
-// through 0; then it is the other one, in the target's half of the cycle.
+// child the target's Hops-th bit names unless the MidPred jump to self
+// wrapped pred-ward through 0; then it is the other one, in the target's half of the cycle.
 // The children are antipodal, so the left one is the closer iff it lies
 // within a quarter cycle of u.
 func deBruijnStep(self *VInfo, m *RouteMsg) sim.NodeID {

@@ -164,17 +164,56 @@ func TestRunBatchLeaveOnly(t *testing.T) {
 	}
 }
 
+// runAfter counts the non-middle nodes succ-ward of id, up to the next
+// middle node: the run whose MidPred a middle node at id's position hands
+// over when it joins or leaves.
+func runAfter(ov *Overlay, id sim.NodeID) int64 {
+	run := int64(0)
+	for cur := ov.V[id].Succ; KindOf(cur) != Middle; cur = ov.V[cur].Succ {
+		run++
+	}
+	return run
+}
+
+// TestRunBatchChargesMidPredHandOff: a batch pays one message per node of
+// the run a joining or leaving middle node hands its MidPred edge to, on
+// top of the splice routes and the six leave notifications.
+func TestRunBatchChargesMidPredHandOff(t *testing.T) {
+	ov := New(64, hashutil.New(35))
+	host := 0
+	for runAfter(ov, VID(host, Middle)) == 0 {
+		host++
+	}
+	run := runAfter(ov, VID(host, Middle))
+	if res := RunBatch(ov, nil, []int{host}, 8); res.Messages != 6+run {
+		t.Fatalf("leave: %d messages, want 6 notifications + a run of %d", res.Messages, run)
+	}
+
+	ov = New(64, hashutil.New(36))
+	id := uint64(5000)
+	for runAfter(ov, ov.Responsible(ov.hasher.Unit(id))) == 0 {
+		id++
+	}
+	run = runAfter(ov, ov.Responsible(ov.hasher.Unit(id)))
+	res := RunBatch(ov, []uint64{id}, nil, 9)
+	routed := ov.HopStats()["route/other"].Hops
+	if res.Messages != routed+run {
+		t.Fatalf("join: %d messages, want %d routed + a run of %d", res.Messages, routed, run)
+	}
+	checkMidPred(t, ov)
+}
+
 // referenceStep is the fixed-length walk of the same emulation, with no
-// stop rules: it spends all Hops de Bruijn steps (same child rule), then
-// walks linearly the short way round (same final step), and only then
-// asks who owns the target. Kept as the model the early-stopping walk is
-// compared against.
-func referenceStep(_ *Overlay, self *VInfo, m *RouteMsg) (next sim.NodeID, deliver bool) {
+// stop rules: it spends all Hops de Bruijn steps (same child rule, same
+// MidPred hop between steps), then walks linearly the short way round
+// (same final step), and only then asks who owns the target. Kept as the
+// model the early-stopping walk is compared against.
+func referenceStep(ov *Overlay, self *VInfo, m *RouteMsg) (next sim.NodeID, deliver bool) {
 	if m.Hops > 0 {
 		if self.Kind == Middle {
-			return deBruijnStep(self, m), false
+			return deBruijnHop(ov, self, m), false
 		}
-		return self.Pred, false
+		return self.MidPred, false
 	}
 	if owns(self, m.Target) {
 		return sim.None, true
@@ -182,16 +221,17 @@ func referenceStep(_ *Overlay, self *VInfo, m *RouteMsg) (next sim.NodeID, deliv
 	return finalStep(self, m), false
 }
 
-// routeHopLimit is the longest route allowed on the fixed overlays of
-// TestRouteHopBudget and TestRouteNearDyadicTargets: eight hops per
-// ⌈log₂3n⌉, for every origin and target, near-dyadic ones included. It is
-// Lemma A.2's bound w.h.p. over the labels, not one every overlay meets
-// (see FuzzRouteStep).
+// routeHopLimit is the longest route allowed: eight hops per ⌈log₂3n⌉,
+// for every origin and target, near-dyadic ones included. It is Lemma
+// A.2's bound w.h.p. over the labels; FuzzRouteStep asserts it on the
+// overlays it builds too.
 func routeHopLimit(n int) int { return 8 * mathx.Log2Ceil(3*n) }
 
 // walk applies step hop by hop from src until it delivers and returns the
-// visited virtual nodes, src first and the delivering node last. The hop
-// limit only guards termination, far above routeHopLimit.
+// visited virtual nodes, src first and the delivering node last. No hop may
+// name the node it leaves: a message sent to itself would cost a round and
+// a message for nothing. The hop limit only guards termination, far above
+// routeHopLimit.
 func walk(t testing.TB, ov *Overlay, src sim.NodeID, target float64, step func(*Overlay, *VInfo, *RouteMsg) (sim.NodeID, bool)) []sim.NodeID {
 	t.Helper()
 	m := NewRoute(ov.N, target, &payload{})
@@ -203,6 +243,9 @@ func walk(t testing.TB, ov *Overlay, src sim.NodeID, target float64, step func(*
 		}
 		if limit == 0 {
 			t.Fatalf("n=%d: route %d → %v still undelivered after %d hops", ov.N, src, target, len(path)-1)
+		}
+		if cur := path[len(path)-1]; next == cur {
+			t.Fatalf("n=%d: route %d → %v: node %d forwards to itself", ov.N, src, target, cur)
 		}
 		if !ov.ActiveHost(HostOf(next)) {
 			t.Fatalf("n=%d: route %d → %v forwarded to departed node %d", ov.N, src, target, next)
@@ -253,6 +296,22 @@ func checkRoute(t testing.TB, ov *Overlay, src sim.NodeID, target float64) (hops
 	return len(got) - 1, len(ref) - 1
 }
 
+// checkMidPred asserts that every active node's MidPred is what a scan
+// from scratch finds: the first middle node pred-ward of it, itself only
+// after a full turn of the cycle.
+func checkMidPred(t testing.TB, ov *Overlay) {
+	t.Helper()
+	for _, id := range activeNodes(ov) {
+		want := ov.V[id].Pred
+		for KindOf(want) != Middle {
+			want = ov.V[want].Pred
+		}
+		if got := ov.V[id].MidPred; got != want {
+			t.Fatalf("n=%d: node %d has MidPred %d, the nearest middle node pred-ward is %d", ov.N, id, got, want)
+		}
+	}
+}
+
 // activeNodes lists the virtual nodes of the hosts currently in the network.
 func activeNodes(ov *Overlay) []sim.NodeID {
 	var ids []sim.NodeID
@@ -270,6 +329,7 @@ func TestRouteStepProperties(t *testing.T) {
 			ov := New(n, hashutil.New(seed*1000+uint64(n)))
 			rnd := hashutil.NewRand(seed)
 			check := func() {
+				checkMidPred(t, ov)
 				for _, src := range activeNodes(ov) {
 					for trial := 0; trial < 2; trial++ {
 						checkRoute(t, ov, src, rnd.Float64())
@@ -294,13 +354,14 @@ func TestRouteStepProperties(t *testing.T) {
 // here on any hardware. The reference column documents what the
 // fixed-length walk of the same emulation costs; the claim is the small-n
 // constant and a tail within a small factor of the mean, the large-n slope
-// is Lemma A.2's.
+// is Lemma A.2's. Budgets are 1.15× the measured mean and longest route,
+// rounded down.
 func TestRouteHopBudget(t *testing.T) {
 	for _, c := range []struct {
 		n         int
 		budget    float64
 		maxBudget int
-	}{{4, 2.2, 6}, {8, 5.0, 18}, {64, 17.4, 44}, {1024, 37.3, 76}, {4096, 45.1, 104}} {
+	}{{4, 2.3, 5}, {8, 4.7, 17}, {64, 8.4, 23}, {1024, 13.7, 31}, {4096, 16.2, 29}} {
 		ov := New(c.n, hashutil.New(uint64(c.n)))
 		rnd := hashutil.NewRand(uint64(c.n) + 1)
 		const pairs = 2000
@@ -388,13 +449,13 @@ func TestHopStatsConcurrent(t *testing.T) {
 
 // FuzzRouteStep drives the routing contract over arbitrary origins, target
 // bit patterns and membership histories (each edit byte adds a host or
-// removes the one it names). It asserts checkRoute's properties, not
-// routeHopLimit: that bound is Lemma A.2's "w.h.p." over the labels, and a
-// fuzzer that chooses the membership finds overlays outside it within
-// seconds. The last seed is one: 35 hosts whose middle nodes leave the arc
-// (0.669, 0.835) empty, so every de Bruijn step toward 0 crosses to the
-// right node above it and walks pred-ward back to the same middle node;
-// the route to 0.5 takes 61 hops against a limit of 56.
+// removes the one it names). After every edit each MidPred must match a
+// scan from scratch; the route must meet checkRoute's properties and
+// routeHopLimit. The last seed is 35 hosts whose middle nodes leave the arc
+// (0.669, 0.835) empty: each step toward 0 crosses to the right node above
+// that arc, whose MidPred is the middle node it left, so deBruijnHop takes
+// the next step in place. The route to 0.5 takes 20 hops; a pred-ward walk
+// across the arc per step took 61, past the limit of 56.
 func FuzzRouteStep(f *testing.F) {
 	f.Add(uint8(4), uint16(0), uint64(0), []byte{})
 	f.Add(uint8(1), uint16(2), ^uint64(0), []byte{1, 0, 3})
@@ -402,6 +463,7 @@ func FuzzRouteStep(f *testing.F) {
 	f.Add(uint8('^'), uint16(32), uint64(1)<<63, []byte("11111X"))
 	f.Fuzz(func(t *testing.T, n uint8, origin uint16, targetBits uint64, edits []byte) {
 		ov := New(int(n%32)+1, hashutil.New(uint64(n)))
+		checkMidPred(t, ov)
 		if len(edits) > 16 {
 			edits = edits[:16] // every edit rebuilds the overlay
 		}
@@ -411,9 +473,13 @@ func FuzzRouteStep(f *testing.F) {
 			} else {
 				ov.AddHost(uint64(1000 + i))
 			}
+			checkMidPred(t, ov)
 		}
 		nodes := activeNodes(ov)
 		target := float64(targetBits>>11) / (1 << 53)
-		checkRoute(t, ov, nodes[int(origin)%len(nodes)], target)
+		src := nodes[int(origin)%len(nodes)]
+		if hops, _ := checkRoute(t, ov, src, target); hops > routeHopLimit(ov.N) {
+			t.Fatalf("n=%d: route %d → %v takes %d hops, limit %d", ov.N, src, target, hops, routeHopLimit(ov.N))
+		}
 	})
 }

@@ -49,4 +49,14 @@ func init() {
 		&LeaveMsg{Replacement: 5},
 		&LeaveMsg{Replacement: sim.None},
 	)
+	wire.Register("ldb/midpred", &MidPredMsg{},
+		func(w *wire.Writer, msg sim.Message) {
+			w.I64(int64(msg.(*MidPredMsg).Mid))
+		},
+		func(r *wire.Reader) sim.Message {
+			return &MidPredMsg{Mid: sim.NodeID(r.I64())}
+		},
+		&MidPredMsg{Mid: 7},
+		&MidPredMsg{Mid: sim.None},
+	)
 }

@@ -28,7 +28,7 @@ var wantKinds = []string{
 	"tree/start", "tree/up", "tree/down",
 	"val/int", "val/int2", "val/key", "val/keyrange", "val/interval", "val/nil",
 	"batch/batch", "batch/assign",
-	"ldb/route", "ldb/splice", "ldb/leave",
+	"ldb/route", "ldb/splice", "ldb/leave", "ldb/midpred",
 	"dht/put", "dht/get", "dht/reply",
 	"sort/sample-root", "sort/seek", "sort/arrive", "sort/copy", "sort/vector",
 	"kselect/sample-params", "kselect/pos-share", "kselect/elem",
