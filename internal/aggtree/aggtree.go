@@ -4,13 +4,15 @@
 // being decomposed at every inner node. One gather–scatter exchange costs
 // O(height) = O(log n) rounds w.h.p.
 //
-// The package provides a single reusable primitive, the Proto/Runner pair:
-// a Proto describes one aggregation protocol (how a node contributes, how
-// contributions combine, what the anchor computes, and how the result is
-// split among children); a Runner multiplexes any number of Protos and
-// sequential instances (Seq) of each over one node's tree links. All of
-// Skeap's phases 1–3, Seap's phases and KSelect's aggregation steps are
-// instances of this primitive, exactly as the paper describes them.
+// The package provides a single reusable primitive, the Proto/Table/Runner
+// trio: a Proto describes one aggregation protocol (how a node contributes,
+// how contributions combine, what the anchor computes, and how the result
+// is split among children); a Table binds tags to the Protos of one
+// protocol instance, once for all of its nodes; a Runner multiplexes the
+// Table's Protos and sequential instances (Seq) of each over one node's
+// tree links. All of Skeap's phases 1–3, Seap's phases and KSelect's
+// aggregation steps are instances of this primitive, exactly as the paper
+// describes them.
 package aggtree
 
 import (
@@ -34,7 +36,13 @@ type KidValue struct {
 
 // Proto describes one gather–scatter protocol. Combine, AtRoot and Split
 // are pure with respect to the tree; all protocol state lives in the
-// closures' owner.
+// closures' owner. One Proto serves every node of a protocol instance (see
+// Table): its closures capture the protocol driver and reach the executing
+// node's state through self.ID. A closure touches only self's state, and
+// the anchor's only in AtRoot.
+//
+// Combine and Split must not retain kids: the slice lives in the
+// instance's state, whose storage the Runner owns.
 type Proto struct {
 	// Name is used in diagnostics.
 	Name string
@@ -65,25 +73,43 @@ type key struct {
 }
 
 type state struct {
-	params Value
+	start  *StartMsg // the instance's start, forwarded to the children
 	begun  bool
 	own    Value
 	kids   []KidValue
 	sentUp bool
 	want   int // children count at begin time
+	// kidBuf backs kids for the ≤ 2 children an LDB tree node has
+	// (Lemma 2.2(i), Cor. A.4); append moves past it only for wider trees.
+	kidBuf [2]KidValue
 }
 
 // StartMsg begins instance (Tag, Seq) at the receiving subtree: the node
 // contributes Own, forwards the start to its children and awaits their
-// UpMsgs.
+// UpMsgs. A node forwards the StartMsg it received, so one value reaches
+// every node of the tree (messages are immutable once sent, see
+// sim.Context.Send).
 type StartMsg struct {
 	Tag    Tag
 	Seq    uint64
 	Params Value
 }
 
+// kindNames holds the instrumentation names of the tree messages per tag,
+// built once: Kind runs on every observed delivery. The names are part of
+// the trace schema.
+var kindNames [3][256]string
+
+func init() {
+	for i, prefix := range []string{"tree/start", "tree/up", "tree/down"} {
+		for tag := range kindNames[i] {
+			kindNames[i][tag] = fmt.Sprintf("%s[%d]", prefix, tag)
+		}
+	}
+}
+
 // Kind names the message for instrumentation, per instance tag.
-func (m *StartMsg) Kind() string { return fmt.Sprintf("tree/start[%d]", m.Tag) }
+func (m *StartMsg) Kind() string { return kindNames[0][m.Tag] }
 
 // Bits accounts a small header plus the parameters.
 func (m *StartMsg) Bits() int {
@@ -102,7 +128,7 @@ type UpMsg struct {
 }
 
 // Kind names the message for instrumentation, per instance tag.
-func (m *UpMsg) Kind() string { return fmt.Sprintf("tree/up[%d]", m.Tag) }
+func (m *UpMsg) Kind() string { return kindNames[1][m.Tag] }
 
 // Bits accounts a small header plus the value.
 func (m *UpMsg) Bits() int { return 16 + 64 + m.V.Bits() }
@@ -115,24 +141,55 @@ type DownMsg struct {
 }
 
 // Kind names the message for instrumentation, per instance tag.
-func (m *DownMsg) Kind() string { return fmt.Sprintf("tree/down[%d]", m.Tag) }
+func (m *DownMsg) Kind() string { return kindNames[2][m.Tag] }
 
 // Bits accounts a small header plus the value.
 func (m *DownMsg) Bits() int { return 16 + 64 + m.V.Bits() }
 
-// Runner executes registered Protos at one virtual node. Protocol handlers
+// Table binds tags to the Protos of one protocol instance. The protocol
+// description is public and identical at every node, so it is registered
+// once and shared by all of the instance's Runners. Register every tag
+// before the first message is handled; the Table is read-only afterwards,
+// so Runners on concurrent engine workers share it safely. The zero value
+// is an empty Table.
+type Table struct {
+	protos []*Proto // indexed by tag; nil where unregistered
+}
+
+// Register binds tag to p.
+func (t *Table) Register(tag Tag, p *Proto) {
+	if t.lookup(tag) != nil {
+		panic(fmt.Sprintf("aggtree: duplicate tag %d", tag))
+	}
+	if int(tag) >= len(t.protos) {
+		t.protos = append(t.protos, make([]*Proto, int(tag)+1-len(t.protos))...)
+	}
+	t.protos[tag] = p
+}
+
+// lookup returns the proto registered for tag, or nil.
+func (t *Table) lookup(tag Tag) *Proto {
+	if int(tag) < len(t.protos) {
+		return t.protos[tag]
+	}
+	return nil
+}
+
+// Runner returns a Runner for one virtual node, executing t's Protos. A
+// Runner is a plain value meant to be embedded in the node's state; its
+// instance and floor tables are allocated lazily on first write, since
+// most nodes of a large simulation never anchor an instance or see a
+// reset.
+func (t *Table) Runner() Runner { return Runner{tab: t} }
+
+// Runner executes a Table's Protos at one virtual node. Protocol handlers
 // delegate StartMsg/UpMsg/DownMsg to it.
 type Runner struct {
-	ov *ldb.Overlay
-	// protos is a tiny linear-scan table rather than a map: every virtual
-	// node registers a handful of tags at most, and one Runner exists per
-	// node, so map headers would dominate the idle footprint at large n.
-	protos []tagProto
-	// states is likewise a linear-scan table: a node has at most a couple
-	// of live instances, and unlike a map the slice's footprint shrinks
-	// back to a header once instances complete — at million-node scale a
-	// per-node map that has ever been touched would dominate steady-state
-	// memory.
+	tab *Table
+	// states is a linear-scan table: a node has at most a couple of live
+	// instances, and unlike a map the slice's footprint shrinks back to a
+	// header once instances complete — at million-node scale a per-node
+	// map that has ever been touched would dominate steady-state memory.
 	states []instState
 	// floors suppress instances below a per-tag sequence floor: after a
 	// partial-failure reset every message of an aborted instance — late
@@ -143,34 +200,9 @@ type Runner struct {
 	dropped int64
 }
 
-type tagProto struct {
-	tag Tag
-	p   *Proto
-}
-
 type instState struct {
 	k  key
 	st *state
-}
-
-// NewRunner creates a Runner for the virtual node whose VInfo the handler
-// passes on every call. The states and floors maps are allocated lazily on
-// first write: most nodes of a large simulation never anchor an instance
-// or see a reset.
-func NewRunner(ov *ldb.Overlay) *Runner {
-	return &Runner{ov: ov}
-}
-
-// NewRunners bulk-allocates the Runners of n virtual nodes in one backing
-// array — one allocation instead of n at construction, which matters when
-// the simulation has millions of nodes. Callers take &rs[i] per node; the
-// returned slice must not be reallocated afterwards.
-func NewRunners(ov *ldb.Overlay, n int) []Runner {
-	rs := make([]Runner, n)
-	for i := range rs {
-		rs[i].ov = ov
-	}
-	return rs
 }
 
 // AbortBelow abandons every instance of tag with seq < floor and suppresses
@@ -204,30 +236,11 @@ func (r *Runner) Dropped() int64 { return r.dropped }
 
 // below reports (and counts) whether an instance seq is floored for tag.
 func (r *Runner) below(tag Tag, seq uint64) bool {
-	if seq < r.floors[tag] {
+	if r.floors != nil && seq < r.floors[tag] {
 		r.dropped++
 		return true
 	}
 	return false
-}
-
-// Register binds tag to proto on this node. All nodes must register the
-// same protos (they are the publicly known protocol description).
-func (r *Runner) Register(tag Tag, p *Proto) {
-	if r.lookup(tag) != nil {
-		panic(fmt.Sprintf("aggtree: duplicate tag %d", tag))
-	}
-	r.protos = append(r.protos, tagProto{tag: tag, p: p})
-}
-
-// lookup returns the proto registered for tag, or nil.
-func (r *Runner) lookup(tag Tag) *Proto {
-	for i := range r.protos {
-		if r.protos[i].tag == tag {
-			return r.protos[i].p
-		}
-	}
-	return nil
 }
 
 // Start initiates instance (tag, seq) from the anchor. It must be called
@@ -236,24 +249,24 @@ func (r *Runner) Start(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64, p
 	if self.Parent != sim.None {
 		panic("aggtree: Start called at a non-anchor node")
 	}
-	r.begin(ctx, self, tag, seq, params)
+	r.begin(ctx, self, &StartMsg{Tag: tag, Seq: seq, Params: params})
 }
 
 // Handle processes one tree message; it reports whether the message was an
-// aggtree message with a tag registered on this Runner (false lets the
-// caller dispatch other message types or other Runners).
+// aggtree message with a tag registered in this Runner's Table (false lets
+// the caller dispatch other message types or other Runners).
 func (r *Runner) Handle(ctx *sim.Context, self *ldb.VInfo, from sim.NodeID, msg sim.Message) bool {
 	switch m := msg.(type) {
 	case *StartMsg:
-		if r.lookup(m.Tag) == nil {
+		if r.tab.lookup(m.Tag) == nil {
 			return false
 		}
 		if r.below(m.Tag, m.Seq) {
 			return true
 		}
-		r.begin(ctx, self, m.Tag, m.Seq, m.Params)
+		r.begin(ctx, self, m)
 	case *UpMsg:
-		if r.lookup(m.Tag) == nil {
+		if r.tab.lookup(m.Tag) == nil {
 			return false
 		}
 		if r.below(m.Tag, m.Seq) {
@@ -263,7 +276,7 @@ func (r *Runner) Handle(ctx *sim.Context, self *ldb.VInfo, from sim.NodeID, msg 
 		st.kids = append(st.kids, KidValue{From: from, V: m.V})
 		r.maybeCombine(ctx, self, m.Tag, m.Seq, st)
 	case *DownMsg:
-		if r.lookup(m.Tag) == nil {
+		if r.tab.lookup(m.Tag) == nil {
 			return false
 		}
 		if r.below(m.Tag, m.Seq) {
@@ -289,7 +302,7 @@ func (r *Runner) Handle(ctx *sim.Context, self *ldb.VInfo, from sim.NodeID, msg 
 }
 
 func (r *Runner) proto(tag Tag) *Proto {
-	p := r.lookup(tag)
+	p := r.tab.lookup(tag)
 	if p == nil {
 		panic(fmt.Sprintf("aggtree: unknown tag %d", tag))
 	}
@@ -302,6 +315,7 @@ func (r *Runner) state(tag Tag, seq uint64) *state {
 		return st
 	}
 	st := &state{}
+	st.kids = st.kidBuf[:0]
 	r.states = append(r.states, instState{k: k, st: st})
 	return st
 }
@@ -327,18 +341,19 @@ func (r *Runner) dropState(k key) {
 	}
 }
 
-func (r *Runner) begin(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64, params Value) {
+func (r *Runner) begin(ctx *sim.Context, self *ldb.VInfo, m *StartMsg) {
+	tag, seq := m.Tag, m.Seq
 	p := r.proto(tag)
 	st := r.state(tag, seq)
 	if st.begun {
 		panic(fmt.Sprintf("aggtree: %s instance %d started twice", p.Name, seq))
 	}
 	st.begun = true
-	st.params = params
+	st.start = m
 	st.want = len(self.Children)
-	st.own = p.Own(ctx, self, seq, params)
+	st.own = p.Own(ctx, self, seq, m.Params)
 	for _, c := range self.Children {
-		ctx.Send(c, &StartMsg{Tag: tag, Seq: seq, Params: params})
+		ctx.Send(c, m)
 	}
 	r.maybeCombine(ctx, self, tag, seq, st)
 }
@@ -348,10 +363,11 @@ func (r *Runner) maybeCombine(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq ui
 		return
 	}
 	p := r.proto(tag)
-	combined := p.Combine(self, seq, st.params, st.own, st.kids)
+	params := st.start.Params
+	combined := p.Combine(self, seq, params, st.own, st.kids)
 	st.sentUp = true
 	if self.Parent == sim.None {
-		down := p.AtRoot(ctx, self, seq, st.params, combined)
+		down := p.AtRoot(ctx, self, seq, params, combined)
 		if down == nil {
 			r.dropState(key{tag, seq})
 			return
@@ -371,7 +387,8 @@ func (r *Runner) scatter(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64,
 	if !st.begun {
 		panic(fmt.Sprintf("aggtree: %s scatter at node %d for un-begun instance seq %d (floor %d, kids %d)", p.Name, self.ID, seq, r.floors[tag], len(st.kids)))
 	}
-	ownPart, kidParts := p.Split(self, seq, st.params, down, st.own, st.kids)
+	params := st.start.Params
+	ownPart, kidParts := p.Split(self, seq, params, down, st.own, st.kids)
 	if len(kidParts) != len(st.kids) {
 		panic(fmt.Sprintf("aggtree: %s Split returned %d parts for %d children", p.Name, len(kidParts), len(st.kids)))
 	}
@@ -381,7 +398,7 @@ func (r *Runner) scatter(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64,
 		}
 	}
 	if p.OnOwn != nil {
-		p.OnOwn(ctx, self, seq, st.params, ownPart)
+		p.OnOwn(ctx, self, seq, params, ownPart)
 	}
 	r.dropState(key{tag, seq})
 }

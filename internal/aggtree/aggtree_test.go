@@ -12,7 +12,7 @@ import (
 // aggNode hosts a Runner for testing.
 type aggNode struct {
 	ov *ldb.Overlay
-	r  *Runner
+	r  Runner
 }
 
 func (n *aggNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Message) {
@@ -23,13 +23,19 @@ func (n *aggNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Messa
 
 func (n *aggNode) Activate(*sim.Context) {}
 
-func buildNetwork(n int, seed uint64, register func(r *Runner)) (*ldb.Overlay, *sim.SyncEngine, []*aggNode) {
-	ov := ldb.New(n, hashutil.New(seed))
+func buildNetwork(n int, seed uint64, register func(t *Table)) (*ldb.Overlay, *sim.SyncEngine, []*aggNode) {
+	return buildOn(ldb.New(n, hashutil.New(seed)), register)
+}
+
+// buildOn registers one Table and hosts a Runner on it at every virtual
+// node of ov.
+func buildOn(ov *ldb.Overlay, register func(t *Table)) (*ldb.Overlay, *sim.SyncEngine, []*aggNode) {
+	tab := &Table{}
+	register(tab)
 	nodes := make([]*aggNode, ov.NumVirtual())
 	handlers := make([]sim.Handler, ov.NumVirtual())
 	for i := range handlers {
-		nodes[i] = &aggNode{ov: ov, r: NewRunner(ov)}
-		register(nodes[i].r)
+		nodes[i] = &aggNode{ov: ov, r: tab.Runner()}
 		handlers[i] = nodes[i]
 	}
 	groups, group := ov.Group()
@@ -64,8 +70,8 @@ func TestCountAggregation(t *testing.T) {
 	for _, n := range []int{1, 2, 5, 32} {
 		var result int64
 		var done bool
-		ov, eng, nodes := buildNetwork(n, uint64(n)+100, func(r *Runner) {
-			r.Register(1, countProto(&result, &done))
+		ov, eng, nodes := buildNetwork(n, uint64(n)+100, func(t *Table) {
+			t.Register(1, countProto(&result, &done))
 		})
 		nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, 0, nil)
 		ok := eng.RunUntil(func() bool { return done }, 100*(mathx.Log2Ceil(n)+2))
@@ -83,8 +89,8 @@ func TestAggregationRounds(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
 		var result int64
 		var done bool
-		ov, eng, nodes := buildNetwork(n, uint64(n)+7, func(r *Runner) {
-			r.Register(1, countProto(&result, &done))
+		ov, eng, nodes := buildNetwork(n, uint64(n)+7, func(t *Table) {
+			t.Register(1, countProto(&result, &done))
 		})
 		nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, 0, nil)
 		eng.RunUntil(func() bool { return done }, 10000)
@@ -145,15 +151,7 @@ func TestGatherScatterDecomposition(t *testing.T) {
 		},
 	}
 
-	nodes := make([]*aggNode, ov.NumVirtual())
-	handlers := make([]sim.Handler, ov.NumVirtual())
-	for i := range handlers {
-		nodes[i] = &aggNode{ov: ov, r: NewRunner(ov)}
-		nodes[i].r.Register(2, proto)
-		handlers[i] = nodes[i]
-	}
-	groups, group := ov.Group()
-	eng := sim.Build(sim.Spec{Handlers: handlers, Seed: 1, Groups: groups, Group: group}).(*sim.SyncEngine)
+	_, eng, nodes := buildOn(ov, func(t *Table) { t.Register(2, proto) })
 	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 2, 0, nil)
 	ok := eng.RunUntil(func() bool { return received == 3*n }, 10000)
 	if !ok {
@@ -188,15 +186,7 @@ func TestSequentialInstances(t *testing.T) {
 	ov := ldb.New(n, hashutil.New(77))
 	var result int64
 	var done bool
-	nodes := make([]*aggNode, ov.NumVirtual())
-	handlers := make([]sim.Handler, ov.NumVirtual())
-	for i := range handlers {
-		nodes[i] = &aggNode{ov: ov, r: NewRunner(ov)}
-		nodes[i].r.Register(1, countProto(&result, &done))
-		handlers[i] = nodes[i]
-	}
-	groups, group := ov.Group()
-	eng := sim.Build(sim.Spec{Handlers: handlers, Seed: 1, Groups: groups, Group: group}).(*sim.SyncEngine)
+	_, eng, nodes := buildOn(ov, func(t *Table) { t.Register(1, countProto(&result, &done)) })
 	for seq := uint64(0); seq < 3; seq++ {
 		done = false
 		nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, seq, nil)
@@ -210,20 +200,21 @@ func TestSequentialInstances(t *testing.T) {
 }
 
 func TestDuplicateTagPanics(t *testing.T) {
-	r := NewRunner(nil)
-	r.Register(1, &Proto{Name: "a"})
+	tab := &Table{}
+	tab.Register(1, &Proto{Name: "a"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	r.Register(1, &Proto{Name: "b"})
+	tab.Register(1, &Proto{Name: "b"})
 }
 
 func TestStartAtNonAnchorPanics(t *testing.T) {
 	ov := ldb.New(2, hashutil.New(1))
-	r := NewRunner(ov)
-	r.Register(1, &Proto{Name: "x"})
+	tab := &Table{}
+	tab.Register(1, &Proto{Name: "x"})
+	r := tab.Runner()
 	var notAnchor sim.NodeID
 	for i := range ov.V {
 		if sim.NodeID(i) != ov.Anchor {

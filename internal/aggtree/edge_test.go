@@ -27,7 +27,7 @@ func TestParamsPropagation(t *testing.T) {
 		},
 		GatherOnly: true,
 	}
-	ov, eng, nodes := buildNetwork(n, 777, func(r *Runner) { r.Register(5, proto) })
+	ov, eng, nodes := buildNetwork(n, 777, func(t *Table) { t.Register(5, proto) })
 	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 5, 3, IntVal(42))
 	eng.RunUntil(func() bool { return len(got) == 3*n }, 10000)
 	if len(got) != 3*n {
@@ -65,7 +65,7 @@ func TestNilKidPartsNotSent(t *testing.T) {
 			received++
 		},
 	}
-	ov, eng, nodes := buildNetwork(n, 778, func(r *Runner) { r.Register(6, proto) })
+	ov, eng, nodes := buildNetwork(n, 778, func(t *Table) { t.Register(6, proto) })
 	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 6, 0, nil)
 	for i := 0; i < 2000; i++ {
 		eng.Step()
@@ -79,8 +79,9 @@ func TestNilKidPartsNotSent(t *testing.T) {
 // return false so a second runner can claim it.
 func TestUnknownTagFallsThrough(t *testing.T) {
 	ov := ldb.New(2, hashutil.New(779))
-	r := NewRunner(ov)
-	r.Register(1, &Proto{Name: "known"})
+	tab := &Table{}
+	tab.Register(1, &Proto{Name: "known"})
+	r := tab.Runner()
 	msg := &UpMsg{Tag: 99, Seq: 0, V: IntVal(1)}
 	if r.Handle(nil, ov.Info(ov.Anchor), 0, msg) {
 		t.Fatal("unknown tag must not be consumed")
@@ -98,8 +99,8 @@ func TestUnknownTagFallsThrough(t *testing.T) {
 // TestDoubleStartPanics: starting the same (tag, seq) twice is a protocol
 // error.
 func TestDoubleStartPanics(t *testing.T) {
-	ov, eng, nodes := buildNetwork(1, 780, func(r *Runner) {
-		r.Register(1, &Proto{
+	ov, eng, nodes := buildNetwork(1, 780, func(tab *Table) {
+		tab.Register(1, &Proto{
 			Name: "dup",
 			Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value) Value {
 				return IntVal(0)

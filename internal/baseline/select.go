@@ -41,9 +41,10 @@ type SelectResult struct {
 // Selector is a baseline k-selection driver over an overlay whose virtual
 // nodes hold elements.
 type Selector struct {
-	ov    *ldb.Overlay
-	nodes []*selNode
-	mode  Mode
+	ov     *ldb.Overlay
+	nodes  []*selNode
+	mode   Mode
+	protos aggtree.Table
 
 	// anchor state
 	k       int64
@@ -66,20 +67,19 @@ const (
 
 type selNode struct {
 	s      *Selector
-	runner *aggtree.Runner
+	runner aggtree.Runner
 	elems  []prio.Element
 }
 
 // NewSelector creates a baseline selector in the given mode.
 func NewSelector(ov *ldb.Overlay, mode Mode) *Selector {
 	s := &Selector{ov: ov, mode: mode}
+	s.protos.Register(tagGatherAll, s.gatherAllProto())
+	s.protos.Register(tagCountLeq, s.countLeqProto())
+	s.protos.Register(tagFetchKey, s.fetchKeyProto())
 	s.nodes = make([]*selNode, ov.NumVirtual())
 	for i := range s.nodes {
-		n := &selNode{s: s, runner: aggtree.NewRunner(ov)}
-		n.runner.Register(tagGatherAll, n.gatherAllProto())
-		n.runner.Register(tagCountLeq, n.countLeqProto())
-		n.runner.Register(tagFetchKey, n.fetchKeyProto())
-		s.nodes[i] = n
+		s.nodes[i] = &selNode{s: s, runner: s.protos.Runner()}
 	}
 	return s
 }
@@ -155,10 +155,11 @@ func (bh *baseSelHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg s
 func (bh *baseSelHandler) Activate(*sim.Context) {}
 
 // gatherAllProto ships every element to the anchor, which sorts locally.
-func (n *selNode) gatherAllProto() *aggtree.Proto {
+func (s *Selector) gatherAllProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "gather-all",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			return &ElemListVal{Elems: append([]prio.Element(nil), n.elems...)}
 		},
 		Combine: func(self *ldb.VInfo, seq uint64, params aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) aggtree.Value {
@@ -169,7 +170,6 @@ func (n *selNode) gatherAllProto() *aggtree.Proto {
 			return out
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.s
 			all := combined.(*ElemListVal).Elems
 			if s.k < 1 || s.k > int64(len(all)) {
 				s.result = SelectResult{Phases: s.phases}
@@ -186,10 +186,11 @@ func (n *selNode) gatherAllProto() *aggtree.Proto {
 }
 
 // countLeqProto counts elements with key ≤ probe.
-func (n *selNode) countLeqProto() *aggtree.Proto {
+func (s *Selector) countLeqProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "count-leq",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			probe := prio.Key(params.(aggtree.KeyVal))
 			var c int64
 			for _, e := range n.elems {
@@ -207,7 +208,6 @@ func (n *selNode) countLeqProto() *aggtree.Proto {
 			return t
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.s
 			mid := prio.Key(params.(aggtree.KeyVal))
 			count := int64(combined.(aggtree.IntVal))
 			// Invariant: count(≤ lo) < k ≤ count(≤ hi). Narrow to mid.
@@ -220,7 +220,7 @@ func (n *selNode) countLeqProto() *aggtree.Proto {
 			if prio.KeysAdjacent(s.lo, s.hi) {
 				// hi is the smallest key with count(≤ hi) ≥ k: the answer.
 				s.phases++
-				n.runner.Start(ctx, s.ov.Info(s.ov.Anchor), tagFetchKey, s.next(), aggtree.KeyVal(s.hi))
+				s.nodes[self.ID].runner.Start(ctx, self, tagFetchKey, s.next(), aggtree.KeyVal(s.hi))
 				return nil
 			}
 			s.probe(ctx)
@@ -231,10 +231,11 @@ func (n *selNode) countLeqProto() *aggtree.Proto {
 }
 
 // fetchKeyProto retrieves the element with exactly the given key.
-func (n *selNode) fetchKeyProto() *aggtree.Proto {
+func (s *Selector) fetchKeyProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "fetch-key",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			want := prio.Key(params.(aggtree.KeyVal))
 			for _, e := range n.elems {
 				if prio.KeyOf(e) == want {
@@ -251,7 +252,6 @@ func (n *selNode) fetchKeyProto() *aggtree.Proto {
 			return out
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.s
 			got := combined.(*ElemListVal).Elems
 			if len(got) != 1 {
 				panic("baseline: key fetch found no unique element")

@@ -31,7 +31,7 @@ type pending struct {
 
 type node struct {
 	c      *Counter
-	runner *aggtree.Runner
+	runner aggtree.Runner
 
 	mu     sync.Mutex
 	buf    []pending
@@ -46,8 +46,9 @@ type node struct {
 
 // Counter is a distributed fetch-and-increment counter over n processes.
 type Counter struct {
-	ov    *ldb.Overlay
-	nodes []*node
+	ov     *ldb.Overlay
+	nodes  []*node
+	protos aggtree.Table
 
 	mu        sync.Mutex
 	issued    int64
@@ -57,11 +58,11 @@ type Counter struct {
 // New creates a counter over n processes. Values start at 1.
 func New(n int, seed uint64) *Counter {
 	c := &Counter{ov: ldb.New(n, hashutil.New(seed))}
+	c.protos.Register(tagCount, c.proto())
 	c.nodes = make([]*node, c.ov.NumVirtual())
 	for i := range c.nodes {
-		nd := &node{c: c, runner: aggtree.NewRunner(c.ov), snaps: make(map[uint64][]pending)}
+		nd := &node{c: c, runner: c.protos.Runner(), snaps: make(map[uint64][]pending)}
 		nd.anchor.next = 1
-		nd.runner.Register(tagCount, nd.proto())
 		c.nodes[i] = nd
 	}
 	return c
@@ -133,10 +134,11 @@ func (h *handler) Activate(ctx *sim.Context) {
 	n.runner.Start(ctx, n.c.ov.Info(h.id), tagCount, seq, nil)
 }
 
-func (n *node) proto() *aggtree.Proto {
+func (c *Counter) proto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "counter",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value) aggtree.Value {
+			n := c.nodes[self.ID]
 			n.mu.Lock()
 			snap := n.buf
 			n.buf = nil
@@ -152,6 +154,7 @@ func (n *node) proto() *aggtree.Proto {
 			return t
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value, combined aggtree.Value) aggtree.Value {
+			n := c.nodes[self.ID]
 			k := int64(combined.(aggtree.IntVal))
 			lo := n.anchor.next
 			n.anchor.next += k
@@ -176,6 +179,7 @@ func (n *node) proto() *aggtree.Proto {
 			return ownPart, parts
 		},
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value, ownPart aggtree.Value) {
+			n := c.nodes[self.ID]
 			share := ownPart.(*valueShare)
 			snap := n.snaps[seq]
 			delete(n.snaps, seq)
@@ -186,7 +190,7 @@ func (n *node) proto() *aggtree.Proto {
 				if p.done != nil {
 					p.done(share.Lo + int64(i))
 				}
-				n.c.complete()
+				c.complete()
 			}
 		},
 	}

@@ -111,7 +111,7 @@ func TestDeepHeapManyIterations(t *testing.T) {
 // experiment (E29) feasible: the engine's own state must stay under
 // 128 B/node and the whole process — protocol state included — under
 // 1 KiB per virtual node after GC. The struct-of-arrays engine plus the
-// lazy per-node maps measure ~570 B/vnode idle; the budget leaves
+// lazy per-node maps measure ~500 B/vnode after the run; the budget leaves
 // headroom without letting per-node regressions hide.
 func TestScaleFootprint(t *testing.T) {
 	if testing.Short() {
@@ -161,7 +161,8 @@ func TestScaleFootprint(t *testing.T) {
 // KSelect), not per round, so a change that only saves rounds cannot move
 // it. The measured values repeat run to run; each budget is 2x the value
 // measured when the gate was set, skeap-sat's 1.3x so that the batch code
-// that allocated per entry (10.2) fails it.
+// that allocated per entry (10.2) fails it, and the serial seap and
+// kselect rows 1.2x so that per-node aggtree registration fails them.
 func TestAllocationBudget(t *testing.T) {
 	const seed = 1
 	// heap buffers batches × hosts × perHost operations in be, perHost per
@@ -202,10 +203,10 @@ func TestAllocationBudget(t *testing.T) {
 		{"skeap", 1, 63},      // measured 31.6 (45.5 before batches shared arrays)
 		{"skeap", 2, 69},      // measured 34.6 (48.3 before)
 		{"skeap-sat", 1, 6.4}, // measured 4.9 (10.2 before)
-		{"seap", 1, 906},      // measured 453
-		{"seap", 2, 974},      // measured 487
-		{"kselect", 1, 452},   // measured 226
-		{"kselect", 2, 486},   // measured 243
+		{"seap", 1, 344},      // measured 287.2 (380.7 before one aggtree table per protocol)
+		{"seap", 2, 974},      // measured 311.0 (404.4 before)
+		{"kselect", 1, 172},   // measured 143.8 (190.5 before)
+		{"kselect", 2, 486},   // measured 155.2 (202.0 before)
 	}
 	for _, c := range cases {
 		const n = 256
@@ -242,6 +243,34 @@ func TestAllocationBudget(t *testing.T) {
 			t.Errorf("%s workers=%d: %.1f allocations per operation exceed the budget of %g", c.name, c.workers, perOp, c.budget)
 		} else {
 			t.Logf("%s workers=%d: %.1f allocations per operation", c.name, c.workers, perOp)
+		}
+	}
+}
+
+// TestConstructionAllocations is the construction gate beside
+// TestAllocationBudget: a protocol registers its aggtree protocols once per
+// instance, in one table its nodes share, and carves per-node state from
+// flat arrays, so building Skeap, Seap (with its embedded KSelect) or a
+// KSelect Selector at n=1024 allocates at most 0.5 objects per virtual
+// node. Per-node registration allocated 5, 51 and 26.
+func TestConstructionAllocations(t *testing.T) {
+	const n = 1024
+	const seed = 1
+	ov := ldb.New(n, hashutil.New(seed))
+	cases := []struct {
+		name  string
+		build func()
+	}{
+		{"skeap", func() { skeap.New(skeap.Config{N: n, P: 4, Seed: seed}) }},
+		{"seap", func() { seap.New(seap.Config{N: n, PrioBound: 16 * n * n, Seed: seed}) }},
+		{"kselect", func() { kselect.New(ov, hashutil.New(seed+1)) }},
+	}
+	for _, c := range cases {
+		perNode := testing.AllocsPerRun(2, c.build) / float64(3*n)
+		if perNode > 0.5 {
+			t.Errorf("%s: building at n=%d allocates %.2f objects per virtual node, budget 0.5", c.name, n, perNode)
+		} else {
+			t.Logf("%s: %.3f allocations per virtual node", c.name, perNode)
 		}
 	}
 }

@@ -87,6 +87,9 @@ type Selector struct {
 	ov     *ldb.Overlay
 	hasher hashutil.Hasher
 	nodes  []*Node
+	// protos holds the selector's aggtree protocols, shared by every
+	// node's Runner.
+	protos aggtree.Table
 
 	// anchor state
 	phase  phase
@@ -120,17 +123,16 @@ type Selector struct {
 // per virtual node with Load before Start.
 func New(ov *ldb.Overlay, hasher hashutil.Hasher) *Selector {
 	s := &Selector{ov: ov, hasher: hasher}
+	s.register()
 	nv := ov.NumVirtual()
 	s.nodes = make([]*Node, nv)
-	// Flat backing arrays for nodes and runners: two allocations instead
-	// of 2·nv — a per-node footprint saving at large n.
+	// One flat backing array for the nodes, Runners included: one
+	// allocation instead of nv — a per-node footprint saving at large n.
 	arena := make([]Node, nv)
-	runners := aggtree.NewRunners(ov, nv)
 	for i := range s.nodes {
 		n := &arena[i]
 		n.sel = s
-		n.runner = &runners[i]
-		n.register()
+		n.runner = s.protos.Runner()
 		s.nodes[i] = n
 	}
 	return s
@@ -196,8 +198,7 @@ func (s *Selector) NodeAt(id sim.NodeID) *Node { return s.nodes[id] }
 // AddNode grows the selector by one virtual node, for host protocols with
 // dynamic membership. The new node starts with no candidates.
 func (s *Selector) AddNode() *Node {
-	n := &Node{sel: s, runner: aggtree.NewRunner(s.ov)}
-	n.register()
+	n := &Node{sel: s, runner: s.protos.Runner()}
 	s.nodes = append(s.nodes, n)
 	return n
 }

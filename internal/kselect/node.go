@@ -14,7 +14,7 @@ import (
 // state (holders of candidate copies and comparison meeting points).
 type Node struct {
 	sel    *Selector
-	runner *aggtree.Runner
+	runner aggtree.Runner
 
 	cand   []prio.Element // remaining candidates, kept sorted by key
 	sorted bool
@@ -80,12 +80,14 @@ func (n *Node) ensureSorted() {
 	n.sorted = true
 }
 
-// resetEpoch clears all sorting state for a new sampling round.
+// resetEpoch clears all sorting state for a new sampling round. The
+// tables stay nil until their first write (newHolder, onCopy, addVec):
+// most nodes host no holder, meeting point or sorting root in a round.
 func (n *Node) resetEpoch(epoch uint64) {
 	n.epoch = epoch
-	n.holders = make(map[holderKey]*holderState)
-	n.meet = make(map[pairKey][]meetCopy)
-	n.completed = make(map[int64]completedRoot)
+	n.holders = nil
+	n.meet = nil
+	n.completed = nil
 	if n.sampleBuf == nil {
 		n.sampleBuf = make(map[uint64][]prio.Element)
 	}
@@ -129,17 +131,6 @@ func (n *Node) HandleRouted(ctx *sim.Context, self *ldb.VInfo, payload sim.Messa
 func (n *Node) SetCandidates(elems []prio.Element) {
 	n.cand = append(n.cand[:0], elems...)
 	n.sorted = false
-}
-
-// register installs the selector's aggtree protocols on this node.
-func (n *Node) register() {
-	n.runner.Register(tagWindow, n.windowProto())
-	n.runner.Register(tagPrune, n.pruneProto())
-	n.runner.Register(tagSample, n.sampleProto())
-	n.runner.Register(tagPoll, n.pollProto())
-	n.runner.Register(tagBoundary, n.boundaryProto())
-	n.runner.Register(tagRank, n.rankProto())
-	n.runner.Register(tagAnswer, n.answerProto())
 }
 
 // countLess returns |{c ∈ v.C : key(c) < k}| on the sorted candidate list.

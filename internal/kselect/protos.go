@@ -130,17 +130,30 @@ func (s *Selector) afterPhase2Prune(ctx *sim.Context) {
 
 // ---- protos ---------------------------------------------------------------
 
+// register builds the selector's protocol table, once for all of its
+// nodes.
+func (s *Selector) register() {
+	s.protos.Register(tagWindow, s.windowProto())
+	s.protos.Register(tagPrune, s.pruneProto())
+	s.protos.Register(tagSample, s.sampleProto())
+	s.protos.Register(tagPoll, s.pollProto())
+	s.protos.Register(tagBoundary, s.boundaryProto())
+	s.protos.Register(tagRank, s.rankProto())
+	s.protos.Register(tagAnswer, s.answerProto())
+}
+
 // windowProto: phase 1 — gather P_min = min_v v.P_min and
 // P_max = max_v v.P_max, where v.P_min/v.P_max are the keys of the
 // ⌊k/n⌋-th / ⌈k/n⌉-th smallest local candidates, with the conservative
 // boundary contributions discussed in DESIGN.md.
-func (n *Node) windowProto() *aggtree.Proto {
+func (s *Selector) windowProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-window",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			n.ensureSorted()
 			k := int64(params.(aggtree.IntVal))
-			nv := int64(n.sel.ov.NumVirtual())
+			nv := int64(s.ov.NumVirtual())
 			c := int64(len(n.cand))
 			loIdx := k / nv // ⌊k/n⌋
 			hiIdx := k / nv
@@ -170,7 +183,7 @@ func (n *Node) windowProto() *aggtree.Proto {
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
 			w := combined.(aggtree.KeyRangeVal)
-			n.sel.startPrune(ctx, w.Lo, w.Hi, phase1Prune)
+			s.startPrune(ctx, w.Lo, w.Hi, phase1Prune)
 			return nil
 		},
 		GatherOnly: true,
@@ -179,10 +192,11 @@ func (n *Node) windowProto() *aggtree.Proto {
 
 // pruneProto removes candidates outside the broadcast key window and
 // gathers the removal counts (k′ below, k″ above).
-func (n *Node) pruneProto() *aggtree.Proto {
+func (s *Selector) pruneProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-prune",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			w := params.(aggtree.KeyRangeVal)
 			below, above := n.prune(w.Lo, w.Hi)
 			return aggtree.Int2Val{A: below, B: above}
@@ -198,7 +212,6 @@ func (n *Node) pruneProto() *aggtree.Proto {
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
 			t := combined.(aggtree.Int2Val)
-			s := n.sel
 			s.k -= t.A
 			s.n -= t.A + t.B
 			if s.k < 1 || s.k > s.n {
@@ -221,10 +234,11 @@ func (n *Node) pruneProto() *aggtree.Proto {
 // sampleProto: phase 2a + 2b start — sample candidates, gather the count
 // n′, scatter unique positions [1, n′] and route each sampled candidate to
 // its sorting root.
-func (n *Node) sampleProto() *aggtree.Proto {
+func (s *Selector) sampleProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-sample",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			p := params.(*sampleParams)
 			n.resetEpoch(p.Epoch)
 			var chosen []prio.Element
@@ -233,7 +247,7 @@ func (n *Node) sampleProto() *aggtree.Proto {
 			} else {
 				// Θ(√n) samples in expectation; the constant 2 keeps the
 				// sample comfortably above the 2δ window width.
-				prob := 2 * math.Sqrt(float64(n.sel.ov.NumVirtual())) / float64(p.N)
+				prob := 2 * math.Sqrt(float64(s.ov.NumVirtual())) / float64(p.N)
 				if prob > 1 {
 					prob = 1
 				}
@@ -254,7 +268,6 @@ func (n *Node) sampleProto() *aggtree.Proto {
 			return t
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.sel
 			nPrime := int64(combined.(aggtree.IntVal))
 			if nPrime == 0 {
 				// Empty sample (possible for tiny N): retry the round.
@@ -284,6 +297,7 @@ func (n *Node) sampleProto() *aggtree.Proto {
 			return ownPart, parts
 		},
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, ownPart aggtree.Value) {
+			n := s.nodes[self.ID]
 			p := params.(*sampleParams)
 			iv := ownPart.(*posShare)
 			chosen := n.sampleBuf[seq]
@@ -294,8 +308,8 @@ func (n *Node) sampleProto() *aggtree.Proto {
 			for i, e := range chosen {
 				pos := iv.Lo + int64(i)
 				msg := &SampleRootMsg{Epoch: p.Epoch, Pos: pos, NPrime: iv.NPrime, Elem: e}
-				route := ldb.NewRoute(n.sel.ov.N, n.sel.rootPoint(p.Epoch, pos), msg)
-				if ldb.Forward(ctx, n.sel.ov, self, route) {
+				route := ldb.NewRoute(s.ov.N, s.rootPoint(p.Epoch, pos), msg)
+				if ldb.Forward(ctx, s.ov, self, route) {
 					n.HandleRouted(ctx, self, msg)
 				}
 			}
@@ -305,10 +319,11 @@ func (n *Node) sampleProto() *aggtree.Proto {
 
 // pollProto counts completed sorting roots; the anchor re-polls until all
 // n′ candidates know their order.
-func (n *Node) pollProto() *aggtree.Proto {
+func (s *Selector) pollProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-poll",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			epoch := uint64(params.(aggtree.IntVal))
 			if epoch != n.epoch {
 				return aggtree.IntVal(0)
@@ -323,7 +338,6 @@ func (n *Node) pollProto() *aggtree.Proto {
 			return t
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.sel
 			if int64(combined.(aggtree.IntVal)) < s.nPrime {
 				s.startPoll(ctx)
 				return nil
@@ -363,10 +377,11 @@ func (n *Node) pollProto() *aggtree.Proto {
 }
 
 // boundaryProto fetches the keys of the samples of order l and r.
-func (n *Node) boundaryProto() *aggtree.Proto {
+func (s *Selector) boundaryProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-boundary",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			lr := params.(aggtree.Int2Val)
 			out := aggtree.KeyRangeVal{Lo: prio.MaxKey, Hi: prio.MinKey} // "none" sentinels
 			for _, cr := range n.completed {
@@ -389,7 +404,6 @@ func (n *Node) boundaryProto() *aggtree.Proto {
 			return w
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.sel
 			w := combined.(aggtree.KeyRangeVal)
 			s.haveCl = s.lOrder >= 1
 			s.haveCr = s.rOrder <= s.nPrime
@@ -415,10 +429,11 @@ func (n *Node) boundaryProto() *aggtree.Proto {
 
 // rankProto computes the exact ranks of c_l and c_r by counting smaller
 // candidates, then validates rank(c_l) ≤ k ≤ rank(c_r) before pruning.
-func (n *Node) rankProto() *aggtree.Proto {
+func (s *Selector) rankProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-rank",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			w := params.(aggtree.KeyRangeVal)
 			return aggtree.Int2Val{A: n.countLess(w.Lo), B: n.countLess(w.Hi)}
 		},
@@ -432,7 +447,6 @@ func (n *Node) rankProto() *aggtree.Proto {
 			return t
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.sel
 			t := combined.(aggtree.Int2Val)
 			rankCl, rankCr := t.A+1, t.B+1
 			okLeft := !s.haveCl || rankCl <= s.k
@@ -452,10 +466,11 @@ func (n *Node) rankProto() *aggtree.Proto {
 }
 
 // answerProto (phase 3): fetch the element whose exact order is k.
-func (n *Node) answerProto() *aggtree.Proto {
+func (s *Selector) answerProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-answer",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := s.nodes[self.ID]
 			k := int64(params.(aggtree.IntVal))
 			for _, cr := range n.completed {
 				if cr.order == k {
@@ -474,7 +489,6 @@ func (n *Node) answerProto() *aggtree.Proto {
 			return v
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			s := n.sel
 			v := combined.(elemVal)
 			if !v.Valid {
 				panic("kselect: no candidate has the target order")

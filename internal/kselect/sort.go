@@ -133,6 +133,9 @@ func (n *Node) newHolder(ctx *sim.Context, self *ldb.VInfo, epoch uint64, rootPo
 	if _, dup := n.holders[hk]; dup {
 		panic("kselect: duplicate holder")
 	}
+	if n.holders == nil {
+		n.holders = make(map[holderKey]*holderState)
+	}
 	n.holders[hk] = hs
 	n.holdersCreated++
 
@@ -196,6 +199,9 @@ func (n *Node) onCopy(ctx *sim.Context, self *ldb.VInfo, m *CopyMsg) {
 		a, b = b, a
 	}
 	pk := pairKey{epoch: m.Epoch, a: a, b: b}
+	if n.meet == nil {
+		n.meet = make(map[pairKey][]meetCopy)
+	}
 	n.meet[pk] = append(n.meet[pk], meetCopy{root: m.I, j: m.J, key: m.Key, holder: m.Holder})
 	copies := n.meet[pk]
 	if len(copies) < 2 {
@@ -249,5 +255,8 @@ func (n *Node) addVec(ctx *sim.Context, self *ldb.VInfo, epoch uint64, root, j, 
 		return
 	}
 	// Sorting root: order of c_root is L+1 (Algorithm 3).
+	if n.completed == nil {
+		n.completed = make(map[int64]completedRoot)
+	}
 	n.completed[root] = completedRoot{order: hs.l + 1, key: hs.key, elem: hs.elem}
 }

@@ -357,7 +357,8 @@ func (ov *Overlay) IsTree() bool {
 }
 
 // Group returns the grouping function mapping virtual nodes to hosts, for
-// the engines' congestion accounting.
+// the engines' congestion accounting. Host ids run to the number of slots,
+// departed hosts included, so that is the group count, not N.
 func (ov *Overlay) Group() (groups int, f func(sim.NodeID) int) {
-	return ov.N, func(id sim.NodeID) int { return HostOf(id) }
+	return len(ov.active), func(id sim.NodeID) int { return HostOf(id) }
 }

@@ -483,3 +483,52 @@ func FuzzRouteStep(f *testing.F) {
 		}
 	})
 }
+
+// sink accepts and ignores every message.
+type sink struct{}
+
+func (sink) HandleMessage(*sim.Context, sim.NodeID, sim.Message) {}
+func (sink) Activate(*sim.Context)                               {}
+
+// TestGroupAfterLeave: host ids run to the number of slots, not to the
+// number of active hosts, so after a middle slot leaves an engine built on
+// Group must still account deliveries to the highest slots. Under go test
+// an out-of-range congestion group panics; a binary counts it as Dropped.
+func TestGroupAfterLeave(t *testing.T) {
+	ov := New(8, hashutil.New(37))
+	ov.RemoveHost(3)
+	// RunBatch builds its engine on Group; a leaving host notifies its
+	// neighbours, so pick one with a neighbour in the top slot.
+	leaver := -1
+	for h := 0; h < 7 && leaver < 0; h++ {
+		if !ov.ActiveHost(h) {
+			continue
+		}
+		for _, k := range []Kind{Left, Middle, Right} {
+			if v := ov.Info(VID(h, k)); HostOf(v.Pred) == 7 || HostOf(v.Succ) == 7 {
+				leaver = h
+			}
+		}
+	}
+	if leaver < 0 {
+		t.Fatal("no host neighbours the top slot")
+	}
+	RunBatch(ov, nil, []int{leaver}, 10)
+	if ov.N != 6 || !ov.IsTree() {
+		t.Fatal("leave batch after a leave failed")
+	}
+
+	handlers := make([]sim.Handler, ov.NumVirtual())
+	for i := range handlers {
+		handlers[i] = sink{}
+	}
+	groups, group := ov.Group()
+	eng := sim.Build(sim.Spec{Handlers: handlers, Seed: 1, Groups: groups, Group: group}).(*sim.SyncEngine)
+	eng.SetStrictAccounting(false)
+	top := VID(6, Middle)
+	eng.Context(VID(0, Middle)).Send(top, &payload{})
+	eng.Step()
+	if m := eng.Metrics(); m.Dropped != 0 || m.Messages != 1 {
+		t.Fatalf("delivery to slot 6 after a leave: %+v", m)
+	}
+}

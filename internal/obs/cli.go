@@ -1,6 +1,6 @@
 // CLI wiring shared by the cmd/* binaries: every simulator registers the
-// same three instrumentation flags and forwards its engine's observer and
-// final metrics here.
+// same instrumentation flags and forwards its engine's observer and final
+// metrics here.
 package obs
 
 import (
@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
+	"runtime"
+	rpprof "runtime/pprof"
 
 	"dpq/internal/sim"
 )
@@ -20,15 +22,20 @@ type Flags struct {
 	TraceJSONL string
 	MetricsOut string
 	PProfAddr  string
+	CPUProfile string
+	MemProfile string
 }
 
-// AddFlags registers -trace-jsonl, -metrics-out and -pprof on the default
-// flag set and returns the destination struct. Call before flag.Parse.
+// AddFlags registers -trace-jsonl, -metrics-out, -pprof, -cpuprofile and
+// -memprofile on the default flag set and returns the destination struct.
+// Call before flag.Parse.
 func AddFlags() *Flags {
 	f := &Flags{}
 	flag.StringVar(&f.TraceJSONL, "trace-jsonl", "", "write a JSONL delivery trace (schema dpq-trace/1) to FILE")
 	flag.StringVar(&f.MetricsOut, "metrics-out", "", "write metrics JSON (engine totals, per-kind counters, per-phase stats) to FILE")
 	flag.StringVar(&f.PProfAddr, "pprof", "", "serve net/http/pprof on ADDR (e.g. localhost:6060)")
+	flag.StringVar(&f.CPUProfile, "cpuprofile", "", "write a CPU profile of the whole run to FILE")
+	flag.StringVar(&f.MemProfile, "memprofile", "", "write an allocation profile to FILE when the run ends")
 	return f
 }
 
@@ -38,12 +45,13 @@ type Session struct {
 	col       *Collector
 	tw        *TraceWriter
 	traceFile *os.File
+	cpuFile   *os.File
 	extras    map[string]any
 }
 
-// Start opens the requested outputs and, with -pprof, serves the profiling
-// endpoints in the background. The returned session is ready to observe;
-// call Close when the run ends.
+// Start opens the requested outputs, starts the CPU profile and, with
+// -pprof, serves the profiling endpoints in the background. The returned
+// session is ready to observe; call Close when the run ends.
 func (f *Flags) Start() (*Session, error) {
 	s := &Session{flags: f, col: NewCollector()}
 	if f.TraceJSONL != "" {
@@ -55,12 +63,57 @@ func (f *Flags) Start() (*Session, error) {
 		s.tw = NewTraceWriter(file)
 	}
 	if _, err := ServePProf(f.PProfAddr); err != nil {
-		if s.traceFile != nil {
-			s.traceFile.Close()
-		}
+		s.closeFiles()
 		return nil, err
 	}
+	if f.CPUProfile != "" {
+		file, err := os.Create(f.CPUProfile)
+		if err != nil {
+			s.closeFiles()
+			return nil, fmt.Errorf("obs: %v", err)
+		}
+		s.cpuFile = file
+		if err := rpprof.StartCPUProfile(file); err != nil {
+			s.closeFiles()
+			return nil, fmt.Errorf("obs: cpu profile: %v", err)
+		}
+	}
 	return s, nil
+}
+
+// closeFiles releases the files Start opened, on its error paths.
+func (s *Session) closeFiles() {
+	for _, f := range []*os.File{s.traceFile, s.cpuFile} {
+		if f != nil {
+			f.Close()
+		}
+	}
+}
+
+// stopProfiles ends the CPU profile and writes the allocation profile.
+func (s *Session) stopProfiles() error {
+	if s.cpuFile != nil {
+		rpprof.StopCPUProfile()
+		if err := s.cpuFile.Close(); err != nil {
+			return fmt.Errorf("obs: writing cpu profile: %v", err)
+		}
+	}
+	if s.flags.MemProfile == "" {
+		return nil
+	}
+	file, err := os.Create(s.flags.MemProfile)
+	if err != nil {
+		return fmt.Errorf("obs: %v", err)
+	}
+	runtime.GC() // up-to-date statistics, as go test -memprofile takes them
+	err = rpprof.Lookup("allocs").WriteTo(file, 0)
+	if cerr := file.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("obs: writing memory profile: %v", err)
+	}
+	return nil
 }
 
 // ServePProf binds addr and serves the net/http/pprof endpoints from a
@@ -149,9 +202,13 @@ type kindJSON struct {
 	Hist map[string]int64 `json:"log2Hist,omitempty"`
 }
 
-// Close flushes the trace and writes the metrics JSON. m is the engine's
-// final metrics (nil when the engine totals are unavailable).
+// Close stops the profiles, flushes the trace and writes the profile files
+// and the metrics JSON. m is the engine's final metrics (nil when the
+// engine totals are unavailable).
 func (s *Session) Close(m *sim.Metrics) error {
+	if err := s.stopProfiles(); err != nil {
+		return err
+	}
 	if s.tw != nil {
 		err := s.tw.Flush()
 		if cerr := s.traceFile.Close(); err == nil {

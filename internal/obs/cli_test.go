@@ -49,3 +49,26 @@ func TestMetricsExtras(t *testing.T) {
 		t.Fatal("empty extras must be omitted")
 	}
 }
+
+// TestProfileFiles: -cpuprofile and -memprofile leave gzipped pprof files
+// once the session closes.
+func TestProfileFiles(t *testing.T) {
+	dir := t.TempDir()
+	f := &Flags{CPUProfile: filepath.Join(dir, "cpu.pprof"), MemProfile: filepath.Join(dir, "mem.pprof")}
+	s, err := f.Start()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{f.CPUProfile, f.MemProfile} {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(raw) < 2 || raw[0] != 0x1f || raw[1] != 0x8b {
+			t.Fatalf("%s is not a gzipped profile (%d bytes)", path, len(raw))
+		}
+	}
+}

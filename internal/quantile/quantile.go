@@ -57,6 +57,7 @@ type Estimator struct {
 	hasher hashutil.Hasher
 	k      int
 	nodes  []*node
+	protos aggtree.Table
 
 	seq    uint64
 	phi    float64
@@ -66,7 +67,7 @@ type Estimator struct {
 
 type node struct {
 	est    *Estimator
-	runner *aggtree.Runner
+	runner aggtree.Runner
 	elems  []prio.Element
 }
 
@@ -76,11 +77,10 @@ func New(ov *ldb.Overlay, hasher hashutil.Hasher, k int) *Estimator {
 		panic("quantile: sketch size must be positive")
 	}
 	e := &Estimator{ov: ov, hasher: hasher, k: k}
+	e.protos.Register(tagSketch, e.proto())
 	e.nodes = make([]*node, ov.NumVirtual())
 	for i := range e.nodes {
-		nd := &node{est: e, runner: aggtree.NewRunner(ov)}
-		nd.runner.Register(tagSketch, nd.proto())
-		e.nodes[i] = nd
+		e.nodes[i] = &node{est: e, runner: e.protos.Runner()}
 	}
 	return e
 }
@@ -143,17 +143,18 @@ func mergeBottomK(k int, sketches ...[]tagged) []tagged {
 	return all
 }
 
-func (n *node) proto() *aggtree.Proto {
+func (e *Estimator) proto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "quantile-sketch",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value) aggtree.Value {
+			n := e.nodes[self.ID]
 			items := make([]tagged, 0, len(n.elems))
 			for _, el := range n.elems {
-				items = append(items, tagged{tag: n.est.tagOf(el), elem: el})
+				items = append(items, tagged{tag: e.tagOf(el), elem: el})
 			}
 			return &sketchVal{
 				Count: int64(len(n.elems)),
-				Items: mergeBottomK(n.est.k, items),
+				Items: mergeBottomK(e.k, items),
 			}
 		},
 		Combine: func(self *ldb.VInfo, seq uint64, _ aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) aggtree.Value {
@@ -164,11 +165,10 @@ func (n *node) proto() *aggtree.Proto {
 				out.Count += s.Count
 				sketches = append(sketches, s.Items)
 			}
-			out.Items = mergeBottomK(n.est.k, sketches...)
+			out.Items = mergeBottomK(e.k, sketches...)
 			return out
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value, combined aggtree.Value) aggtree.Value {
-			e := n.est
 			s := combined.(*sketchVal)
 			e.result = Result{Count: s.Count, Sampled: len(s.Items)}
 			if len(s.Items) > 0 {

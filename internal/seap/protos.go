@@ -34,13 +34,14 @@ type assignParams struct {
 // Bits accounts the cycle and the key.
 func (p *assignParams) Bits() int { return 64 + 128 }
 
-func (n *Node) register() {
-	n.runner.Register(tagInsCount, n.insCountProto())
-	n.runner.Register(tagInsPoll, n.insPollProto())
-	n.runner.Register(tagDelCount, n.delCountProto())
-	n.runner.Register(tagLoad, n.loadProto())
-	n.runner.Register(tagAssign, n.assignProto())
-	n.runner.Register(tagDelPoll, n.delPollProto())
+// register builds the heap's protocol table, once for all of its nodes.
+func (h *Heap) register() {
+	h.protos.Register(tagInsCount, h.insCountProto())
+	h.protos.Register(tagInsPoll, h.insPollProto())
+	h.protos.Register(tagDelCount, h.delCountProto())
+	h.protos.Register(tagLoad, h.loadProto())
+	h.protos.Register(tagAssign, h.assignProto())
+	h.protos.Register(tagDelPoll, h.delPollProto())
 }
 
 // ---- anchor sequencing ------------------------------------------------------
@@ -96,13 +97,14 @@ func (h *Heap) onSelectDone(ctx *sim.Context, res kselect.Result) {
 
 // insCountProto: aggregate the number of buffered inserts (§5.1), update
 // v₀.m, and scatter serialization-value intervals as the go-ahead.
-func (n *Node) insCountProto() *aggtree.Proto {
+func (h *Heap) insCountProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "seap-ins-count",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := h.nodes[self.ID]
 			n.mu.Lock()
 			var snap []pendingOp
-			if n.heap.cfg.SeqConsistent {
+			if h.cfg.SeqConsistent {
 				// §6 variant: only the oldest buffered op is eligible, and
 				// only if it is an Insert.
 				if len(n.seqBuf) > 0 && n.seqBuf[0].kind == semantics.Insert {
@@ -128,7 +130,6 @@ func (n *Node) insCountProto() *aggtree.Proto {
 		},
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			h := n.heap
 			k := int64(combined.(aggtree.IntVal))
 			h.m += k
 			base := h.valueCounter
@@ -140,6 +141,7 @@ func (n *Node) insCountProto() *aggtree.Proto {
 		},
 		Split: splitByCounts,
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, ownPart aggtree.Value) {
+			n := h.nodes[self.ID]
 			share := ownPart.(*valShare)
 			snap := n.insSnap[seq]
 			delete(n.insSnap, seq)
@@ -147,7 +149,7 @@ func (n *Node) insCountProto() *aggtree.Proto {
 				panic("seap: insert value share does not match snapshot")
 			}
 			for i, po := range snap {
-				n.heap.trace.Complete(po.op, prio.Element{}, share.Lo+int64(i))
+				h.trace.Complete(po.op, prio.Element{}, share.Lo+int64(i))
 				key := ctx.Rand().Uint64() // uniformly random DHT key (§5.1)
 				n.store.Put(ctx, self, key, po.elem, func() { n.outPuts-- })
 			}
@@ -157,10 +159,11 @@ func (n *Node) insCountProto() *aggtree.Proto {
 
 // insPollProto: the anchor waits until every node has taken its snapshot
 // for this cycle and every store has been confirmed.
-func (n *Node) insPollProto() *aggtree.Proto {
+func (h *Heap) insPollProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "seap-ins-poll",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := h.nodes[self.ID]
 			cycle := uint64(params.(cycleVal))
 			if n.insCycle < cycle {
 				return aggtree.IntVal(1) // snapshot not yet taken: not ready
@@ -169,7 +172,6 @@ func (n *Node) insPollProto() *aggtree.Proto {
 		},
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			h := n.heap
 			if int64(combined.(aggtree.IntVal)) > 0 {
 				h.startInsPoll(ctx)
 				return nil
@@ -185,13 +187,14 @@ func (n *Node) insPollProto() *aggtree.Proto {
 // unique position in [1,d] (positions beyond k* = min(d, m) return ⊥) and
 // issue the Gets — they park at the responsible nodes until the assign
 // phase stores the extracted elements (§3.2.4 asynchrony rule).
-func (n *Node) delCountProto() *aggtree.Proto {
+func (h *Heap) delCountProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "seap-del-count",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := h.nodes[self.ID]
 			n.mu.Lock()
 			var snap []pendingOp
-			if n.heap.cfg.SeqConsistent {
+			if h.cfg.SeqConsistent {
 				if len(n.seqBuf) > 0 && n.seqBuf[0].kind == semantics.DeleteMin {
 					snap = []pendingOp{n.seqBuf[0]}
 					n.seqBuf = n.seqBuf[1:]
@@ -211,7 +214,6 @@ func (n *Node) delCountProto() *aggtree.Proto {
 		},
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			h := n.heap
 			d := int64(combined.(aggtree.IntVal))
 			h.dCount = d
 			h.kStar = d
@@ -233,13 +235,13 @@ func (n *Node) delCountProto() *aggtree.Proto {
 		},
 		Split: splitByCounts,
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, ownPart aggtree.Value) {
+			n := h.nodes[self.ID]
 			share := ownPart.(*valShare)
 			snap := n.delSnap[seq]
 			delete(n.delSnap, seq)
 			if int64(len(snap)) != share.Hi-share.Lo+1 {
 				panic("seap: delete position share does not match snapshot")
 			}
-			h := n.heap
 			for i, po := range snap {
 				pos := share.Lo + int64(i)
 				rec := &delRecord{op: po.op, pos: pos}
@@ -263,17 +265,17 @@ func (n *Node) delCountProto() *aggtree.Proto {
 
 // loadProto installs the DHT contents as KSelect candidates and starts the
 // selection of the rank-k* element.
-func (n *Node) loadProto() *aggtree.Proto {
+func (h *Heap) loadProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "seap-load",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := h.nodes[self.ID]
 			elems := n.store.Elements()
-			n.heap.selector.NodeAt(self.ID).SetCandidates(elems)
+			h.selector.NodeAt(self.ID).SetCandidates(elems)
 			return aggtree.IntVal(len(elems))
 		},
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			h := n.heap
 			total := int64(combined.(aggtree.IntVal))
 			if total != h.m+h.kStar {
 				panic("seap: stored elements disagree with the anchor's m")
@@ -288,10 +290,11 @@ func (n *Node) loadProto() *aggtree.Proto {
 // assignProto extracts every stored element with key ≤ threshold, assigns
 // the extracted elements unique positions in [1, k*] by interval
 // decomposition, and re-stores element i under key h(cycle, i) (§5.2).
-func (n *Node) assignProto() *aggtree.Proto {
+func (h *Heap) assignProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "seap-assign",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := h.nodes[self.ID]
 			p := params.(*assignParams)
 			taken := n.store.TakeLeq(p.Threshold)
 			if len(taken) > 0 {
@@ -304,7 +307,6 @@ func (n *Node) assignProto() *aggtree.Proto {
 		},
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			h := n.heap
 			if int64(combined.(aggtree.IntVal)) != h.kStar {
 				panic("seap: extracted element count disagrees with k*")
 			}
@@ -313,6 +315,7 @@ func (n *Node) assignProto() *aggtree.Proto {
 		},
 		Split: splitByCounts,
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, ownPart aggtree.Value) {
+			n := h.nodes[self.ID]
 			share := ownPart.(*valShare)
 			taken := n.assignBuf[seq]
 			delete(n.assignBuf, seq)
@@ -321,7 +324,7 @@ func (n *Node) assignProto() *aggtree.Proto {
 			}
 			for i, e := range taken {
 				pos := share.Lo + int64(i)
-				n.store.Put(ctx, self, n.heap.posKey(share.Cycle, pos), e, nil)
+				n.store.Put(ctx, self, h.posKey(share.Cycle, pos), e, nil)
 			}
 		},
 	}
@@ -330,10 +333,11 @@ func (n *Node) assignProto() *aggtree.Proto {
 // delPollProto: the anchor waits until every node has applied its delete
 // assignment for this cycle and every Get has been answered, then
 // finalizes the cycle's serialization values and becomes idle.
-func (n *Node) delPollProto() *aggtree.Proto {
+func (h *Heap) delPollProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "seap-del-poll",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
+			n := h.nodes[self.ID]
 			cycle := uint64(params.(cycleVal))
 			if n.delCycle < cycle {
 				return aggtree.IntVal(1) // assignment not yet applied
@@ -342,7 +346,6 @@ func (n *Node) delPollProto() *aggtree.Proto {
 		},
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			h := n.heap
 			if int64(combined.(aggtree.IntVal)) > 0 {
 				h.startDelPoll(ctx)
 				return nil

@@ -72,7 +72,7 @@ type pendingOp struct {
 // Node is one virtual node's Seap state.
 type Node struct {
 	heap   *Heap
-	runner *aggtree.Runner
+	runner aggtree.Runner
 	store  *dht.DHT
 
 	mu     sync.Mutex
@@ -117,6 +117,8 @@ type Heap struct {
 	nodes    []*Node
 	trace    *semantics.Trace
 	selector *kselect.Selector
+	// protos holds the Seap phases, shared by every node's Runner.
+	protos aggtree.Table
 
 	autoRepeat bool
 
@@ -161,20 +163,19 @@ func New(cfg Config) *Heap {
 	h.ov = ldb.New(cfg.N, h.hasher)
 	h.selector = kselect.New(h.ov, hashutil.New(cfg.Seed^seapSalt()))
 	h.selector.SetOnDone(h.onSelectDone)
+	h.register()
 	nv := h.ov.NumVirtual()
 	h.nodes = make([]*Node, nv)
-	// Flat backing arrays for per-node state (see skeap.New): three
-	// allocations instead of 3·nv, with the per-node snapshot maps left
+	// Flat backing arrays for per-node state (see skeap.New): two
+	// allocations instead of 2·nv, with the per-node snapshot maps left
 	// nil until a cycle touches the node.
 	arena := make([]Node, nv)
-	runners := aggtree.NewRunners(h.ov, nv)
 	stores := dht.NewAll(h.ov, nv)
 	for i := range h.nodes {
 		n := &arena[i]
 		n.heap = h
-		n.runner = &runners[i]
+		n.runner = h.protos.Runner()
 		n.store = &stores[i]
-		n.register()
 		h.nodes[i] = n
 	}
 	return h

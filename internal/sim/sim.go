@@ -91,6 +91,11 @@ func (c *Context) Rand() *hashutil.Rand { return c.rand }
 
 // Send puts msg into node to's channel. Sending to the node itself is
 // allowed (a local action call) and is delivered like any other message.
+// A message is immutable once sent: a sender may pass one value to several
+// Sends (aggtree forwards the StartMsg it received to every child), and
+// engines, observers and receivers only read it. The one exception is a
+// message that only one node ever holds: ldb.Forward advances the hop
+// count of the RouteMsg it passes on.
 func (c *Context) Send(to NodeID, msg Message) {
 	c.engine.send(c.id, to, msg)
 }

@@ -1,7 +1,6 @@
 package skeap
 
 import (
-	"dpq/internal/aggtree"
 	"dpq/internal/dht"
 	"dpq/internal/ldb"
 	"dpq/internal/prio"
@@ -33,10 +32,9 @@ func (h *Heap) AddHost(eng *sim.SyncEngine, id uint64) int {
 	for k := 0; k < 3; k++ {
 		n := &Node{
 			heap:   h,
-			runner: aggtree.NewRunner(h.ov),
+			runner: h.protos.Runner(),
 			store:  dht.New(h.ov),
 		}
-		n.runner.Register(tagBatch, n.batchProto())
 		h.nodes = append(h.nodes, n)
 		got := eng.AddHandler(&nodeHandler{n: n, id: sim.NodeID(len(h.nodes) - 1)}, h.cfg.Seed+uint64(len(h.nodes)))
 		if int(got) != len(h.nodes)-1 {

@@ -13,11 +13,11 @@ import (
 // Own = Phase 1 snapshot, Combine = Phase 1 entrywise combination,
 // AtRoot = Phase 2 position assignment, Split = Phase 3 decomposition and
 // OnOwn = Phase 4 DHT operations.
-func (n *Node) batchProto() *aggtree.Proto {
+func (h *Heap) batchProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "skeap-batch",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value) aggtree.Value {
-			return n.snapshot(seq)
+			return h.nodes[self.ID].snapshot(seq)
 		},
 		Combine: func(self *ldb.VInfo, seq uint64, _ aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) aggtree.Value {
 			all := make([]*batch.Batch, 0, 1+len(kids))
@@ -28,7 +28,8 @@ func (n *Node) batchProto() *aggtree.Proto {
 			return batch.Combine(all...)
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value, combined aggtree.Value) aggtree.Value {
-			n.heap.col.Phase("skeap:scatter")
+			h.col.Phase("skeap:scatter")
+			n := h.nodes[self.ID]
 			asn := n.anchorState.AssignPositions(combined.(*batch.Batch))
 			n.inFlight = false // the anchor may start the next iteration
 			return asn
@@ -46,7 +47,7 @@ func (n *Node) batchProto() *aggtree.Proto {
 			return ownA, parts
 		},
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value, ownPart aggtree.Value) {
-			n.apply(ctx, self, seq, ownPart.(*batch.Assign))
+			h.nodes[self.ID].apply(ctx, self, seq, ownPart.(*batch.Assign))
 		},
 	}
 }

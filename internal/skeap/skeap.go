@@ -86,7 +86,7 @@ type slot struct {
 // Node is one virtual node's protocol state.
 type Node struct {
 	heap   *Heap
-	runner *aggtree.Runner
+	runner aggtree.Runner
 	store  *dht.DHT
 
 	mu        sync.Mutex
@@ -119,6 +119,8 @@ type Heap struct {
 	hasher hashutil.Hasher
 	nodes  []*Node
 	trace  *semantics.Trace
+	// protos is the batch gather–scatter, shared by every node's Runner.
+	protos aggtree.Table
 
 	// autoRepeat lets the anchor start a new iteration whenever the
 	// previous one has been scattered; benchmarks disable it to measure a
@@ -154,26 +156,26 @@ func New(cfg Config) *Heap {
 		autoRepeat: true,
 	}
 	h.ov = ldb.New(cfg.N, h.hasher)
+	h.protos.Register(tagBatch, h.batchProto())
 	nv := h.ov.NumVirtual()
 	h.nodes = make([]*Node, nv)
-	// Per-node state comes out of three flat backing arrays (nodes,
-	// runners, DHT shards) — three allocations instead of 3·nv — and the
-	// snapshots/pendingGets maps stay nil until a batch actually touches a
-	// node. Both are per-node footprint savings that matter at large n.
+	// Per-node state comes out of two flat backing arrays (nodes with
+	// their Runners, DHT shards) — two allocations instead of 2·nv — and
+	// the snapshots/pendingGets maps stay nil until a batch actually
+	// touches a node. Both are per-node footprint savings that matter at
+	// large n.
 	arena := make([]Node, nv)
-	runners := aggtree.NewRunners(h.ov, nv)
 	stores := dht.NewAll(h.ov, nv)
 	for i := range h.nodes {
 		n := &arena[i]
 		n.heap = h
-		n.runner = &runners[i]
+		n.runner = h.protos.Runner()
 		n.store = &stores[i]
 		if sim.NodeID(i) == h.ov.Anchor {
 			n.anchorState = batch.NewAnchorState(cfg.P)
 			n.anchorState.SetLIFO(cfg.LIFO)
 			n.anchorState.SetMaxHeap(cfg.MaxHeap)
 		}
-		n.runner.Register(tagBatch, n.batchProto())
 		h.nodes[i] = n
 	}
 	return h
