@@ -153,6 +153,7 @@ func (bh *baseSelHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg s
 }
 
 func (bh *baseSelHandler) Activate(*sim.Context) {}
+func (bh *baseSelHandler) Passive() bool         { return true }
 
 // gatherAllProto ships every element to the anchor, which sorts locally.
 func (s *Selector) gatherAllProto() *aggtree.Proto {

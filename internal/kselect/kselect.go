@@ -308,3 +308,4 @@ func (sh *selHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.M
 }
 
 func (sh *selHandler) Activate(*sim.Context) {}
+func (sh *selHandler) Passive() bool         { return true }

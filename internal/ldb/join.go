@@ -97,6 +97,7 @@ func (d *dynNode) handOff(ctx *sim.Context, self *VInfo, mid sim.NodeID) {
 }
 
 func (d *dynNode) Activate(*sim.Context) {}
+func (d *dynNode) Passive() bool         { return true }
 
 // JoinLeaveResult reports the cost of restructuring after a batch of
 // membership changes.

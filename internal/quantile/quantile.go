@@ -205,3 +205,4 @@ func (h *handler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Messa
 }
 
 func (h *handler) Activate(*sim.Context) {}
+func (h *handler) Passive() bool         { return true }

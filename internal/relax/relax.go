@@ -569,3 +569,4 @@ func (inertHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Mes
 	panic("relax: message delivered to inert virtual node")
 }
 func (inertHandler) Activate(*sim.Context) {}
+func (inertHandler) Passive() bool         { return true }

@@ -33,6 +33,7 @@ func (h *Heap) AddHost(eng *sim.SyncEngine, id uint64) int {
 	}
 	h.cfg.N++
 	h.migrate()
+	eng.RefreshActive()
 	return host
 }
 
@@ -50,6 +51,7 @@ func (h *Heap) RemoveHost(eng *sim.SyncEngine, host int) {
 	h.ov.RemoveHost(host)
 	h.cfg.N--
 	h.migrate()
+	eng.RefreshActive()
 }
 
 func (h *Heap) requireQuiescent(eng *sim.SyncEngine) {

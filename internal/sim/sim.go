@@ -75,6 +75,28 @@ type Handler interface {
 	Activate(ctx *Context)
 }
 
+// PassiveHandler is an optional capability of a Handler: Passive reports
+// that the node's Activate does nothing — sends nothing, changes no state —
+// so the synchronous engine may skip it. In the §1.1 model a round of a
+// node is a function of its state and the messages it received; an
+// activation without effect cannot be observed, so skipping it changes no
+// message, round or trace. Handlers without the method are activated every
+// round, which makes wrappers (ReliableTransport) conservative by
+// construction. The engine reads the answer when a handler joins; a driver
+// that changes it later (an anchor hand-over) must call
+// SyncEngine.RefreshActive. Only the synchronous engine consults it: the
+// asynchronous engine's activations draw randomness and stay dense.
+type PassiveHandler interface {
+	Handler
+	Passive() bool
+}
+
+// isPassive reports whether h declares its Activate a no-op.
+func isPassive(h Handler) bool {
+	p, ok := h.(PassiveHandler)
+	return ok && p.Passive()
+}
+
 // Context is passed to handlers and provides the node's identity, a
 // deterministic per-node PRNG and the Send primitive.
 type Context struct {

@@ -21,12 +21,15 @@ func (gossipMsg) Bits() int    { return 72 }
 // gossipNode forwards every received value to two pseudo-random targets
 // (drawn from its deterministic per-node stream) until the hop budget is
 // exhausted, and folds everything it sees into a running digest. The
-// traffic pattern exercises fan-out, fan-in and per-node randomness.
+// traffic pattern exercises fan-out, fan-in and per-node randomness. A
+// passive node forwards from HandleMessage and declares its Activate a
+// no-op, so the serial engine skips it while the pool activates it.
 type gossipNode struct {
-	n      int
-	digest uint64
-	seen   int
-	outbox []gossipMsg
+	n       int
+	passive bool
+	digest  uint64
+	seen    int
+	outbox  []gossipMsg
 }
 
 func (g *gossipNode) HandleMessage(ctx *Context, from NodeID, m Message) {
@@ -36,9 +39,20 @@ func (g *gossipNode) HandleMessage(ctx *Context, from NodeID, m Message) {
 	if msg.Hop > 0 {
 		g.outbox = append(g.outbox, gossipMsg{Hop: msg.Hop - 1, Val: hashutil.Mix2(msg.Val, uint64(ctx.ID()))})
 	}
+	if g.passive {
+		g.flush(ctx)
+	}
 }
 
 func (g *gossipNode) Activate(ctx *Context) {
+	if !g.passive {
+		g.flush(ctx)
+	}
+}
+
+func (g *gossipNode) Passive() bool { return g.passive }
+
+func (g *gossipNode) flush(ctx *Context) {
 	for _, m := range g.outbox {
 		ctx.Send(NodeID(ctx.Rand().Intn(g.n)), m)
 		ctx.Send(NodeID(ctx.Rand().Intn(g.n)), m)
@@ -46,11 +60,17 @@ func (g *gossipNode) Activate(ctx *Context) {
 	g.outbox = g.outbox[:0]
 }
 
+// newGossipNode makes node id of a gossip network of n; every third node
+// is passive.
+func newGossipNode(id, n int) *gossipNode {
+	return &gossipNode{n: n, passive: id%3 == 2}
+}
+
 func newGossipNet(n int, seed uint64, workers int) (*SyncEngine, []*gossipNode) {
 	nodes := make([]*gossipNode, n)
 	handlers := make([]Handler, n)
 	for i := range nodes {
-		nodes[i] = &gossipNode{n: n}
+		nodes[i] = newGossipNode(i, n)
 		handlers[i] = nodes[i]
 	}
 	e := newSync(handlers, seed, 0, nil)
@@ -80,17 +100,58 @@ func runGossip(n int, seed uint64, workers, rounds int) (*Metrics, []*gossipNode
 	return e.Metrics(), nodes, stream, batches
 }
 
+// runGossipGrowing is runGossip with dynamic membership: the first rounds'
+// traffic dies out, leaving rounds in which no node has mail; then 65 nodes
+// join, so the network crosses a 64-node boundary, and fresh traffic runs
+// over the grown network. quiet counts the rounds that delivered nothing.
+func runGossipGrowing(n int, seed uint64, workers, rounds int) (m *Metrics, nodes []*gossipNode, stream []Delivery, batches [][]Delivery, quiet int) {
+	e, nodes := newGossipNet(n, seed, workers)
+	e.SetObserver(func(d Delivery) { stream = append(stream, d) })
+	e.SetBatchObserver(func(ds []Delivery) {
+		batches = append(batches, append([]Delivery(nil), ds...))
+	})
+	step := func() {
+		if e.Step() == 0 {
+			quiet++
+		}
+	}
+	for r := 0; r < rounds; r++ {
+		step()
+	}
+	grown := n + 65
+	for i := n; i < grown; i++ {
+		nodes = append(nodes, newGossipNode(i, grown))
+		e.AddHandler(nodes[i], seed)
+	}
+	for _, g := range nodes {
+		g.n = grown
+	}
+	for i := 0; i < grown; i += 5 {
+		e.Context(NodeID(i)).Send(NodeID(grown-1-i), gossipMsg{Hop: 4, Val: uint64(i) * 0x9e3779b97f4a7c15})
+	}
+	for r := 0; r < rounds; r++ {
+		step()
+	}
+	return e.Metrics(), nodes, stream, batches, quiet
+}
+
 // TestParallelMatchesSerial checks that metrics, protocol state, the
 // per-delivery observer stream and the batched observer stream are all
 // identical between serial and parallel stepping across seeds and worker
-// counts.
+// counts. The pool path seals densely and activates every node, so it is
+// the reference for the serial path's sparse seal and skipped passive
+// nodes; the network has passive nodes, rounds without mail and growth
+// across a 64-node boundary.
 func TestParallelMatchesSerial(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64} {
 		for seed := uint64(1); seed <= 3; seed++ {
-			sm, snodes, sstream, sbatches := runGossip(n, seed, 1, 12)
+			sm, snodes, sstream, sbatches, quiet := runGossipGrowing(n, seed, 1, 12)
+			if quiet == 0 {
+				t.Fatalf("n=%d seed=%d: no round without mail", n, seed)
+			}
 			for _, workers := range []int{2, 3, 8} {
 				t.Run(fmt.Sprintf("n=%d/seed=%d/w=%d", n, seed, workers), func(t *testing.T) {
-					pm, pnodes, pstream, pbatches := runGossip(n, seed, workers, 12)
+					pm, pnodes, pstream, pbatches, _ := runGossipGrowing(n, seed, workers, 12)
 					if !reflect.DeepEqual(sm, pm) {
 						t.Fatalf("metrics diverge:\nserial   %+v\nparallel %+v", sm, pm)
 					}

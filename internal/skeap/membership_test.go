@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dpq/internal/hashutil"
+	"dpq/internal/ldb"
 	"dpq/internal/prio"
 	"dpq/internal/semantics"
 	"dpq/internal/sim"
@@ -223,4 +224,88 @@ func TestMembershipGuards(t *testing.T) {
 		}()
 		r.h.RemoveHost(r.eng, 1)
 	}()
+}
+
+// activationCounter wraps a node's handler, forwarding its Passive answer,
+// and counts the activations the engine makes.
+type activationCounter struct {
+	*nodeHandler
+	acts int
+}
+
+func (c *activationCounter) Activate(ctx *sim.Context) {
+	c.acts++
+	c.nodeHandler.Activate(ctx)
+}
+
+// TestAnchorHandoverAutoRepeat moves the anchor role on a quiescent heap —
+// the anchor's host leaves, or a host with a smaller label joins — and then
+// lets the heap drive itself. The synchronous engine activates only the
+// anchor, so the new anchor starts iterations only if the hand-over
+// refreshed the engine's active set.
+func TestAnchorHandoverAutoRepeat(t *testing.T) {
+	for _, join := range []bool{false, true} {
+		name := map[bool]string{false: "leave", true: "join"}[join]
+		t.Run(name, func(t *testing.T) {
+			h := New(Config{N: 8, P: 3, Seed: 506})
+			h.SetAutoRepeat(false)
+			spec := h.Spec(sim.KindSync)
+			counters := make([]*activationCounter, len(spec.Handlers))
+			for i, hd := range spec.Handlers {
+				counters[i] = &activationCounter{nodeHandler: hd.(*nodeHandler)}
+				spec.Handlers[i] = counters[i]
+			}
+			r := &membershipRig{h: h, eng: sim.Build(spec).(*sim.SyncEngine)}
+			for i := 0; i < 12; i++ {
+				h.InjectInsert(i%8, prio.ElemID(i+1), i%3, "")
+			}
+			r.drain(t)
+			for i, c := range counters {
+				if want := sim.NodeID(i) == h.ov.Anchor; (c.acts > 0) != want {
+					t.Fatalf("node %d activated %d times before the hand-over (anchor %d)", i, c.acts, h.ov.Anchor)
+				}
+				c.acts = 0
+			}
+
+			before := h.ov.Anchor
+			if join {
+				id := uint64(1000)
+				for h.hasher.Unit(id)/2 >= h.ov.V[before].Label {
+					id++
+				}
+				h.AddHost(r.eng, id)
+			} else {
+				h.RemoveHost(r.eng, ldb.HostOf(before))
+			}
+			if h.ov.Anchor == before {
+				t.Fatal("the anchor did not move")
+			}
+
+			h.SetAutoRepeat(true)
+			for i := 0; i < 24; i++ {
+				host := i % (len(h.nodes) / 3)
+				if !h.ov.ActiveHost(host) {
+					continue
+				}
+				if i%3 == 0 {
+					h.InjectDelete(host)
+				} else {
+					h.InjectInsert(host, prio.ElemID(100+i), i%3, "")
+				}
+			}
+			if !r.eng.RunUntil(h.Done, maxRounds(h.cfg.N)) {
+				t.Fatalf("stuck after the hand-over: %d/%d ops done", h.trace.DoneCount(), h.trace.Len())
+			}
+			if rep := h.Check(); !rep.Ok() {
+				t.Fatalf("semantics after the hand-over:\n%s", rep.Error())
+			}
+			// Every node of the original set is wrapped; only the new anchor
+			// may be among the activated ones (a joining host's nodes are not).
+			for i, c := range counters {
+				if want := sim.NodeID(i) == h.ov.Anchor; (c.acts > 0) != want {
+					t.Fatalf("node %d activated %d times after the hand-over (anchor %d)", i, c.acts, h.ov.Anchor)
+				}
+			}
+		})
+	}
 }

@@ -318,6 +318,10 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 	}
 }
 
+// Passive implements sim.PassiveHandler: only the anchor's activation
+// acts. AddHost/RemoveHost refresh the engine when the anchor moves.
+func (nh *nodeHandler) Passive() bool { return nh.id != nh.n.heap.ov.Anchor }
+
 func (nh *nodeHandler) Activate(ctx *sim.Context) {
 	n := nh.n
 	if nh.id != n.heap.ov.Anchor {
