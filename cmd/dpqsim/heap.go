@@ -23,7 +23,6 @@ type heapFlags struct {
 	seed              *uint64
 	verbose           *bool
 	record, replay    *string
-	workers           *int
 	obs               *obs.Flags
 }
 
@@ -37,7 +36,6 @@ func addHeapFlags() *heapFlags {
 		verbose: flag.Bool("v", false, "print every DeleteMin outcome"),
 		record:  flag.String("record", "", "write the generated workload to FILE"),
 		replay:  flag.String("replay", "", "replay a recorded workload from FILE (overrides generation)"),
-		workers: flag.Int("workers", 1, workersUsage),
 		obs:     obs.AddFlags(),
 	}
 }
@@ -84,7 +82,7 @@ func seapMain() {
 // drains it within budget·(log n + 3) rounds and returns the run's cost.
 func (f *heapFlags) run(be relax.Backend, bound uint64, budget int) *sim.Metrics {
 	sess := start(f.obs)
-	eng := syncEngine(be.Spec(sim.KindSync), *f.workers, sess)
+	eng := syncEngine(be.Spec(sim.KindSync), sess)
 	be.SetObs(sess.Collector())
 	stream := f.workload(workload.Config{
 		N: *f.n, Rate: *f.lambda, InsertFrac: *f.mix,

@@ -20,7 +20,6 @@ func kselectMain() {
 	m := flag.Int("m", 4096, "number of elements (poly(n))")
 	k := flag.Int64("k", 0, "target rank (default m/2)")
 	seed := flag.Uint64("seed", 1, "simulation seed")
-	workers := flag.Int("workers", 1, workersUsage)
 	of := obs.AddFlags()
 	parse()
 	if *k == 0 {
@@ -31,7 +30,7 @@ func kselectMain() {
 	ov := ldb.New(*n, hashutil.New(*seed))
 	sel := kselect.New(ov, hashutil.New(*seed+1))
 	elems := sel.LoadUniform(*m, uint64(*m)*4, *seed+2)
-	eng := syncEngine(sel.Spec(sim.KindSync, *seed+3), *workers, sess)
+	eng := syncEngine(sel.Spec(sim.KindSync, *seed+3), sess)
 	sel.SetObs(sess.Collector())
 	sel.Start(eng.Context(sel.Anchor()), *k)
 	if !eng.RunUntil(sel.Done, 50000*(mathx.Log2Ceil(*n)+3)) {

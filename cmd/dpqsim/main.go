@@ -92,12 +92,9 @@ func finish(sess *obs.Session, eng sim.Engine) {
 	}
 }
 
-const workersUsage = "round-engine worker pool size (0 = GOMAXPROCS, 1 = serial); results are identical for any value"
-
-// syncEngine builds spec as the round engine of a -workers mode: the flag's
-// pool size, the session's batched observer.
-func syncEngine(spec sim.Spec, workers int, sess *obs.Session) *sim.SyncEngine {
-	spec.Workers = sim.PoolWorkers(workers)
+// syncEngine builds spec as a mode's round engine, with the session's
+// batched observer.
+func syncEngine(spec sim.Spec, sess *obs.Session) *sim.SyncEngine {
 	spec.BatchObserver = sess.BatchObserver()
 	return sim.Build(spec).(*sim.SyncEngine)
 }

@@ -9,7 +9,7 @@
 // Usage:
 //
 //	dpqsweep [-exp zipf,contention|all] [-matrix SPEC] [-quick] [-strict]
-//	         [-json FILE] [-workers N] [-seed S] [-calibrate] [-list]
+//	         [-json FILE] [-seed S] [-calibrate] [-list]
 //
 // Examples:
 //
@@ -38,15 +38,14 @@ func main() {
 	exp := flag.String("exp", "all", "comma-separated experiment names (see -list), or 'all'")
 	matrix := flag.String("matrix", "", "ad-hoc matrix spec: 'proto=skeap,seap;n=16,64;dist=zipf;zipfs=1.6' (overrides -exp)")
 	quick := flag.Bool("quick", false, "CI-sized matrix")
-	strict := flag.Bool("strict", false, "exit 1 on any DIVERGED cell, conformance failure or engine-pair mismatch")
-	jsonOut := flag.String("json", "", "write the dpq-sweep/1 result matrix to FILE")
-	workers := flag.Int("workers", 0, "worker-pool size for parallel cells (0 = GOMAXPROCS, floored at 2)")
+	strict := flag.Bool("strict", false, "exit 1 on any DIVERGED cell or conformance failure")
+	jsonOut := flag.String("json", "", "write the dpq-sweep/2 result matrix to FILE")
 	seed := flag.Uint64("seed", 1, "deterministic workload seed")
 	calibrate := flag.Bool("calibrate", false, "refit the twin constants from this run and print them")
 	list := flag.Bool("list", false, "list the named experiments and exit")
 	flag.Parse()
 
-	opt := sweep.MatrixOptions{Quick: *quick, Seed: *seed, Workers: *workers}
+	opt := sweep.MatrixOptions{Quick: *quick, Seed: *seed}
 	all := sweep.DefaultMatrix(opt)
 
 	if *list {
@@ -117,10 +116,6 @@ func main() {
 				r.Measured.MaxMessageBits, r.Predicted.MaxMessageBits,
 				oracle, r.Verdict)
 		}
-		for _, p := range er.EnginePairs {
-			fmt.Fprintf(tw, "%s\t%s\tserial %.1fms vs parallel %.1fms (%d workers)\tspeedup %.2fx\tmetrics identical: %v\n",
-				er.Name, p.Label, float64(p.SerialWallNs)/1e6, float64(p.ParallelWallNs)/1e6, p.Workers, p.Speedup, p.MetricsIdentical)
-		}
 	}
 	tw.Flush()
 
@@ -154,8 +149,8 @@ func main() {
 		rt.Flush()
 	}
 
-	fmt.Printf("sweep: %d cells, %d diverged, %d conformance failures, %d engine-pair mismatches\n",
-		f.Cells, f.Diverged, f.ConformFailures, f.PairMismatches)
+	fmt.Printf("sweep: %d cells, %d diverged, %d conformance failures\n",
+		f.Cells, f.Diverged, f.ConformFailures)
 
 	if *jsonOut != "" {
 		out, err := os.Create(*jsonOut)

@@ -258,7 +258,7 @@ func TestCmdBenchallExpFilter(t *testing.T) {
 		t.Fatalf("benchall unknown -exp message:\n%s", out)
 	}
 	out = runCmd(t, "./cmd/benchall", "-list")
-	for _, id := range []string{"E-F2", "E25", "E26", "E27"} {
+	for _, id := range []string{"E-F2", "E24", "E26", "E27"} {
 		if !strings.Contains(out, id) {
 			t.Fatalf("benchall -list missing %s:\n%s", id, out)
 		}
@@ -338,24 +338,24 @@ func TestCmdRecordReplayIdentical(t *testing.T) {
 func TestCmdDpqsweepQuickStrict(t *testing.T) {
 	// The acceptance gate: the quick matrix must come back with zero
 	// DIVERGED cells and zero oracle failures under -strict, and the JSON
-	// matrix must carry the dpq-sweep/1 schema.
+	// matrix must carry the dpq-sweep/2 schema.
 	dir := t.TempDir()
 	out := runCmd(t, "./cmd/dpqsweep", "-quick", "-strict", "-json", filepath.Join(dir, "sweep.json"))
-	if !strings.Contains(out, "0 diverged, 0 conformance failures, 0 engine-pair mismatches") {
+	if !strings.Contains(out, "0 diverged, 0 conformance failures\n") {
 		t.Fatalf("dpqsweep not clean:\n%s", out)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "sweep.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"schema": "dpq-sweep/1"`) {
+	if !strings.Contains(string(data), `"schema": "dpq-sweep/2"`) {
 		t.Fatalf("sweep JSON missing schema:\n%.300s", data)
 	}
 }
 
 func TestCmdDpqsweepMatrixAndList(t *testing.T) {
 	out := runCmd(t, "./cmd/dpqsweep", "-list")
-	for _, exp := range []string{"zipf", "contention", "phase", "burst", "engine"} {
+	for _, exp := range []string{"zipf", "contention", "phase", "burst", "relax"} {
 		if !strings.Contains(out, exp) {
 			t.Fatalf("-list missing %q:\n%s", exp, out)
 		}

@@ -29,9 +29,8 @@
 //	}
 //
 // Options.Engine selects how the simulated network executes each batch —
-// the paper's two execution models (§1.1): synchronous rounds, stepped
-// serially (EngineSync, the default) or by a worker pool with identical
-// traces (EngineSyncParallel), and bounded-delay asynchrony (EngineAsync).
+// the paper's two execution models (§1.1): synchronous rounds (EngineSync,
+// the default) and bounded-delay asynchrony (EngineAsync).
 // Real concurrency is cmd/dpqd's job: the same handlers on TCP.
 package dpq
 
@@ -70,9 +69,9 @@ type EngineKind = core.EngineKind
 const (
 	// EngineSync is the default serial synchronous round engine.
 	EngineSync = core.EngineSync
-	// EngineSyncParallel partitions rounds across a worker pool
-	// (Options.Workers) with traces and metrics identical to EngineSync.
-	EngineSyncParallel = core.EngineSyncParallel
+	// Deprecated: EngineSyncParallel named the worker-pool round engine,
+	// which is gone. It is EngineSync.
+	EngineSyncParallel = core.EngineSync
 	// EngineAsync delivers messages with random bounded delay
 	// (Options.MaxDelay).
 	EngineAsync = core.EngineAsync

@@ -41,15 +41,13 @@ func ExampleNew() {
 	// write tests (priority 300)
 }
 
-// ExamplePQ_At shows builder chaining and the worker-pool round engine:
-// EngineSyncParallel produces exactly the same deliveries, metrics and
-// traces as the default serial engine, just faster on multicore hosts.
+// ExamplePQ_At shows builder chaining: each call issues one operation at
+// the host and returns the builder for the next.
 func ExamplePQ_At() {
 	pq, err := dpq.New(dpq.Skeap, dpq.Options{
 		Nodes:      8,
 		Priorities: 3,
 		Seed:       1,
-		Engine:     dpq.EngineSyncParallel, // Workers: 0 = GOMAXPROCS
 	})
 	if err != nil {
 		panic(err)

@@ -150,8 +150,8 @@ func (m *DownMsg) Bits() int { return 16 + 64 + m.V.Bits() }
 // description is public and identical at every node, so it is registered
 // once and shared by all of the instance's Runners. Register every tag
 // before the first message is handled; the Table is read-only afterwards,
-// so Runners on concurrent engine workers share it safely. The zero value
-// is an empty Table.
+// so Runners on concurrent goroutines share it safely. The zero value is
+// an empty Table.
 type Table struct {
 	protos []*Proto // indexed by tag; nil where unregistered
 }

@@ -68,8 +68,8 @@ type Options struct {
 	// Engine selects the execution engine (default EngineSync). See the
 	// EngineKind constants for the trade-offs.
 	Engine EngineKind
-	// Workers sizes the EngineSyncParallel worker pool (0 = GOMAXPROCS).
-	// Setting it with any other engine is an error.
+	// Deprecated: Workers sized the worker-pool round engine, which is
+	// gone; every synchronous PQ steps serially. Validation ignores it.
 	Workers int
 	// MaxDelay is EngineAsync's maximum message delay in simulated time
 	// units (0 = the default of 2). Setting it with any other engine is an
@@ -243,7 +243,7 @@ func (pq *PQ) Relaxed() bool { return pq.relaxed }
 func (pq *PQ) RankError() obs.RankStats { return obs.TraceRankError(pq.be.Trace()) }
 
 // Engine exposes the synchronous engine driving the PQ (nil unless the
-// engine kind is EngineSync or EngineSyncParallel).
+// engine kind is EngineSync).
 func (pq *PQ) Engine() *sim.SyncEngine {
 	e, _ := pq.eng.(*sim.SyncEngine)
 	return e

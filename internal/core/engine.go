@@ -18,11 +18,6 @@ const (
 	// EngineSync is the default: the serial synchronous round engine.
 	// Deterministic per seed.
 	EngineSync EngineKind = iota
-	// EngineSyncParallel partitions every round across a worker pool and
-	// merges the results in node order; metrics, congestion accounting and
-	// traces are byte-identical to EngineSync for the same seed.
-	// Options.Workers sizes the pool.
-	EngineSyncParallel
 	// EngineAsync delivers each message after a random bounded delay
 	// (Options.MaxDelay), modeling an asynchronous network. Deterministic
 	// per seed but not round-structured.
@@ -33,8 +28,6 @@ func (k EngineKind) String() string {
 	switch k {
 	case EngineSync:
 		return "sync"
-	case EngineSyncParallel:
-		return "sync-parallel"
 	case EngineAsync:
 		return "async"
 	default:
@@ -45,15 +38,9 @@ func (k EngineKind) String() string {
 // validateEngine checks the engine-selection fields of opts.
 func validateEngine(opts Options) error {
 	switch opts.Engine {
-	case EngineSync, EngineSyncParallel, EngineAsync:
+	case EngineSync, EngineAsync:
 	default:
 		return fmt.Errorf("core: unknown engine kind %d", int(opts.Engine))
-	}
-	if opts.Workers < 0 {
-		return fmt.Errorf("core: Workers must be ≥ 0 (got %d)", opts.Workers)
-	}
-	if opts.Workers != 0 && opts.Engine != EngineSyncParallel {
-		return fmt.Errorf("core: Workers is only valid with EngineSyncParallel (engine is %v)", opts.Engine)
 	}
 	if opts.MaxDelay < 0 {
 		return fmt.Errorf("core: MaxDelay must be ≥ 0 (got %v)", opts.MaxDelay)
@@ -71,10 +58,7 @@ func validateEngine(opts Options) error {
 func buildEngine(be relax.Backend, opts Options) (sim.Engine, int) {
 	budget := 20000 * (mathx.Log2Ceil(opts.Nodes) + 3)
 	spec := be.Spec(sim.KindSync)
-	switch opts.Engine {
-	case EngineSyncParallel:
-		spec.Workers = sim.PoolWorkers(opts.Workers)
-	case EngineAsync:
+	if opts.Engine == EngineAsync {
 		spec.Kind = sim.KindAsync
 		if spec.MaxDelay = opts.MaxDelay; spec.MaxDelay == 0 {
 			spec.MaxDelay = 2

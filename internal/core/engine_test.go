@@ -1,8 +1,6 @@
 package core
 
 import (
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -16,9 +14,6 @@ func TestEngineOptionValidation(t *testing.T) {
 		opts Options
 		want string // substring of the expected error
 	}{
-		{"workers on sync", Options{Nodes: 2, Workers: 4}, "Workers"},
-		{"workers on async", Options{Nodes: 2, Engine: EngineAsync, Workers: 4}, "Workers"},
-		{"negative workers", Options{Nodes: 2, Engine: EngineSyncParallel, Workers: -1}, "Workers"},
 		{"maxdelay on sync", Options{Nodes: 2, MaxDelay: 3}, "MaxDelay"},
 		{"negative maxdelay", Options{Nodes: 2, Engine: EngineAsync, MaxDelay: -1}, "MaxDelay"},
 		{"unknown engine", Options{Nodes: 2, Engine: EngineKind(99)}, "unknown engine"},
@@ -28,11 +23,11 @@ func TestEngineOptionValidation(t *testing.T) {
 			t.Errorf("%s: got %v, want error mentioning %q", tc.name, err, tc.want)
 		}
 	}
-	// The valid combinations must construct.
+	// The valid combinations must construct; the deprecated Workers field
+	// is ignored.
 	for _, opts := range []Options{
 		{Nodes: 2},
-		{Nodes: 2, Engine: EngineSyncParallel},
-		{Nodes: 2, Engine: EngineSyncParallel, Workers: 3},
+		{Nodes: 2, Workers: 3},
 		{Nodes: 2, Engine: EngineAsync, MaxDelay: 1.5},
 	} {
 		pq, err := New(Seap, opts)
@@ -47,15 +42,13 @@ func TestEngineOptionValidation(t *testing.T) {
 
 // TestBatchAPIAllEngines drives the builder + Drain cycle on every engine
 // kind and both protocols; every engine must deliver the same multiset in
-// priority order and pass verification.
+// priority order and pass verification, and Engine() exposes the
+// synchronous engine only.
 func TestBatchAPIAllEngines(t *testing.T) {
-	kinds := []EngineKind{EngineSync, EngineSyncParallel, EngineAsync}
+	kinds := []EngineKind{EngineSync, EngineAsync}
 	for _, proto := range []Protocol{Skeap, Seap} {
 		for _, kind := range kinds {
 			opts := Options{Nodes: 4, Priorities: 3, Seed: 11, Engine: kind}
-			if kind == EngineSyncParallel {
-				opts.Workers = 2
-			}
 			pq, err := New(proto, opts)
 			if err != nil {
 				t.Fatalf("%v/%v: %v", proto, kind, err)
@@ -82,6 +75,9 @@ func TestBatchAPIAllEngines(t *testing.T) {
 			}
 			if pq.Metrics().Messages == 0 {
 				t.Fatalf("%v/%v: no messages accounted", proto, kind)
+			}
+			if (pq.Engine() == nil) != (kind == EngineAsync) {
+				t.Fatalf("%v/%v: Engine() = %v", proto, kind, pq.Engine())
 			}
 		}
 	}
@@ -172,63 +168,6 @@ func TestDrainReturnsEachDeliveryOnce(t *testing.T) {
 				t.Fatalf("%s seed %d: %v", c.name, seed, err)
 			}
 		}
-	}
-}
-
-// TestParallelWorkersConvention pins the translation from Options.Workers
-// (0 = one per core, because EngineSyncParallel already asked for a pool)
-// to sim.Spec.Workers (0 = serial): a parallel PQ must never silently step
-// serially, and the other engines never get a pool.
-func TestParallelWorkersConvention(t *testing.T) {
-	workers := func(opts Options) int {
-		pq, err := New(Seap, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return pq.Engine().Workers()
-	}
-	if got, want := workers(Options{Nodes: 2, Engine: EngineSyncParallel}), runtime.GOMAXPROCS(0); got != want {
-		t.Fatalf("EngineSyncParallel, Workers 0: %d workers, want GOMAXPROCS = %d", got, want)
-	}
-	if got := workers(Options{Nodes: 2, Engine: EngineSyncParallel, Workers: 3}); got != 3 {
-		t.Fatalf("EngineSyncParallel, Workers 3: %d workers", got)
-	}
-	if got := workers(Options{Nodes: 2}); got != 1 {
-		t.Fatalf("EngineSync: %d workers, want serial", got)
-	}
-	if pq, _ := New(Seap, Options{Nodes: 2, Engine: EngineAsync}); pq.Engine() != nil {
-		t.Fatal("Engine() must be nil on the asynchronous engine")
-	}
-}
-
-// TestParallelFacadeMatchesSerial checks the facade-level guarantee: the
-// parallel engine produces identical deliveries and metrics to the serial
-// one for the same seed and operations.
-func TestParallelFacadeMatchesSerial(t *testing.T) {
-	build := func(kind EngineKind, workers int) ([]Delivery, interface{}) {
-		pq, err := New(Seap, Options{Nodes: 8, Seed: 41, Engine: kind, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 20; i++ {
-			pq.At(i%8).Insert(uint64(i*13%50+1), "p")
-		}
-		for i := 0; i < 20; i++ {
-			pq.At((i * 3) % 8).DeleteMin()
-		}
-		got, err := pq.Drain()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, pq.Metrics()
-	}
-	serialD, serialM := build(EngineSync, 0)
-	parD, parM := build(EngineSyncParallel, 3)
-	if !reflect.DeepEqual(serialD, parD) {
-		t.Fatalf("deliveries diverge:\nserial %+v\npar    %+v", serialD, parD)
-	}
-	if !reflect.DeepEqual(serialM, parM) {
-		t.Fatalf("metrics diverge:\nserial %+v\npar    %+v", serialM, parM)
 	}
 }
 

@@ -16,7 +16,7 @@ func TestRelaxedPQEndToEnd(t *testing.T) {
 			{Mode: relax.SampleK, K: 2},
 			{Mode: relax.BatchLocal, Batch: 4},
 		} {
-			for _, kind := range []EngineKind{EngineSync, EngineSyncParallel, EngineAsync} {
+			for _, kind := range []EngineKind{EngineSync, EngineAsync} {
 				pq, err := New(proto, Options{Nodes: 4, Seed: 5, Engine: kind, Relaxation: rx})
 				if err != nil {
 					t.Fatalf("%v/%v/%v: %v", proto, rx, kind, err)

@@ -3,11 +3,8 @@ package harness
 import (
 	"fmt"
 	"math"
-	"reflect"
-	"runtime"
 	"strings"
 	"sync"
-	"time"
 
 	"dpq/internal/baseline"
 	"dpq/internal/concurrentpq"
@@ -66,20 +63,16 @@ func strictHeap(proto string, n, p int, bound, seed uint64) (relax.Backend, uint
 }
 
 // runBatch starts exactly one batch (a Skeap iteration, a Seap
-// insert+delete cycle) over what is buffered in be and runs it to
-// completion on a round engine with the given pool size. It returns the
-// cost and the wall time of the run alone.
-func runBatch(be relax.Backend, n, workers int) (sim.Metrics, time.Duration) {
+// insert+delete cycle) over what is buffered in be, runs it to completion
+// on the round engine and returns its cost.
+func runBatch(be relax.Backend, n int) sim.Metrics {
 	be.SetAutoRepeat(false)
-	spec := be.Spec(sim.KindSync)
-	spec.Workers = workers
-	eng := sim.Build(spec)
-	begin := time.Now()
+	eng := sim.Build(be.Spec(sim.KindSync))
 	be.StartBatch(eng.Context(be.Overlay().Anchor))
 	if !eng.RunUntil(be.Done, maxRounds(n)) {
-		panic(fmt.Sprintf("harness: batch (n=%d, workers=%d) did not complete", n, workers))
+		panic(fmt.Sprintf("harness: batch (n=%d) did not complete", n))
 	}
-	return *eng.Metrics(), time.Since(begin)
+	return *eng.Metrics()
 }
 
 // batchRounds measures the rounds of one batch covering opsPerNode
@@ -99,7 +92,7 @@ func batchRounds(proto string, n, opsPerNode int, seed uint64) int {
 			}
 		}
 	}
-	m, _ := runBatch(be, n, 1)
+	m := runBatch(be, n)
 	return m.Rounds
 }
 
@@ -772,55 +765,6 @@ func FaultToleranceOverhead(sz Sizes) Table {
 	}
 	t.Notef("fault model: per-message i.i.d. drop/duplicate/delay-spike decisions and fail-recover node crashes (durable state, missed activations), all drawn from a seeded stream keyed by the engine's event sequence — every run is replayable from its recorded FaultTrace.")
 	t.Notef("retry overhead = retransmissions / transport sends; every run is checked with the full semantics battery, so the table doubles as a fault soak.")
-	return t
-}
-
-// timedBatch runs one skeap or seap batch on a sync engine with the given
-// worker-pool size and returns the engine metrics and the wall time of the
-// RunUntil loop (injection and construction excluded).
-func timedBatch(proto string, n, opsPerNode, workers int, seed uint64) (sim.Metrics, time.Duration) {
-	be, bound := strictHeap(proto, n, 4, uint64(n)*uint64(n)*16, seed)
-	if proto == "seap" {
-		bound = 500 // the workload E25's recorded rounds were measured on
-	}
-	injectRandom(be, n, bound, n*opsPerNode, seed+1)
-	return runBatch(be, n, workers)
-}
-
-// ParallelEngineSpeedup: E25 — once a round's inboxes are sealed, per-node
-// work only touches node-local state, so the worker-pool engine partitions
-// activations across workers and merges the per-node outboxes back in node
-// order. The execution is identical to the serial engine's — same rounds,
-// messages, congestion — and this table measures what that buys (or costs)
-// in wall-clock time on this machine.
-func ParallelEngineSpeedup(sz Sizes) Table {
-	workers := runtime.GOMAXPROCS(0)
-	if workers < 2 {
-		workers = 2 // still exercise the worker-pool path on 1-CPU hosts
-	}
-	t := Table{
-		ID:     "E25",
-		Title:  "Parallel round engine: wall clock vs the serial engine",
-		Claim:  "per-round node activations are data-parallel, so a deterministic worker-pool engine reproduces the serial execution exactly while using all cores",
-		Header: []string{"protocol", "n", "rounds", "serial ms", "parallel ms", "speedup", "metrics identical"},
-	}
-	ns := sz.NSweep
-	if len(ns) > 3 {
-		ns = ns[len(ns)-3:] // the engine overhead only matters at scale
-	}
-	for _, proto := range []string{"skeap", "seap"} {
-		for _, n := range ns {
-			sm, sd := timedBatch(proto, n, 2, 1, uint64(9000+n))
-			pm, pd := timedBatch(proto, n, 2, workers, uint64(9000+n))
-			t.AddRow(proto, n, sm.Rounds,
-				fmt.Sprintf("%.1f", float64(sd.Microseconds())/1000),
-				fmt.Sprintf("%.1f", float64(pd.Microseconds())/1000),
-				fmt.Sprintf("%.2fx", sd.Seconds()/pd.Seconds()),
-				fmt.Sprint(reflect.DeepEqual(sm, pm)))
-		}
-	}
-	t.Notef("workers = %d (GOMAXPROCS, floored at 2 so the pool path always runs); \"metrics identical\" DeepEquals the full Metrics structs including congestion and per-group deliveries.", workers)
-	t.Notef("speedup needs real cores: on a single-CPU host the pool only adds scheduling overhead, which this table then reports honestly (<1x).")
 	return t
 }
 

@@ -119,7 +119,6 @@ func Registry() []Experiment {
 		{"E22", "fault tolerance overhead", FaultToleranceOverhead},
 		{"E23", "Skeap phase breakdown", SkeapPhaseBreakdown},
 		{"E24", "KSelect phase breakdown", KSelectPhaseBreakdown},
-		{"E25", "parallel engine speedup", ParallelEngineSpeedup},
 		{"E26", "sweep: skew/contention envelopes", SweepEnvelopes},
 		{"E27", "sweep: burst/phase conformance", SweepConformance},
 		{"E28", "relax: throughput vs rank error", RelaxFrontier},

@@ -24,7 +24,7 @@ const scaleHeapBudget = 1024.0
 
 // MillionScale: E29 — the struct-of-arrays engine at up to 2^20 hosts
 // (3·2^20 virtual nodes). One Skeap batch of scaleOps operations runs to
-// completion on the worker-pool engine at each host count. The verdict
+// completion on the round engine at each host count. The verdict
 // judges congestion against the fitted twin envelope (Lemma 3.7's Õ(Λ)
 // shape) and the per-node footprint against scaleHeapBudget. Rounds are
 // reported as context only: a one-shot batch including its full DHT drain
@@ -45,9 +45,7 @@ func MillionScale(sz Sizes) Table {
 		be, bound := strictHeap("skeap", n, 8, 0, seed)
 		be.SetAutoRepeat(false)
 		injectRandom(be, n, bound, scaleOps, seed+1)
-		spec := be.Spec(sim.KindSync)
-		spec.Workers = -1 // worker pool, one worker per core
-		eng := sim.Build(spec).(*sim.SyncEngine)
+		eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
 		start := time.Now()
 		be.StartBatch(eng.Context(be.Overlay().Anchor))
 		completed := eng.RunUntil(be.Done, maxRounds(n))

@@ -7,7 +7,7 @@ import (
 )
 
 // The sweep experiments E26/E27: the workload-sweep matrix of
-// internal/sweep rendered as EXPERIMENTS.md tables. Unlike E1–E25, every
+// internal/sweep rendered as EXPERIMENTS.md tables. Unlike E1–E24, every
 // row carries the analytical twin's predicted envelope next to the
 // measurement and a PASS/DIVERGED verdict — the tables are checked
 // assertions, not just recordings.
@@ -142,15 +142,15 @@ func RelaxFrontier(sz Sizes) Table {
 }
 
 // SweepConformance: E27 — burst/drain and phase-shifting load with the
-// oracle replay, plus the serial-vs-parallel engine pairing.
+// oracle replay.
 func SweepConformance(sz Sizes) Table {
 	t := Table{
 		ID:     "E27",
-		Title:  "Sweep: burst/drain and phase-shift conformance + engine pairing",
-		Claim:  "sequential consistency (Skeap) and serializability (Seap) survive burst/drain cycles and phase-shifting load (Def. 1.1/1.2 via the seqheap oracle); the worker-pool engine stays metrics-identical on skewed cells",
+		Title:  "Sweep: burst/drain and phase-shift conformance",
+		Claim:  "sequential consistency (Skeap) and serializability (Seap) survive burst/drain cycles and phase-shifting load (Def. 1.1/1.2 via the seqheap oracle)",
 		Header: []string{"cell", "ops", "rounds/batch", "≤ pred", "oracle", "verdict"},
 	}
-	f, err := runSweepExperiments(sz, "phase", "burst", "engine")
+	f, err := runSweepExperiments(sz, "phase", "burst")
 	if err != nil {
 		t.Notef("sweep failed: %v", err)
 		return t
@@ -166,10 +166,6 @@ func SweepConformance(sz Sizes) Table {
 			t.AddRow(r.Cell.Label(), r.Measured.Ops,
 				r.Measured.RoundsPerBatch, r.Predicted.RoundsPerBatch,
 				oracle, r.Verdict)
-		}
-		for _, p := range er.EnginePairs {
-			t.Notef("engine pair %s: serial %.1fms vs %d-worker %.1fms (%.2fx), metrics identical: %v",
-				p.Label, float64(p.SerialWallNs)/1e6, p.Workers, float64(p.ParallelWallNs)/1e6, p.Speedup, p.MetricsIdentical)
 		}
 	}
 	t.Notef("oracle = full semantics battery replayed against internal/seqheap per cell; %d/%d cells failed.", oracleFails, f.Cells)

@@ -106,12 +106,12 @@ func TestDeepHeapManyIterations(t *testing.T) {
 }
 
 // TestScaleFootprint builds a quarter-million-host Skeap (786k virtual
-// nodes), runs a small bounded workload on the worker-pool engine, and
+// nodes), runs a small bounded workload on the round engine, and
 // asserts the per-node memory budgets that make the million-node
 // experiment (E29) feasible: the engine's own state must stay under
 // 128 B/node and the whole process — protocol state included — under
 // 1 KiB per virtual node after GC. The struct-of-arrays engine plus the
-// lazy per-node maps measure ~500 B/vnode after the run; the budget leaves
+// lazy per-node maps measure ~470 B/vnode after the run; the budget leaves
 // headroom without letting per-node regressions hide.
 func TestScaleFootprint(t *testing.T) {
 	if testing.Short() {
@@ -121,7 +121,6 @@ func TestScaleFootprint(t *testing.T) {
 	h := skeap.New(skeap.Config{N: n, P: 8, Seed: 1030})
 	h.SetAutoRepeat(false)
 	eng := h.NewSyncEngine()
-	eng.SetParallel(-1)
 	rnd := hashutil.NewRand(1031)
 	id := prio.ElemID(1)
 	for i := 0; i < 2048; i++ {
@@ -153,11 +152,10 @@ func TestScaleFootprint(t *testing.T) {
 // TestAllocationBudget is the allocation regression gate: one seeded batch
 // per protocol at n=256 — 2 operations per host, 60/40 insert/delete over
 // the priorities [1,4] (Skeap) and [1,16n²] (Seap), and KSelect of rank 2n
-// over 4n uniform elements — run from its start to completion on the
-// serial and on the 2-worker engine. Those batches are one entry long, so
-// skeap-sat adds a saturated shape whose batches are many entries long: 8
-// hosts, 64 operations per host per batch, 50/50, 20 batches on the serial
-// engine. It counts heap allocations per operation (per element for
+// over 4n uniform elements — run from its start to completion on the round
+// engine. Those batches are one entry long, so skeap-sat adds a saturated
+// shape whose batches are many entries long: 8 hosts, 64 operations per
+// host per batch, 50/50, 20 batches. It counts heap allocations per operation (per element for
 // KSelect), not per round, so a change that only saves rounds cannot move
 // it. The measured values repeat run to run; each budget is 2x the value
 // measured when the gate was set, skeap-sat's 1.3x so that the batch code
@@ -169,7 +167,7 @@ func TestAllocationBudget(t *testing.T) {
 	// host and batch in host order, and returns the run of the batches and
 	// the operation count. The heap must take at most perHost operations
 	// of a host into one batch.
-	heap := func(be relax.Backend, hosts, perHost, batches int, insert float64, bound uint64, workers int) (func() bool, int) {
+	heap := func(be relax.Backend, hosts, perHost, batches int, insert float64, bound uint64) (func() bool, int) {
 		be.SetAutoRepeat(false)
 		rnd := hashutil.NewRand(seed + 1)
 		id := prio.ElemID(1)
@@ -183,7 +181,6 @@ func TestAllocationBudget(t *testing.T) {
 			}
 		}
 		eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
-		eng.SetParallel(workers)
 		return func() bool {
 			for b := 1; b <= batches; b++ {
 				be.StartBatch(eng.Context(be.Overlay().Anchor))
@@ -196,17 +193,13 @@ func TestAllocationBudget(t *testing.T) {
 		}, ops
 	}
 	cases := []struct {
-		name    string
-		workers int
-		budget  float64 // allocations per operation (per element for KSelect)
+		name   string
+		budget float64 // allocations per operation (per element for KSelect)
 	}{
-		{"skeap", 1, 63},      // measured 31.6 (45.5 before batches shared arrays)
-		{"skeap", 2, 69},      // measured 34.6 (48.3 before)
-		{"skeap-sat", 1, 6.4}, // measured 4.9 (10.2 before)
-		{"seap", 1, 344},      // measured 287.2 (380.7 before one aggtree table per protocol)
-		{"seap", 2, 974},      // measured 311.0 (404.4 before)
-		{"kselect", 1, 172},   // measured 143.8 (190.5 before)
-		{"kselect", 2, 486},   // measured 155.2 (202.0 before)
+		{"skeap", 63},      // measured 31.6 (45.5 before batches shared arrays)
+		{"skeap-sat", 6.4}, // measured 4.9 (10.2 before)
+		{"seap", 344},      // measured 287.2 (380.7 before one aggtree table per protocol)
+		{"kselect", 172},   // measured 143.8 (190.5 before)
 	}
 	for _, c := range cases {
 		const n = 256
@@ -214,17 +207,16 @@ func TestAllocationBudget(t *testing.T) {
 		var ops int
 		switch c.name {
 		case "skeap":
-			run, ops = heap(relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: 4, Seed: seed})), n, 2, 1, 0.6, 4, c.workers)
+			run, ops = heap(relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: 4, Seed: seed})), n, 2, 1, 0.6, 4)
 		case "skeap-sat":
 			h := skeap.New(skeap.Config{N: 8, P: 4, Seed: seed, MaxBatch: 64})
-			run, ops = heap(relax.WrapSkeap(h), 8, 64, 20, 0.5, 4, c.workers)
+			run, ops = heap(relax.WrapSkeap(h), 8, 64, 20, 0.5, 4)
 		case "seap":
-			run, ops = heap(relax.WrapSeap(seap.New(seap.Config{N: n, PrioBound: 16 * n * n, Seed: seed})), n, 2, 1, 0.6, 16*n*n, c.workers)
+			run, ops = heap(relax.WrapSeap(seap.New(seap.Config{N: n, PrioBound: 16 * n * n, Seed: seed})), n, 2, 1, 0.6, 16*n*n)
 		case "kselect":
 			sel := kselect.New(ldb.New(n, hashutil.New(seed)), hashutil.New(seed+1))
 			sel.LoadUniform(4*n, 16*n, seed+2)
 			eng := sel.NewSyncEngine(seed + 3)
-			eng.SetParallel(c.workers)
 			run = func() bool {
 				sel.Start(eng.Context(sel.Anchor()), 2*n)
 				return eng.RunUntil(sel.Done, maxRounds(n))
@@ -235,14 +227,14 @@ func TestAllocationBudget(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		if !run() {
-			t.Fatalf("%s workers=%d: batch incomplete", c.name, c.workers)
+			t.Fatalf("%s: batch incomplete", c.name)
 		}
 		runtime.ReadMemStats(&after)
 		perOp := float64(after.Mallocs-before.Mallocs) / float64(ops)
 		if perOp > c.budget {
-			t.Errorf("%s workers=%d: %.1f allocations per operation exceed the budget of %g", c.name, c.workers, perOp, c.budget)
+			t.Errorf("%s: %.1f allocations per operation exceed the budget of %g", c.name, perOp, c.budget)
 		} else {
-			t.Logf("%s workers=%d: %.1f allocations per operation", c.name, c.workers, perOp)
+			t.Logf("%s: %.1f allocations per operation", c.name, perOp)
 		}
 	}
 }

@@ -1,15 +1,10 @@
 // Sweep soak: the skewed and phase-shifting workload profiles of
-// internal/sweep run under both the serial and the worker-pool engine,
-// with the PR-5 determinism contract asserted per cell — equal Metrics
-// modulo wall clock — and the sequential oracle replayed on every run.
-// The CI race job executes this package under -race, so the skewed
-// injection paths (Zipf CDF, hot-host routing, burst/drain gating) are
-// also exercised inside the worker pool.
+// internal/sweep run on the round engine, with the sequential oracle
+// replayed on every run.
 package integration
 
 import (
 	"fmt"
-	"reflect"
 	"testing"
 
 	"dpq/internal/sweep"
@@ -40,9 +35,8 @@ func sweepSoakCells() []sweep.Cell {
 	return cells
 }
 
-// TestSweepProfileSoak: each profile × protocol × seed must drain, pass
-// the oracle, and produce identical Metrics on the serial and worker-pool
-// engines for the same injected workload.
+// TestSweepProfileSoak: each profile × protocol × seed must drain and pass
+// the oracle.
 func TestSweepProfileSoak(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
@@ -58,29 +52,15 @@ func TestSweepProfileSoak(t *testing.T) {
 			for _, seed := range seeds {
 				c.Seed = seed
 				t.Run(fmt.Sprintf("%s/%s/seed%d", proto, c.Pattern, seed), func(t *testing.T) {
-					c.Workers = 1
-					serial, err := sweep.RunCell(c, sweep.DefaultTwin())
+					r, err := sweep.RunCell(c, sweep.DefaultTwin())
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !serial.Conform.OK {
-						t.Fatalf("serial run violates semantics: %s", serial.Conform.Detail)
+					if !r.Conform.OK {
+						t.Fatalf("run violates semantics: %s", r.Conform.Detail)
 					}
-					if serial.Measured.Ops == 0 || serial.Measured.Messages == 0 {
-						t.Fatalf("serial run did no work: %+v", serial.Measured)
-					}
-					c.Workers = 3
-					par, err := sweep.RunCell(c, sweep.DefaultTwin())
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !par.Conform.OK {
-						t.Fatalf("parallel run violates semantics: %s", par.Conform.Detail)
-					}
-					sm, pm := serial.Measured, par.Measured
-					sm.WallNs, pm.WallNs = 0, 0
-					if !reflect.DeepEqual(sm, pm) {
-						t.Fatalf("metrics diverge between engines:\n  serial:   %+v\n  parallel: %+v", sm, pm)
+					if r.Measured.Ops == 0 || r.Measured.Messages == 0 {
+						t.Fatalf("run did no work: %+v", r.Measured)
 					}
 				})
 			}

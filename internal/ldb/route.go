@@ -79,8 +79,9 @@ func (m *RouteMsg) kindIndex() int {
 func (m *RouteMsg) Kind() string { return routeKinds[m.kindIndex()] }
 
 // hopHist accumulates the path lengths of the routes of one kind delivered
-// on an overlay, in obs's log2 buckets. Atomic: the parallel engine's
-// workers deliver concurrently, and a daemon reads while its engine runs.
+// on an overlay, in obs's log2 buckets. Atomic: in dpqd, netrun's run
+// goroutine delivers while the daemon's main goroutine reads the
+// histogram for its shutdown line and -metrics-out.
 type hopHist struct {
 	count, hops, max atomic.Int64
 	hist             [obs.HistBuckets]atomic.Int64

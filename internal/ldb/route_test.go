@@ -415,7 +415,8 @@ func TestRouteNearDyadicTargets(t *testing.T) {
 	}
 }
 
-// TestHopStatsConcurrent: the parallel engine's workers deliver at once,
+// TestHopStatsConcurrent: HopStats is written by netrun's run goroutine and
+// read by dpqd's main goroutine. Here several goroutines deliver at once,
 // and HopStats must still count every route and hold the exact longest
 // path. Each message is delivered where it is created, with Path preset.
 func TestHopStatsConcurrent(t *testing.T) {

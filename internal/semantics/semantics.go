@@ -51,8 +51,8 @@ type Op struct {
 }
 
 // Trace collects operations across all processes. It is safe for
-// concurrent use: the parallel round engine's workers, the network
-// runtime and the serving layer's client goroutines share one Trace.
+// concurrent use: the network runtime and the serving layer's client
+// goroutines share one Trace.
 type Trace struct {
 	mu         sync.Mutex
 	ops        []*Op

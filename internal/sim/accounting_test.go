@@ -39,6 +39,49 @@ func TestSyncDroppedCountedWhenNotStrict(t *testing.T) {
 	}
 }
 
+// syncAddHandlerScenario grows a running synchronous ping pair by a third
+// node, sends traffic to and from it, and returns what the new node
+// received and the engine's metrics. A nil group uses the identity
+// grouping.
+func syncAddHandlerScenario(groups int, group func(NodeID) int) (int, *Metrics) {
+	eng := newSync(newPingPair(), 3, groups, group)
+	eng.Context(0).Send(1, &ping{TTL: 1})
+	eng.Step()
+	third := &pingNode{}
+	id := eng.AddHandler(third, 4)
+	eng.Context(0).Send(id, &ping{TTL: 2})
+	eng.Context(id).Send(1, &ping{TTL: 0})
+	for r := 0; r < 4; r++ {
+		eng.Step()
+	}
+	return third.received, eng.Metrics()
+}
+
+// TestSyncAddHandlerGrowsDeliveries: a node that joins a running
+// synchronous engine receives traffic, and the identity grouping of
+// Deliveries grows to count it.
+func TestSyncAddHandlerGrowsDeliveries(t *testing.T) {
+	received, m := syncAddHandlerScenario(0, nil)
+	if received != 2 {
+		t.Fatalf("the new node received %d messages, want 2", received)
+	}
+	if len(m.Deliveries) != 3 || m.Deliveries[2] != 2 || m.Messages != 6 {
+		t.Fatalf("deliveries %v of %d messages, want 3 groups, 2 to the new node, 6 in all", m.Deliveries, m.Messages)
+	}
+}
+
+// TestSyncAddHandlerGrowsGroups: same, with a group function whose range
+// grows past the declared group count; Deliveries follows it.
+func TestSyncAddHandlerGrowsGroups(t *testing.T) {
+	received, m := syncAddHandlerScenario(2, func(id NodeID) int { return int(id) })
+	if received != 2 {
+		t.Fatalf("the new node received %d messages, want 2", received)
+	}
+	if len(m.Deliveries) != 3 || m.Deliveries[2] != 2 || m.Messages != 6 {
+		t.Fatalf("deliveries %v of %d messages, want 3 groups, 2 to the new node, 6 in all", m.Deliveries, m.Messages)
+	}
+}
+
 func TestAsyncAddHandlerGrowsDeliveries(t *testing.T) {
 	hs := newPingPair()
 	eng := newAsync(hs, 1, 1.0, 0, nil)

@@ -1,7 +1,7 @@
 package sim
 
 // Engine construction. Build takes one options struct covering every axis
-// — engine family, worker count, fault plan, reliable transports,
+// — engine family, fault plan, reliable transports,
 // observers — and returns the engine behind the Engine interface. It is
 // the only construction path: protocols describe their wiring as a Spec
 // (Handlers, Seed, congestion grouping) and drivers fill in the rest.
@@ -20,7 +20,7 @@ const (
 )
 
 // Spec describes an engine to Build. Zero values mean "default": identity
-// congestion grouping, serial stepping, fault-free, no observers.
+// congestion grouping, fault-free, no observers.
 type Spec struct {
 	Kind     EngineKind
 	Handlers []Handler
@@ -30,15 +30,6 @@ type Spec struct {
 	// Leave Group nil for the identity mapping.
 	Groups int
 	Group  func(NodeID) int
-
-	// Workers is the synchronous engine's stepping mode, and the one
-	// worker-count convention of the repository: 0 (the zero value) or 1 is
-	// serial, n > 1 a pool of n workers, < 0 one worker per core
-	// (GOMAXPROCS). SyncEngine.SetParallel takes the same values. Surfaces
-	// where a pool was already asked for spell "one per core" as 0 (the
-	// -workers flags, core.Options.Workers under EngineSyncParallel) and
-	// translate with PoolWorkers. KindSync only.
-	Workers int
 
 	// MaxDelay bounds the asynchronous engine's random delivery delay
 	// (uniform in (0, MaxDelay]); 0 defaults to 1.0. KindAsync only.
@@ -63,16 +54,6 @@ type Spec struct {
 	BatchObserver func([]Delivery)
 }
 
-// PoolWorkers translates a pool size in the user-facing convention, where
-// a pool is already asked for and 0 means one worker per core, into
-// Spec.Workers. Every other value means the same in both.
-func PoolWorkers(n int) int {
-	if n == 0 {
-		return -1
-	}
-	return n
-}
-
 // Engine is what a driver needs of an engine, whichever family runs
 // underneath: inject through Context, run until the protocol reports
 // completion, read the cost. budget counts rounds on the synchronous
@@ -93,9 +74,10 @@ var (
 )
 
 // Build constructs the engine a Spec describes. Options that do not apply
-// to the requested kind (Workers on an async engine, Faults on a sync one)
-// are rejected with a panic: a Spec is written by the programmer, and a
-// silently ignored field would misreport what an experiment measured.
+// to the requested kind (BatchObserver on an async engine, Faults on a
+// sync one) are rejected with a panic: a Spec is written by the
+// programmer, and a silently ignored field would misreport what an
+// experiment measured.
 func Build(spec Spec) Engine {
 	handlers := spec.Handlers
 	var transports []*ReliableTransport
@@ -112,15 +94,11 @@ func Build(spec Spec) Engine {
 			panic("sim: Spec.MaxDelay requires KindAsync")
 		}
 		e := newSync(handlers, spec.Seed, spec.Groups, spec.Group)
-		e.SetParallel(spec.Workers)
 		if spec.BatchObserver != nil {
 			e.SetBatchObserver(spec.BatchObserver)
 		}
 		eng = e
 	case KindAsync:
-		if spec.Workers != 0 {
-			panic("sim: Spec.Workers requires KindSync")
-		}
 		if spec.BatchObserver != nil {
 			panic("sim: Spec.BatchObserver requires KindSync")
 		}

@@ -7,10 +7,10 @@ import (
 )
 
 // MemStats reports a simulation's per-node memory footprint — the number
-// the million-node scaling work budgets against (ARCHITECTURE.md §15).
+// the million-node scaling work budgets against (ARCHITECTURE.md §14).
 // EngineBytes counts only what the SyncEngine itself owns (flat context
 // and PRNG arrays, message arenas, the destination set, inbox and active
-// lists, parallel-mode buffers); HeapBytes is the whole process's live
+// lists); HeapBytes is the whole process's live
 // heap, which additionally covers protocol state (skeap/seap nodes, DHT
 // stores, overlay tables). HeapBytes is the honest
 // capacity-planning figure; EngineBytes isolates the substrate's share.
@@ -57,13 +57,6 @@ func (e *SyncEngine) MemStats(gc bool) MemStats {
 	eb += int64(cap(e.active)) * int64(unsafe.Sizeof(NodeID(0)))
 	eb += int64(cap(e.roundLoad)) * 8
 	eb += int64(cap(e.obsBuf)) * int64(unsafe.Sizeof(Delivery{}))
-	eb += int64(cap(e.recs)) * int64(unsafe.Sizeof(nodeRec{}))
-	for i := range e.pws {
-		pw := &e.pws[i]
-		eb += int64(cap(pw.sends)) * int64(unsafe.Sizeof(envelope{}))
-		eb += int64(cap(pw.obs)) * int64(unsafe.Sizeof(Delivery{}))
-		eb += int64(cap(pw.deliveries))*8 + int64(cap(pw.roundLoad))*8
-	}
 	eb += int64(cap(e.metrics.Deliveries)) * 8
 	if gc {
 		runtime.GC()

@@ -12,14 +12,10 @@ import (
 // draining its channel. A node whose handler declares itself passive
 // (PassiveHandler) is not activated: its Activate would do nothing, and an
 // activation without effect cannot be observed. A round therefore costs
-// O(messages + active nodes), not O(nodes).
+// O(messages + active nodes), not O(nodes). The round runs on the calling
+// goroutine; real concurrency is the network runtime's (internal/netrun).
 //
-// The engine has two execution modes producing identical results: the
-// default serial mode runs the round on the calling goroutine, and the
-// parallel mode (SetParallel) partitions every node of the round across a
-// worker pool — see syncpar.go for the determinism argument.
-//
-// Node state is stored struct-of-arrays (ARCHITECTURE.md §15): contexts
+// Node state is stored struct-of-arrays (ARCHITECTURE.md §14): contexts
 // and PRNG states are flat value slices addressed by node index, and
 // messages live in two pooled arenas instead of per-node slices, so the
 // engine's own footprint is a few dozen bytes per node and a
@@ -34,8 +30,7 @@ type SyncEngine struct {
 	contexts []Context
 	rands    []hashutil.Rand
 	// group maps a simulated node to its real process for congestion
-	// accounting; identity when nil. Group functions must be pure: the
-	// parallel mode calls them from several goroutines.
+	// accounting; identity when nil.
 	group func(NodeID) int
 	nGrp  int
 
@@ -57,7 +52,7 @@ type SyncEngine struct {
 	active []NodeID
 
 	// roundLoad is the per-group delivery count of the current round and
-	// roundMax its maximum; finishRound zeroes the groups of the round's
+	// roundMax its maximum; Step zeroes the groups of the round's
 	// inboxes, so a round never touches every group.
 	roundLoad []int
 	roundMax  int
@@ -65,10 +60,6 @@ type SyncEngine struct {
 	observer      func(Delivery)
 	batchObserver func([]Delivery)
 	obsBuf        []Delivery // reusable round buffer for batchObserver
-
-	workers int         // >1 enables the parallel stepping path
-	recs    []nodeRec   // per-node outbox ranges (parallel mode)
-	pws     []parWorker // per-worker arenas and metric accumulators (parallel mode)
 
 	strict  bool
 	metrics Metrics
@@ -168,16 +159,11 @@ func (e *SyncEngine) send(from, to NodeID, msg Message) {
 	if int(to) < 0 || int(to) >= len(e.handlers) {
 		panic("sim: send to unknown node")
 	}
-	e.post(envelope{from: from, to: to, msg: msg})
-}
-
-// post queues an envelope for the next round.
-func (e *SyncEngine) post(env envelope) {
-	e.pend = append(e.pend, env)
-	if e.cnt[env.to] == 0 {
-		e.dests[env.to>>6] |= 1 << (uint(env.to) & 63)
+	e.pend = append(e.pend, envelope{from: from, to: to, msg: msg})
+	if e.cnt[to] == 0 {
+		e.dests[to>>6] |= 1 << (uint(to) & 63)
 	}
-	e.cnt[env.to]++
+	e.cnt[to]++
 }
 
 // Pending reports whether any message is waiting for delivery.
@@ -237,9 +223,6 @@ func (e *SyncEngine) seal() {
 func (e *SyncEngine) Step() int {
 	// Messages sent in the previous round become deliverable now.
 	e.seal()
-	if e.workers > 1 && len(e.handlers) > 1 {
-		return e.stepParallel()
-	}
 	e.obsBuf = e.obsBuf[:0]
 	lo := int32(0)
 	for _, r := range e.inbox {
@@ -258,28 +241,17 @@ func (e *SyncEngine) Step() int {
 			}
 			h.HandleMessage(ctx, env.from, env.msg)
 		}
-		e.countLoad(g, int(r.hi-lo))
+		if g >= 0 && g < len(e.roundLoad) {
+			e.roundLoad[g] += int(r.hi - lo)
+			e.roundMax = max(e.roundMax, e.roundLoad[g])
+		}
 		lo = r.hi
 	}
 	for _, id := range e.active {
 		e.handlers[id].Activate(&e.contexts[id])
 	}
-	e.finishRound()
-	return len(e.box)
-}
-
-// countLoad adds k deliveries to group g's load of the current round.
-func (e *SyncEngine) countLoad(g, k int) {
-	if g < 0 || g >= len(e.roundLoad) {
-		return
-	}
-	e.roundLoad[g] += k
-	e.roundMax = max(e.roundMax, e.roundLoad[g])
-}
-
-// finishRound folds the round's load into Congestion, flushes the batched
-// observer and advances the round counter. Shared by both stepping modes.
-func (e *SyncEngine) finishRound() {
+	// Fold the round's load into Congestion, zeroing only the groups it
+	// touched.
 	for _, r := range e.inbox {
 		if g := e.group(NodeID(r.to)); g >= 0 && g < len(e.roundLoad) {
 			e.roundLoad[g] = 0
@@ -291,6 +263,7 @@ func (e *SyncEngine) finishRound() {
 		e.batchObserver(e.obsBuf)
 	}
 	e.metrics.Rounds++
+	return len(e.box)
 }
 
 // RunUntil steps the engine until done() returns true or maxRounds rounds
@@ -318,10 +291,9 @@ func (e *SyncEngine) RunQuiescent(done func() bool, maxRounds int) bool {
 	return !e.Pending() && done()
 }
 
-// SetObserver installs a callback invoked for every delivered message
-// (in serial mode after metric accounting, before the handler runs; in
-// parallel mode at the end of the round, in the same per-round delivery
-// order). Observability only — protocols must not depend on it.
+// SetObserver installs a callback invoked for every delivered message,
+// after metric accounting and before the handler runs. Observability only
+// — protocols must not depend on it.
 func (e *SyncEngine) SetObserver(f func(Delivery)) {
 	e.observer = f
 }

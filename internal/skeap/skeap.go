@@ -229,7 +229,7 @@ func (h *Heap) Handlers() []sim.Handler {
 
 // Spec is the heap's wiring — handlers, engine seed, per-host congestion
 // grouping — as the start of an engine description; the driver adds what it
-// wants on top (workers, delay, faults, observers) and calls sim.Build.
+// wants on top (delay, faults, observers) and calls sim.Build.
 func (h *Heap) Spec(kind sim.EngineKind) sim.Spec {
 	groups, group := h.ov.Group()
 	return sim.Spec{Kind: kind, Handlers: h.Handlers(), Seed: h.cfg.Seed + 1, Groups: groups, Group: group}

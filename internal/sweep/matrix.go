@@ -1,12 +1,11 @@
 // The sweep matrix: named experiments (bm.py-style) expanding into cell
-// lists, the suite runner, and the dpq-sweep/1 result schema.
+// lists, the suite runner, and the dpq-sweep/2 result schema.
 package sweep
 
 import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"reflect"
 	"runtime"
 	"strconv"
 	"strings"
@@ -14,32 +13,22 @@ import (
 	"dpq/internal/relax"
 )
 
-// Experiment is a named group of cells. Paired experiments run every cell
-// on both engines (serial and the worker pool) and assert Metrics
-// equality between the two runs.
+// Experiment is a named group of cells.
 type Experiment struct {
 	Name  string `json:"name"`
 	Desc  string `json:"desc"`
 	Cells []Cell `json:"-"`
-	Pair  bool   `json:"pair,omitempty"`
 }
 
 // MatrixOptions scales the default matrix.
 type MatrixOptions struct {
-	Quick   bool
-	Seed    uint64
-	Workers int // worker count for paired/parallel cells (min 2)
+	Quick bool
+	Seed  uint64
 }
 
 func (o *MatrixOptions) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.Workers < 2 {
-		o.Workers = runtime.GOMAXPROCS(0)
-		if o.Workers < 2 {
-			o.Workers = 2
-		}
 	}
 }
 
@@ -65,11 +54,11 @@ func DefaultMatrix(opt MatrixOptions) []Experiment {
 		return Cell{
 			Proto: proto, N: n, Rate: 2, InsertFrac: 0.65,
 			Dist: "uniform", Pattern: "steady", BurstLen: 4,
-			Rounds: rounds, Bound: bound, Workers: 1, Seed: opt.Seed,
+			Rounds: rounds, Bound: bound, Seed: opt.Seed,
 		}
 	}
 
-	var zipf, contention, phase, burst, engine, relaxed []Cell
+	var zipf, contention, phase, burst, relaxed []Cell
 	for _, n := range ns {
 		for _, proto := range []string{ProtoSkeap, ProtoSeap, ProtoKSelect} {
 			for _, s := range zipfS {
@@ -126,20 +115,11 @@ func DefaultMatrix(opt MatrixOptions) []Experiment {
 			}
 		}
 	}
-	// The engine pairing runs the heaviest skew cell of each protocol on
-	// both engines; the serial/parallel Metrics must be equal.
-	for _, proto := range []string{ProtoSkeap, ProtoSeap, ProtoKSelect} {
-		c := base(proto, ns[len(ns)-1])
-		c.Dist, c.ZipfS, c.Workers = "zipf", 1.6, opt.Workers
-		engine = append(engine, c)
-	}
-
 	return []Experiment{
 		{Name: "zipf", Desc: "Zipf-skewed priorities, tunable exponent s", Cells: zipf},
 		{Name: "contention", Desc: "hot-host fraction sweep (Hotspot pattern)", Cells: contention},
 		{Name: "phase", Desc: "phase-shifting load: the heavy host set moves mid-run", Cells: phase},
 		{Name: "burst", Desc: "burst/drain cycles: insert-only bursts, delete-only drains", Cells: burst},
-		{Name: "engine", Desc: "serial vs worker-pool engine on the heaviest skew cells", Cells: engine, Pair: true},
 		{Name: "relax", Desc: "relaxed DeleteMin: strict vs SampleK(k=2,4) vs BatchLocal, rank-error judged", Cells: relaxed},
 	}
 }
@@ -147,7 +127,7 @@ func DefaultMatrix(opt MatrixOptions) []Experiment {
 // ParseMatrix builds an ad-hoc experiment from a bm.py-style spec:
 // semicolon-separated axes, each `key=v1,v2,...`, expanded as a cross
 // product. Keys: proto, n, rate, dist, zipfs, pattern, hotfrac, burstlen,
-// rounds, insertfrac, workers.
+// rounds, insertfrac, seed, relax, relaxk, relaxbatch.
 //
 //	-matrix "proto=skeap,seap;n=16,64;dist=zipf;zipfs=0.8,1.6"
 func ParseMatrix(spec string, opt MatrixOptions) (Experiment, error) {
@@ -159,7 +139,7 @@ func ParseMatrix(spec string, opt MatrixOptions) (Experiment, error) {
 	cells := []Cell{{
 		Proto: ProtoSkeap, N: 16, Rate: 2, InsertFrac: 0.65,
 		Dist: "uniform", Pattern: "steady", BurstLen: 4,
-		Rounds: rounds, Workers: 1, Seed: opt.Seed,
+		Rounds: rounds, Seed: opt.Seed,
 	}}
 	for _, axis := range strings.Split(spec, ";") {
 		axis = strings.TrimSpace(axis)
@@ -230,8 +210,6 @@ func setAxis(c *Cell, key, v string) error {
 		c.Rounds, err = atoi()
 	case "insertfrac":
 		c.InsertFrac, err = atof()
-	case "workers":
-		c.Workers, err = atoi()
 	case "seed":
 		c.Seed, err = strconv.ParseUint(v, 10, 64)
 	case "relax":
@@ -260,22 +238,9 @@ type ExperimentResult struct {
 	Name  string   `json:"name"`
 	Desc  string   `json:"desc"`
 	Cells []Result `json:"cells"`
-	// EnginePairs records serial↔parallel Metrics equality for paired
-	// experiments (one entry per paired cell, aligned with Cells pairs).
-	EnginePairs []EnginePair `json:"enginePairs,omitempty"`
 }
 
-// EnginePair is the serial-vs-parallel comparison of one paired cell.
-type EnginePair struct {
-	Label            string  `json:"label"`
-	Workers          int     `json:"workers"`
-	SerialWallNs     int64   `json:"serialWallNs"`
-	ParallelWallNs   int64   `json:"parallelWallNs"`
-	Speedup          float64 `json:"speedup"`
-	MetricsIdentical bool    `json:"metricsIdentical"`
-}
-
-// File is the dpq-sweep/1 result schema.
+// File is the dpq-sweep/2 result schema.
 type File struct {
 	Schema          string             `json:"schema"`
 	GoVersion       string             `json:"goVersion"`
@@ -287,20 +252,20 @@ type File struct {
 	Cells           int                `json:"cells"`
 	Diverged        int                `json:"diverged"`
 	ConformFailures int                `json:"conformFailures"`
-	PairMismatches  int                `json:"pairMismatches"`
 }
 
-// Schema is the result schema identifier.
-const Schema = "dpq-sweep/1"
+// Schema is the result schema identifier; its version changes whenever a
+// field leaves the file or changes meaning.
+const Schema = "dpq-sweep/2"
 
-// Clean reports whether every cell passed its envelope, conformed to the
-// oracle, and every engine pair matched.
+// Clean reports whether every cell passed its envelope and conformed to
+// the oracle.
 func (f *File) Clean() bool {
-	return f.Diverged == 0 && f.ConformFailures == 0 && f.PairMismatches == 0
+	return f.Diverged == 0 && f.ConformFailures == 0
 }
 
 // Run executes the experiments against tw (nil = DefaultTwin) and
-// aggregates the dpq-sweep/1 file. Progress lines go to progress when
+// aggregates the dpq-sweep/2 file. Progress lines go to progress when
 // non-nil.
 func Run(exps []Experiment, tw *Twin, opt MatrixOptions, progress io.Writer) (*File, error) {
 	opt.defaults()
@@ -318,46 +283,6 @@ func Run(exps []Experiment, tw *Twin, opt MatrixOptions, progress io.Writer) (*F
 	for _, exp := range exps {
 		er := ExperimentResult{Name: exp.Name, Desc: exp.Desc}
 		for _, c := range exp.Cells {
-			if exp.Pair {
-				serial := c
-				serial.Workers = 1
-				parallel := c
-				if parallel.Workers < 2 {
-					parallel.Workers = opt.Workers
-				}
-				if progress != nil {
-					fmt.Fprintf(progress, "sweep %s: %s (serial vs %d workers)\n", exp.Name, c.Label(), parallel.Workers)
-				}
-				rs, err := RunCell(serial, tw)
-				if err != nil {
-					return nil, err
-				}
-				rp, err := RunCell(parallel, tw)
-				if err != nil {
-					return nil, err
-				}
-				pair := EnginePair{
-					Label:          serial.Label(),
-					Workers:        parallel.Workers,
-					SerialWallNs:   rs.Measured.WallNs,
-					ParallelWallNs: rp.Measured.WallNs,
-					// The wall fields differ run to run; everything else
-					// must be identical (the PR-5 determinism contract).
-					MetricsIdentical: metricsEqual(rs.Measured, rp.Measured),
-				}
-				if rp.Measured.WallNs > 0 {
-					pair.Speedup = float64(rs.Measured.WallNs) / float64(rp.Measured.WallNs)
-				}
-				if !pair.MetricsIdentical {
-					f.PairMismatches++
-				}
-				er.EnginePairs = append(er.EnginePairs, pair)
-				er.Cells = append(er.Cells, rs, rp)
-				f.Cells += 2
-				countCell(f, &rs)
-				countCell(f, &rp)
-				continue
-			}
 			if progress != nil {
 				fmt.Fprintf(progress, "sweep %s: %s\n", exp.Name, c.Label())
 			}
@@ -382,12 +307,6 @@ func countCell(f *File, r *Result) {
 	if !r.Conform.OK {
 		f.ConformFailures++
 	}
-}
-
-// metricsEqual compares two measurements ignoring wall clock.
-func metricsEqual(a, b Measured) bool {
-	a.WallNs, b.WallNs = 0, 0
-	return reflect.DeepEqual(a, b)
 }
 
 // Encode writes the file as indented JSON.

@@ -60,7 +60,6 @@ type Cell struct {
 	BurstLen   int     `json:"burstLen,omitempty"`
 	Rounds     int     `json:"rounds"` // injection horizon (heap cells)
 	Bound      uint64  `json:"bound"`  // priority universe |𝒫|
-	Workers    int     `json:"workers"`
 	Seed       uint64  `json:"seed"`
 	// Relax selects a relaxed-DeleteMin engine for the cell ("" or
 	// "strict" = the exact protocol; "samplek" | "batchlocal"). A relaxed
@@ -92,9 +91,6 @@ func (c Cell) Label() string {
 	}
 	if c.Pattern == "hotspot" && c.HotFrac != 0 {
 		s += fmt.Sprintf(" hot=%.2f", c.HotFrac)
-	}
-	if c.Workers > 1 {
-		s += fmt.Sprintf(" workers=%d", c.Workers)
 	}
 	if o, err := c.relaxation(); err == nil && o.Enabled() {
 		s += " " + o.String()
@@ -184,8 +180,8 @@ func (r *Result) Pass() bool { return r.Verdict == VerdictPass && r.Conform.OK }
 // maxRounds is the drain budget, matching the harness convention.
 func maxRounds(n int) int { return 20000 * (mathx.Log2Ceil(n) + 3) }
 
-// RunCell executes one cell on the synchronous engine (serial, or the
-// worker pool when Workers > 1) and verdicts it against tw.
+// RunCell executes one cell on the synchronous engine and verdicts it
+// against tw.
 func RunCell(c Cell, tw *Twin) (Result, error) {
 	if c.Bound == 0 {
 		// Default the priority universe: Skeap folds into its constant
@@ -261,9 +257,7 @@ func runHeapCell(c Cell) (Measured, Conformance, error) {
 	default:
 		be = relax.WrapSeap(seap.New(seap.Config{N: c.N, PrioBound: c.Bound, Seed: c.Seed + 1}))
 	}
-	spec := be.Spec(sim.KindSync)
-	spec.Workers = c.Workers
-	eng := sim.Build(spec).(*sim.SyncEngine)
+	eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
 
 	ops := 0
 	start := time.Now()
@@ -315,7 +309,6 @@ func runKSelectCell(c Cell) (Measured, Conformance, error) {
 	k := int64(m / 2)
 
 	eng := sel.NewSyncEngine(c.Seed + 3)
-	eng.SetParallel(c.Workers)
 	start := time.Now()
 	sel.Start(eng.Context(sel.Anchor()), k)
 	if !eng.RunUntil(sel.Done, maxRounds(c.N)) {

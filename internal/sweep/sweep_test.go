@@ -14,7 +14,7 @@ func quickCell(proto string) Cell {
 	return Cell{
 		Proto: proto, N: 8, Rate: 2, InsertFrac: 0.65,
 		Dist: "zipf", ZipfS: 1.4, Pattern: "burstdrain", BurstLen: 3,
-		Rounds: 8, Bound: bound, Workers: 1, Seed: 42,
+		Rounds: 8, Bound: bound, Seed: 42,
 	}
 }
 
@@ -66,8 +66,7 @@ func TestMisparameterizedTwinFlagsDivergence(t *testing.T) {
 }
 
 // TestQuickMatrixClean is the acceptance criterion as a unit test: the CI
-// matrix must come back with zero DIVERGED cells, zero oracle failures
-// and metrics-identical engine pairs.
+// matrix must come back with zero DIVERGED cells and zero oracle failures.
 func TestQuickMatrixClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full quick matrix in -short mode")
@@ -78,23 +77,11 @@ func TestQuickMatrixClean(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !f.Clean() {
-		t.Fatalf("quick matrix not clean: %d diverged, %d conformance failures, %d pair mismatches",
-			f.Diverged, f.ConformFailures, f.PairMismatches)
+		t.Fatalf("quick matrix not clean: %d diverged, %d conformance failures",
+			f.Diverged, f.ConformFailures)
 	}
 	if f.Cells == 0 {
 		t.Fatal("matrix ran no cells")
-	}
-	var pairs int
-	for _, er := range f.Experiments {
-		pairs += len(er.EnginePairs)
-		for _, p := range er.EnginePairs {
-			if !p.MetricsIdentical {
-				t.Fatalf("engine pair %s: metrics differ between serial and parallel", p.Label)
-			}
-		}
-	}
-	if pairs == 0 {
-		t.Fatal("matrix contains no engine pairs")
 	}
 }
 
