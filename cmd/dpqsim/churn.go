@@ -41,7 +41,10 @@ func churnMain() {
 		fail(2, "-trace-in replays a recorded fault schedule and cannot be combined with -faults or -fault-seed (the replayed trace already fixes every fault decision)")
 	}
 	sess := start(of)
-	be, bound := strictBackend(*proto, *n, 1<<16, *seed)
+	be, bound, err := relax.NewStrict(*proto, *n, 4, 1<<16, *seed)
+	if err != nil {
+		fail(2, "-proto: %v", err)
+	}
 	be.SetObs(sess.Collector())
 	c := churn{
 		be: be, mem: be.(relax.Membership), sess: sess,

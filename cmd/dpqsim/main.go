@@ -93,8 +93,8 @@ func finish(sess *obs.Session, eng sim.Engine) {
 }
 
 // syncEngine builds spec as a mode's round engine, with the session's
-// batched observer.
+// observer.
 func syncEngine(spec sim.Spec, sess *obs.Session) *sim.SyncEngine {
-	spec.BatchObserver = sess.BatchObserver()
+	spec.Observer = sess.Observer()
 	return sim.Build(spec).(*sim.SyncEngine)
 }

@@ -10,9 +10,7 @@ import (
 	"dpq/internal/obs"
 	"dpq/internal/prio"
 	"dpq/internal/relax"
-	"dpq/internal/seap"
 	"dpq/internal/sim"
-	"dpq/internal/skeap"
 )
 
 // phasesMain renders the message anatomy of one protocol batch: for every
@@ -28,7 +26,10 @@ func phasesMain() {
 	parse()
 
 	sess := start(of)
-	be, bound := strictBackend(*proto, *n, 1<<20, *seed)
+	be, bound, err := relax.NewStrict(*proto, *n, 4, 1<<20, *seed)
+	if err != nil {
+		fail(2, "-proto: %v", err)
+	}
 	be.SetAutoRepeat(false)
 	be.SetObs(sess.Collector())
 
@@ -58,18 +59,4 @@ func phasesMain() {
 
 	fmt.Printf("%s batch anatomy: n=%d, %d ops/node, %d rounds\n\n", *proto, *n, *ops, eng.Metrics().Rounds)
 	tl.Render(os.Stdout)
-}
-
-// strictBackend builds the strict heap the -proto flag of the phases and
-// churn modes names — Skeap over 4 priority classes or Seap over the
-// universe [1, seapBound] — and returns it with its priority bound.
-func strictBackend(proto string, n int, seapBound, seed uint64) (relax.Backend, uint64) {
-	switch proto {
-	case "skeap":
-		return relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: 4, Seed: seed})), 4
-	case "seap":
-		return relax.WrapSeap(seap.New(seap.Config{N: n, PrioBound: seapBound, Seed: seed})), seapBound
-	}
-	fail(2, "unknown -proto (want skeap or seap)")
-	panic("unreachable")
 }

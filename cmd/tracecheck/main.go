@@ -1,9 +1,10 @@
 // Command tracecheck validates a JSONL delivery trace (schema dpq-trace/1,
 // as written by the simulators' -trace-jsonl flag): header, field set, seq
 // contiguity and round monotonicity. With -metrics it cross-checks the
-// trace against the run's -metrics-out document — per-kind counts and the
-// engine totals must agree, catching accounting drift between the trace
-// exporter and the metrics collector.
+// trace against the run's -metrics-out document — per-kind counts, the
+// engine totals and the per-phase message and bit sums must agree,
+// catching accounting drift between the trace exporter and the metrics
+// collector.
 //
 // With -per-node, round monotonicity is checked per sending node instead
 // of globally: traces from the network runtime (cmd/dpqd) stamp each
@@ -64,7 +65,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "tracecheck: metrics mismatch:", err)
 		os.Exit(1)
 	}
-	fmt.Println("metrics cross-check ok: per-kind counts and engine totals agree")
+	fmt.Println("metrics cross-check ok: per-kind counts, phase sums and engine totals agree")
 }
 
 // crossCheck verifies the trace summary against a -metrics-out document.
@@ -81,6 +82,10 @@ func crossCheck(path string, sum *obs.TraceSummary) error {
 		Kinds map[string]struct {
 			Count int64 `json:"count"`
 		} `json:"kinds"`
+		Phases []struct {
+			Messages int64 `json:"messages"`
+			Bits     int64 `json:"bits"`
+		} `json:"phases"`
 	}
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return err
@@ -90,6 +95,15 @@ func crossCheck(path string, sum *obs.TraceSummary) error {
 	}
 	if doc.Engine.TotalBits != sum.TotalBits {
 		return fmt.Errorf("engine.totalBits=%d but trace sums to %d", doc.Engine.TotalBits, sum.TotalBits)
+	}
+	var phaseMsgs, phaseBits int64
+	for _, ph := range doc.Phases {
+		phaseMsgs += ph.Messages
+		phaseBits += ph.Bits
+	}
+	if phaseMsgs != doc.Engine.Messages || phaseBits != doc.Engine.TotalBits {
+		return fmt.Errorf("phases sum to %d messages, %d bits but engine has %d, %d",
+			phaseMsgs, phaseBits, doc.Engine.Messages, doc.Engine.TotalBits)
 	}
 	for k, ks := range doc.Kinds {
 		if ks.Count != sum.Kinds[k] {

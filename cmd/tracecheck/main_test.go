@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -53,5 +54,32 @@ func TestPerNodeCheckStillCatchesSenderRegression(t *testing.T) {
 	_, err := obs.ValidateTraceOpts(strings.NewReader(trace), obs.TraceOptions{PerNodeRounds: true})
 	if err == nil || !strings.Contains(err.Error(), "node 0 round 6 after round 7") {
 		t.Fatalf("per-node validation should reject a sender's round regression, got %v", err)
+	}
+}
+
+// TestCrossCheckPhaseSums checks that -metrics rejects a document whose
+// phase rows do not add up to the engine totals, even when the per-kind
+// counts agree with the trace.
+func TestCrossCheckPhaseSums(t *testing.T) {
+	sum := &obs.TraceSummary{Deliveries: 3, TotalBits: 48, Kinds: map[string]int64{"tree/up": 3}}
+	write := func(phases string) string {
+		path := filepath.Join(t.TempDir(), "metrics.json")
+		doc := `{"engine":{"messages":3,"totalBits":48},"kinds":{"tree/up":{"count":3}},"phases":` + phases + `}`
+		if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	good := `[{"name":"a","messages":1,"bits":16},{"name":"b","messages":2,"bits":32}]`
+	if err := crossCheck(write(good), sum); err != nil {
+		t.Fatalf("consistent document rejected: %v", err)
+	}
+	for _, bad := range []string{
+		`[{"name":"a","messages":1,"bits":16},{"name":"b","messages":1,"bits":32}]`,
+		`[{"name":"a","messages":1,"bits":16},{"name":"b","messages":2,"bits":31}]`,
+	} {
+		if err := crossCheck(write(bad), sum); err == nil || !strings.Contains(err.Error(), "phases sum") {
+			t.Fatalf("doctored phases %s: got %v, want a phase-sum mismatch", bad, err)
+		}
 	}
 }

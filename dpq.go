@@ -35,46 +35,12 @@
 package dpq
 
 import (
-	"dpq/internal/core"
 	"dpq/internal/counter"
-	"dpq/internal/kselect"
 	"dpq/internal/obs"
 	"dpq/internal/prio"
 	"dpq/internal/queue"
 	"dpq/internal/relax"
 	"dpq/internal/semantics"
-)
-
-// Protocol selects the heap implementation.
-type Protocol = core.Protocol
-
-// Protocols.
-const (
-	// Skeap supports a constant priority universe and guarantees
-	// sequential consistency.
-	Skeap = core.Skeap
-	// Seap supports arbitrary priorities and guarantees serializability
-	// with rate-independent O(log n)-bit messages.
-	Seap = core.Seap
-)
-
-// Options configures a PQ.
-type Options = core.Options
-
-// EngineKind selects the execution engine that drives a PQ
-// (Options.Engine).
-type EngineKind = core.EngineKind
-
-// Engine kinds.
-const (
-	// EngineSync is the default serial synchronous round engine.
-	EngineSync = core.EngineSync
-	// Deprecated: EngineSyncParallel named the worker-pool round engine,
-	// which is gone. It is EngineSync.
-	EngineSyncParallel = core.EngineSync
-	// EngineAsync delivers messages with random bounded delay
-	// (Options.MaxDelay).
-	EngineAsync = core.EngineAsync
 )
 
 // Relaxation configures relaxed DeleteMin semantics (Options.Relaxation):
@@ -101,33 +67,11 @@ const (
 // RankStats is the rank-error histogram of an execution (PQ.RankError).
 type RankStats = obs.RankStats
 
-// PQ is a distributed priority queue running on a simulated network.
-type PQ = core.PQ
-
-// Host issues operations at one fixed process; see PQ.At.
-type Host = core.Host
-
-// Delivery is the outcome of one DeleteMin.
-type Delivery = core.Delivery
-
 // Element is a heap element (id, priority, payload).
 type Element = prio.Element
 
 // ElemID uniquely identifies an element.
 type ElemID = prio.ElemID
-
-// New creates a distributed priority queue running the given protocol.
-func New(proto Protocol, opts Options) (*PQ, error) { return core.New(proto, opts) }
-
-// Select runs the standalone KSelect protocol over n simulated processes
-// and returns the element of rank k among elems.
-func Select(n int, elems []Element, k int64, seed uint64) (kselect.Result, error) {
-	return core.Select(n, elems, k, seed)
-}
-
-// SelectResult is the outcome of a KSelect run, including the protocol
-// diagnostics the experiments report.
-type SelectResult = kselect.Result
 
 // Queue is the sequentially consistent distributed FIFO queue (Skueue).
 type Queue = queue.Queue

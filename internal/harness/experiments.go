@@ -49,17 +49,14 @@ func TreeHeight(sz Sizes) Table {
 	return t
 }
 
-// strictHeap builds the strict heap of an experiment row — Skeap over p
-// priority classes or Seap over the universe [1, bound] — and returns it
-// with its priority bound.
-func strictHeap(proto string, n, p int, bound, seed uint64) (relax.Backend, uint64) {
-	switch proto {
-	case "skeap":
-		return relax.WrapSkeap(skeap.New(skeap.Config{N: n, P: p, Seed: seed})), uint64(p)
-	case "seap":
-		return relax.WrapSeap(seap.New(seap.Config{N: n, PrioBound: bound, Seed: seed})), bound
+// mustStrict is relax.NewStrict for the experiment tables, which name
+// protocols by literal: an unknown name is a bug.
+func mustStrict(proto string, n, p int, bound, seed uint64) (relax.Backend, uint64) {
+	be, b, err := relax.NewStrict(proto, n, p, bound, seed)
+	if err != nil {
+		panic("harness: " + err.Error())
 	}
-	panic("harness: unknown protocol " + proto)
+	return be, b
 }
 
 // runBatch starts exactly one batch (a Skeap iteration, a Seap
@@ -79,7 +76,7 @@ func runBatch(be relax.Backend, n int) sim.Metrics {
 // buffered operations at every node (Skeap: 4 classes, Seap: 16n²
 // priorities).
 func batchRounds(proto string, n, opsPerNode int, seed uint64) int {
-	be, bound := strictHeap(proto, n, 4, uint64(n)*uint64(n)*16, seed)
+	be, bound := mustStrict(proto, n, 4, uint64(n)*uint64(n)*16, seed)
 	rnd := hashutil.NewRand(seed + 1)
 	id := prio.ElemID(1)
 	for host := 0; host < n; host++ {
@@ -126,7 +123,7 @@ func SkeapRounds(sz Sizes) Table {
 // steady runs Skeap (4 priority classes) or Seap (2^20 priorities) under
 // steady injection for a fixed horizon, then drains it.
 func steady(proto string, n, lambda, horizon int, seed uint64) *sim.Metrics {
-	be, bound := strictHeap(proto, n, 4, 1<<20, seed)
+	be, bound := mustStrict(proto, n, 4, 1<<20, seed)
 	eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
 	gen := workload.New(workload.Config{N: n, Rate: lambda, InsertFrac: 0.6, Dist: workload.Uniform, Bound: bound, Seed: seed + 1})
 	for r := 0; r < horizon; r++ {
@@ -408,7 +405,7 @@ func Fairness(sz Sizes) Table {
 	n := 64
 	m := 64 * n
 	for i, proto := range []string{"skeap", "seap"} {
-		be, bound := strictHeap(proto, n, 4, 1<<20, uint64(51+2*i))
+		be, bound := mustStrict(proto, n, 4, 1<<20, uint64(51+2*i))
 		rnd := hashutil.NewRand(uint64(52 + 2*i))
 		for i := 0; i < m; i++ {
 			be.InjectInsert(rnd.Intn(n), prio.ElemID(i+1), rnd.Uint64n(bound)+1, "")
@@ -865,7 +862,7 @@ type adversarialRow struct {
 // heap builds run s of the row — Skeap over 3 classes or Seap over 500
 // priorities — with ops random operations buffered.
 func (c adversarialRow) heap(s, ops int) relax.Backend {
-	be, bound := strictHeap(c.proto, c.n, 3, 500, uint64(c.seed+s))
+	be, bound := mustStrict(c.proto, c.n, 3, 500, uint64(c.seed+s))
 	injectRandom(be, c.n, bound, ops, uint64(c.seed+c.step+s))
 	return be
 }

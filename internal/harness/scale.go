@@ -42,7 +42,7 @@ func MillionScale(sz Sizes) Table {
 	tw := sweep.DefaultTwin()
 	for _, n := range sz.ScaleSweep {
 		seed := uint64(29_000 + n%97)
-		be, bound := strictHeap("skeap", n, 8, 0, seed)
+		be, bound := mustStrict("skeap", n, 8, 0, seed)
 		be.SetAutoRepeat(false)
 		injectRandom(be, n, bound, scaleOps, seed+1)
 		eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)

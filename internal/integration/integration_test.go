@@ -8,7 +8,7 @@ import (
 	"sort"
 	"testing"
 
-	"dpq/internal/core"
+	"dpq"
 	"dpq/internal/hashutil"
 	"dpq/internal/mathx"
 	"dpq/internal/prio"
@@ -184,11 +184,11 @@ func TestDeterministicTraces(t *testing.T) {
 // TestFacadeMixedProtocolsSideBySide drives two facades in one test, as an
 // application embedding both would.
 func TestFacadeMixedProtocolsSideBySide(t *testing.T) {
-	sk, err := core.New(core.Skeap, core.Options{Nodes: 4, Priorities: 2, Seed: 950})
+	sk, err := dpq.New(dpq.Skeap, dpq.Options{Nodes: 4, Priorities: 2, Seed: 950})
 	if err != nil {
 		t.Fatal(err)
 	}
-	se, err := core.New(core.Seap, core.Options{Nodes: 4, Seed: 951})
+	se, err := dpq.New(dpq.Seap, dpq.Options{Nodes: 4, Seed: 951})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func runTraced(t *testing.T, proto string, denseStep bool, seed uint64) ([]byte,
 
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
-	eng.SetBatchObserver(tw.BatchObserver())
+	eng.SetObserver(tw.Observer())
 	run := func(done func() bool) {
 		if !eng.RunUntil(done, maxRounds(n)) {
 			t.Fatalf("%s dense=%v seed=%d did not complete", proto, denseStep, seed)

@@ -158,18 +158,6 @@ func (s *Session) Observer() func(sim.Delivery) {
 	return Multi(s.col.Observer(), s.tw.Observer())
 }
 
-// BatchObserver returns the batched engine observer for this session
-// (sim.SyncEngine.SetBatchObserver), or nil when no output was requested.
-// It produces byte-identical traces and equal collector aggregates to
-// Observer while taking the collector lock once per round instead of once
-// per delivery.
-func (s *Session) BatchObserver() func([]sim.Delivery) {
-	if s.flags.TraceJSONL == "" && s.flags.MetricsOut == "" {
-		return nil
-	}
-	return MultiBatch(s.col.BatchObserver(), s.tw.BatchObserver())
-}
-
 // metricsJSON is the -metrics-out document.
 type metricsJSON struct {
 	Engine struct {

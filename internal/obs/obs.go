@@ -142,30 +142,6 @@ func (c *Collector) Observer() func(sim.Delivery) {
 func (c *Collector) observe(d sim.Delivery) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.observeLocked(d)
-}
-
-// BatchObserver returns the batched engine observer feeding this collector
-// (one lock acquisition per round instead of per delivery). Nil-safe.
-func (c *Collector) BatchObserver() func([]sim.Delivery) {
-	if c == nil {
-		return nil
-	}
-	return c.ObserveBatch
-}
-
-// ObserveBatch records a round's deliveries, in order, under one lock
-// acquisition. Aggregates are identical to observing each delivery
-// individually.
-func (c *Collector) ObserveBatch(ds []sim.Delivery) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, d := range ds {
-		c.observeLocked(d)
-	}
-}
-
-func (c *Collector) observeLocked(d sim.Delivery) {
 	kind := sim.KindOf(d.Msg)
 	ks, ok := c.kinds[kind]
 	if !ok {
@@ -285,28 +261,6 @@ func Multi(fns ...func(sim.Delivery)) func(sim.Delivery) {
 	return func(d sim.Delivery) {
 		for _, f := range live {
 			f(d)
-		}
-	}
-}
-
-// MultiBatch fans one batched delivery stream out to several batch
-// observers, skipping nils. It returns nil when every argument is nil.
-func MultiBatch(fns ...func([]sim.Delivery)) func([]sim.Delivery) {
-	live := fns[:0:0]
-	for _, f := range fns {
-		if f != nil {
-			live = append(live, f)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return func(ds []sim.Delivery) {
-		for _, f := range live {
-			f(ds)
 		}
 	}
 }

@@ -221,3 +221,47 @@ type testMsg struct{}
 
 func (testMsg) Bits() int    { return 8 }
 func (testMsg) Kind() string { return "test/msg" }
+
+// markMsg is the one message of TestPhaseMarkMidRound.
+type markMsg struct{}
+
+func (markMsg) Bits() int { return 8 }
+
+// marker is a node whose handler optionally enters a phase on receipt, as
+// a protocol's anchor does from inside a handler.
+type marker struct {
+	col   *obs.Collector
+	phase string
+}
+
+func (m marker) HandleMessage(*sim.Context, sim.NodeID, sim.Message) { m.col.Phase(m.phase) }
+func (marker) Activate(*sim.Context)                                 {}
+
+// TestPhaseMarkMidRound pins per-delivery phase attribution within one
+// round: node 0's handler enters phase "b" before node 1's delivery of the
+// same round is seen, so the first delivery counts to "a" and the second to
+// "b". The engine is wired as dpqsim wires it (Spec.Observer from the
+// collector).
+func TestPhaseMarkMidRound(t *testing.T) {
+	col := obs.NewCollector()
+	eng := sim.Build(sim.Spec{
+		Handlers: []sim.Handler{marker{col, "b"}, marker{col, "b"}},
+		Observer: col.Observer(),
+	})
+	col.Phase("a")
+	eng.Context(1).Send(0, markMsg{})
+	eng.Context(0).Send(1, markMsg{})
+	if !eng.RunUntil(func() bool { return eng.Metrics().Messages == 2 }, 4) {
+		t.Fatal("messages not delivered")
+	}
+	if r := eng.Metrics().Rounds; r != 1 {
+		t.Fatalf("deliveries took %d rounds, want 1", r)
+	}
+	got := map[string]int64{}
+	for _, p := range col.Phases() {
+		got[p.Name] = p.Messages
+	}
+	if got["a"] != 1 || got["b"] != 1 {
+		t.Fatalf("phase messages %v, want a:1 b:1", got)
+	}
+}

@@ -45,22 +45,6 @@ func (t *TraceWriter) Observer() func(sim.Delivery) {
 	return t.Write
 }
 
-// BatchObserver returns the batched engine observer feeding this trace.
-// Nil-safe. Lines are identical to per-delivery Write calls.
-func (t *TraceWriter) BatchObserver() func([]sim.Delivery) {
-	if t == nil {
-		return nil
-	}
-	return t.WriteBatch
-}
-
-// WriteBatch appends one line per delivery, in order.
-func (t *TraceWriter) WriteBatch(ds []sim.Delivery) {
-	for i := range ds {
-		t.Write(ds[i])
-	}
-}
-
 // Write appends one delivery line.
 func (t *TraceWriter) Write(d sim.Delivery) {
 	if t.err != nil {

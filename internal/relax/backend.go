@@ -1,6 +1,8 @@
 package relax
 
 import (
+	"fmt"
+
 	"dpq/internal/ldb"
 	"dpq/internal/obs"
 	"dpq/internal/prio"
@@ -81,6 +83,19 @@ func WrapSeap(h *seap.Heap) Backend { return seapBackend{h} }
 func (b seapBackend) Priority(e prio.Element) uint64 { return uint64(e.Prio) }
 func (b seapBackend) Batches() int                   { return b.Cycles() }
 func (b seapBackend) StartBatch(ctx *sim.Context)    { b.StartCycle(ctx) }
+
+// NewStrict builds the strict heap a protocol name selects — Skeap over p
+// priority classes or Seap over the universe [1, bound] — and returns it
+// with its priority bound.
+func NewStrict(proto string, n, p int, bound, seed uint64) (Backend, uint64, error) {
+	switch proto {
+	case "skeap":
+		return WrapSkeap(skeap.New(skeap.Config{N: n, P: p, Seed: seed})), uint64(p), nil
+	case "seap":
+		return WrapSeap(seap.New(seap.Config{N: n, PrioBound: bound, Seed: seed})), bound, nil
+	}
+	return nil, 0, fmt.Errorf("relax: unknown protocol %q (want skeap or seap)", proto)
+}
 
 var (
 	_ Backend    = (*Heap)(nil)

@@ -300,3 +300,20 @@ func TestParseModeRoundTrip(t *testing.T) {
 		t.Fatal("bogus mode must not parse")
 	}
 }
+
+// TestNewStrict checks the protocol names NewStrict accepts, the bound
+// each returns, and the error for any other name.
+func TestNewStrict(t *testing.T) {
+	for _, c := range []struct {
+		proto string
+		want  uint64
+	}{{"skeap", 3}, {"seap", 500}} {
+		be, bound, err := NewStrict(c.proto, 4, 3, 500, 1)
+		if err != nil || be == nil || bound != c.want {
+			t.Fatalf("NewStrict(%q) = %v, %d, %v; want a backend with bound %d", c.proto, be, bound, err, c.want)
+		}
+	}
+	if _, _, err := NewStrict("kselect", 4, 3, 500, 1); err == nil {
+		t.Fatal("NewStrict accepted an unknown protocol")
+	}
+}

@@ -63,10 +63,13 @@ func eventLess(a, b event) bool {
 }
 
 // newAsync creates an asynchronous engine. maxDelay bounds the random
-// delivery delay of each message (delays are uniform in (0, maxDelay]);
-// any positive value preserves the "arbitrary finite delay" model while
-// keeping runs finite.
+// delivery delay of each message (delays are uniform in (0, maxDelay]; 0
+// defaults to 1.0); any positive value preserves the "arbitrary finite
+// delay" model while keeping runs finite.
 func newAsync(handlers []Handler, seed uint64, maxDelay float64, groups int, group func(NodeID) int) *AsyncEngine {
+	if maxDelay == 0 {
+		maxDelay = 1.0
+	}
 	n := len(handlers)
 	if group == nil {
 		groups = n

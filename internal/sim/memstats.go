@@ -56,7 +56,6 @@ func (e *SyncEngine) MemStats(gc bool) MemStats {
 	eb += int64(cap(e.inbox)) * int64(unsafe.Sizeof(inboxRange{}))
 	eb += int64(cap(e.active)) * int64(unsafe.Sizeof(NodeID(0)))
 	eb += int64(cap(e.roundLoad)) * 8
-	eb += int64(cap(e.obsBuf)) * int64(unsafe.Sizeof(Delivery{}))
 	eb += int64(cap(e.metrics.Deliveries)) * 8
 	if gc {
 		runtime.GC()

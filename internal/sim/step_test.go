@@ -93,32 +93,14 @@ func newGossipNet(n int, seed uint64, passiveEvery int, denseStep bool) (*SyncEn
 	return e, nodes
 }
 
-func runGossip(n int, seed uint64, rounds int) (*Metrics, []*gossipNode, []Delivery, [][]Delivery) {
-	e, nodes := newGossipNet(n, seed, 3, false)
-	var stream []Delivery
-	var batches [][]Delivery
-	e.SetObserver(func(d Delivery) { stream = append(stream, d) })
-	e.SetBatchObserver(func(ds []Delivery) {
-		batch := make([]Delivery, len(ds))
-		copy(batch, ds)
-		batches = append(batches, batch)
-	})
-	for r := 0; r < rounds; r++ {
-		e.Step()
-	}
-	return e.Metrics(), nodes, stream, batches
-}
-
-// runGossipGrowing is runGossip with dynamic membership: the first rounds'
-// traffic dies out, leaving rounds in which no node has mail; then 65 nodes
-// join, so the network crosses a 64-node boundary, and fresh traffic runs
-// over the grown network. quiet counts the rounds that delivered nothing.
-func runGossipGrowing(n int, seed uint64, passiveEvery int, denseStep bool, rounds int) (m *Metrics, nodes []*gossipNode, stream []Delivery, batches [][]Delivery, quiet int) {
+// runGossipGrowing runs a gossip network with dynamic membership and
+// records its observer stream. The first rounds' traffic dies out, leaving
+// rounds in which no node has mail; then 65 nodes join, so the network
+// crosses a 64-node boundary, and fresh traffic runs over the grown
+// network. quiet counts the rounds that delivered nothing.
+func runGossipGrowing(n int, seed uint64, passiveEvery int, denseStep bool, rounds int) (m *Metrics, nodes []*gossipNode, stream []Delivery, quiet int) {
 	e, nodes := newGossipNet(n, seed, passiveEvery, denseStep)
 	e.SetObserver(func(d Delivery) { stream = append(stream, d) })
-	e.SetBatchObserver(func(ds []Delivery) {
-		batches = append(batches, append([]Delivery(nil), ds...))
-	})
 	step := func() {
 		if e.Step() == 0 {
 			quiet++
@@ -141,26 +123,25 @@ func runGossipGrowing(n int, seed uint64, passiveEvery int, denseStep bool, roun
 	for r := 0; r < rounds; r++ {
 		step()
 	}
-	return e.Metrics(), nodes, stream, batches, quiet
+	return e.Metrics(), nodes, stream, quiet
 }
 
 // TestSparseMatchesDense checks that skipping passive nodes and sealing
-// only the inboxes with mail changes nothing: metrics, protocol state, the
-// per-delivery observer stream and the batched observer stream are all
-// identical between the sparse run and a dense run of the same network,
-// whose handlers hide Passive so every node is activated every round. The
-// network has passive nodes (one in every 2, 3 or 8), rounds without mail
-// and growth across a 64-node boundary.
+// only the inboxes with mail changes nothing: metrics, protocol state and
+// the observer stream are all identical between the sparse run and a
+// dense run of the same network, whose handlers hide Passive so every node
+// is activated every round. The network has passive nodes (one in every
+// 2, 3 or 8), rounds without mail and growth across a 64-node boundary.
 func TestSparseMatchesDense(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 64} {
 		for seed := uint64(1); seed <= 3; seed++ {
 			for _, every := range []int{2, 3, 8} {
 				t.Run(fmt.Sprintf("n=%d/seed=%d/passive=1in%d", n, seed, every), func(t *testing.T) {
-					sm, snodes, sstream, sbatches, quiet := runGossipGrowing(n, seed, every, false, 12)
+					sm, snodes, sstream, quiet := runGossipGrowing(n, seed, every, false, 12)
 					if quiet == 0 {
 						t.Fatal("no round without mail")
 					}
-					dm, dnodes, dstream, dbatches, _ := runGossipGrowing(n, seed, every, true, 12)
+					dm, dnodes, dstream, _ := runGossipGrowing(n, seed, every, true, 12)
 					if !reflect.DeepEqual(sm, dm) {
 						t.Fatalf("metrics diverge:\nsparse %+v\ndense  %+v", sm, dm)
 					}
@@ -173,28 +154,9 @@ func TestSparseMatchesDense(t *testing.T) {
 					if !reflect.DeepEqual(sstream, dstream) {
 						t.Fatalf("observer streams diverge: sparse %d deliveries, dense %d", len(sstream), len(dstream))
 					}
-					if !reflect.DeepEqual(sbatches, dbatches) {
-						t.Fatalf("batch observer streams diverge: sparse %d rounds, dense %d", len(sbatches), len(dbatches))
-					}
 				})
 			}
 		}
-	}
-}
-
-// TestBatchObserverMatchesObserver checks that the batched stream is the
-// per-delivery stream cut at round boundaries.
-func TestBatchObserverMatchesObserver(t *testing.T) {
-	_, _, stream, batches := runGossip(16, 42, 10)
-	var flat []Delivery
-	for _, b := range batches {
-		if len(b) == 0 {
-			t.Fatal("empty batch delivered")
-		}
-		flat = append(flat, b...)
-	}
-	if !reflect.DeepEqual(stream, flat) {
-		t.Fatalf("flattened batches differ from observer stream (%d vs %d deliveries)", len(flat), len(stream))
 	}
 }
 

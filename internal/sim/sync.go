@@ -57,9 +57,7 @@ type SyncEngine struct {
 	roundLoad []int
 	roundMax  int
 
-	observer      func(Delivery)
-	batchObserver func([]Delivery)
-	obsBuf        []Delivery // reusable round buffer for batchObserver
+	observer func(Delivery)
 
 	strict  bool
 	metrics Metrics
@@ -223,7 +221,6 @@ func (e *SyncEngine) seal() {
 func (e *SyncEngine) Step() int {
 	// Messages sent in the previous round become deliverable now.
 	e.seal()
-	e.obsBuf = e.obsBuf[:0]
 	lo := int32(0)
 	for _, r := range e.inbox {
 		id := NodeID(r.to)
@@ -235,9 +232,6 @@ func (e *SyncEngine) Step() int {
 			e.metrics.observe(g, bits, e.strict)
 			if e.observer != nil {
 				e.observer(Delivery{Round: e.metrics.Rounds, From: env.from, To: id, Group: g, Bits: bits, Msg: env.msg})
-			}
-			if e.batchObserver != nil {
-				e.obsBuf = append(e.obsBuf, Delivery{Round: e.metrics.Rounds, From: env.from, To: id, Group: g, Bits: bits, Msg: env.msg})
 			}
 			h.HandleMessage(ctx, env.from, env.msg)
 		}
@@ -259,9 +253,6 @@ func (e *SyncEngine) Step() int {
 	}
 	e.metrics.Congestion = max(e.metrics.Congestion, e.roundMax)
 	e.roundMax = 0
-	if e.batchObserver != nil && len(e.obsBuf) > 0 {
-		e.batchObserver(e.obsBuf)
-	}
 	e.metrics.Rounds++
 	return len(e.box)
 }
@@ -296,17 +287,6 @@ func (e *SyncEngine) RunQuiescent(done func() bool, maxRounds int) bool {
 // — protocols must not depend on it.
 func (e *SyncEngine) SetObserver(f func(Delivery)) {
 	e.observer = f
-}
-
-// SetBatchObserver installs a callback invoked once per round with every
-// delivery of that round, in delivery order — the deliveries slice is
-// reused across rounds and must not be retained. Batching amortizes the
-// per-delivery locking of collectors on the hot path; the delivery order
-// seen is identical to SetObserver's. Rounds without deliveries produce no
-// callback. Both observers may be installed at once (each sees every
-// delivery).
-func (e *SyncEngine) SetBatchObserver(f func([]Delivery)) {
-	e.batchObserver = f
 }
 
 // SetStrictAccounting overrides the strict-mode default (panic on an

@@ -27,10 +27,8 @@ import (
 	"dpq/internal/obs"
 	"dpq/internal/prio"
 	"dpq/internal/relax"
-	"dpq/internal/seap"
 	"dpq/internal/semantics"
 	"dpq/internal/sim"
-	"dpq/internal/skeap"
 	"dpq/internal/workload"
 )
 
@@ -244,18 +242,15 @@ func runHeapCell(c Cell) (Measured, Conformance, error) {
 		fold = skeapP
 	}
 	var be relax.Backend
-	switch {
-	case rx.Enabled():
+	if rx.Enabled() {
 		// A relaxed cell runs the relaxation engine over per-host heaps.
 		// Its Check is relaxed validity, with the rank error measured
 		// below — NOT strict oracle order, which a relaxed delivery stream
 		// legitimately violates (it would read as a spurious DIVERGED).
 		be = relax.New(relax.Config{N: c.N, Seed: c.Seed + 1,
 			Mode: rx.Mode, K: rx.K, Batch: rx.Batch, PrioBound: c.Bound})
-	case c.Proto == ProtoSkeap:
-		be = relax.WrapSkeap(skeap.New(skeap.Config{N: c.N, P: skeapP, Seed: c.Seed + 1}))
-	default:
-		be = relax.WrapSeap(seap.New(seap.Config{N: c.N, PrioBound: c.Bound, Seed: c.Seed + 1}))
+	} else if be, _, err = relax.NewStrict(c.Proto, c.N, skeapP, c.Bound, c.Seed+1); err != nil {
+		return Measured{}, Conformance{}, err
 	}
 	eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
 
