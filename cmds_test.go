@@ -144,8 +144,8 @@ func TestCmdDpqsimGoldenDigests(t *testing.T) {
 			got[args][output] = fmt.Sprintf("%x", sha256.Sum256(data))
 		}
 	}
-	if len(got) != 6 {
-		t.Fatalf("%d reference invocations recorded, want 6", len(got))
+	if len(got) != 7 {
+		t.Fatalf("%d reference invocations recorded, want 7", len(got))
 	}
 	var out strings.Builder
 	for _, p := range pins {
