@@ -198,8 +198,8 @@ func TestAllocationBudget(t *testing.T) {
 	}{
 		{"skeap", 63},      // measured 31.6 (45.5 before batches shared arrays)
 		{"skeap-sat", 6.4}, // measured 4.9 (10.2 before)
-		{"seap", 344},      // measured 287.2 (380.7 before one aggtree table per protocol)
-		{"kselect", 172},   // measured 143.8 (190.5 before)
+		{"seap", 302},      // measured 251.3 (287.2 before dense sort tables, 380.7 before one aggtree table per protocol)
+		{"kselect", 147},   // measured 122.2 (143.8 before dense sort tables, 190.5 before that)
 	}
 	for _, c := range cases {
 		const n = 256

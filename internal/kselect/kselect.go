@@ -90,6 +90,9 @@ type Selector struct {
 	// protos holds the selector's aggtree protocols, shared by every
 	// node's Runner.
 	protos aggtree.Table
+	// tables is every node's distributed-sorting state for the current
+	// epoch (sort.go, tables.go).
+	tables sortTables
 
 	// anchor state
 	phase  phase

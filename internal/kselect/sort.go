@@ -115,28 +115,41 @@ func (s *Selector) meetPoint(epoch uint64, i, j int64) float64 {
 	return s.hasher.Unit(h)
 }
 
+// newRoot makes this node the sorting root v_i for position m.Pos: it
+// records the candidate in the root table, on this node's list, and
+// installs the root of the distribution tree over [1, n′].
+func (n *Node) newRoot(ctx *sim.Context, self *ldb.VInfo, m *SampleRootMsg) {
+	if m.Epoch != n.epoch {
+		panic("kselect: sorting message from a stale epoch")
+	}
+	rt := n.sel.tables.root(m.Pos)
+	if rt == nil {
+		panic("kselect: sorting root outside the epoch's n′ positions")
+	}
+	if rt.state != entryFree {
+		panic("kselect: duplicate holder")
+	}
+	*rt = rootEntry{elem: m.Elem, owner: self.ID, next: n.roots, state: entryLive}
+	n.roots = m.Pos
+	n.newHolder(ctx, self, m.Epoch, m.Pos, 1, m.NPrime, prio.KeyOf(m.Elem), sim.None, 0)
+}
+
 // newHolder installs the holder of subtree [lo,hi] for root rootPos: it
 // keeps the copy j = mid, spawns the two child subtrees along de Bruijn
 // edges and routes its own copy to the meeting point.
-func (n *Node) newHolder(ctx *sim.Context, self *ldb.VInfo, epoch uint64, rootPos, lo, hi int64, key prio.Key, elem prio.Element, parent sim.NodeID, parentJ int64) {
+func (n *Node) newHolder(ctx *sim.Context, self *ldb.VInfo, epoch uint64, rootPos, lo, hi int64, key prio.Key, parent sim.NodeID, parentJ int64) {
 	if epoch != n.epoch {
 		panic("kselect: sorting message from a stale epoch")
 	}
 	mid := (lo + hi) / 2
-	hs := &holderState{
-		root: rootPos, j: mid, key: key,
-		parent: parent, parentJ: parentJ,
-		expect: 1,
-		elem:   elem,
+	hs := n.sel.tables.holder(rootPos, mid)
+	if hs == nil {
+		panic("kselect: holder outside the epoch's n′ × n′ copies")
 	}
-	hk := holderKey{epoch: epoch, root: rootPos, j: mid}
-	if _, dup := n.holders[hk]; dup {
+	if hs.state != entryFree {
 		panic("kselect: duplicate holder")
 	}
-	if n.holders == nil {
-		n.holders = make(map[holderKey]*holderState)
-	}
-	n.holders[hk] = hs
+	*hs = holderEntry{owner: self.ID, parent: parent, parentJ: int32(parentJ), expect: 1, state: entryLive}
 	n.holdersCreated++
 
 	// Spawn child subtrees: [lo, mid-1] via the 0-edge, [mid+1, hi] via
@@ -191,40 +204,39 @@ func (n *Node) onSeek(ctx *sim.Context, self *ldb.VInfo, m *DistSeekMsg) {
 	n.forwardSeek(ctx, self, m)
 }
 
-// onCopy buffers a copy at its meeting point; when both copies of a pair
-// are present, they are compared and the outcome vectors dispatched.
+// onCopy keeps the first copy of a pair at its meeting point; when the
+// second arrives, the two are compared and the outcome vectors dispatched.
 func (n *Node) onCopy(ctx *sim.Context, self *ldb.VInfo, m *CopyMsg) {
-	a, b := m.I, m.J
-	if a > b {
-		a, b = b, a
+	if m.Epoch != n.epoch {
+		panic("kselect: sorting message from a stale epoch")
 	}
-	pk := pairKey{epoch: m.Epoch, a: a, b: b}
-	if n.meet == nil {
-		n.meet = make(map[pairKey][]meetCopy)
+	mp := n.sel.tables.meetAt(m.I, m.J)
+	if mp == nil {
+		panic("kselect: copy outside the epoch's pairs")
 	}
-	n.meet[pk] = append(n.meet[pk], meetCopy{root: m.I, j: m.J, key: m.Key, holder: m.Holder})
-	copies := n.meet[pk]
-	if len(copies) < 2 {
+	switch {
+	case mp.state == entryFree:
+		*mp = meetEntry{key: m.Key, holder: m.Holder, owner: self.ID, lowI: m.I < m.J, state: entryLive}
 		return
-	}
-	if len(copies) > 2 {
+	case mp.state == entryDone:
 		panic("kselect: more than two copies at a meeting point")
+	case mp.owner != self.ID:
+		panic("kselect: copies of one pair at two meeting points")
 	}
-	delete(n.meet, pk)
-	x, y := copies[0], copies[1]
-	// x carries key(c_{x.root}); smaller key wins. The loser's holder
-	// learns one candidate is smaller: (1,0); the winner's: (0,1).
-	xWins := x.key.Less(y.key)
-	send := func(c meetCopy, l, r int64) {
-		ctx.Send(c.holder, &VecMsg{Epoch: m.Epoch, Root: c.root, J: c.j, L: l, R: r})
+	mp.state = entryDone
+	// x is the first copy to arrive, carrying key(c_{x's root}); y is m.
+	// The smaller key wins. The loser's holder learns one candidate is
+	// smaller: (1,0); the winner's: (0,1).
+	xRoot, xJ := max(m.I, m.J), min(m.I, m.J)
+	if mp.lowI {
+		xRoot, xJ = xJ, xRoot
 	}
-	if xWins {
-		send(x, 0, 1)
-		send(y, 1, 0)
-	} else {
-		send(x, 1, 0)
-		send(y, 0, 1)
+	xl, yl := int64(1), int64(0)
+	if mp.key.Less(m.Key) {
+		xl, yl = 0, 1
 	}
+	ctx.Send(mp.holder, &VecMsg{Epoch: m.Epoch, Root: xRoot, J: xJ, L: xl, R: 1 - xl})
+	ctx.Send(m.Holder, &VecMsg{Epoch: m.Epoch, Root: m.I, J: m.J, L: yl, R: 1 - yl})
 }
 
 func (n *Node) onVec(ctx *sim.Context, self *ldb.VInfo, m *VecMsg) {
@@ -238,25 +250,26 @@ func (n *Node) addVec(ctx *sim.Context, self *ldb.VInfo, epoch uint64, root, j, 
 	if epoch != n.epoch {
 		panic("kselect: vector from a stale epoch")
 	}
-	hk := holderKey{epoch: epoch, root: root, j: j}
-	hs, ok := n.holders[hk]
-	if !ok {
+	hs := n.sel.tables.holder(root, j)
+	if hs == nil || hs.state != entryLive {
 		panic("kselect: vector for unknown holder")
 	}
-	hs.l += l
-	hs.r += r
+	if hs.owner != self.ID {
+		panic("kselect: vector for a holder hosted by another node")
+	}
+	hs.l += int32(l)
+	hs.r += int32(r)
 	hs.got++
 	if hs.got < hs.expect {
 		return
 	}
-	delete(n.holders, hk)
+	hs.state = entryDone
 	if hs.parent != sim.None {
-		ctx.Send(hs.parent, &VecMsg{Epoch: epoch, Root: root, J: hs.parentJ, L: hs.l, R: hs.r})
+		ctx.Send(hs.parent, &VecMsg{Epoch: epoch, Root: root, J: int64(hs.parentJ), L: int64(hs.l), R: int64(hs.r)})
 		return
 	}
 	// Sorting root: order of c_root is L+1 (Algorithm 3).
-	if n.completed == nil {
-		n.completed = make(map[int64]completedRoot)
-	}
-	n.completed[root] = completedRoot{order: hs.l + 1, key: hs.key, elem: hs.elem}
+	rt := n.hostedRoot(self.ID, root)
+	rt.order = int64(hs.l) + 1
+	rt.state = entryDone
 }

@@ -17,6 +17,8 @@ type sortRig struct {
 	ov  *ldb.Overlay
 	sel *Selector
 	eng *sim.SyncEngine
+	// orders holds the last sorting epoch's candidates by order.
+	orders map[int64]prio.Element
 }
 
 func newSortRig(t *testing.T, n int, keys []uint64, seed uint64) *sortRig {
@@ -31,12 +33,14 @@ func newSortRig(t *testing.T, n int, keys []uint64, seed uint64) *sortRig {
 	return &sortRig{ov: ov, sel: sel, eng: sel.NewSyncEngine(seed + 3)}
 }
 
-// run performs a selection of rank 1 (any rank exercises the sort when the
-// candidate set is small enough for the exact phase).
+// run performs a selection of rank k (any rank exercises the sort when the
+// candidate set is small enough for the exact phase), keeping the orders
+// of its last sorting epoch.
 func (r *sortRig) run(t *testing.T, k int64) {
 	t.Helper()
+	done := watchEpochs(r.sel, func(*sortTables) { r.orders = completedOrders(r.sel) })
 	r.sel.Start(r.eng.Context(r.sel.Anchor()), k)
-	if !r.eng.RunUntil(r.sel.Done, 500000) {
+	if !r.eng.RunUntil(done, 500000) {
 		t.Fatal("sorting rig stuck")
 	}
 }
@@ -47,15 +51,13 @@ func (r *sortRig) run(t *testing.T, k int64) {
 func TestExactSortOrdersAreRanks(t *testing.T) {
 	keys := []uint64{42, 7, 99, 13, 58, 3, 77, 21}
 	r := newSortRig(t, 5, keys, 11)
-	// The exact phase records orders in node.completed; collect them after
+	// The exact phase records orders in the root table; collect them in
 	// a rank-1 selection (which runs the exact sort over all 8 elements —
 	// N=8 ≤ the immediate-exact threshold).
 	r.run(t, 1)
 	orders := map[int64]prio.Priority{}
-	for _, nd := range r.sel.nodes {
-		for _, cr := range nd.completed {
-			orders[cr.order] = cr.key.Prio
-		}
+	for order, e := range r.orders {
+		orders[order] = e.Prio
 	}
 	sorted := append([]uint64(nil), keys...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -147,8 +149,9 @@ func TestSelfCopyNeedsNoPartner(t *testing.T) {
 	}
 }
 
-// TestHoldersDrainAfterCompletion: no holder or meeting state may remain
-// once a selection finishes (everything matched and aggregated).
+// TestHoldersDrainAfterCompletion: no holder or meeting point may be left
+// live when a sorting epoch ends (everything matched and aggregated), and
+// the sort tables are released once the selection finishes.
 func TestHoldersDrainAfterCompletion(t *testing.T) {
 	keys := make([]uint64, 40)
 	rnd := hashutil.NewRand(31)
@@ -156,14 +159,29 @@ func TestHoldersDrainAfterCompletion(t *testing.T) {
 		keys[i] = rnd.Uint64n(1000) + 1
 	}
 	r := newSortRig(t, 6, keys, 32)
-	r.run(t, 17)
-	for id, nd := range r.sel.nodes {
-		if len(nd.holders) != 0 {
-			t.Fatalf("node %d retains %d holders", id, len(nd.holders))
+	epochs := 0
+	done := watchEpochs(r.sel, func(tb *sortTables) {
+		epochs++
+		for i, h := range tb.holders {
+			if h.state == entryLive {
+				t.Errorf("epoch %d: holder of copy (%d,%d) at node %d still live", epochs, int64(i)/tb.nPrime+1, int64(i)%tb.nPrime+1, h.owner)
+			}
 		}
-		if len(nd.meet) != 0 {
-			t.Fatalf("node %d retains %d meeting buffers", id, len(nd.meet))
+		for i, mp := range tb.meet {
+			if mp.state == entryLive {
+				t.Errorf("epoch %d: meeting point %d at node %d still holds one copy", epochs, i, mp.owner)
+			}
 		}
+	})
+	r.sel.Start(r.eng.Context(r.sel.Anchor()), 17)
+	if !r.eng.RunUntil(done, 500000) {
+		t.Fatal("sorting rig stuck")
+	}
+	if epochs == 0 {
+		t.Fatal("no sorting epoch observed")
+	}
+	if tb := r.sel.tables; tb.holders != nil || tb.meet != nil || tb.roots != nil {
+		t.Fatal("sort tables not released after the selection")
 	}
 }
 
@@ -178,16 +196,46 @@ func TestVectorConservation(t *testing.T) {
 	}
 	r := newSortRig(t, 4, keys, 41)
 	r.run(t, 5)
-	total := 0
-	for _, nd := range r.sel.nodes {
-		for _, cr := range nd.completed {
-			if cr.order < 1 || cr.order > int64(len(keys)) {
-				t.Fatalf("order %d out of range", cr.order)
-			}
-			total++
+	orders := r.orders
+	for order := range orders {
+		if order < 1 || order > int64(len(keys)) {
+			t.Fatalf("order %d out of range", order)
 		}
 	}
-	if total != len(keys) {
-		t.Fatalf("%d roots completed, want %d", total, len(keys))
+	if len(orders) != len(keys) {
+		t.Fatalf("%d roots completed, want %d", len(orders), len(keys))
+	}
+}
+
+// completedOrders returns the current sorting epoch's candidates whose
+// order is known, by order, walking each node's list of sorting roots.
+func completedOrders(sel *Selector) map[int64]prio.Element {
+	orders := map[int64]prio.Element{}
+	for id, nd := range sel.nodes {
+		for rt := nd.hostedRoot(sim.NodeID(id), nd.roots); rt != nil; rt = nd.hostedRoot(sim.NodeID(id), rt.next) {
+			if rt.state == entryDone {
+				orders[rt.order] = rt.elem
+			}
+		}
+	}
+	return orders
+}
+
+// watchEpochs returns a RunUntil predicate, true once the selection is done,
+// that calls check once per sorting epoch: in the round its last sorting
+// root learned its order, before the next epoch resizes the tables.
+func watchEpochs(sel *Selector, check func(*sortTables)) func() bool {
+	wasSorted := false
+	return func() bool {
+		tb := &sel.tables
+		sorted := tb.roots != nil
+		for _, rt := range tb.roots {
+			sorted = sorted && rt.state == entryDone
+		}
+		if sorted && !wasSorted {
+			check(tb)
+		}
+		wasSorted = sorted
+		return sel.Done()
 	}
 }
