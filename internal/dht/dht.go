@@ -154,6 +154,35 @@ func (d *DHT) Absorb(key uint64, elems []prio.Element) {
 	d.store[key] = append(d.store[key], elems...)
 }
 
+// Migrate hands every stored element of the n virtual nodes (node i's
+// shard is store(i)) to the node responsible for its key under ov's
+// current topology, and returns how many elements changed nodes. It is the
+// state transfer of a membership change (§1.4(4), experiment E20): all
+// shards are dumped before any is absorbed, so an element moves at most
+// once, and shards sharing a key are absorbed in node order.
+func Migrate(ov *ldb.Overlay, n int, store func(sim.NodeID) *DHT) int {
+	type shard struct {
+		key   uint64
+		elems []prio.Element
+		was   sim.NodeID
+	}
+	var all []shard
+	for i := sim.NodeID(0); int(i) < n; i++ {
+		for key, elems := range store(i).Dump() {
+			all = append(all, shard{key: key, elems: elems, was: i})
+		}
+	}
+	moved := 0
+	for _, sh := range all {
+		owner := ov.Responsible(KeyPoint(sh.key))
+		store(owner).Absorb(sh.key, sh.elems)
+		if owner != sh.was {
+			moved += len(sh.elems)
+		}
+	}
+	return moved
+}
+
 // PendingCount returns the number of parked Get requests.
 func (d *DHT) PendingCount() int { return len(d.pending) }
 

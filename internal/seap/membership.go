@@ -3,7 +3,6 @@ package seap
 import (
 	"dpq/internal/dht"
 	"dpq/internal/ldb"
-	"dpq/internal/prio"
 	"dpq/internal/sim"
 )
 
@@ -77,26 +76,7 @@ func (h *Heap) requireQuiescent(eng *sim.SyncEngine) {
 // migrate redistributes every stored element to its new responsible node,
 // recording how many changed hands (experiment E20).
 func (h *Heap) migrate() {
-	type housed struct {
-		elems []prio.Element
-		was   sim.NodeID
-	}
-	all := make(map[uint64][]housed)
-	for i, n := range h.nodes {
-		for key, elems := range n.store.Dump() {
-			all[key] = append(all[key], housed{elems: elems, was: sim.NodeID(i)})
-		}
-	}
-	h.lastMigrated = 0
-	for key, hs := range all {
-		owner := h.ov.Responsible(dht.KeyPoint(key))
-		for _, hd := range hs {
-			h.nodes[owner].store.Absorb(key, hd.elems)
-			if hd.was != owner {
-				h.lastMigrated += len(hd.elems)
-			}
-		}
-	}
+	h.lastMigrated = dht.Migrate(h.ov, len(h.nodes), func(i sim.NodeID) *dht.DHT { return h.nodes[i].store })
 }
 
 // MigratedLastChange returns how many stored elements changed hosts during

@@ -65,9 +65,9 @@ func TestRemoteAckReplication(t *testing.T) {
 
 // TestRemoteAckReclaimsRedelivery: a nacked element whose next delivery
 // (and ack) happens on another daemon reaches the owner only as a
-// replicated ack — the delivery-history entry recorded at the nack must
-// be reclaimed with it, or a long-running daemon's redeliv map grows
-// without bound.
+// replicated ack — the delivery history recorded at the nack must be
+// reclaimed with it, or a long-running daemon's lease table grows without
+// bound.
 func TestRemoteAckReclaimsRedelivery(t *testing.T) {
 	s, _, addr := newTestServer(t, nil)
 	c := dial(t, addr)
@@ -78,50 +78,54 @@ func TestRemoteAckReclaimsRedelivery(t *testing.T) {
 	// The peer-replication channel is an ack for a pending, unleased id —
 	// the redelivery after the nack was served by the other daemon.
 	wantStatus(t, c.ack(d.ID), clientproto.StatusAcked)
-	s.mu.Lock()
-	leaked := len(s.redeliv)
-	s.mu.Unlock()
-	if leaked != 0 {
-		t.Fatalf("%d redeliv entries leaked after a replicated ack", leaked)
+	st := s.Stats()
+	if st.LeaseRecs != 0 {
+		t.Fatalf("%d lease records leaked after a replicated ack", st.LeaseRecs)
 	}
-	if st := s.Stats(); st.RemoteAcks != 1 {
+	if st.RemoteAcks != 1 {
 		t.Fatalf("RemoteAcks = %d, want 1", st.RemoteAcks)
 	}
 }
 
-// TestRedelivAgeOut: a delivery-history entry for an element that is not
+// TestRedelivAgeOut: the delivery history of an element that is not
 // locally pending (a foreign element nacked here whose settling happened
-// entirely on other daemons) is aged out by the expiry scan; entries for
+// entirely on other daemons) is aged out by the expiry scan; histories of
 // locally pending elements are kept regardless of age.
 func TestRedelivAgeOut(t *testing.T) {
-	s, _, addr := newTestServer(t, func(c *Config) { c.LeaseTTL = time.Minute })
+	s, th, addr := newTestServer(t, func(c *Config) { c.LeaseTTL = time.Minute })
 	c := dial(t, addr)
-	wantStatus(t, c.insert(1), clientproto.StatusInserted)
-	d := c.deleteMin()
-	wantStatus(t, d, clientproto.StatusElem)
-	wantStatus(t, c.nack(d.ID), clientproto.StatusNacked) // local: in pendElem
-	s.mu.Lock()
-	s.redeliv[prio.ElemID(1<<50)] = redelivRec{n: 3, at: time.Now()} // foreign
-	s.mu.Unlock()
+	wantStatus(t, c.insert(1), clientproto.StatusInserted) // local: pending here
+	// A foreign element reaches this daemon's heap without being pending
+	// here, as the shared heap hands out another daemon's element.
+	foreignID := uint64(1 << 50)
+	th.Reinsert(0, prio.Element{ID: prio.ElemID(foreignID), Prio: 2})
+	waitQuiesce(t, s)
+	local, foreign := c.deleteMin(), c.deleteMin()
+	wantStatus(t, local, clientproto.StatusElem)
+	wantStatus(t, foreign, clientproto.StatusElem)
+	if foreign.ID != foreignID {
+		t.Fatalf("second delivery is element %d, want the foreign %d", foreign.ID, foreignID)
+	}
+	wantStatus(t, c.nack(local.ID), clientproto.StatusNacked)
+	wantStatus(t, c.nack(foreign.ID), clientproto.StatusNacked)
+	waitQuiesce(t, s)
 
 	s.expireLeases(time.Now().Add(7 * time.Minute)) // under 8×TTL: both stay
-	s.mu.Lock()
-	kept := len(s.redeliv)
-	s.mu.Unlock()
-	if kept != 2 {
-		t.Fatalf("%d redeliv entries after a young scan, want 2", kept)
+	if st := s.Stats(); st.LeaseRecs != 2 || st.Leased != 0 {
+		t.Fatalf("after a young scan: %d lease records (%d leased), want 2 histories", st.LeaseRecs, st.Leased)
 	}
 
 	s.expireLeases(time.Now().Add(9 * time.Minute)) // past 8×TTL
-	s.mu.Lock()
-	_, foreign := s.redeliv[prio.ElemID(1<<50)]
-	_, local := s.redeliv[prio.ElemID(d.ID)]
-	s.mu.Unlock()
-	if foreign {
-		t.Fatal("foreign redeliv entry survived the age-out scan")
+	if st := s.Stats(); st.LeaseRecs != 1 {
+		t.Fatalf("after an old scan: %d lease records, want the local history alone", st.LeaseRecs)
 	}
-	if !local {
-		t.Fatal("locally pending element's delivery history aged out")
+	// The kept history is the local element's: its next delivery is its
+	// second, while the foreign element's count restarts.
+	if d := c.deleteMin(); d.ID != local.ID || d.Deliveries != 2 {
+		t.Fatalf("local redelivery: id %d deliveries %d, want id %d deliveries 2", d.ID, d.Deliveries, local.ID)
+	}
+	if d := c.deleteMin(); d.ID != foreignID || d.Deliveries != 1 {
+		t.Fatalf("foreign redelivery: id %d deliveries %d, want id %d deliveries 1", d.ID, d.Deliveries, foreignID)
 	}
 }
 

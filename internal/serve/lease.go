@@ -12,22 +12,23 @@
 package serve
 
 import (
-	"sort"
 	"time"
 
 	"dpq/internal/prio"
 )
 
-// sortIDs orders element ids ascending (deterministic reconciliation).
-func sortIDs(ids []prio.ElemID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-}
-
-// lease is one element currently handed out to a client.
+// lease is the client side's record of one element id: the current lease
+// while the element is handed out, then, once a nack or expiry ends it,
+// the delivery history the element's next lease counts on from. In a
+// multi-daemon cluster that next delivery (or the settling ack) may happen
+// on another daemon, so expireLeases ages out the histories of elements
+// not pending here. Delivery counters are soft state (they already reset
+// across a crash), so an aged-out count merely restarts at 1.
 type lease struct {
 	elem       prio.Element
 	host       int       // host to reinsert on when the lease dies
 	deadline   time.Time // expiry instant
+	ended      time.Time // when a nack or expiry ended the lease; zero while held
 	deliveries uint32    // deliveries so far, the current one included
 	settling   bool      // an ack is replicating to the owner daemon; hands off
 	// parked marks a settling ack waiting for a down owner daemon: the
@@ -37,40 +38,50 @@ type lease struct {
 	parked bool
 }
 
+// held reports whether the record is a current lease, not a history.
+func (l *lease) held() bool { return l.ended.IsZero() }
+
 // parkedLeaseTTLFactor stretches a parked lease's deadline: the parked
 // ack should settle on the owner's recovery well before the element is
 // given up on and redelivered.
 const parkedLeaseTTLFactor = 8
 
-// redelivRec carries a reinserted element's delivery history until its
-// next lease. The timestamp bounds the record's lifetime: in a
-// multi-daemon cluster the next delivery (or the settling ack) may happen
-// on another daemon, in which case nothing here would ever reclaim the
-// entry — expireLeases ages out records whose element is no longer
-// locally pending. Delivery counters are soft state (they already reset
-// across a crash), so an aged-out count merely restarts at 1.
-type redelivRec struct {
-	n  uint32
-	at time.Time
+// historyTTLFactor × LeaseTTL is how long the delivery history of an
+// element not pending here outlives its lease.
+const historyTTLFactor = 8
+
+// heldLocked returns id's current lease, or nil (caller holds s.mu).
+func (s *Server) heldLocked(id prio.ElemID) *lease {
+	if l := s.leases[id]; l != nil && l.held() {
+		return l
+	}
+	return nil
 }
 
-// grantLease records op.Result as leased to whoever reads the response.
-// Caller holds s.mu. Returns the delivery counter for the response.
+// grantLease records e as leased to whoever reads the response, counting
+// on from its delivery history. Caller holds s.mu. Returns the delivery
+// counter for the response.
 func (s *Server) grantLease(e prio.Element, host int) uint32 {
-	n := s.redeliv[e.ID].n + 1
-	delete(s.redeliv, e.ID)
-	s.leases[e.ID] = &lease{
-		elem:       e,
-		host:       host,
-		deadline:   time.Now().Add(s.cfg.LeaseTTL),
-		deliveries: n,
+	l := s.leases[e.ID]
+	if l == nil {
+		l = &lease{}
+		s.leases[e.ID] = l
 	}
-	s.stats.Leased = len(s.leases)
+	*l = lease{elem: e, host: host, deadline: time.Now().Add(s.cfg.LeaseTTL), deliveries: l.deliveries + 1}
 	s.stats.LeasesGranted++
-	if n > 1 {
+	if l.deliveries > 1 {
 		s.stats.Redeliveries++
 	}
-	return n
+	return l.deliveries
+}
+
+// endLeaseLocked ends a held lease by nack or expiry at now: the record
+// becomes the element's delivery history and the element goes back into
+// the heap on the lease's host (caller holds s.mu).
+func (s *Server) endLeaseLocked(l *lease, now time.Time) {
+	l.ended = now
+	l.settling, l.parked = false, false
+	s.reinsertLocked(l.host, l.elem)
 }
 
 // expiryLoop scans for overdue leases and reinserts their elements. The
@@ -96,41 +107,33 @@ func (s *Server) expiryLoop() {
 	}
 }
 
-// expireLeases reinserts every lease overdue at now. Draining suppresses
-// reinsertion so a shutting-down daemon can quiesce; the elements stay
-// pending and survive into the final snapshot. The same scan ages out
-// stale redeliv records: an entry whose element is not locally pending
-// belongs to a foreign element that may have settled (or redelivered) on
-// another daemon, and nothing else would ever reclaim it.
+// expireLeases ends every lease overdue at now, reinserting its element,
+// and retires the aged-out histories of elements not pending here: such an
+// element may have settled (or redelivered) on another daemon, and nothing
+// else would ever reclaim the record. Draining suppresses the scan so a
+// shutting-down daemon can quiesce; the elements stay pending and survive
+// into the final snapshot.
 func (s *Server) expireLeases(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return
 	}
+	maxAge := historyTTLFactor * s.cfg.LeaseTTL
 	for id, l := range s.leases {
-		if now.Before(l.deadline) {
-			continue
-		}
-		if l.settling && !l.parked {
-			continue
-		}
-		// A parked lease past its stretched deadline is given up on: the
-		// owner never recovered in time, so the element redelivers (the
-		// straggling parked ack, if it ever flushes, settles idempotently).
-		delete(s.leases, id)
-		s.redeliv[id] = redelivRec{n: l.deliveries, at: now}
-		s.stats.Expired++
-		s.reinsertLocked(l.host, l.elem)
-	}
-	s.stats.Leased = len(s.leases)
-	maxAge := 8 * s.cfg.LeaseTTL
-	for id, r := range s.redeliv {
-		if _, local := s.pendElem[id]; local {
-			continue // still pending here; the count is live until redelivery
-		}
-		if now.Sub(r.at) > maxAge {
-			delete(s.redeliv, id)
+		switch {
+		case !l.held():
+			if r := s.elems[id]; (r == nil || !r.pending) && now.Sub(l.ended) > maxAge {
+				delete(s.leases, id)
+			}
+		case now.Before(l.deadline), l.settling && !l.parked:
+		default:
+			// A parked lease past its stretched deadline is given up on:
+			// the owner never recovered in time, so the element redelivers
+			// (the straggling parked ack, if it ever flushes, settles
+			// idempotently).
+			s.endLeaseLocked(l, now)
+			s.stats.Expired++
 		}
 	}
 }

@@ -255,7 +255,7 @@ func TestKillRestartRecovery(t *testing.T) {
 // TestRestartInsertIDsSkipRecovered pins the crash-restart id collision:
 // the daemon's counter dies with the process, and without seeding it past
 // the WAL's recovered maximum a post-restart insert re-mints a recovered
-// element's id — two live elements then share one pendElem/lease entry
+// element's id — two live elements then share one record per table
 // and a single ACK record expunges both on the next replay. The
 // high-water mark must span acked elements too (their ids are gone from
 // the pending set but still name live WAL records), so every new id must
@@ -337,7 +337,7 @@ func TestRestartInsertIDsSkipRecovered(t *testing.T) {
 }
 
 // resettableTestHeap is a testHeap the server treats as reset-capable: it
-// records appliedAt for it, as it does for Skeap. No reset ever happens, so
+// records the reset floor of each apply, as it does for Skeap. No reset ever happens, so
 // the floor stays 0 — a cold start.
 type resettableTestHeap struct{ *testHeap }
 

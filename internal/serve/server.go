@@ -25,6 +25,7 @@ import (
 	"bufio"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,6 +126,8 @@ type Stats struct {
 	InFlight        int   `json:"inFlight"`        // heap ops issued, not yet completed
 	Leased          int   `json:"leased"`          // elements currently out under lease
 	Pending         int   `json:"pending"`         // pending set size (heap + leased)
+	ElemRecs        int   `json:"elemRecs"`        // heap-side table size (Server.elems)
+	LeaseRecs       int   `json:"leaseRecs"`       // client-side table size: leases and delivery histories
 
 	WAL WALStats `json:"wal"`
 }
@@ -144,31 +147,22 @@ type Server struct {
 
 	maxRecovered prio.ElemID // highest element id the WAL ever logged, at New
 
-	mu       sync.Mutex
-	pending  map[*semantics.Op]pendingRef
-	pendElem map[prio.ElemID]prio.Element // the pending set: in heap or leased
-	// liveIns counts in-flight insert/reinsert heap ops per element id. An
-	// element with a live op is inside the heap protocol's buffers — a
-	// partial-failure reset re-buffers it there, so reconciliation must not
-	// re-inject it a second time.
-	liveIns map[prio.ElemID]int
-	// appliedAt records, per pending element, the heap's reset floor at
-	// the moment its (re)insert op last applied. An element applied at or
-	// after the current floor is resident in the heap (no reset has
-	// abandoned its position since; one that raced a reset had its op
-	// re-buffered and re-executed by it), so reconciliation must not
-	// re-inject it: liveIns alone cannot tell it from an orphan once the op
-	// completes. An entry exists only for elements applied in this process
-	// lifetime — what the WAL recovered and nothing re-inserted yet has
-	// none, and is an orphan at any floor, 0 (a cold start) included.
-	appliedAt map[prio.ElemID]uint64
-	rheap     ResettableHeap // cfg.Heap when it supports resets, else nil
-	leases    map[prio.ElemID]*lease
-	redeliv   map[prio.ElemID]redelivRec // prior deliveries of reinserted elements
-	conns     map[*connWriter]bool
-	draining  bool
-	hostCtr   int
-	stats     Stats
+	mu      sync.Mutex
+	pending map[*semantics.Op]pendingRef
+	// elems is the heap side's table: admission, completion,
+	// reconciliation and snapshots read it. Retirement rule: a record
+	// goes when it is neither pending nor inside a live op (retireLocked).
+	elems map[prio.ElemID]*elemState
+	// leases is the client side's table (lease.go): settle, expiry and
+	// lease scans read it. Retirement rule: a record goes on ack, or when
+	// it is the delivery history of a non-pending element older than
+	// historyTTLFactor × LeaseTTL (expireLeases).
+	leases   map[prio.ElemID]*lease
+	rheap    ResettableHeap // cfg.Heap when it supports resets, else nil
+	conns    map[*connWriter]bool
+	draining bool
+	hostCtr  int
+	stats    Stats // counters; the sizes are derived in statsLocked
 
 	// Durability gate: responses waiting for their WAL record to fsync.
 	durMu   sync.Mutex
@@ -179,6 +173,47 @@ type Server struct {
 	stop     chan struct{}
 	stopOnce sync.Once
 	wg       sync.WaitGroup
+}
+
+// elemState is the heap side's record of one element id.
+type elemState struct {
+	elem prio.Element
+	// pending: owned here, in the pending set (accepted − acked) that the
+	// WAL mirrors. A foreign element reinserted here after a nack or
+	// expiry has a record with pending false while its op is live.
+	pending bool
+	// live counts in-flight insert/reinsert heap ops. An element with a
+	// live op is inside the heap protocol's buffers — a partial-failure
+	// reset re-buffers it there, so reconciliation must not re-inject it
+	// a second time.
+	live int
+	// applied says a (re)insert op of the element applied in this process
+	// lifetime, at reset floor appliedAt (reset-capable heaps only). An
+	// element applied at or after the current floor is resident in the
+	// heap (no reset has abandoned its position since; one that raced a
+	// reset had its op re-buffered and re-executed by it), so
+	// reconciliation must not re-inject it. What the WAL recovered and
+	// nothing re-inserted yet is an orphan at any floor, 0 (a cold start)
+	// included.
+	applied   bool
+	appliedAt uint64
+}
+
+// trackLocked returns e's record, creating it (caller holds s.mu).
+func (s *Server) trackLocked(e prio.Element) *elemState {
+	r := s.elems[e.ID]
+	if r == nil {
+		r = &elemState{elem: e}
+		s.elems[e.ID] = r
+	}
+	return r
+}
+
+// retireLocked applies the heap table's retirement rule to id's record.
+func (s *Server) retireLocked(id prio.ElemID, r *elemState) {
+	if !r.pending && r.live == 0 {
+		delete(s.elems, id)
+	}
 }
 
 type durWait struct {
@@ -208,16 +243,13 @@ func New(cfg Config) (*Server, error) {
 		cfg.Logf = func(string, ...any) {}
 	}
 	s := &Server{
-		cfg:       cfg,
-		heap:      cfg.Heap,
-		pending:   map[*semantics.Op]pendingRef{},
-		pendElem:  map[prio.ElemID]prio.Element{},
-		liveIns:   map[prio.ElemID]int{},
-		appliedAt: map[prio.ElemID]uint64{},
-		leases:    map[prio.ElemID]*lease{},
-		redeliv:   map[prio.ElemID]redelivRec{},
-		conns:     map[*connWriter]bool{},
-		stop:      make(chan struct{}),
+		cfg:     cfg,
+		heap:    cfg.Heap,
+		pending: map[*semantics.Op]pendingRef{},
+		elems:   map[prio.ElemID]*elemState{},
+		leases:  map[prio.ElemID]*lease{},
+		conns:   map[*connWriter]bool{},
+		stop:    make(chan struct{}),
 	}
 	s.durCond = sync.NewCond(&s.durMu)
 	s.rheap, _ = cfg.Heap.(ResettableHeap)
@@ -238,7 +270,7 @@ func New(cfg Config) (*Server, error) {
 		// reconciler injects them later, minus those still leased at
 		// surviving peers (ReinjectPendingUnleased).
 		for i, e := range recovered {
-			s.pendElem[e.ID] = e
+			s.trackLocked(e).pending = true
 			if !cfg.DeferRecovery {
 				s.reinsertLocked(cfg.Hosts[i%len(cfg.Hosts)], e)
 			}
@@ -259,8 +291,8 @@ func New(cfg Config) (*Server, error) {
 }
 
 // snapshotLoop periodically persists the pending set. The capture is
-// consistent by construction: pendElem and the WAL's last seq are read
-// under the same lock that orders every append.
+// consistent by construction: the pending set and the WAL's last seq are
+// read under the same lock that orders every append.
 func (s *Server) snapshotLoop(every time.Duration) {
 	defer s.wg.Done()
 	t := time.NewTicker(every)
@@ -271,10 +303,7 @@ func (s *Server) snapshotLoop(every time.Duration) {
 			return
 		case <-t.C:
 			s.mu.Lock()
-			elems := make([]prio.Element, 0, len(s.pendElem))
-			for _, e := range s.pendElem {
-				elems = append(elems, e)
-			}
+			elems := s.pendingSetLocked()
 			atSeq := s.wal.LastSeq()
 			s.mu.Unlock()
 			if err := s.wal.Snapshot(elems, atSeq); err != nil {
@@ -282,6 +311,17 @@ func (s *Server) snapshotLoop(every time.Duration) {
 			}
 		}
 	}
+}
+
+// pendingSetLocked lists the pending set (caller holds s.mu).
+func (s *Server) pendingSetLocked() []prio.Element {
+	elems := make([]prio.Element, 0, len(s.elems))
+	for _, r := range s.elems {
+		if r.pending {
+			elems = append(elems, r.elem)
+		}
+	}
+	return elems
 }
 
 // Serve accepts client connections until the listener closes, pinning each
@@ -305,7 +345,6 @@ func (s *Server) startConn(conn net.Conn, host int) {
 	cw := newConnWriter(conn, s.cfg.MaxConnQueue)
 	s.mu.Lock()
 	s.conns[cw] = true
-	s.stats.Conns = len(s.conns)
 	s.mu.Unlock()
 	s.wg.Add(2)
 	go func() {
@@ -328,7 +367,6 @@ func (s *Server) serveConn(cw *connWriter, host int) {
 		cw.closeGraceful()
 		s.mu.Lock()
 		delete(s.conns, cw)
-		s.stats.Conns = len(s.conns)
 		if cw.wasEvicted() {
 			s.stats.EvictedConns++
 		}
@@ -340,7 +378,8 @@ func (s *Server) serveConn(cw *connWriter, host int) {
 		if err != nil {
 			var re *clientproto.ReqError
 			if errors.As(err, &re) {
-				s.reject(cw, re.ReqID, re.Code)
+				s.mu.Lock()
+				s.rejectLocked(cw, re.ReqID, re.Code)
 				continue
 			}
 			return
@@ -363,15 +402,11 @@ func (s *Server) handle(cw *connWriter, host int, req *clientproto.Request) bool
 
 	s.mu.Lock()
 	if s.draining {
-		s.stats.Rejected++
-		s.mu.Unlock()
-		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusError, Code: clientproto.ErrShuttingDown})
+		return s.rejectLocked(cw, req.ReqID, clientproto.ErrShuttingDown)
 	}
 	if s.cfg.MaxInFlight > 0 && len(s.pending) >= s.cfg.MaxInFlight {
-		s.stats.Rejected++
 		s.stats.OverloadRejects++
-		s.mu.Unlock()
-		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusError, Code: clientproto.ErrOverloaded})
+		return s.rejectLocked(cw, req.ReqID, clientproto.ErrOverloaded)
 	}
 	degraded := s.cfg.Degraded != nil && s.cfg.Degraded()
 	if degraded && req.Op == clientproto.OpDelete {
@@ -390,8 +425,9 @@ func (s *Server) handle(cw *connWriter, host int, req *clientproto.Request) bool
 	var seq uint64
 	if req.Op == clientproto.OpInsert {
 		op = s.heap.Insert(host, s.cfg.NextID(), req.Prio, req.Payload)
-		s.pendElem[op.Elem.ID] = op.Elem
-		s.liveIns[op.Elem.ID]++
+		r := s.trackLocked(op.Elem)
+		r.pending = true
+		r.live++
 		if s.wal != nil {
 			seq = s.wal.AppendInsert(op.Elem)
 		}
@@ -402,18 +438,12 @@ func (s *Server) handle(cw *connWriter, host int, req *clientproto.Request) bool
 			s.stats.DegradedInserts++
 			s.stats.Served++
 			s.mu.Unlock()
-			resp := &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusInserted, ID: uint64(op.Elem.ID), Value: -1}
-			if seq != 0 {
-				s.gateOnDurable(seq, cw, resp)
-				return true
-			}
-			return cw.send(resp)
+			return s.reply(seq, cw, &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusInserted, ID: uint64(op.Elem.ID), Value: -1})
 		}
 	} else {
 		op = s.heap.Delete(host)
 	}
 	s.pending[op] = pendingRef{cw: cw, reqID: req.ReqID, seq: seq}
-	s.stats.InFlight = len(s.pending)
 	s.mu.Unlock()
 	return true
 }
@@ -427,8 +457,8 @@ func (s *Server) leaseScan(cw *connWriter, req *clientproto.Request) bool {
 	var best prio.ElemID
 	found := false
 	s.mu.Lock()
-	for id := range s.leases {
-		if id > after && (!found || id < best) {
+	for id, l := range s.leases {
+		if l.held() && id > after && (!found || id < best) {
 			best, found = id, true
 		}
 	}
@@ -451,34 +481,27 @@ func (s *Server) settle(cw *connWriter, host int, req *clientproto.Request) bool
 	id := prio.ElemID(req.ID)
 	s.mu.Lock()
 	if s.draining {
-		s.stats.Rejected++
-		s.mu.Unlock()
-		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusError, Code: clientproto.ErrShuttingDown})
+		return s.rejectLocked(cw, req.ReqID, clientproto.ErrShuttingDown)
 	}
-	l, hasLease := s.leases[id]
-	if hasLease && l.settling {
-		// An ack for this lease is already in flight to the owner; a second
-		// settle must not race it.
-		hasLease = false
+	// A lease whose ack is already in flight to the owner is not settled
+	// a second time: that would race the first.
+	l := s.heldLocked(id)
+	if l != nil && l.settling {
+		l = nil
 	}
 	if req.Op == clientproto.OpNack {
-		if !hasLease {
-			s.stats.Rejected++
-			s.mu.Unlock()
-			return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusError, Code: clientproto.ErrUnknownLease})
+		if l == nil {
+			return s.rejectLocked(cw, req.ReqID, clientproto.ErrUnknownLease)
 		}
 		// The element goes straight back into the heap on the lease's
 		// host; the next delivery carries an incremented counter.
-		delete(s.leases, id)
-		s.stats.Leased = len(s.leases)
-		s.redeliv[id] = redelivRec{n: l.deliveries, at: time.Now()}
+		s.endLeaseLocked(l, time.Now())
 		s.stats.Nacked++
 		s.stats.Served++
-		s.reinsertLocked(l.host, l.elem)
 		s.mu.Unlock()
 		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusNacked, ID: req.ID})
 	}
-	if hasLease {
+	if l != nil {
 		if owner := s.ownerOf(id); owner != s.cfg.Proc && s.cfg.PeerAck != nil {
 			// Foreign element: its durability records live on the owner.
 			// The lease is marked in-flight (expiry keeps hands off) and
@@ -488,46 +511,16 @@ func (s *Server) settle(cw *connWriter, host int, req *clientproto.Request) bool
 			s.cfg.PeerAck(owner, id, func(err error) { s.settleRemote(cw, req.ReqID, id, err) })
 			return true
 		}
-		delete(s.leases, id)
-		s.stats.Leased = len(s.leases)
-		delete(s.pendElem, id)
-		delete(s.appliedAt, id)
 		s.stats.Acked++
-		s.stats.Served++
-		var seq uint64
-		if s.wal != nil {
-			seq = s.wal.AppendAck(id)
-		}
-		s.mu.Unlock()
-		resp := &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID}
-		if seq != 0 {
-			s.gateOnDurable(seq, cw, resp)
-			return true
-		}
-		return cw.send(resp)
+		return s.ackLocked(cw, req)
 	}
-	if _, pending := s.pendElem[id]; pending {
-		// Replicated ack from the daemon that served the delivery: expunge
-		// the element we own from the pending set and the log. Any delivery
-		// history recorded here (a local nack/expiry whose redelivery
-		// happened on the other daemon) is settled with it — without this
-		// the redeliv entry would never be reclaimed.
-		delete(s.pendElem, id)
-		delete(s.appliedAt, id)
-		delete(s.redeliv, id)
+	if r := s.elems[id]; r != nil && r.pending {
+		// Replicated ack from the daemon that served the delivery: the
+		// element we own leaves the pending set and the log, with any
+		// delivery history recorded here (a local nack or expiry whose
+		// redelivery happened on the other daemon).
 		s.stats.RemoteAcks++
-		s.stats.Served++
-		var seq uint64
-		if s.wal != nil {
-			seq = s.wal.AppendAck(id)
-		}
-		s.mu.Unlock()
-		resp := &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID}
-		if seq != 0 {
-			s.gateOnDurable(seq, cw, resp)
-			return true
-		}
-		return cw.send(resp)
+		return s.ackLocked(cw, req)
 	}
 	if req.Op == clientproto.OpAck && s.cfg.Owner != nil {
 		// Only clustered deployments get idempotent ack fallthrough: a
@@ -550,9 +543,26 @@ func (s *Server) settle(cw *connWriter, host int, req *clientproto.Request) bool
 			return true
 		}
 	}
-	s.stats.Rejected++
+	return s.rejectLocked(cw, req.ReqID, clientproto.ErrUnknownLease)
+}
+
+// ackLocked settles an element at its owner, this daemon: the ack retires
+// its lease record, takes it out of the pending set and is logged. It
+// releases s.mu and answers once the ACK record is durable.
+func (s *Server) ackLocked(cw *connWriter, req *clientproto.Request) bool {
+	id := prio.ElemID(req.ID)
+	delete(s.leases, id)
+	if r := s.elems[id]; r != nil {
+		r.pending = false
+		s.retireLocked(id, r)
+	}
+	s.stats.Served++
+	var seq uint64
+	if s.wal != nil {
+		seq = s.wal.AppendAck(id)
+	}
 	s.mu.Unlock()
-	return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusError, Code: clientproto.ErrUnknownLease})
+	return s.reply(seq, cw, &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID})
 }
 
 // settleRemote finishes a foreign-element ack once the owner daemon
@@ -563,7 +573,7 @@ func (s *Server) settle(cw *connWriter, host int, req *clientproto.Request) bool
 // when the owner recovers, or the stretched expiry redelivers.
 func (s *Server) settleRemote(cw *connWriter, reqID uint64, id prio.ElemID, err error) {
 	s.mu.Lock()
-	l := s.leases[id]
+	l := s.heldLocked(id)
 	if errors.Is(err, ErrAckParked) {
 		if l != nil {
 			l.settling = true
@@ -586,10 +596,7 @@ func (s *Server) settleRemote(cw *connWriter, reqID uint64, id prio.ElemID, err 
 		cw.send(&clientproto.Response{ReqID: reqID, Status: clientproto.StatusError, Code: clientproto.ErrPeerUnavailable})
 		return
 	}
-	if l != nil {
-		delete(s.leases, id)
-		s.stats.Leased = len(s.leases)
-	}
+	delete(s.leases, id)
 	s.stats.Acked++
 	s.stats.Served++
 	s.mu.Unlock()
@@ -607,78 +614,47 @@ func (s *Server) ownerOf(id prio.ElemID) int {
 // reinsertLocked re-injects an element into the heap and tracks the live
 // op (caller holds s.mu).
 func (s *Server) reinsertLocked(host int, e prio.Element) {
-	s.liveIns[e.ID]++
+	s.trackLocked(e).live++
 	s.heap.Reinsert(host, e)
 }
 
-// PendingUnleasedIDs returns, in ascending order, every element of the
-// local pending set that is neither leased here nor inside an in-flight
-// heap op — the candidates reconciliation may need to re-inject after a
-// cluster reset abandoned their positions.
-func (s *Server) PendingUnleasedIDs() []prio.ElemID {
-	s.mu.Lock()
-	floor := s.floorLocked()
-	out := make([]prio.ElemID, 0, len(s.pendElem))
-	for id := range s.pendElem {
-		if !s.reinjectableLocked(id, floor) {
-			continue
-		}
-		out = append(out, id)
+// reinjectableLocked reports whether id's record is an orphan that
+// reconciliation must re-inject: pending, not inside a live heap op, not
+// applied since the current reset floor (an element whose re-buffered op
+// re-applied after the reset is already resident), and not leased here.
+func (s *Server) reinjectableLocked(id prio.ElemID, r *elemState, floor uint64) bool {
+	if !r.pending || r.live > 0 || (r.applied && r.appliedAt >= floor) {
+		return false
 	}
-	s.mu.Unlock()
-	sortIDs(out)
-	return out
+	return s.heldLocked(id) == nil
 }
 
-func (s *Server) floorLocked() uint64 {
-	if s.rheap == nil {
-		return 0
-	}
-	return s.rheap.LastResetFloor()
-}
-
-// reinjectableLocked reports whether a pending element is an orphan that
-// reconciliation must re-inject: not leased here, not inside a live heap
-// op, and not applied since the current reset floor (an element whose
-// re-buffered op re-applied after the reset is already resident).
-func (s *Server) reinjectableLocked(id prio.ElemID, floor uint64) bool {
-	if _, ok := s.pendElem[id]; !ok {
-		return false
-	}
-	if _, leased := s.leases[id]; leased {
-		return false
-	}
-	if s.liveIns[id] > 0 {
-		return false
-	}
-	if at, ok := s.appliedAt[id]; ok && at >= floor {
-		return false
-	}
-	return true
-}
-
-// ReinjectPendingUnleased re-injects every pending element that is not
-// leased locally, not inside a live heap op, and not in skip (ids leased
+// ReinjectPendingUnleased re-injects, in ascending id order, every orphan
+// of the pending set (reinjectableLocked) that is not in skip (ids leased
 // at other live daemons, learned by a lease scan). It returns how many
 // elements were re-injected. After a partial-failure reset the heap's
 // occupied positions were abandoned wholesale, so every at-rest element
 // must re-enter the serialization exactly once — its owner injects it,
 // peers' leases suppress it.
 func (s *Server) ReinjectPendingUnleased(skip map[prio.ElemID]bool) int {
-	ids := s.PendingUnleasedIDs()
 	s.mu.Lock()
-	floor := s.floorLocked()
-	n := 0
-	for _, id := range ids {
-		if skip[id] || !s.reinjectableLocked(id, floor) {
-			continue
-		}
-		s.reinsertLocked(s.cfg.Hosts[n%len(s.cfg.Hosts)], s.pendElem[id])
-		n++
+	defer s.mu.Unlock()
+	var floor uint64
+	if s.rheap != nil {
+		floor = s.rheap.LastResetFloor()
 	}
-	s.stats.Reinjected += int64(n)
-	s.mu.Unlock()
-	return n
+	var ids []prio.ElemID
+	for id, r := range s.elems {
+		if !skip[id] && s.reinjectableLocked(id, r, floor) {
+			ids = append(ids, id)
+		}
+	}
+	slices.Sort(ids)
+	for i, id := range ids {
+		s.reinsertLocked(s.cfg.Hosts[i%len(s.cfg.Hosts)], s.elems[id].elem)
+	}
+	s.stats.Reinjected += int64(len(ids))
+	return len(ids)
 }
 
 // SettleParked resolves one parked foreign ack after its flush attempt:
@@ -701,17 +677,15 @@ func (s *Server) SettleParked(id prio.ElemID, err error) {
 		return
 	}
 	delete(s.leases, id)
-	delete(s.redeliv, id)
-	s.stats.Leased = len(s.leases)
 	s.stats.Acked++
 }
 
-// reject answers a request with a typed error code instead of serving it.
-func (s *Server) reject(cw *connWriter, reqID uint64, code clientproto.ErrCode) {
-	s.mu.Lock()
+// rejectLocked answers a request with a typed error code instead of
+// serving it, releasing s.mu.
+func (s *Server) rejectLocked(cw *connWriter, reqID uint64, code clientproto.ErrCode) bool {
 	s.stats.Rejected++
 	s.mu.Unlock()
-	cw.send(&clientproto.Response{ReqID: reqID, Status: clientproto.StatusError, Code: code})
+	return cw.send(&clientproto.Response{ReqID: reqID, Status: clientproto.StatusError, Code: code})
 }
 
 // onComplete answers the client that issued op (ops injected by recovery
@@ -721,60 +695,56 @@ func (s *Server) reject(cw *connWriter, reqID uint64, code clientproto.ErrCode) 
 func (s *Server) onComplete(op *semantics.Op) {
 	s.mu.Lock()
 	if op.Kind == semantics.Insert {
-		if n := s.liveIns[op.Elem.ID]; n <= 1 {
-			delete(s.liveIns, op.Elem.ID)
-		} else {
-			s.liveIns[op.Elem.ID] = n - 1
-		}
-		if s.rheap != nil {
-			if _, pend := s.pendElem[op.Elem.ID]; pend {
-				s.appliedAt[op.Elem.ID] = s.rheap.LastResetFloor()
+		if r := s.elems[op.Elem.ID]; r != nil {
+			if r.live > 0 { // a repeated completion must not count twice
+				r.live--
 			}
+			if s.rheap != nil && r.pending {
+				r.applied, r.appliedAt = true, s.rheap.LastResetFloor()
+			}
+			s.retireLocked(op.Elem.ID, r)
 		}
 	}
 	ref, ok := s.pending[op]
-	if ok {
-		delete(s.pending, op)
-		s.stats.InFlight = len(s.pending)
-	}
 	if !ok {
 		s.mu.Unlock()
 		return
 	}
+	delete(s.pending, op)
+	s.stats.Served++
 	resp := &clientproto.Response{ReqID: ref.reqID, Value: op.Value}
 	switch {
 	case op.Kind == semantics.Insert:
-		s.stats.Served++
 		resp.Status = clientproto.StatusInserted
 		resp.ID = uint64(op.Elem.ID)
 	case op.Result.Nil():
-		s.stats.Served++
 		resp.Status = clientproto.StatusBottom
 	default:
-		s.stats.Served++
 		resp.Status = clientproto.StatusElem
 		resp.ID = uint64(op.Result.ID)
 		resp.Prio = uint64(op.Result.Prio)
 		resp.Deliveries = s.grantLease(op.Result, op.Node)
 	}
 	s.mu.Unlock()
-	if ref.seq != 0 {
-		s.gateOnDurable(ref.seq, ref.cw, resp)
-		return
-	}
-	if !ref.cw.send(resp) && resp.Status == clientproto.StatusElem {
+	if !s.reply(ref.seq, ref.cw, resp) && resp.Status == clientproto.StatusElem {
 		// The deliveree vanished before the response could be queued; its
 		// lease stands and expires into a redelivery.
 		s.cfg.Logf("dropped delivery of element %d to a dead client; lease will expire", resp.ID)
 	}
 }
 
-// gateOnDurable enqueues resp for delivery once WAL seq is fsynced.
-func (s *Server) gateOnDurable(seq uint64, cw *connWriter, resp *clientproto.Response) {
+// reply sends resp now, or when seq is non-zero, enqueues it for delivery
+// once that WAL record is fsynced. It reports false only when an immediate
+// send found the connection gone.
+func (s *Server) reply(seq uint64, cw *connWriter, resp *clientproto.Response) bool {
+	if seq == 0 {
+		return cw.send(resp)
+	}
 	s.durMu.Lock()
 	s.durQ = append(s.durQ, durWait{seq: seq, cw: cw, resp: resp})
 	s.durMu.Unlock()
 	s.durCond.Signal()
+	return true
 }
 
 // releaseLoop delivers durability-gated responses in arrival order. Seqs
@@ -850,15 +820,9 @@ func (s *Server) Shutdown() (Stats, error) {
 
 	var err error
 	s.mu.Lock()
-	st := s.stats
-	st.Pending = len(s.pendElem)
-	st.Leased = len(s.leases)
-	st.InFlight = len(s.pending)
+	st := s.statsLocked()
 	if s.wal != nil {
-		elems := make([]prio.Element, 0, len(s.pendElem))
-		for _, e := range s.pendElem {
-			elems = append(elems, e)
-		}
+		elems := s.pendingSetLocked()
 		atSeq := s.wal.LastSeq()
 		s.mu.Unlock()
 		err = s.wal.Snapshot(elems, atSeq)
@@ -895,21 +859,36 @@ func (s *Server) Kill() {
 // zero without durability. A restarted daemon must seed its id generator
 // past this value: recovered elements keep their pre-crash ids, and a
 // counter restarting at zero would re-mint them, collapsing two live
-// elements onto one pendElem/lease entry so that a single ACK record
+// elements onto one record per table so that a single ACK record
 // expunges both on the next replay.
 func (s *Server) MaxRecoveredID() prio.ElemID { return s.maxRecovered }
 
 // Stats returns a point-in-time copy of the serving counters.
 func (s *Server) Stats() Stats {
 	s.mu.Lock()
-	st := s.stats
-	st.Pending = len(s.pendElem)
-	st.Leased = len(s.leases)
-	st.InFlight = len(s.pending)
-	st.Conns = len(s.conns)
+	st := s.statsLocked()
 	s.mu.Unlock()
 	if s.wal != nil {
 		st.WAL = s.wal.Stats()
 	}
+	return st
+}
+
+// statsLocked copies the counters and derives the sizes from the tables
+// (caller holds s.mu).
+func (s *Server) statsLocked() Stats {
+	st := s.stats
+	for _, r := range s.elems {
+		if r.pending {
+			st.Pending++
+		}
+	}
+	for _, l := range s.leases {
+		if l.held() {
+			st.Leased++
+		}
+	}
+	st.ElemRecs, st.LeaseRecs = len(s.elems), len(s.leases)
+	st.InFlight, st.Conns = len(s.pending), len(s.conns)
 	return st
 }

@@ -3,7 +3,6 @@ package skeap
 import (
 	"dpq/internal/dht"
 	"dpq/internal/ldb"
-	"dpq/internal/prio"
 	"dpq/internal/sim"
 )
 
@@ -86,33 +85,10 @@ func (h *Heap) requireQuiescent(eng *sim.SyncEngine) {
 }
 
 // migrate redistributes every stored element to its new responsible node
-// and relocates the anchor state if the anchor role moved. It records how
-// many elements actually changed hands (experiment E20).
+// (dht.Migrate, which counts the elements that changed hands for E20) and
+// relocates the anchor state if the anchor role moved.
 func (h *Heap) migrate(oldAnchor sim.NodeID) {
-	// Collect all shards, then redistribute under the new topology.
-	type housed struct {
-		elems []prio.Element
-		was   sim.NodeID
-	}
-	all := make(map[uint64][]housed)
-	for i, n := range h.nodes {
-		if !h.ov.ActiveHost(ldb.HostOf(sim.NodeID(i))) && len(n.store.Elements()) == 0 {
-			continue
-		}
-		for key, elems := range n.store.Dump() {
-			all[key] = append(all[key], housed{elems: elems, was: sim.NodeID(i)})
-		}
-	}
-	h.lastMigrated = 0
-	for key, hs := range all {
-		owner := h.ov.Responsible(dht.KeyPoint(key))
-		for _, hd := range hs {
-			h.nodes[owner].store.Absorb(key, hd.elems)
-			if hd.was != owner {
-				h.lastMigrated += len(hd.elems)
-			}
-		}
-	}
+	h.lastMigrated = dht.Migrate(h.ov, len(h.nodes), func(i sim.NodeID) *dht.DHT { return h.nodes[i].store })
 	// Anchor hand-over.
 	if h.ov.Anchor != oldAnchor {
 		old := h.nodes[oldAnchor]
