@@ -96,9 +96,11 @@ func main() {
 	// runs only its shard; the protocol state of remote nodes is never
 	// touched because their handlers never run here.
 	var heap serve.ProtocolHeap
+	var skeapH *skeap.Heap
 	switch *proto {
 	case "skeap":
-		heap = serve.NewSkeapHeap(skeap.New(skeap.Config{N: *hosts, P: *prios, Seed: *seed}), *prios)
+		skeapH = skeap.New(skeap.Config{N: *hosts, P: *prios, Seed: *seed})
+		heap = serve.NewSkeapHeap(skeapH, *prios)
 	case "seap":
 		if procs > 1 {
 			// Seap's per-cycle serialization finalize is anchored: the root
@@ -134,6 +136,7 @@ func main() {
 			PrioBound: uint64(*prios),
 		})
 		heap = serve.NewHeap(relaxH, uint64(*prios))
+		skeapH = nil
 		*proto = "relax-" + mode.String()
 	}
 
@@ -319,9 +322,11 @@ func main() {
 	}
 	eng.Start()
 	if deferRecovery && rec != nil {
-		// Recovery re-injection waits for the survivors' cluster reset (or
-		// the cold-start timeout on a fresh/full-cluster start); it blocks
-		// on engine progress, so it must not run on this goroutine.
+		// Recovery re-injection of what the WAL recovered waits for the
+		// survivors' cluster reset (or the cold-start timeout of a
+		// full-cluster restart); a WAL that recovered nothing ends it at
+		// once. It blocks on engine progress, so it must not run on this
+		// goroutine.
 		go rec.RecoverAsRestarter()
 	}
 
@@ -373,6 +378,15 @@ func main() {
 	sess.SetExtra("routeHops", heap.Overlay().HopStats())
 	if procs > 1 && hb > 0 {
 		sess.SetExtra("peers", eng.Health())
+	}
+	if skeapH != nil && anchorProc == *proc {
+		// The anchor's batch counts: in continuous mode each quiet epoch
+		// begins with one empty batch, so empty ≪ started on a busy daemon
+		// and an idle one adds neither.
+		sess.SetExtra("batches", map[string]int{"started": skeapH.Iterations(), "empty": skeapH.EmptyIterations()})
+	}
+	if deferRecovery && rec != nil {
+		sess.SetExtra("recovery", rec.Recovery())
 	}
 	if relaxH != nil {
 		// The rank-error histogram of everything this daemon delivered:

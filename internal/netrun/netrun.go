@@ -32,19 +32,23 @@
 // healthy link costs no frame, write or wake-up beyond its payloads'.
 //
 // Model mapping. The engine has no global rounds; instead every process
-// counts local activation ticks (one Activate of every local handler per
-// Config.Tick). A delivery's Delivery.Round is the *sender's* tick when the
-// message was sent, so traces taken on one process are round-monotone per
-// sending node (TCP is FIFO per connection) but not globally — exactly the
-// per-node monotonicity cmd/tracecheck verifies for netrun traces.
-// Metrics.Rounds counts local ticks and congestion windows are local ticks
-// too, making the numbers comparable with the simulators' per-round
-// accounting.
+// counts local activation ticks: one Activate per Config.Tick of every
+// local handler that is not passive (sim.PassiveHandler), and of each
+// passive one that asked for it (sim.WakeableHandler). A tick with nothing
+// to activate is skipped, so a process whose nodes are all passive and
+// unwoken does not tick at all. A delivery's Delivery.Round is the
+// *sender's* tick when the message was sent, so traces taken on one
+// process are round-monotone per sending node (TCP is FIFO per
+// connection) but not globally — exactly the per-node monotonicity
+// cmd/tracecheck verifies for netrun traces. Metrics.Rounds counts local
+// ticks and congestion windows run from tick to tick, making the numbers
+// comparable with the simulators' per-round accounting.
 package netrun
 
 import (
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,7 +80,8 @@ type Config struct {
 	// Group means identity.
 	Groups int
 	Group  func(sim.NodeID) int
-	// Tick is the activation period (default 1ms).
+	// Tick is the activation period (default 1ms): the pacing of
+	// activations while there are nodes to activate.
 	Tick time.Duration
 	// Observer, when set, sees every local delivery (after accounting,
 	// before the handler runs) — wire it to obs exactly like a simulator.
@@ -144,10 +149,18 @@ type Engine struct {
 	acc        sim.Metrics
 	tickLoad   []int // per-group deliveries in the current tick window
 
-	mu     sync.Mutex // guards inbox and ctl
+	mu     sync.Mutex // guards inbox, ctl and woken
 	inbox  []inEnv    // sends from other goroutines and inbound frames
 	ctl    []func()   // detector callbacks awaiting the run goroutine
+	woken  []sim.NodeID
 	notify chan struct{}
+
+	// active lists the local nodes whose handler is not passive: the nodes
+	// every tick activates. woken (under mu) lists the passive ones that
+	// asked for an activation at the next tick; wokenSpare is the run
+	// goroutine's other buffer for it.
+	active     []sim.NodeID
+	wokenSpare []sim.NodeID
 
 	peers []*peer // by process; nil at Proc
 
@@ -270,9 +283,17 @@ func New(cfg Config) (*Engine, error) {
 		e.localIDs = append(e.localIDs, id)
 		rnd := hashutil.NewRand(hashutil.Mix2(cfg.Seed, uint64(id)))
 		e.ctxs[id] = sim.NewExternalContext(id, rnd, handlerSender{e})
+		if p, ok := cfg.Handlers[i].(sim.PassiveHandler); !ok || !p.Passive() {
+			e.active = append(e.active, id)
+		}
 	}
 	if len(e.localIDs) == 0 {
 		return nil, fmt.Errorf("netrun: process %d owns no nodes", cfg.Proc)
+	}
+	for _, id := range e.localIDs {
+		if w, ok := cfg.Handlers[id].(sim.WakeableHandler); ok {
+			w.SetWake(e.wake)
+		}
 	}
 
 	ln := cfg.Listener
@@ -382,22 +403,29 @@ func (e *Engine) poke() {
 }
 
 // run is the single goroutine that executes handlers: deliveries as they
-// arrive, one activation of every local node per tick.
+// arrive, one activation of the local nodes that need it per tick. The
+// tick timer behaves like a time.Ticker of period Config.Tick — a tick
+// falls on each boundary, and one that passed while the goroutine was busy
+// fires as soon as it is free — except that it is armed only while some
+// node needs activating. A process whose nodes are all passive and unwoken
+// sleeps until a delivery, a wake or the stop.
 func (e *Engine) run() {
 	defer e.wg.Done()
-	ticker := time.NewTicker(e.cfg.Tick)
-	defer ticker.Stop()
+	period, origin := e.cfg.Tick, time.Now()
+	boundary := int64(1) // the boundary the armed (or last fired) tick stands for
+	timer := time.NewTimer(period)
+	defer timer.Stop()
+	tick := timer.C
 	for {
 		select {
 		case <-e.stop:
 			return
 		case <-e.notify:
 			e.drain()
-		case <-ticker.C:
+		case <-tick:
+			tick = nil
 			e.drain()
-			for _, id := range e.localIDs {
-				e.cfg.Handlers[id].Activate(e.ctxs[id])
-			}
+			e.activate()
 			e.flushPeers()
 			e.closeTickWindow()
 			e.drain() // what the activations sent locally
@@ -409,7 +437,60 @@ func (e *Engine) run() {
 				}
 			}
 		}
+		if tick == nil && !e.idle() {
+			now := time.Since(origin)
+			first := int64(now/period) + 1 // the first boundary after now
+			if first > boundary+1 {
+				// A boundary passed since the last tick: fire now for it.
+				boundary = first - 1
+				timer.Reset(0)
+			} else {
+				boundary = first
+				timer.Reset(time.Duration(first)*period - now)
+			}
+			tick = timer.C
+		}
 	}
+}
+
+// wake asks for one activation of node id at the next tick
+// (sim.WakeableHandler). Safe from any goroutine.
+func (e *Engine) wake(id sim.NodeID) {
+	e.mu.Lock()
+	e.woken = append(e.woken, id)
+	e.mu.Unlock()
+	e.poke()
+}
+
+// activate runs one tick's activations: every active node, then every
+// woken passive one once. The woken list is double-buffered, so a wake
+// raised by an activation lands in the other buffer, for the next tick.
+func (e *Engine) activate() {
+	for _, id := range e.active {
+		e.cfg.Handlers[id].Activate(e.ctxs[id])
+	}
+	e.mu.Lock()
+	woken := e.woken
+	e.woken = e.wokenSpare
+	e.mu.Unlock()
+	slices.Sort(woken)
+	for _, id := range slices.Compact(woken) {
+		if !slices.Contains(e.active, id) {
+			e.cfg.Handlers[id].Activate(e.ctxs[id])
+		}
+	}
+	e.wokenSpare = woken[:0]
+}
+
+// idle reports whether no tick is needed: no node to activate, and no
+// idle link that only the tick loop would acknowledge.
+func (e *Engine) idle() bool {
+	if len(e.active) > 0 || e.cfg.HeartbeatEvery == 0 && len(e.peers) > 1 {
+		return false
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.woken) == 0
 }
 
 // pushCtl schedules f on the run goroutine (detector callbacks run where

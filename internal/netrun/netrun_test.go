@@ -314,3 +314,113 @@ func TestTwoProcessSkeap(t *testing.T) {
 		}
 	}
 }
+
+// TestIdleSkeapWritesNoFrames: once a two-process Skeap network has
+// drained its operations and run the empty batch that makes its anchor
+// quiet, it writes (almost) no data frames. Before the quiet anchor each
+// process wrote a few frames per tick.
+func TestIdleSkeapWritesNoFrames(t *testing.T) {
+	if testing.Short() {
+		t.Skip("network cluster test")
+	}
+	const n = 4
+	lns, addrs := bindLoopback(t, 2)
+	owner := func(id sim.NodeID) int { return ldb.HostOf(id) * 2 / n }
+	heaps := make([]*skeap.Heap, 2)
+	engines := make([]*Engine, 2)
+	for p := range engines {
+		h := skeap.New(skeap.Config{N: n, P: 2, Seed: 43})
+		groups, group := h.Overlay().Group()
+		eng, err := New(Config{
+			Proc: p, Addrs: addrs, Listener: lns[p],
+			Handlers: h.Handlers(), Owner: owner,
+			Seed: 7, Groups: groups, Group: group,
+			Tick: time.Millisecond, Strict: true,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		heaps[p], engines[p] = h, eng
+		defer eng.Close()
+	}
+	for _, eng := range engines {
+		eng.Start()
+	}
+	for p, h := range heaps {
+		for i := 0; i < 20; i++ {
+			host := p*n/2 + i%(n/2)
+			if i%2 == 0 {
+				h.InjectInsert(host, prio.ElemID(1+p*1000+i), i%2, "")
+			} else {
+				h.InjectDelete(host)
+			}
+		}
+	}
+	waitFor(t, 30*time.Second, "all operations to complete", func() bool {
+		return heaps[0].Done() && heaps[1].Done()
+	})
+	frames := func() (f [2]int64) {
+		for p, eng := range engines {
+			f[p] = eng.Links().Frames
+		}
+		return f
+	}
+	// Drained: no frame for 20 ticks in a row.
+	last := frames()
+	waitFor(t, 10*time.Second, "the network to go quiet", func() bool {
+		time.Sleep(20 * time.Millisecond)
+		now := frames()
+		quiet := now == last
+		last = now
+		return quiet
+	})
+	ticks := [2]int{engines[0].Metrics().Rounds, engines[1].Metrics().Rounds}
+	waitFor(t, 30*time.Second, "500 idle ticks", func() bool {
+		return engines[0].Metrics().Rounds >= ticks[0]+500 && engines[1].Metrics().Rounds >= ticks[1]+500
+	})
+	for p, f := range frames() {
+		if wrote := f - last[p]; wrote > 10 {
+			t.Errorf("process %d wrote %d data frames in 500 idle ticks, want ≤ 10", p, wrote)
+		}
+	}
+}
+
+// TestIdleSkeapStopsTicking: a drained one-process Skeap network has no
+// node to activate, so its engine stops ticking; an operation injected
+// later wakes it and completes.
+func TestIdleSkeapStopsTicking(t *testing.T) {
+	h := skeap.New(skeap.Config{N: 4, P: 2, Seed: 44})
+	groups, group := h.Overlay().Group()
+	eng, err := New(Config{
+		Addrs: []string{"unused"}, Handlers: h.Handlers(),
+		Seed: 7, Groups: groups, Group: group,
+		Tick: time.Millisecond, Strict: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	eng.Start()
+	h.InjectInsert(1, 1, 0, "")
+	waitFor(t, 10*time.Second, "the insert", h.Done)
+	last := eng.Metrics().Rounds
+	waitFor(t, 10*time.Second, "the engine to stop ticking", func() bool {
+		time.Sleep(20 * time.Millisecond)
+		now := eng.Metrics().Rounds
+		stopped := now == last
+		last = now
+		return stopped
+	})
+	time.Sleep(100 * time.Millisecond)
+	if ticks := eng.Metrics().Rounds - last; ticks > 0 {
+		t.Fatalf("an idle engine ticked %d times in 100 ms", ticks)
+	}
+	del := h.InjectDelete(3)
+	waitFor(t, 10*time.Second, "a delete injected while idle", h.Done)
+	if del.Result.ID != 1 {
+		t.Fatalf("delete returned %v, want element 1", del.Result)
+	}
+	if eng.Metrics().Rounds == last {
+		t.Fatal("the delete completed without a tick")
+	}
+}

@@ -57,6 +57,9 @@ type ResettableHeap interface {
 	// LastResetFloor reports the highest reset floor any local virtual
 	// node has applied (0 before the first reset).
 	LastResetFloor() uint64
+	// ResetSignal returns a channel closed when a local node next applies
+	// a reset; take it before reading LastResetFloor.
+	ResetSignal() <-chan struct{}
 }
 
 // NewSkeapHeap serves a skeap heap whose priority universe has p classes.

@@ -55,10 +55,12 @@ type Reconciler struct {
 	// without a reset, re-injecting could duplicate elements still
 	// resident in live heap cells.
 	ResetTimeout time.Duration
-	// ColdStartTimeout bounds the restarter's wait for a survivor-driven
-	// reset (default 2s). A full-cluster restart produces no rejoin
-	// events anywhere, so no reset ever comes; the timeout path then
-	// re-injects against an empty heap, which is trivially safe.
+	// ColdStartTimeout bounds a restarter's wait for a survivor-driven
+	// reset when its WAL recovered pending elements (default 2s). A
+	// full-cluster restart produces no rejoin events anywhere, so no reset
+	// ever comes; the timeout path then re-injects against an empty heap,
+	// which is trivially safe. A restarter that recovered nothing does not
+	// wait at all.
 	ColdStartTimeout time.Duration
 	// SettleDelay is the quiescence window between observing the reset
 	// floor and scanning leases (default 250ms). It lets in-flight
@@ -71,7 +73,26 @@ type Reconciler struct {
 
 	dmu       sync.Mutex
 	downFloor map[int]uint64 // reset floor when each peer was marked down
+	recovery  Recovery       // RecoverAsRestarter's outcome
 }
+
+// Recovery is how a restarter's deferred recovery went (dpqd reports it as
+// the "recovery" metrics extra).
+type Recovery struct {
+	// Decision is "" until RecoverAsRestarter returns, then one of
+	// RecoveredNothing, RecoveredAfterReset or RecoveredColdStart.
+	Decision   string  `json:"decision"`
+	Floor      uint64  `json:"floor"`      // reset floor waited for (RecoveredAfterReset)
+	Reinjected int     `json:"reinjected"` // elements re-injected
+	Seconds    float64 `json:"seconds"`    // from the call to the re-injection pass's end
+}
+
+// The recovery decisions.
+const (
+	RecoveredNothing    = "nothing-recovered"  // the WAL held no pending element: no wait
+	RecoveredAfterReset = "reset"              // a survivor's reset landed, then re-injection
+	RecoveredColdStart  = "cold-start-timeout" // no reset within ColdStartTimeout: full-cluster restart
+)
 
 func (r *Reconciler) logf(format string, args ...any) {
 	if r.Logf != nil {
@@ -143,7 +164,7 @@ func (r *Reconciler) PeerRejoined(proc int) {
 	if r.AnchorLocal {
 		r.Heap.InjectReset()
 	}
-	if !r.waitFloorAbove(prev, r.resetTimeout()) {
+	if _, ok := r.waitFloorAbove(prev, r.resetTimeout()); !ok {
 		// No reset observed (the anchor's daemon may be the one that
 		// died — a documented single point of failure). Re-injecting
 		// without a reset risks duplicating elements still reachable in
@@ -168,29 +189,63 @@ func (r *Reconciler) PeerRejoined(proc int) {
 // not leased at a survivor is injected fresh. Call from a goroutine after
 // the engine starts. A full-cluster restart sees no reset (nobody
 // observed a rejoin) and proceeds after ColdStartTimeout — correct, since
-// the heap is then empty on every daemon.
+// the heap is then empty on every daemon. A WAL that recovered nothing
+// pending (a fresh directory, or every insert acked) leaves nothing a
+// reset could make safe to re-inject, so recovery ends at once.
 func (r *Reconciler) RecoverAsRestarter() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.waitFloorAbove(0, r.coldStartTimeout()) {
-		r.logf("reconcile: no reset within %v, assuming cold start", r.coldStartTimeout())
-	} else {
-		time.Sleep(r.settleDelay())
+	start := time.Now()
+	rec := Recovery{Decision: RecoveredNothing}
+	if r.Server.refillPending() {
+		var ok bool
+		if rec.Floor, ok = r.waitFloorAbove(0, r.coldStartTimeout()); ok {
+			rec.Decision = RecoveredAfterReset
+			time.Sleep(r.settleDelay())
+		} else {
+			rec.Decision = RecoveredColdStart
+		}
+		rec.Reinjected = r.reinjectAfterScan()
 	}
-	n := r.reinjectAfterScan()
-	r.logf("reconcile: restarter re-injected %d elements", n)
+	rec.Seconds = time.Since(start).Seconds()
+	r.dmu.Lock()
+	r.recovery = rec
+	r.dmu.Unlock()
+	switch rec.Decision {
+	case RecoveredAfterReset:
+		r.logf("reconcile: recovery decision: waited for reset floor %d (%.3fs)", rec.Floor, rec.Seconds)
+	case RecoveredColdStart:
+		r.logf("reconcile: recovery decision: no reset within %v, cold start (%.3fs)", r.coldStartTimeout(), rec.Seconds)
+	default:
+		r.logf("reconcile: recovery decision: nothing recovered (%.3fs)", rec.Seconds)
+	}
+	r.logf("reconcile: restarter re-injected %d elements", rec.Reinjected)
 }
 
-// waitFloorAbove polls the local reset floor until it exceeds prev.
-func (r *Reconciler) waitFloorAbove(prev uint64, timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for r.Heap.LastResetFloor() <= prev {
-		if time.Now().After(deadline) {
-			return false
+// Recovery returns RecoverAsRestarter's outcome (the zero Recovery while
+// it runs or if it never ran).
+func (r *Reconciler) Recovery() Recovery {
+	r.dmu.Lock()
+	defer r.dmu.Unlock()
+	return r.recovery
+}
+
+// waitFloorAbove waits, at most timeout, for the heap to apply a reset
+// that lifts the local reset floor above prev, and returns that floor.
+func (r *Reconciler) waitFloorAbove(prev uint64, timeout time.Duration) (uint64, bool) {
+	deadline := time.NewTimer(timeout)
+	defer deadline.Stop()
+	for {
+		applied := r.Heap.ResetSignal()
+		if floor := r.Heap.LastResetFloor(); floor > prev {
+			return floor, true
 		}
-		time.Sleep(10 * time.Millisecond)
+		select {
+		case <-applied:
+		case <-deadline.C:
+			return 0, false
+		}
 	}
-	return true
 }
 
 // reinjectAfterScan gathers every live peer's lease set and re-injects

@@ -341,8 +341,9 @@ func TestRestartInsertIDsSkipRecovered(t *testing.T) {
 // the floor stays 0 — a cold start.
 type resettableTestHeap struct{ *testHeap }
 
-func (resettableTestHeap) InjectReset()           {}
-func (resettableTestHeap) LastResetFloor() uint64 { return 0 }
+func (resettableTestHeap) InjectReset()                 {}
+func (resettableTestHeap) LastResetFloor() uint64       { return 0 }
+func (resettableTestHeap) ResetSignal() <-chan struct{} { return nil }
 
 // TestColdStartReinjectsOnlyRecovered: on a fresh or full-cluster start
 // nobody resets, so the deferred recovery runs at floor 0 — after clients

@@ -99,6 +99,9 @@ type Config struct {
 	// set: New loads it into the pending set but leaves the heap empty
 	// until ReinjectPendingUnleased runs — a restarting daemon must first
 	// learn from survivors which of its elements are still leased there.
+	// Until then deletes are answered StatusUnavailable too: the heap
+	// lacks the recovered elements, so a delete would return ⊥ or skip
+	// them.
 	Degraded      func() bool
 	DeferRecovery bool
 
@@ -163,6 +166,10 @@ type Server struct {
 	draining bool
 	hostCtr  int
 	stats    Stats // counters; the sizes are derived in statsLocked
+
+	// refilling: DeferRecovery recovered elements that no re-injection
+	// pass has put back into the heap yet.
+	refilling bool
 
 	// Durability gate: responses waiting for their WAL record to fsync.
 	durMu   sync.Mutex
@@ -276,6 +283,7 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		if len(recovered) > 0 {
+			s.refilling = cfg.DeferRecovery
 			cfg.Logf("recovered %d pending elements from %s (deferred=%v)", len(recovered), cfg.WALDir, cfg.DeferRecovery)
 		}
 	}
@@ -409,9 +417,11 @@ func (s *Server) handle(cw *connWriter, host int, req *clientproto.Request) bool
 		return s.rejectLocked(cw, req.ReqID, clientproto.ErrOverloaded)
 	}
 	degraded := s.cfg.Degraded != nil && s.cfg.Degraded()
-	if degraded && req.Op == clientproto.OpDelete {
+	if (degraded || s.refilling) && req.Op == clientproto.OpDelete {
 		// A dark subtree stalls the heap's serialization, so no delete can
-		// complete; park the request retryably instead of wedging it.
+		// complete; park the request retryably instead of wedging it. A
+		// heap still waiting for its recovered elements would answer ⊥ or
+		// skip them: same answer.
 		s.stats.Unavailable++
 		s.mu.Unlock()
 		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusUnavailable, Code: clientproto.ErrPeerUnavailable})
@@ -654,7 +664,16 @@ func (s *Server) ReinjectPendingUnleased(skip map[prio.ElemID]bool) int {
 		s.reinsertLocked(s.cfg.Hosts[i%len(s.cfg.Hosts)], s.elems[id].elem)
 	}
 	s.stats.Reinjected += int64(len(ids))
+	s.refilling = false
 	return len(ids)
+}
+
+// refillPending reports whether a deferred recovery still has elements to
+// re-inject (Config.DeferRecovery).
+func (s *Server) refillPending() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.refilling
 }
 
 // SettleParked resolves one parked foreign ack after its flush attempt:

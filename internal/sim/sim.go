@@ -84,11 +84,27 @@ type Handler interface {
 // round, which makes wrappers (ReliableTransport) conservative by
 // construction. The engine reads the answer when a handler joins; a driver
 // that changes it later (an anchor hand-over) must call
-// SyncEngine.RefreshActive. Only the synchronous engine consults it: the
-// asynchronous engine's activations draw randomness and stay dense.
+// SyncEngine.RefreshActive. The synchronous engine and netrun consult it:
+// the asynchronous engine's activations draw randomness and stay dense.
 type PassiveHandler interface {
 	Handler
 	Passive() bool
+}
+
+// WakeableHandler is an optional capability of a PassiveHandler whose node
+// sometimes needs an activation after all: a driver buffers an operation
+// at a node that sits idle, or a node's state changes so that its next
+// activation acts. An engine that skips passive nodes passes wake to
+// every such handler when it joins, and wake(id) asks for one activation
+// of node id. The synchronous engine gives it in the current round's
+// activation phase when the wake is raised while the round's messages are
+// delivered, otherwise in the next Step, in id order among the active
+// nodes: exactly when an engine that activates every node would act, so
+// waking changes no message, round or trace. Engines that activate every
+// node every round never call SetWake.
+type WakeableHandler interface {
+	PassiveHandler
+	SetWake(wake func(NodeID))
 }
 
 // isPassive reports whether h declares its Activate a no-op.

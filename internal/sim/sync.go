@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/bits"
+	"slices"
 
 	"dpq/internal/hashutil"
 )
@@ -11,9 +12,11 @@ import (
 // processed in round i+1; every node is activated once per round after
 // draining its channel. A node whose handler declares itself passive
 // (PassiveHandler) is not activated: its Activate would do nothing, and an
-// activation without effect cannot be observed. A round therefore costs
-// O(messages + active nodes), not O(nodes). The round runs on the calling
-// goroutine; real concurrency is the network runtime's (internal/netrun).
+// activation without effect cannot be observed; one that comes to have work
+// without mail asks for a single activation (WakeableHandler). A round
+// therefore costs O(messages + active nodes), not O(nodes). The round runs
+// on the calling goroutine; real concurrency is the network runtime's
+// (internal/netrun).
 //
 // Node state is stored struct-of-arrays (ARCHITECTURE.md §14): contexts
 // and PRNG states are flat value slices addressed by node index, and
@@ -48,8 +51,12 @@ type SyncEngine struct {
 	inbox []inboxRange // the current round's non-empty inboxes, by increasing node id
 
 	// active lists the nodes whose handler is not passive, in increasing
-	// id order: the only nodes Step activates.
+	// id order: the nodes Step activates every round. woken lists the
+	// passive nodes a WakeableHandler asked to activate in the next Step;
+	// wakeFn is the one func value handed to those handlers.
 	active []NodeID
+	woken  []NodeID
+	wakeFn func(NodeID)
 
 	// roundLoad is the per-group delivery count of the current round and
 	// roundMax its maximum; Step zeroes the groups of the round's
@@ -98,12 +105,16 @@ func newSync(handlers []Handler, seed uint64, groups int, group func(NodeID) int
 		roundLoad: make([]int, groups),
 		strict:    strictDefault(),
 	}
+	e.wakeFn = e.wake
 	e.metrics.Deliveries = make([]int64, groups)
-	for i := range handlers {
+	for i, h := range handlers {
 		// Byte-identical to forking a root NewRand(seed) once per node, in
 		// node order, but derivable per node in O(1).
 		e.rands[i] = *hashutil.NewRand(hashutil.ForkSeedAt(seed, uint64(i)))
 		e.contexts[i] = Context{id: NodeID(i), rand: &e.rands[i], engine: e}
+		if w, ok := h.(WakeableHandler); ok {
+			w.SetWake(e.wakeFn)
+		}
 	}
 	e.RefreshActive()
 	return e
@@ -129,6 +140,9 @@ func (e *SyncEngine) AddHandler(h Handler, seed uint64) NodeID {
 	}
 	if !isPassive(h) {
 		e.active = append(e.active, id)
+	}
+	if w, ok := h.(WakeableHandler); ok {
+		w.SetWake(e.wakeFn)
 	}
 	if g := e.group(id); g >= e.nGrp {
 		e.nGrp = g + 1
@@ -217,7 +231,8 @@ func (e *SyncEngine) seal() {
 
 // Step executes one synchronous round: every node with mail drains its
 // channel, then every active node is activated once, both in increasing
-// id order. It returns the number of messages delivered.
+// id order, and so is every passive node woken since the last Step (see
+// WakeableHandler). It returns the number of messages delivered.
 func (e *SyncEngine) Step() int {
 	// Messages sent in the previous round become deliverable now.
 	e.seal()
@@ -241,9 +256,7 @@ func (e *SyncEngine) Step() int {
 		}
 		lo = r.hi
 	}
-	for _, id := range e.active {
-		e.handlers[id].Activate(&e.contexts[id])
-	}
+	e.activate()
 	// Fold the round's load into Congestion, zeroing only the groups it
 	// touched.
 	for _, r := range e.inbox {
@@ -255,6 +268,43 @@ func (e *SyncEngine) Step() int {
 	e.roundMax = 0
 	e.metrics.Rounds++
 	return len(e.box)
+}
+
+// wake schedules one activation of node id in the next Step (see
+// WakeableHandler).
+func (e *SyncEngine) wake(id NodeID) {
+	e.woken = append(e.woken, id)
+}
+
+// activate runs the round's activations: the active nodes and the woken
+// ones, merged in increasing id order, each once. Wakes raised during the
+// activations are for the next round.
+func (e *SyncEngine) activate() {
+	w := e.woken
+	if len(w) == 0 {
+		for _, id := range e.active {
+			e.handlers[id].Activate(&e.contexts[id])
+		}
+		return
+	}
+	e.woken = nil
+	slices.Sort(w)
+	rest := slices.Compact(w)
+	for a := e.active; len(a) > 0 || len(rest) > 0; {
+		var id NodeID
+		if len(rest) == 0 || len(a) > 0 && a[0] <= rest[0] {
+			id, a = a[0], a[1:]
+			if len(rest) > 0 && rest[0] == id {
+				rest = rest[1:]
+			}
+		} else {
+			id, rest = rest[0], rest[1:]
+		}
+		e.handlers[id].Activate(&e.contexts[id])
+	}
+	if e.woken == nil {
+		e.woken = w[:0]
+	}
 }
 
 // RunUntil steps the engine until done() returns true or maxRounds rounds

@@ -42,7 +42,6 @@ func (h *Heap) AddHost(eng *sim.SyncEngine, id uint64) int {
 	}
 	h.cfg.N++
 	h.migrate(oldAnchor)
-	eng.RefreshActive()
 	return host
 }
 
@@ -61,7 +60,6 @@ func (h *Heap) RemoveHost(eng *sim.SyncEngine, host int) {
 	h.ov.RemoveHost(host)
 	h.cfg.N--
 	h.migrate(oldAnchor)
-	eng.RefreshActive()
 }
 
 func (h *Heap) requireQuiescent(eng *sim.SyncEngine) {

@@ -241,8 +241,8 @@ func (c *activationCounter) Activate(ctx *sim.Context) {
 // TestAnchorHandoverAutoRepeat moves the anchor role on a quiescent heap —
 // the anchor's host leaves, or a host with a smaller label joins — and then
 // lets the heap drive itself. The synchronous engine activates only the
-// anchor, so the new anchor starts iterations only if the hand-over
-// refreshed the engine's active set.
+// nodes that ask for it, so the new anchor starts iterations only if it,
+// and not the old one, is the node woken.
 func TestAnchorHandoverAutoRepeat(t *testing.T) {
 	for _, join := range []bool{false, true} {
 		name := map[bool]string{false: "leave", true: "join"}[join]

@@ -30,11 +30,23 @@ func (h *Heap) batchProto() *aggtree.Proto {
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value, combined aggtree.Value) aggtree.Value {
 			h.col.Phase("skeap:scatter")
 			n := h.nodes[self.ID]
-			asn := n.anchorState.AssignPositions(combined.(*batch.Batch))
+			b := combined.(*batch.Batch)
 			n.inFlight = false // the anchor may start the next iteration
-			return asn
+			if b.Len() == 0 {
+				h.emptyIters++
+				if h.autoRepeat {
+					return quietDown // nothing to assign; the anchor goes quiet (quiet.go)
+				}
+			}
+			if h.autoRepeat {
+				h.wakeAnchor() // to start the next iteration
+			}
+			return n.anchorState.AssignPositions(b)
 		},
 		Split: func(self *ldb.VInfo, seq uint64, _ aggtree.Value, down aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) (aggtree.Value, []aggtree.Value) {
+			if down == quietDown {
+				return splitQuiet(kids)
+			}
 			kidBatches := make([]*batch.Batch, len(kids))
 			for i, kv := range kids {
 				kidBatches[i] = kv.V.(*batch.Batch)
@@ -47,6 +59,10 @@ func (h *Heap) batchProto() *aggtree.Proto {
 			return ownA, parts
 		},
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value, ownPart aggtree.Value) {
+			if ownPart == quietDown {
+				h.nodes[self.ID].goQuiet(ctx, self)
+				return
+			}
 			h.nodes[self.ID].apply(ctx, self, seq, ownPart.(*batch.Assign))
 		},
 	}
@@ -54,9 +70,11 @@ func (h *Heap) batchProto() *aggtree.Proto {
 
 // snapshot drains the node's buffer into a batch (Phase 1) and memorizes,
 // per operation, where in the batch it sits, so the assignment can be
-// mapped back in Phase 4.
+// mapped back in Phase 4. The start wave that asks for it ends the node's
+// quiet epoch, if any.
 func (n *Node) snapshot(seq uint64) *batch.Batch {
 	n.mu.Lock()
+	n.quiet, n.woke = false, false
 	ops := n.buffer
 	if cap := n.heap.cfg.MaxBatch; cap > 0 && len(ops) > cap {
 		ops = n.buffer[:cap]

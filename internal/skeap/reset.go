@@ -65,18 +65,33 @@ func init() {
 
 // InjectReset requests a cluster-wide iteration reset. It must be called on
 // the process that owns the anchor node; the anchor broadcasts the reset on
-// its next activation. Safe from any goroutine.
+// its next activation, which it asks the engine for. Safe from any
+// goroutine.
 func (h *Heap) InjectReset() {
 	a := h.nodes[h.ov.Anchor]
 	a.mu.Lock()
 	a.resetPending = true
 	a.mu.Unlock()
+	h.wakeAnchor()
 }
 
 // LastResetFloor returns the highest reset floor any local node has
-// applied (0 before the first reset). Drivers poll it after a rejoin to
+// applied (0 before the first reset). Drivers read it after a rejoin to
 // order lease scans and re-injection behind the reset.
 func (h *Heap) LastResetFloor() uint64 { return h.resetFloor.Load() }
+
+// ResetSignal returns a channel that is closed when a local node next
+// applies a reset. Take the channel before reading LastResetFloor: a reset
+// raises the floor before it closes the channel, so a waiter that finds
+// the floor unchanged cannot miss the reset that changes it.
+func (h *Heap) ResetSignal() <-chan struct{} {
+	h.resetMu.Lock()
+	defer h.resetMu.Unlock()
+	if h.resetCh == nil {
+		h.resetCh = make(chan struct{})
+	}
+	return h.resetCh
+}
 
 // Resets returns how many ResetMsgs local nodes have applied.
 func (h *Heap) Resets() int64 { return h.resetApplied.Load() }
@@ -136,6 +151,14 @@ func (n *Node) applyReset(floor uint64) {
 		n.anchorState.Abandon()
 		n.inFlight = false
 	}
+	if n.anchorState != nil {
+		// A node whose copy of the quiet down wave fell below the floor
+		// never went quiet and cannot wake the anchor: the anchor leaves its
+		// quiet epoch and starts the next iteration itself.
+		n.mu.Lock()
+		n.quiet = false
+		n.mu.Unlock()
+	}
 
 	h := n.heap
 	for {
@@ -145,4 +168,10 @@ func (n *Node) applyReset(floor uint64) {
 		}
 	}
 	h.resetApplied.Add(1)
+	h.resetMu.Lock()
+	if h.resetCh != nil {
+		close(h.resetCh)
+		h.resetCh = nil
+	}
+	h.resetMu.Unlock()
 }

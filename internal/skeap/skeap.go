@@ -109,6 +109,11 @@ type Node struct {
 	// resetPending, set by InjectReset under mu, makes the anchor broadcast
 	// a ResetMsg on its next activation.
 	resetPending bool
+
+	// quiet: this node applied the quiet down wave and has seen no start
+	// wave since; woke: it sent or forwarded its one wake of that epoch
+	// (quiet.go). Both are written under mu, on the handler goroutine.
+	quiet, woke bool
 }
 
 // Heap drives a Skeap network: it owns the overlay, the per-virtual-node
@@ -126,17 +131,25 @@ type Heap struct {
 	// previous one has been scattered; benchmarks disable it to measure a
 	// single batch.
 	autoRepeat bool
+	// emptyIters counts the anchor's iterations that carried no operation.
+	emptyIters int
 	// lastMigrated counts elements that changed hosts in the most recent
 	// membership change (experiment E20).
 	lastMigrated int
+	// wake, set by the engine (sim.WakeableHandler), asks for one
+	// activation of a node; nil on engines that activate every node.
+	wake func(sim.NodeID)
 	// col, when set, receives the phase timeline of each iteration:
 	// gather (phase 1), scatter (phases 2–3) and dht (phase 4).
 	col *obs.Collector
 
 	// resetFloor/resetApplied publish partial-failure reset progress to the
-	// (possibly remote-driving) serving layer; see reset.go.
+	// (possibly remote-driving) serving layer, and resetCh is closed (and
+	// replaced) whenever a local node applies a reset; see reset.go.
 	resetFloor   atomic.Uint64
 	resetApplied atomic.Int64
+	resetMu      sync.Mutex
+	resetCh      chan struct{}
 }
 
 // MigratedLastChange returns how many stored elements changed hosts during
@@ -206,10 +219,33 @@ func (h *Heap) Check() *semantics.Report {
 // Iterations returns how many batch iterations the anchor has started.
 func (h *Heap) Iterations() int { return h.nodes[h.ov.Anchor].iterations }
 
+// EmptyIterations returns how many of the anchor's iterations carried no
+// operation. In continuous mode each quiet epoch begins with one.
+func (h *Heap) EmptyIterations() int { return h.emptyIters }
+
 // SetAutoRepeat controls whether the anchor keeps starting iterations on
-// its own (the protocol's continuous mode). Disable for single-batch
-// measurements and drive iterations with StartIteration.
-func (h *Heap) SetAutoRepeat(on bool) { h.autoRepeat = on }
+// its own (the protocol's continuous mode): while there is work, and after
+// an empty iteration only when woken (quiet.go). Disable for single-batch
+// measurements and drive iterations with StartIteration. Enabling it ends
+// the anchor's quiet epoch, so the anchor's next activation starts an
+// iteration whose start wave reaches every node, joined ones included.
+func (h *Heap) SetAutoRepeat(on bool) {
+	h.autoRepeat = on
+	if on {
+		a := h.nodes[h.ov.Anchor]
+		a.mu.Lock()
+		a.quiet = false
+		a.mu.Unlock()
+		h.wakeAnchor()
+	}
+}
+
+// wakeAnchor asks the engine to activate the anchor.
+func (h *Heap) wakeAnchor() {
+	if h.wake != nil {
+		h.wake(h.ov.Anchor)
+	}
+}
 
 // SetObs attaches a phase-timeline collector: the anchor marks the
 // gather/scatter/dht phase transitions of each iteration on it. nil
@@ -251,10 +287,7 @@ func (h *Heap) InjectInsert(host int, id prio.ElemID, p int, payload string) *se
 	}
 	e := prio.Element{ID: id, Prio: prio.Priority(p), Payload: payload}
 	op := h.trace.Issue(host, semantics.Insert, e)
-	n := h.nodes[ldb.VID(host, ldb.Middle)]
-	n.mu.Lock()
-	n.buffer = append(n.buffer, pendingOp{kind: semantics.Insert, elem: e, op: op})
-	n.mu.Unlock()
+	h.buffer(host, pendingOp{kind: semantics.Insert, elem: e, op: op})
 	return op
 }
 
@@ -262,11 +295,23 @@ func (h *Heap) InjectInsert(host int, id prio.ElemID, p int, payload string) *se
 // returned op carries the deleted element (or ⊥) once complete.
 func (h *Heap) InjectDelete(host int) *semantics.Op {
 	op := h.trace.Issue(host, semantics.DeleteMin, prio.Element{})
-	n := h.nodes[ldb.VID(host, ldb.Middle)]
-	n.mu.Lock()
-	n.buffer = append(n.buffer, pendingOp{kind: semantics.DeleteMin, op: op})
-	n.mu.Unlock()
+	h.buffer(host, pendingOp{kind: semantics.DeleteMin, op: op})
 	return op
+}
+
+// buffer appends po to host's middle virtual node. A node that is quiet
+// and has not woken the anchor yet must act on it at its next activation,
+// which it asks the engine for.
+func (h *Heap) buffer(host int, po pendingOp) {
+	id := ldb.VID(host, ldb.Middle)
+	n := h.nodes[id]
+	n.mu.Lock()
+	n.buffer = append(n.buffer, po)
+	due := n.quiet && !n.woke
+	n.mu.Unlock()
+	if due && h.wake != nil {
+		h.wake(id)
+	}
 }
 
 // StartIteration begins one batch iteration from the anchor (manual mode;
@@ -307,6 +352,9 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 		}
 	case *ResetMsg:
 		n.applyReset(m.Floor)
+		n.maybeWake(ctx, self)
+	case *WakeMsg:
+		n.handleWake(ctx, self)
 	default:
 		if n.runner.Handle(ctx, self, from, msg) {
 			return
@@ -318,27 +366,29 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 	}
 }
 
-// Passive implements sim.PassiveHandler: only the anchor's activation
-// acts. AddHost/RemoveHost refresh the engine when the anchor moves.
-func (nh *nodeHandler) Passive() bool { return nh.id != nh.n.heap.ov.Anchor }
+// Passive implements sim.PassiveHandler: no node needs an activation
+// every round. A node asks for the ones it needs (SetWake): the anchor
+// when it may start the next iteration or has a reset to broadcast, any
+// node when an operation is buffered at it while it is quiet.
+func (nh *nodeHandler) Passive() bool { return true }
 
 func (nh *nodeHandler) Activate(ctx *sim.Context) {
 	n := nh.n
-	if nh.id != n.heap.ov.Anchor {
-		return
+	if nh.id == n.heap.ov.Anchor {
+		n.mu.Lock()
+		reset := n.resetPending
+		n.resetPending = false
+		n.mu.Unlock()
+		if reset {
+			n.broadcastReset(ctx, nh.id)
+		}
+		if n.heap.autoRepeat && !n.inFlight && !n.quiet {
+			n.startIteration(ctx, n.heap.ov.Info(nh.id))
+			return
+		}
 	}
-	n.mu.Lock()
-	reset := n.resetPending
-	n.resetPending = false
-	n.mu.Unlock()
-	if reset {
-		n.broadcastReset(ctx, nh.id)
-	}
-	if !n.heap.autoRepeat {
-		return
-	}
-	if !n.inFlight {
-		n.startIteration(ctx, n.heap.ov.Info(nh.id))
+	if n.quiet && !n.woke {
+		n.maybeWake(ctx, n.heap.ov.Info(nh.id))
 	}
 }
 

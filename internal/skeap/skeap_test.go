@@ -282,9 +282,14 @@ func TestFairnessOfStorage(t *testing.T) {
 }
 
 func TestIterationsProgress(t *testing.T) {
+	// The anchor keeps iterating while operations keep arriving; what an
+	// idle anchor does is TestIdleAnchorGoesQuiet's.
 	h := New(Config{N: 4, P: 1, Seed: 11})
 	eng := h.NewSyncEngine()
 	for i := 0; i < 50; i++ {
+		if i%10 == 0 {
+			h.InjectInsert(i/10%4, prio.ElemID(i+1), 0, "")
+		}
 		eng.Step()
 	}
 	if h.Iterations() < 2 {

@@ -33,7 +33,7 @@ var wantKinds = []string{
 	"sort/sample-root", "sort/seek", "sort/arrive", "sort/copy", "sort/vector",
 	"kselect/sample-params", "kselect/pos-share", "kselect/elem",
 	"seap/val-share", "seap/cycle", "seap/assign-params",
-	"skeap/reset",
+	"skeap/reset", "skeap/quiet", "skeap/wake",
 	"relax/probe", "relax/probe-reply", "relax/pop", "relax/pop-reply",
 	"relax/steal", "relax/steal-reply",
 }
