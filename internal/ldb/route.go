@@ -41,6 +41,12 @@ type RouteMsg struct {
 	Hops    int         // remaining de Bruijn steps
 	Payload sim.Message // delivered at the responsible node
 	Path    int         // hops taken so far (for dilation experiments)
+
+	// bits and kind are fixed by the payload, so NewRoute (and the wire
+	// decoder) computes them once per route instead of once per hop. Zero
+	// means not computed: a literal RouteMsg computes them on each call.
+	bits int
+	kind uint8 // index into routeKinds, plus one
 }
 
 // labelBits is the precision accounted per label/point in messages: Θ(log n)
@@ -49,7 +55,12 @@ const labelBits = 64
 
 // Bits accounts the routing header (target point and hop counter) plus the
 // payload.
-func (m *RouteMsg) Bits() int { return labelBits + 8 + m.Payload.Bits() }
+func (m *RouteMsg) Bits() int {
+	if m.bits != 0 {
+		return m.bits
+	}
+	return labelBits + 8 + m.Payload.Bits()
+}
 
 // routeKinds are the names Kind reports. They are part of the trace schema
 // (and dpqsim phases' output): the payload kinds that predate the
@@ -60,7 +71,15 @@ var routeKinds = [...]string{"route/put", "route/get", "route/sample-root", "rou
 // kindIndex classifies the routed message by its payload, as an index into
 // routeKinds.
 func (m *RouteMsg) kindIndex() int {
-	if k, ok := m.Payload.(interface{ Kind() string }); ok {
+	if m.kind != 0 {
+		return int(m.kind) - 1
+	}
+	return payloadKind(m.Payload)
+}
+
+// payloadKind classifies a routed payload as an index into routeKinds.
+func payloadKind(p sim.Message) int {
+	if k, ok := p.(interface{ Kind() string }); ok {
 		switch k.Kind() {
 		case "put":
 			return 0
@@ -143,7 +162,18 @@ func RouteHops(n int) int { return max(0, mathx.Log2Ceil(3*n)-4) }
 // n real processes. The creator should apply RouteStep locally to take the
 // first hop (see Forward).
 func NewRoute(n int, target float64, payload sim.Message) *RouteMsg {
-	return &RouteMsg{Target: target, Hops: RouteHops(n), Payload: payload}
+	m := &RouteMsg{Target: target, Hops: RouteHops(n), Payload: payload}
+	m.seal()
+	return m
+}
+
+// seal computes the route's size and kind from its payload, if it has one.
+func (m *RouteMsg) seal() {
+	if m.Payload == nil {
+		return
+	}
+	m.bits = labelBits + 8 + m.Payload.Bits()
+	m.kind = uint8(payloadKind(m.Payload) + 1)
 }
 
 // fracAt returns frac(target·2^i) (0 ≤ i ≤ 52), read from the 53-bit

@@ -130,6 +130,35 @@ func TestRouteMsgBitsIncludePayload(t *testing.T) {
 	}
 }
 
+type kindPayload struct{ kind string }
+
+func (p *kindPayload) Bits() int    { return 40 }
+func (p *kindPayload) Kind() string { return p.kind }
+
+// TestRouteSealMatchesLiteral: the size and kind NewRoute computes once
+// are what a literal RouteMsg computes on every call, and stay put while
+// the route is forwarded.
+func TestRouteSealMatchesLiteral(t *testing.T) {
+	ov := New(64, hashutil.New(5))
+	for _, p := range []sim.Message{&payload{}, &kindPayload{"put"}, &kindPayload{"get"}, &kindPayload{"sample-root"}, &kindPayload{"copy"}, &kindPayload{"other"}} {
+		m, lit := NewRoute(64, 0.3, p), &RouteMsg{Target: 0.3, Payload: p}
+		if m.Bits() != lit.Bits() || m.Kind() != lit.Kind() {
+			t.Fatalf("%T: sealed %d bits %q, literal %d bits %q", p, m.Bits(), m.Kind(), lit.Bits(), lit.Kind())
+		}
+		bits, kind := m.Bits(), m.Kind()
+		for at := &ov.V[0]; ; {
+			next, done := RouteStep(ov, at, m)
+			if done {
+				break
+			}
+			at = &ov.V[next]
+		}
+		if m.Bits() != bits || m.Kind() != kind {
+			t.Fatalf("%T: forwarding changed the route to %d bits %q", p, m.Bits(), m.Kind())
+		}
+	}
+}
+
 func TestRunBatchJoinLeave(t *testing.T) {
 	ov := New(32, hashutil.New(31))
 	res := RunBatch(ov, []uint64{1001, 1002, 1003}, []int{4, 9}, 5)

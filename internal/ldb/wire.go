@@ -10,6 +10,8 @@ import (
 )
 
 func init() {
+	route := &RouteMsg{Target: 0.375, Hops: 7, Path: 2, Payload: &SpliceMsg{NewLabel: 0.5, NewHost: 3}}
+	route.seal()
 	wire.Register("ldb/route", &RouteMsg{},
 		func(w *wire.Writer, msg sim.Message) {
 			m := msg.(*RouteMsg)
@@ -24,9 +26,10 @@ func init() {
 			m.Hops = int(r.I64())
 			m.Path = int(r.I64())
 			m.Payload = r.MustMessage()
+			m.seal()
 			return m
 		},
-		&RouteMsg{Target: 0.375, Hops: 7, Path: 2, Payload: &SpliceMsg{NewLabel: 0.5, NewHost: 3}},
+		route,
 	)
 	wire.Register("ldb/splice", &SpliceMsg{},
 		func(w *wire.Writer, msg sim.Message) {
