@@ -138,6 +138,12 @@ func main() {
 		heap = serve.NewHeap(relaxH, uint64(*prios))
 		skeapH = nil
 		*proto = "relax-" + mode.String()
+	} else {
+		// The daemon reads only the trace's counts (Server.Quiesced, the
+		// shutdown line) and its completion callback, so a strict heap's
+		// trace forgets each op once issued instead of keeping every op
+		// ever served. -relax keeps the full trace for rankError.
+		heap.Trace().Forget()
 	}
 
 	// Contiguous host sharding: daemon p owns hosts [p·H/P, (p+1)·H/P).

@@ -73,7 +73,7 @@ type key struct {
 }
 
 type state struct {
-	start  *StartMsg // the instance's start, forwarded to the children
+	start  *StartMsg // the instance's start, forwarded to the children; nil for a contributed instance
 	begun  bool
 	own    Value
 	kids   []KidValue
@@ -252,6 +252,29 @@ func (r *Runner) Start(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64, p
 	r.begin(ctx, self, &StartMsg{Tag: tag, Seq: seq, Params: params})
 }
 
+// Contribute begins gather instance (tag, seq) at this node with the
+// contribution own, without a start wave: every node of the tree
+// contributes on its own once its part of the work is finished, and its
+// combined value goes up as soon as its children's have arrived. It is a
+// convergecast, counted like the up wave of a started instance, and the
+// anchor's AtRoot runs when the last subtree has reported. The Proto must
+// be GatherOnly; its params are nil and its Own is not called. Every node
+// of the tree must contribute exactly once per seq.
+func (r *Runner) Contribute(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64, own Value) {
+	p := r.proto(tag)
+	if !p.GatherOnly {
+		panic(fmt.Sprintf("aggtree: %s contributed to but scatters", p.Name))
+	}
+	st := r.state(tag, seq)
+	if st.begun {
+		panic(fmt.Sprintf("aggtree: %s instance %d started twice", p.Name, seq))
+	}
+	st.begun = true
+	st.want = len(self.Children)
+	st.own = own
+	r.maybeCombine(ctx, self, tag, seq, st)
+}
+
 // Handle processes one tree message; it reports whether the message was an
 // aggtree message with a tag registered in this Runner's Table (false lets
 // the caller dispatch other message types or other Runners).
@@ -363,7 +386,10 @@ func (r *Runner) maybeCombine(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq ui
 		return
 	}
 	p := r.proto(tag)
-	params := st.start.Params
+	var params Value
+	if st.start != nil {
+		params = st.start.Params
+	}
 	combined := p.Combine(self, seq, params, st.own, st.kids)
 	st.sentUp = true
 	if self.Parent == sim.None {

@@ -256,3 +256,71 @@ func TestValueBits(t *testing.T) {
 		t.Fatal("DownMsg bits")
 	}
 }
+
+// TestContributeConvergecast: a contributed instance has no start wave.
+// Nodes contribute in whatever round their work ends, children before or
+// after their parents, and the anchor's AtRoot sees every contribution
+// after one up message per non-anchor node.
+func TestContributeConvergecast(t *testing.T) {
+	for _, n := range []int{1, 5, 32} {
+		var result int64
+		var done bool
+		ov, eng, nodes := buildNetwork(n, uint64(n)+300, func(t *Table) {
+			t.Register(1, countProto(&result, &done))
+		})
+		var starts, ups int
+		eng.SetObserver(func(d sim.Delivery) {
+			switch d.Msg.(type) {
+			case *StartMsg:
+				starts++
+			case *UpMsg:
+				ups++
+			}
+		})
+		round, pending := 0, len(nodes)
+		ok := eng.RunUntil(func() bool {
+			for id := range nodes {
+				if (id*7)%11 == round {
+					nodes[id].r.Contribute(eng.Context(sim.NodeID(id)), ov.Info(sim.NodeID(id)), 1, 9, IntVal(1))
+					pending--
+				}
+			}
+			round++
+			return done
+		}, 100*(mathx.Log2Ceil(n)+2))
+		if !ok || pending != 0 {
+			t.Fatalf("n=%d: convergecast never completed (%d nodes still to contribute)", n, pending)
+		}
+		if result != int64(len(nodes)) || starts != 0 || ups != len(nodes)-1 {
+			t.Fatalf("n=%d: counted %d of %d nodes with %d starts and %d ups, want 0 starts and %d ups",
+				n, result, len(nodes), starts, ups, len(nodes)-1)
+		}
+	}
+}
+
+// TestContributeTwicePanics: a node contributes once per instance (caught
+// while it waits for its children), and only to a gather.
+func TestContributeTwicePanics(t *testing.T) {
+	var result int64
+	var done bool
+	ov, eng, nodes := buildNetwork(5, 77, func(t *Table) {
+		t.Register(1, countProto(&result, &done))
+		t.Register(2, &Proto{Name: "scatter"})
+	})
+	a := ov.Anchor
+	ctx, self := eng.Context(a), ov.Info(a)
+	nodes[a].r.Contribute(ctx, self, 1, 3, IntVal(1))
+	for name, f := range map[string]func(){
+		"twice":   func() { nodes[a].r.Contribute(ctx, self, 1, 3, IntVal(1)) },
+		"scatter": func() { nodes[a].r.Contribute(ctx, self, 2, 3, IntVal(1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

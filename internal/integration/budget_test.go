@@ -1,0 +1,105 @@
+package integration
+
+import (
+	"testing"
+
+	"dpq/internal/hashutil"
+	"dpq/internal/kselect"
+	"dpq/internal/ldb"
+	"dpq/internal/mathx"
+	"dpq/internal/prio"
+	"dpq/internal/relax"
+	"dpq/internal/sim"
+)
+
+// Sort budgets: the rounds, messages and congestion of one KSelect and of
+// one Seap batch, as a table of n → bound at fixed seeds, so a constant
+// that regresses fails on any hardware (the pattern of ldb's
+// TestRouteHopBudget). Each bound is at most 1.1× the largest value the
+// seeds read when it was set. The runs are the ones `dpqsim kselect -n N
+// -m M -seed S` and `dpqsim phases -proto seap -n N -ops 1 -seed S` make.
+
+var budgetSeeds = []uint64{1, 2, 3}
+
+// budget bounds one protocol run at one n.
+type budget struct {
+	n                  int
+	rounds, msgs, cong int64
+}
+
+// checkBudget runs the seeds at c.n and fails when the largest reading of a
+// metric exceeds its bound.
+func checkBudget(t *testing.T, name string, c budget, run func(n int, seed uint64) *sim.Metrics) {
+	t.Helper()
+	var rounds, msgs, cong int64
+	for _, seed := range budgetSeeds {
+		m := run(c.n, seed)
+		rounds, msgs, cong = max(rounds, int64(m.Rounds)), max(msgs, m.Messages), max(cong, int64(m.Congestion))
+	}
+	t.Logf("%s n=%d: max over seeds %d rounds, %d messages, congestion %d", name, c.n, rounds, msgs, cong)
+	if rounds > c.rounds || msgs > c.msgs || cong > c.cong {
+		t.Errorf("%s n=%d: %d rounds, %d messages, congestion %d exceed the budget of %d, %d, %d",
+			name, c.n, rounds, msgs, cong, c.rounds, c.msgs, c.cong)
+	}
+}
+
+// TestKSelectBudget: one selection of rank m/2 among m = 16n uniform
+// elements (4n at n = 2 048, as the sim-batch benchmark runs it).
+func TestKSelectBudget(t *testing.T) {
+	for _, c := range []budget{
+		{8, 884, 4150, 17},
+		{64, 1819, 30700, 40},
+		{512, 3000, 245000, 35},
+		{2048, 3050, 862000, 42},
+	} {
+		checkBudget(t, "kselect", c, func(n int, seed uint64) *sim.Metrics {
+			m := 16 * n
+			if n == 2048 {
+				m = 4 * n
+			}
+			ov := ldb.New(n, hashutil.New(seed))
+			sel := kselect.New(ov, hashutil.New(seed+1))
+			sel.LoadUniform(m, uint64(m)*4, seed+2)
+			eng := sel.NewSyncEngine(seed + 3)
+			sel.Start(eng.Context(sel.Anchor()), int64(m/2))
+			if !eng.RunUntil(sel.Done, 50000*(mathx.Log2Ceil(n)+3)) {
+				t.Fatalf("kselect n=%d seed %d: selection did not finish", n, seed)
+			}
+			return eng.Metrics()
+		})
+	}
+}
+
+// TestSeapBatchBudget: one Seap batch with one operation per host.
+func TestSeapBatchBudget(t *testing.T) {
+	for _, c := range []budget{
+		{8, 298, 910, 7},
+		{64, 1040, 13700, 14},
+		{512, 2530, 164000, 31},
+		{2048, 3170, 695000, 29},
+	} {
+		checkBudget(t, "seap", c, func(n int, seed uint64) *sim.Metrics {
+			be, bound, err := relax.NewStrict("seap", n, 4, 1<<20, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			be.SetAutoRepeat(false)
+			rnd := hashutil.NewRand(seed + 1)
+			id := prio.ElemID(1)
+			for host := 0; host < n; host++ {
+				if rnd.Bool(0.6) {
+					be.InjectInsert(host, id, rnd.Uint64()%bound+1, "")
+					id++
+				} else {
+					be.InjectDelete(host)
+				}
+			}
+			eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
+			be.StartBatch(eng.Context(be.Overlay().Anchor))
+			if !eng.RunQuiescent(be.Done, 100000*(mathx.Log2Ceil(n)+3)) {
+				t.Fatalf("seap n=%d seed %d: batch did not complete", n, seed)
+			}
+			return eng.Metrics()
+		})
+	}
+}

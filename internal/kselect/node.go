@@ -26,6 +26,12 @@ type Node struct {
 	// roots heads the list of sorting roots hosted here this epoch: a
 	// position in the Selector's root table, 0 for none.
 	roots int64
+	// The sort's end (doneProto): issued counts the candidates this node
+	// sent to sorting roots this epoch, unordered those whose order it has
+	// not yet heard, and sortSeq is the sample instance whose done
+	// convergecast it still owes (0 once contributed).
+	issued, unordered int64
+	sortSeq           uint64
 
 	// holdersCreated counts distribution-tree memberships over the whole
 	// run (Lemma 4.5 expects Θ(1) per node per sorting round).
@@ -80,6 +86,30 @@ func (n *Node) orderedRoot(self sim.NodeID, k int64) *rootEntry {
 	return nil
 }
 
+// onOrdered counts one of this node's candidates as ordered by its sorting
+// root.
+func (n *Node) onOrdered(ctx *sim.Context, self *ldb.VInfo, epoch uint64) {
+	if epoch != n.epoch {
+		panic("kselect: order report from a stale epoch")
+	}
+	if n.unordered--; n.unordered < 0 {
+		panic("kselect: more order reports than candidates issued")
+	}
+	n.maybeDone(ctx, self)
+}
+
+// maybeDone contributes this node's issued count to the done convergecast
+// once its positions are scattered and every candidate it issued is
+// ordered.
+func (n *Node) maybeDone(ctx *sim.Context, self *ldb.VInfo) {
+	if n.sortSeq == 0 || n.unordered != 0 {
+		return
+	}
+	seq := n.sortSeq
+	n.sortSeq = 0
+	n.runner.Contribute(ctx, self, tagDone, seq, aggtree.IntVal(n.issued))
+}
+
 // Handle dispatches a non-routed message at virtual node id, reporting
 // whether it belonged to KSelect. Routed payloads go through HandleRouted
 // after the host protocol's router delivers them.
@@ -92,6 +122,8 @@ func (n *Node) Handle(ctx *sim.Context, id sim.NodeID, from sim.NodeID, msg sim.
 		n.newHolder(ctx, self, m.Epoch, m.Root, m.Lo, m.Hi, m.Key, m.Parent, m.ParentJ)
 	case *VecMsg:
 		n.onVec(ctx, self, m)
+	case *OrderedMsg:
+		n.onOrdered(ctx, self, m.Epoch)
 	default:
 		return n.runner.Handle(ctx, self, from, msg)
 	}

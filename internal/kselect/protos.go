@@ -62,20 +62,17 @@ func (s *Selector) startPrune(ctx *sim.Context, lo, hi prio.Key, next phase) {
 func (s *Selector) startSample(ctx *sim.Context, exact bool) {
 	s.exact = exact
 	s.epoch++
+	s.window = s.delta
 	if exact {
 		s.col.Phase("ks:p3-sort")
-		s.phase = phase3Poll
+		s.phase = phase3Sort
 		s.result.CandidatesAtP3 = s.n
 	} else {
 		s.col.Phase("ks:p2-sort")
-		s.phase = phase2Poll
+		s.phase = phase2Sort
 	}
 	s.anchorNode().runner.Start(ctx, s.ov.Info(s.ov.Anchor), tagSample, s.nextSeq(),
 		&sampleParams{N: s.n, Epoch: s.epoch, Exact: exact})
-}
-
-func (s *Selector) startPoll(ctx *sim.Context) {
-	s.anchorNode().runner.Start(ctx, s.ov.Info(s.ov.Anchor), tagPoll, s.nextSeq(), aggtree.IntVal(s.epoch))
 }
 
 func (s *Selector) startBoundary(ctx *sim.Context) {
@@ -136,7 +133,7 @@ func (s *Selector) register() {
 	s.protos.Register(tagWindow, s.windowProto())
 	s.protos.Register(tagPrune, s.pruneProto())
 	s.protos.Register(tagSample, s.sampleProto())
-	s.protos.Register(tagPoll, s.pollProto())
+	s.protos.Register(tagDone, s.doneProto())
 	s.protos.Register(tagBoundary, s.boundaryProto())
 	s.protos.Register(tagRank, s.rankProto())
 	s.protos.Register(tagAnswer, s.answerProto())
@@ -245,9 +242,10 @@ func (s *Selector) sampleProto() *aggtree.Proto {
 			if p.Exact {
 				chosen = append(chosen, n.cand...)
 			} else {
-				// Θ(√n) samples in expectation; the constant 2 keeps the
+				// 2√n samples in expectation over the n processes
+				// (Lemmas 4.5–4.7 need Θ(√n)); the constant 2 keeps the
 				// sample comfortably above the 2δ window width.
-				prob := 2 * math.Sqrt(float64(s.ov.NumVirtual())) / float64(p.N)
+				prob := 2 * math.Sqrt(float64(s.ov.N)) / float64(p.N)
 				if prob > 1 {
 					prob = 1
 				}
@@ -277,8 +275,6 @@ func (s *Selector) sampleProto() *aggtree.Proto {
 			}
 			s.nPrime = nPrime
 			s.tables.reset(nPrime)
-			// Kick the completion poll; it re-arms until the sort ends.
-			s.startPoll(ctx)
 			return &posShare{Lo: 1, Hi: nPrime, NPrime: nPrime}
 		},
 		Split: func(self *ldb.VInfo, seq uint64, params aggtree.Value, down aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) (aggtree.Value, []aggtree.Value) {
@@ -306,37 +302,28 @@ func (s *Selector) sampleProto() *aggtree.Proto {
 			if int64(len(chosen)) != iv.Hi-iv.Lo+1 {
 				panic("kselect: position share does not match sample count")
 			}
+			n.unordered = int64(len(chosen))
 			for i, e := range chosen {
 				pos := iv.Lo + int64(i)
-				msg := &SampleRootMsg{Epoch: p.Epoch, Pos: pos, NPrime: iv.NPrime, Elem: e}
+				msg := &SampleRootMsg{Epoch: p.Epoch, Pos: pos, NPrime: iv.NPrime, Elem: e, Issuer: self.ID}
 				route := ldb.NewRoute(s.ov.N, s.rootPoint(p.Epoch, pos), msg)
 				if ldb.Forward(ctx, s.ov, self, route) {
 					n.HandleRouted(ctx, self, msg)
 				}
 			}
+			n.issued, n.sortSeq = int64(len(chosen)), seq
+			n.maybeDone(ctx, self)
 		},
 	}
 }
 
-// pollProto counts completed sorting roots; the anchor re-polls until all
-// n′ candidates know their order.
-func (s *Selector) pollProto() *aggtree.Proto {
+// doneProto is the convergecast that ends a sort: a node contributes the
+// number of candidates it issued once each of their sorting roots has
+// reported its order (Node.maybeDone), and the anchor learns that all n′
+// candidates are ordered one tree height after the last of them.
+func (s *Selector) doneProto() *aggtree.Proto {
 	return &aggtree.Proto{
-		Name: "ks-poll",
-		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
-			n := s.nodes[self.ID]
-			epoch := uint64(params.(aggtree.IntVal))
-			if epoch != n.epoch {
-				return aggtree.IntVal(0)
-			}
-			done := 0
-			for rt := n.hostedRoot(self.ID, n.roots); rt != nil; rt = n.hostedRoot(self.ID, rt.next) {
-				if rt.state == entryDone {
-					done++
-				}
-			}
-			return aggtree.IntVal(done)
-		},
+		Name: "ks-done",
 		Combine: func(self *ldb.VInfo, seq uint64, params aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) aggtree.Value {
 			t := own.(aggtree.IntVal)
 			for _, kv := range kids {
@@ -345,42 +332,47 @@ func (s *Selector) pollProto() *aggtree.Proto {
 			return t
 		},
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			if int64(combined.(aggtree.IntVal)) < s.nPrime {
-				s.startPoll(ctx)
-				return nil
+			if int64(combined.(aggtree.IntVal)) != s.nPrime {
+				panic("kselect: sort ended with a count other than n′")
 			}
-			if s.phase == phase3Poll {
+			if s.phase == phase3Sort {
 				s.startAnswer(ctx)
 				return nil
 			}
-			// Phase 2c: choose the boundary orders l and r around kn′/N.
-			center := float64(s.k) * float64(s.nPrime) / float64(s.n)
-			s.lOrder = int64(math.Floor(center - s.delta))
-			s.rOrder = int64(math.Ceil(center + s.delta))
-			if s.lOrder < 1 && s.rOrder > s.nPrime {
-				// The window spans every sample — an unluckily small draw
-				// or a δ too wide for this scale. Shrink δ and resample
-				// while the candidate set is still large (the exact phase
-				// costs Θ(N²) comparisons); otherwise go exact. Validation
-				// failures double δ back, so this adapts rather than
-				// oscillating unboundedly (both directions are capped).
-				if s.n > 8*s.sqrtN() && s.fullWindow < 4 {
-					s.fullWindow++
-					s.result.Retries++
-					if s.delta > 1 {
-						s.delta /= 2
-					}
-					s.startSample(ctx, false)
-					return nil
-				}
-				s.startSample(ctx, true)
-				return nil
-			}
-			s.startBoundary(ctx)
+			s.chooseWindow(ctx)
 			return nil
 		},
 		GatherOnly: true,
 	}
+}
+
+// chooseWindow is phase 2c on the ordered sample: it picks the boundary
+// orders l and r around kn′/N and fetches their candidates.
+func (s *Selector) chooseWindow(ctx *sim.Context) {
+	center := float64(s.k) * float64(s.nPrime) / float64(s.n)
+	s.lOrder = int64(math.Floor(center - s.window))
+	s.rOrder = int64(math.Ceil(center + s.window))
+	if s.lOrder < 1 && s.rOrder > s.nPrime {
+		// The window spans every sample — an unluckily small draw,
+		// a δ too wide for this scale, or a window widened past the
+		// sample by failed rank checks. Resample while the candidate
+		// set is still large (the exact phase costs Θ(N²)
+		// comparisons), with a smaller δ unless failures widened
+		// this window; otherwise go exact. The count of resamples
+		// is capped.
+		if s.n > 8*s.sqrtN() && s.fullWindow < 4 {
+			s.fullWindow++
+			s.result.Retries++
+			if s.delta > 1 && s.window == s.delta {
+				s.delta /= 2
+			}
+			s.startSample(ctx, false)
+			return
+		}
+		s.startSample(ctx, true)
+		return
+	}
+	s.startBoundary(ctx)
 }
 
 // boundaryProto fetches the keys of the samples of order l and r.
@@ -457,10 +449,12 @@ func (s *Selector) rankProto() *aggtree.Proto {
 			okLeft := !s.haveCl || rankCl <= s.k
 			okRight := !s.haveCr || s.k <= rankCr
 			if !okLeft || !okRight {
-				// Lemma 4.6's low-probability failure: widen δ and retry.
-				s.delta *= 2
+				// Lemma 4.6's low-probability failure: double this
+				// window's δ and retry on the same sample, whose roots
+				// keep their orders until the next sort.
+				s.window *= 2
 				s.result.Retries++
-				s.startSample(ctx, false)
+				s.chooseWindow(ctx)
 				return nil
 			}
 			s.startPrune(ctx, s.clKey, s.crKey, phase2Prune)

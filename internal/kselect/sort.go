@@ -14,22 +14,24 @@ import (
 // nearest middle node pred-ward, one MidPred hop away); copy (i,j) is routed to the
 // meeting point h(i,j) = h(j,i) where it is compared against copy (j,i);
 // the outcome vectors are aggregated back up T(v_i), giving v_i the order
-// of c_i as L+1.
+// of c_i as L+1, which v_i reports to the node that issued c_i (the done
+// convergecast of protos.go starts there).
 
 // keyBits is the accounted size of an element key in sorting messages.
 const keyBits = 128
 
 // SampleRootMsg (routed) makes the receiving node the sorting root of the
-// candidate assigned to position Pos.
+// candidate assigned to position Pos, issued by node Issuer.
 type SampleRootMsg struct {
 	Epoch  uint64
 	Pos    int64
 	NPrime int64
 	Elem   prio.Element
+	Issuer sim.NodeID
 }
 
-// Bits accounts epoch, position, n′ and the candidate.
-func (m *SampleRootMsg) Bits() int { return 3*64 + m.Elem.Bits() }
+// Bits accounts epoch, position, n′, the candidate and the issuer.
+func (m *SampleRootMsg) Bits() int { return 4*64 + m.Elem.Bits() }
 
 // Kind names the message for instrumentation (routed: "route/sample-root").
 func (m *SampleRootMsg) Kind() string { return "sample-root" }
@@ -101,6 +103,18 @@ func (m *VecMsg) Bits() int { return 5 * 64 }
 // Kind names the message for instrumentation.
 func (m *VecMsg) Kind() string { return "sort/vector" }
 
+// OrderedMsg tells the node that issued a candidate that its sorting root
+// knows the candidate's order.
+type OrderedMsg struct {
+	Epoch uint64
+}
+
+// Bits accounts the epoch.
+func (m *OrderedMsg) Bits() int { return 64 }
+
+// Kind names the message for instrumentation.
+func (m *OrderedMsg) Kind() string { return "sort/ordered" }
+
 // rootPoint is the pseudorandom point of a sorting root for a position.
 func (s *Selector) rootPoint(epoch uint64, pos int64) float64 {
 	return s.hasher.PairUnit(epoch*2+1, uint64(pos))
@@ -129,7 +143,7 @@ func (n *Node) newRoot(ctx *sim.Context, self *ldb.VInfo, m *SampleRootMsg) {
 	if rt.state != entryFree {
 		panic("kselect: duplicate holder")
 	}
-	*rt = rootEntry{elem: m.Elem, owner: self.ID, next: n.roots, state: entryLive}
+	*rt = rootEntry{elem: m.Elem, owner: self.ID, issuer: m.Issuer, next: n.roots, state: entryLive}
 	n.roots = m.Pos
 	n.newHolder(ctx, self, m.Epoch, m.Pos, 1, m.NPrime, prio.KeyOf(m.Elem), sim.None, 0)
 }
@@ -268,8 +282,14 @@ func (n *Node) addVec(ctx *sim.Context, self *ldb.VInfo, epoch uint64, root, j, 
 		ctx.Send(hs.parent, &VecMsg{Epoch: epoch, Root: root, J: int64(hs.parentJ), L: int64(hs.l), R: int64(hs.r)})
 		return
 	}
-	// Sorting root: order of c_root is L+1 (Algorithm 3).
+	// Sorting root: order of c_root is L+1 (Algorithm 3), reported to the
+	// candidate's issuer.
 	rt := n.hostedRoot(self.ID, root)
 	rt.order = int64(hs.l) + 1
 	rt.state = entryDone
+	if rt.issuer == self.ID {
+		n.onOrdered(ctx, self, epoch)
+		return
+	}
+	ctx.Send(rt.issuer, &OrderedMsg{Epoch: epoch})
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"dpq/internal/aggtree"
 	"dpq/internal/hashutil"
 	"dpq/internal/ldb"
 	"dpq/internal/prio"
@@ -12,7 +13,7 @@ import (
 )
 
 // sortRig runs ONLY the distributed-sorting machinery (Algorithm 3) by
-// loading n′ candidates, forcing an exact sample, and polling completion.
+// loading n′ candidates, forcing an exact sample, and watching completion.
 type sortRig struct {
 	ov  *ldb.Overlay
 	sel *Selector
@@ -237,5 +238,66 @@ func watchEpochs(sel *Selector, check func(*sortTables)) func() bool {
 		}
 		wasSorted = sorted
 		return sel.Done()
+	}
+}
+
+// TestSortEndsByConvergecast: a sort ends by one up wave, not by polling.
+// No start wave of the done instance is sent, every non-anchor node sends
+// exactly one done message per completed sort (the convergecast's O(n)
+// messages), and the anchor hears the last of them at most one tree
+// height after the sort's last message (position share, route, seek,
+// vector or order report).
+func TestSortEndsByConvergecast(t *testing.T) {
+	for _, seed := range []uint64{1, 2, 3} {
+		n := 64
+		ov := ldb.New(n, hashutil.New(seed))
+		sel := New(ov, hashutil.New(seed+1))
+		sel.LoadUniform(16*n, uint64(64*n), seed+2)
+		eng := sel.NewSyncEngine(seed + 3)
+		var starts, ups, sorts, lastSort, worst int
+		doneTag := tagDone
+		eng.SetObserver(func(d sim.Delivery) {
+			switch m := d.Msg.(type) {
+			case *aggtree.StartMsg:
+				if m.Tag == doneTag {
+					starts++
+				}
+			case *aggtree.UpMsg:
+				if m.Tag != doneTag {
+					return
+				}
+				ups++
+				if d.To == ov.Anchor {
+					worst = max(worst, d.Round-lastSort)
+				}
+			case *aggtree.DownMsg:
+				if m.Tag == tagSample {
+					lastSort = d.Round
+				}
+			case *ldb.RouteMsg, *DistSeekMsg, *DistArriveMsg, *VecMsg, *OrderedMsg:
+				lastSort = d.Round
+			}
+		})
+		prevEpoch := uint64(0)
+		sel.Start(eng.Context(sel.Anchor()), int64(8*n))
+		if !eng.RunUntil(func() bool {
+			if sel.nPrime > 0 && sel.epoch != prevEpoch {
+				prevEpoch = sel.epoch
+				sorts++
+			}
+			return sel.Done()
+		}, 500000) {
+			t.Fatal("selection did not finish")
+		}
+		t.Logf("seed %d: %d sorts, %d done messages, end heard ≤ %d rounds after the last sort message (height %d)", seed, sorts, ups, worst, ov.TreeHeight())
+		if starts != 0 {
+			t.Errorf("seed %d: %d start messages of the done instance, want none", seed, starts)
+		}
+		if nonAnchor := ov.NumVirtual() - 1; ups == 0 || ups%nonAnchor != 0 || ups/nonAnchor > sorts {
+			t.Errorf("seed %d: %d done messages over %d sorts, want one per non-anchor node (%d) per sort", seed, ups, sorts, nonAnchor)
+		}
+		if limit := ov.TreeHeight(); worst > limit {
+			t.Errorf("seed %d: the anchor heard a sort's end %d rounds after its last message, want ≤ height = %d", seed, worst, limit)
+		}
 	}
 }

@@ -54,15 +54,17 @@ type meetEntry struct {
 	state  uint8
 }
 
-// rootEntry is a sorting root: its candidate, the candidate's order once
-// the distribution tree has aggregated, and the next root its owner hosts
-// (a per-node list through the table, 0 ending it).
+// rootEntry is a sorting root: its candidate, the node that issued it,
+// the candidate's order once the distribution tree has aggregated, and the
+// next root its owner hosts (a per-node list through the table, 0 ending
+// it).
 type rootEntry struct {
-	elem  prio.Element
-	order int64
-	owner sim.NodeID
-	next  int64
-	state uint8
+	elem   prio.Element
+	order  int64
+	owner  sim.NodeID
+	issuer sim.NodeID
+	next   int64
+	state  uint8
 }
 
 // reset sizes the tables for an epoch of nPrime candidates, reusing their

@@ -17,6 +17,7 @@ func init() {
 			w.I64(m.Pos)
 			w.I64(m.NPrime)
 			w.Element(m.Elem)
+			w.I64(int64(m.Issuer))
 		},
 		func(r *wire.Reader) sim.Message {
 			m := &SampleRootMsg{}
@@ -24,9 +25,10 @@ func init() {
 			m.Pos = r.I64()
 			m.NPrime = r.I64()
 			m.Elem = r.Element()
+			m.Issuer = sim.NodeID(r.I64())
 			return m
 		},
-		&SampleRootMsg{Epoch: 2, Pos: 14, NPrime: 40, Elem: prio.Element{ID: 8, Prio: 3}},
+		&SampleRootMsg{Epoch: 2, Pos: 14, NPrime: 40, Elem: prio.Element{ID: 8, Prio: 3}, Issuer: 9},
 	)
 	wire.Register("sort/seek", &DistSeekMsg{},
 		func(w *wire.Writer, msg sim.Message) {
@@ -117,6 +119,15 @@ func init() {
 			return m
 		},
 		&VecMsg{Epoch: 4, Root: 2, J: 3, L: 1, R: 5},
+	)
+	wire.Register("sort/ordered", &OrderedMsg{},
+		func(w *wire.Writer, msg sim.Message) {
+			w.U64(msg.(*OrderedMsg).Epoch)
+		},
+		func(r *wire.Reader) sim.Message {
+			return &OrderedMsg{Epoch: r.U64()}
+		},
+		&OrderedMsg{Epoch: 3},
 	)
 
 	wire.Register("kselect/sample-params", &sampleParams{},

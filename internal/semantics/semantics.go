@@ -56,7 +56,9 @@ type Op struct {
 type Trace struct {
 	mu         sync.Mutex
 	ops        []*Op
-	done       int // operations with Done set; kept by Complete so DoneCount is O(1)
+	issued     int  // operations issued, recorded or not
+	done       int  // operations with Done set; kept by Complete so DoneCount is O(1)
+	forget     bool // Issue counts operations without recording them
 	byNode     map[int]int
 	onComplete func(*Op)
 }
@@ -72,9 +74,24 @@ func (t *Trace) Issue(node int, kind OpKind, elem prio.Element) *Op {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.byNode[node]++
+	t.issued++
 	op := &Op{Node: node, Index: t.byNode[node], Kind: kind, Elem: elem}
-	t.ops = append(t.ops, op)
+	if !t.forget {
+		t.ops = append(t.ops, op)
+	}
 	return op
+}
+
+// Forget makes the trace keep counts, not operations: from now on Issue
+// returns an Op without recording it, so the trace's memory stays flat
+// however many operations pass through it. Len, DoneCount and the
+// completion callback stay exact; Ops, Stored, Drained, PendingSet and
+// the checkers see only the operations recorded before. A serving daemon,
+// which reads nothing else, forgets; simulations and tests do not.
+func (t *Trace) Forget() {
+	t.mu.Lock()
+	t.forget = true
+	t.mu.Unlock()
 }
 
 // Complete marks op done with the given result (⊥ for an empty-heap
@@ -118,6 +135,7 @@ func Merge(traces ...*Trace) *Trace {
 				out.byNode[op.Node] = op.Index
 			}
 			out.ops = append(out.ops, op)
+			out.issued++
 			if op.Done {
 				out.done++
 			}
@@ -133,11 +151,11 @@ func (t *Trace) Ops() []*Op {
 	return append([]*Op(nil), t.ops...)
 }
 
-// Len returns the number of recorded operations.
+// Len returns the number of issued operations.
 func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.ops)
+	return t.issued
 }
 
 // DoneCount returns the number of completed operations.

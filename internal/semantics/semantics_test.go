@@ -316,3 +316,28 @@ func TestDrained(t *testing.T) {
 		t.Fatalf("stored=%d drained(1)=%v drained(2)=%v", tr.Stored(), tr.Drained(holding(1)), tr.Drained(holding(2)))
 	}
 }
+
+// TestTraceForget: a forgetting trace counts what it no longer records.
+func TestTraceForget(t *testing.T) {
+	tr := NewTrace()
+	kept := tr.Issue(0, Insert, prio.Element{ID: 1, Prio: 1})
+	tr.Complete(kept, prio.Element{}, 1)
+	tr.Forget()
+	var called int
+	tr.SetOnComplete(func(*Op) { called++ })
+	for i := 0; i < 5; i++ {
+		op := tr.Issue(1, DeleteMin, prio.Element{})
+		if op.Index != i+1 {
+			t.Fatalf("op %d has index %d", i, op.Index)
+		}
+		if i < 4 {
+			tr.Complete(op, prio.Element{}, int64(10+i))
+		}
+	}
+	if tr.Len() != 6 || tr.DoneCount() != 5 || called != 4 {
+		t.Fatalf("Len %d DoneCount %d callbacks %d, want 6 5 4", tr.Len(), tr.DoneCount(), called)
+	}
+	if ops := tr.Ops(); len(ops) != 1 || ops[0] != kept {
+		t.Fatalf("recorded %d ops, want only the one issued before Forget", len(ops))
+	}
+}

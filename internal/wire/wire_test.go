@@ -30,7 +30,7 @@ var wantKinds = []string{
 	"batch/batch", "batch/assign",
 	"ldb/route", "ldb/splice", "ldb/leave", "ldb/midpred",
 	"dht/put", "dht/get", "dht/reply",
-	"sort/sample-root", "sort/seek", "sort/arrive", "sort/copy", "sort/vector",
+	"sort/sample-root", "sort/seek", "sort/arrive", "sort/copy", "sort/vector", "sort/ordered",
 	"kselect/sample-params", "kselect/pos-share", "kselect/elem",
 	"seap/val-share", "seap/cycle", "seap/assign-params",
 	"skeap/reset", "skeap/quiet", "skeap/wake",
