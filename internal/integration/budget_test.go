@@ -12,12 +12,13 @@ import (
 	"dpq/internal/sim"
 )
 
-// Sort budgets: the rounds, messages and congestion of one KSelect and of
-// one Seap batch, as a table of n → bound at fixed seeds, so a constant
+// Budgets: the rounds, messages and congestion of one KSelect and of one
+// Seap and one Skeap batch, as a table of n → bound at fixed seeds, so a constant
 // that regresses fails on any hardware (the pattern of ldb's
 // TestRouteHopBudget). Each bound is at most 1.1× the largest value the
 // seeds read when it was set. The runs are the ones `dpqsim kselect -n N
-// -m M -seed S` and `dpqsim phases -proto seap -n N -ops 1 -seed S` make.
+// -m M -seed S` and `dpqsim phases -proto seap|skeap -n N -ops 1 -seed S`
+// make.
 
 var budgetSeeds = []uint64{1, 2, 3}
 
@@ -73,33 +74,52 @@ func TestKSelectBudget(t *testing.T) {
 // TestSeapBatchBudget: one Seap batch with one operation per host.
 func TestSeapBatchBudget(t *testing.T) {
 	for _, c := range []budget{
-		{8, 298, 910, 7},
-		{64, 1040, 13700, 14},
-		{512, 2530, 164000, 31},
-		{2048, 3170, 695000, 29},
+		{8, 262, 760, 7},
+		{64, 945, 12400, 14},
+		{512, 2340, 154000, 31},
+		{2048, 2930, 655000, 29},
 	} {
-		checkBudget(t, "seap", c, func(n int, seed uint64) *sim.Metrics {
-			be, bound, err := relax.NewStrict("seap", n, 4, 1<<20, seed)
-			if err != nil {
-				t.Fatal(err)
+		checkBudget(t, "seap", c, oneBatch(t, "seap"))
+	}
+}
+
+// TestSkeapBatchBudget: one Skeap batch with one operation per host, up to
+// the n = 4 096 the sim-batch benchmark runs.
+func TestSkeapBatchBudget(t *testing.T) {
+	for _, c := range []budget{
+		{8, 37, 113, 4},
+		{64, 92, 1140, 5},
+		{512, 167, 11100, 8},
+		{4096, 270, 102900, 14},
+	} {
+		checkBudget(t, "skeap", c, oneBatch(t, "skeap"))
+	}
+}
+
+// oneBatch runs one batch of proto in which every host buffers one
+// operation, an insert with probability 0.6, else a DeleteMin.
+func oneBatch(t *testing.T, proto string) func(n int, seed uint64) *sim.Metrics {
+	return func(n int, seed uint64) *sim.Metrics {
+		be, bound, err := relax.NewStrict(proto, n, 4, 1<<20, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be.SetAutoRepeat(false)
+		rnd := hashutil.NewRand(seed + 1)
+		id := prio.ElemID(1)
+		for host := 0; host < n; host++ {
+			if rnd.Bool(0.6) {
+				be.InjectInsert(host, id, rnd.Uint64()%bound+1, "")
+				id++
+			} else {
+				be.InjectDelete(host)
 			}
-			be.SetAutoRepeat(false)
-			rnd := hashutil.NewRand(seed + 1)
-			id := prio.ElemID(1)
-			for host := 0; host < n; host++ {
-				if rnd.Bool(0.6) {
-					be.InjectInsert(host, id, rnd.Uint64()%bound+1, "")
-					id++
-				} else {
-					be.InjectDelete(host)
-				}
-			}
-			eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
-			be.StartBatch(eng.Context(be.Overlay().Anchor))
-			if !eng.RunQuiescent(be.Done, 100000*(mathx.Log2Ceil(n)+3)) {
-				t.Fatalf("seap n=%d seed %d: batch did not complete", n, seed)
-			}
-			return eng.Metrics()
-		})
+		}
+		eng := sim.Build(be.Spec(sim.KindSync)).(*sim.SyncEngine)
+		be.StartBatch(eng.Context(be.Overlay().Anchor))
+		if !eng.RunQuiescent(be.Done, 100000*(mathx.Log2Ceil(n)+3)) {
+			t.Fatalf("%s n=%d seed %d: batch did not complete", proto, n, seed)
+		}
+		return eng.Metrics()
 	}
 }

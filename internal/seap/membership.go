@@ -67,7 +67,7 @@ func (h *Heap) requireQuiescent(eng *sim.SyncEngine) {
 		panic("seap: membership change while a cycle is in flight")
 	}
 	for _, n := range h.nodes {
-		if n.store.PendingCount() > 0 || n.outPuts > 0 || n.outGets > 0 {
+		if n.store.PendingCount() > 0 || n.puts != (owed{}) || n.gets != (owed{}) {
 			panic("seap: membership change with outstanding DHT requests")
 		}
 	}

@@ -19,12 +19,6 @@ type valShare struct {
 // Bits accounts four integers.
 func (v *valShare) Bits() int { return 4 * 64 }
 
-// cycleVal tags a poll or phase start with its cycle.
-type cycleVal uint64
-
-// Bits accounts one integer.
-func (cycleVal) Bits() int { return 64 }
-
 // assignParams broadcasts the delete phase's extraction threshold.
 type assignParams struct {
 	Cycle     uint64
@@ -37,11 +31,11 @@ func (p *assignParams) Bits() int { return 64 + 128 }
 // register builds the heap's protocol table, once for all of its nodes.
 func (h *Heap) register() {
 	h.protos.Register(tagInsCount, h.insCountProto())
-	h.protos.Register(tagInsPoll, h.insPollProto())
+	h.protos.Register(tagInsStore, h.completionProto("seap-ins-store", &h.k, h.startDelCount))
 	h.protos.Register(tagDelCount, h.delCountProto())
 	h.protos.Register(tagLoad, h.loadProto())
 	h.protos.Register(tagAssign, h.assignProto())
-	h.protos.Register(tagDelPoll, h.delPollProto())
+	h.protos.Register(tagDelFetch, h.completionProto("seap-del-fetch", &h.kStar, h.endCycle))
 }
 
 // ---- anchor sequencing ------------------------------------------------------
@@ -53,31 +47,33 @@ func (h *Heap) start(ctx *sim.Context, tag aggtree.Tag, params aggtree.Value) {
 	h.anchorNode().runner.Start(ctx, h.ov.Info(h.ov.Anchor), tag, h.nextSeq(), params)
 }
 
+// await marks the wait for tag's completion convergecast, which the nodes
+// begin themselves (Node.settle).
+func (h *Heap) await(tag aggtree.Tag) { h.col.Phase(phaseName(tag)) }
+
 // phaseName maps an aggtree tag to its timeline phase name (§5's cycle
 // structure as seen by the anchor).
 func phaseName(tag aggtree.Tag) string {
 	switch tag {
 	case tagInsCount:
 		return "seap:ins-count"
-	case tagInsPoll:
-		return "seap:ins-poll"
+	case tagInsStore:
+		return "seap:ins-store"
 	case tagDelCount:
 		return "seap:del-count"
 	case tagLoad:
 		return "seap:load"
 	case tagAssign:
 		return "seap:assign"
-	case tagDelPoll:
-		return "seap:del-poll"
+	case tagDelFetch:
+		return "seap:del-fetch"
 	}
 	return "seap:other"
 }
 
-func (h *Heap) startInsCount(ctx *sim.Context) { h.start(ctx, tagInsCount, cycleVal(h.cycle)) }
-func (h *Heap) startInsPoll(ctx *sim.Context)  { h.start(ctx, tagInsPoll, cycleVal(h.cycle)) }
-func (h *Heap) startDelCount(ctx *sim.Context) { h.start(ctx, tagDelCount, cycleVal(h.cycle)) }
-func (h *Heap) startLoad(ctx *sim.Context)     { h.start(ctx, tagLoad, cycleVal(h.cycle)) }
-func (h *Heap) startDelPoll(ctx *sim.Context)  { h.start(ctx, tagDelPoll, cycleVal(h.cycle)) }
+func (h *Heap) startInsCount(ctx *sim.Context) { h.start(ctx, tagInsCount, nil) }
+func (h *Heap) startDelCount(ctx *sim.Context) { h.start(ctx, tagDelCount, nil) }
+func (h *Heap) startLoad(ctx *sim.Context)     { h.start(ctx, tagLoad, nil) }
 
 func (h *Heap) startAssign(ctx *sim.Context) {
 	h.start(ctx, tagAssign, &assignParams{Cycle: h.cycle, Threshold: h.threshold})
@@ -124,19 +120,17 @@ func (h *Heap) insCountProto() *aggtree.Proto {
 				}
 				n.insSnap[seq] = snap
 			}
-			n.insCycle = uint64(params.(cycleVal))
-			n.outPuts += len(snap)
 			return aggtree.IntVal(len(snap))
 		},
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
 			k := int64(combined.(aggtree.IntVal))
+			h.k = k
 			h.m += k
 			base := h.valueCounter
 			h.valueCounter += k
-			// The anchor now polls until every store is confirmed, then
-			// moves to the delete phase.
-			h.startInsPoll(ctx)
+			// The delete phase starts once every store is confirmed.
+			h.await(tagInsStore)
 			return &valShare{Lo: base, Hi: base + k - 1, Cycle: h.cycle}
 		},
 		Split: splitByCounts,
@@ -148,38 +142,15 @@ func (h *Heap) insCountProto() *aggtree.Proto {
 			if int64(len(snap)) != share.Hi-share.Lo+1 {
 				panic("seap: insert value share does not match snapshot")
 			}
+			n.puts.cycle = share.Cycle
+			n.puts.out += len(snap)
 			for i, po := range snap {
 				h.trace.Complete(po.op, prio.Element{}, share.Lo+int64(i))
 				key := ctx.Rand().Uint64() // uniformly random DHT key (§5.1)
-				n.store.Put(ctx, self, key, po.elem, func() { n.outPuts-- })
+				n.store.Put(ctx, self, key, po.elem, func() { n.puts.out--; n.puts.done++ })
 			}
+			n.settle(ctx, self, tagInsStore, &n.puts)
 		},
-	}
-}
-
-// insPollProto: the anchor waits until every node has taken its snapshot
-// for this cycle and every store has been confirmed.
-func (h *Heap) insPollProto() *aggtree.Proto {
-	return &aggtree.Proto{
-		Name: "seap-ins-poll",
-		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
-			n := h.nodes[self.ID]
-			cycle := uint64(params.(cycleVal))
-			if n.insCycle < cycle {
-				return aggtree.IntVal(1) // snapshot not yet taken: not ready
-			}
-			return aggtree.IntVal(n.outPuts)
-		},
-		Combine: sumCombine,
-		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			if int64(combined.(aggtree.IntVal)) > 0 {
-				h.startInsPoll(ctx)
-				return nil
-			}
-			h.startDelCount(ctx)
-			return nil
-		},
-		GatherOnly: true,
 	}
 }
 
@@ -215,7 +186,6 @@ func (h *Heap) delCountProto() *aggtree.Proto {
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
 			d := int64(combined.(aggtree.IntVal))
-			h.dCount = d
 			h.kStar = d
 			if h.kStar > h.m {
 				h.kStar = h.m
@@ -229,7 +199,7 @@ func (h *Heap) delCountProto() *aggtree.Proto {
 			if h.kStar >= 1 {
 				h.startLoad(ctx)
 			} else {
-				h.startDelPoll(ctx)
+				h.await(tagDelFetch)
 			}
 			return &valShare{Lo: 1, Hi: d, Cycle: h.cycle, KStar: h.kStar}
 		},
@@ -251,14 +221,16 @@ func (h *Heap) delCountProto() *aggtree.Proto {
 					h.markDeleteDone(share.Cycle, rec, prio.Element{})
 					continue
 				}
-				n.outGets++
+				n.gets.out++
 				cycle := share.Cycle
 				n.store.Get(ctx, self, h.posKey(cycle, pos), func(e prio.Element, found bool) {
-					n.outGets--
+					n.gets.out--
+					n.gets.done++
 					h.markDeleteDone(cycle, rec, e)
 				})
 			}
-			n.delCycle = share.Cycle
+			n.gets.cycle = share.Cycle
+			n.settle(ctx, self, tagDelFetch, &n.gets)
 		},
 	}
 }
@@ -310,7 +282,7 @@ func (h *Heap) assignProto() *aggtree.Proto {
 			if int64(combined.(aggtree.IntVal)) != h.kStar {
 				panic("seap: extracted element count disagrees with k*")
 			}
-			h.startDelPoll(ctx)
+			h.await(tagDelFetch)
 			return &valShare{Lo: 1, Hi: h.kStar, Cycle: h.cycle}
 		},
 		Split: splitByCounts,
@@ -330,32 +302,31 @@ func (h *Heap) assignProto() *aggtree.Proto {
 	}
 }
 
-// delPollProto: the anchor waits until every node has applied its delete
-// assignment for this cycle and every Get has been answered, then
-// finalizes the cycle's serialization values and becomes idle.
-func (h *Heap) delPollProto() *aggtree.Proto {
+// completionProto is the convergecast that ends a phase: every node
+// contributes how many of its requests completed once none is left out
+// (Node.settle), so the anchor hears the phase's end one tree height after
+// the last confirmation. The total must equal the anchor's count *want;
+// then next runs.
+func (h *Heap) completionProto(name string, want *int64, next func(*sim.Context)) *aggtree.Proto {
 	return &aggtree.Proto{
-		Name: "seap-del-poll",
-		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
-			n := h.nodes[self.ID]
-			cycle := uint64(params.(cycleVal))
-			if n.delCycle < cycle {
-				return aggtree.IntVal(1) // assignment not yet applied
-			}
-			return aggtree.IntVal(n.outGets)
-		},
+		Name:    name,
 		Combine: sumCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			if int64(combined.(aggtree.IntVal)) > 0 {
-				h.startDelPoll(ctx)
-				return nil
+			if seq != h.cycle || int64(combined.(aggtree.IntVal)) != *want {
+				panic("seap: " + name + " total disagrees with the anchor's count")
 			}
-			h.finalizeDeletes(h.cycle)
-			h.inFlight = false
+			next(ctx)
 			return nil
 		},
 		GatherOnly: true,
 	}
+}
+
+// endCycle assigns the cycle's delete serialization values once every
+// Get is answered, and lets the anchor start the next cycle.
+func (h *Heap) endCycle(ctx *sim.Context) {
+	h.finalizeDeletes(h.cycle)
+	h.inFlight = false
 }
 
 // sumCombine adds integer contributions.

@@ -21,9 +21,10 @@
 //	                fetches its positions with Get — a Get that outruns
 //	                its Put parks at the responsible node (§3.2.4).
 //
-// Phase boundaries are enforced by anchor polls over the tree (all puts
-// confirmed / all gets answered), keeping every step within O(log n)
-// rounds w.h.p.
+// Each phase ends by a convergecast over the tree: a node reports once its
+// own Puts are confirmed (insert) or its Gets answered (delete), and the
+// anchor hears the phase's end one tree height after the last of them,
+// keeping every step within O(log n) rounds w.h.p.
 package seap
 
 import (
@@ -43,11 +44,11 @@ import (
 // Aggtree tags of the Seap phases (KSelect owns tags 10+).
 const (
 	tagInsCount aggtree.Tag = 1
-	tagInsPoll  aggtree.Tag = 2
+	tagInsStore aggtree.Tag = 2 // convergecast: every insert is stored
 	tagDelCount aggtree.Tag = 3
 	tagLoad     aggtree.Tag = 4
 	tagAssign   aggtree.Tag = 5
-	tagDelPoll  aggtree.Tag = 6
+	tagDelFetch aggtree.Tag = 6 // convergecast: every matched delete is answered
 )
 
 // Config parameterizes a Seap network.
@@ -86,10 +87,26 @@ type Node struct {
 	delSnap   map[uint64][]pendingOp
 	assignBuf map[uint64][]prio.Element
 
-	insCycle uint64 // last cycle whose insert snapshot this node took
-	delCycle uint64 // last cycle whose delete assignment this node applied
-	outPuts  int    // unconfirmed insert puts
-	outGets  int    // unanswered delete gets
+	// puts and gets are the node's parts of the cycle's two completion
+	// convergecasts: its insert Puts and its delete Gets.
+	puts, gets owed
+}
+
+// owed is a node's part of one completion convergecast: the cycle it owes
+// a contribution for (0 = none), its requests still out and those done.
+type owed struct {
+	cycle     uint64
+	out, done int
+}
+
+// settle contributes o's done count to tag's convergecast once o's cycle
+// has issued its requests and none is left out.
+func (n *Node) settle(ctx *sim.Context, self *ldb.VInfo, tag aggtree.Tag, o *owed) {
+	if o.cycle == 0 || o.out > 0 {
+		return
+	}
+	n.runner.Contribute(ctx, self, tag, o.cycle, aggtree.IntVal(o.done))
+	*o = owed{}
 }
 
 // delRecord tracks one DeleteMin of a cycle for the serialization-value
@@ -128,7 +145,7 @@ type Heap struct {
 	cycle        uint64
 	m            int64 // v₀.m: elements in the heap
 	valueCounter int64
-	dCount       int64
+	k            int64 // inserts of the current cycle
 	kStar        int64
 	threshold    prio.Key
 	cycles       int
@@ -211,9 +228,9 @@ func (h *Heap) Size() int64 { return h.m }
 func (h *Heap) SetAutoRepeat(on bool) { h.autoRepeat = on }
 
 // SetObs attaches a phase-timeline collector: the anchor marks each
-// aggtree exchange it starts (ins-count, ins-poll, del-count, load,
-// assign, del-poll) and the embedded selector marks its own KSelect
-// phases. nil detaches.
+// aggtree exchange it starts (ins-count, del-count, load, assign) and each
+// wait for a completion convergecast (ins-store, del-fetch), and the
+// embedded selector marks its own KSelect phases. nil detaches.
 func (h *Heap) SetObs(c *obs.Collector) {
 	h.col = c
 	h.selector.SetObs(c)
@@ -407,6 +424,8 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 			return
 		}
 		if n.store.Handle(ctx, from, msg) {
+			n.settle(ctx, self, tagInsStore, &n.puts)
+			n.settle(ctx, self, tagDelFetch, &n.gets)
 			return
 		}
 		if ks.Handle(ctx, nh.id, from, msg) {

@@ -315,9 +315,6 @@ func TestValShareBits(t *testing.T) {
 	if (&valShare{}).Bits() != 4*64 {
 		t.Fatal("valShare bits")
 	}
-	if cycleVal(3).Bits() != 64 {
-		t.Fatal("cycleVal bits")
-	}
 	if (&assignParams{}).Bits() != 64+128 {
 		t.Fatal("assignParams bits")
 	}

@@ -28,15 +28,6 @@ func init() {
 		},
 		&valShare{Lo: 3, Hi: 9, Cycle: 2, KStar: 5},
 	)
-	wire.Register("seap/cycle", cycleVal(0),
-		func(w *wire.Writer, msg sim.Message) {
-			w.U64(uint64(msg.(cycleVal)))
-		},
-		func(r *wire.Reader) sim.Message {
-			return cycleVal(r.U64())
-		},
-		cycleVal(0), cycleVal(19),
-	)
 	wire.Register("seap/assign-params", &assignParams{},
 		func(w *wire.Writer, msg sim.Message) {
 			p := msg.(*assignParams)

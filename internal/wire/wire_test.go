@@ -32,7 +32,7 @@ var wantKinds = []string{
 	"dht/put", "dht/get", "dht/reply",
 	"sort/sample-root", "sort/seek", "sort/arrive", "sort/copy", "sort/vector", "sort/ordered",
 	"kselect/sample-params", "kselect/pos-share", "kselect/elem",
-	"seap/val-share", "seap/cycle", "seap/assign-params",
+	"seap/val-share", "seap/assign-params",
 	"skeap/reset", "skeap/quiet", "skeap/wake",
 	"relax/probe", "relax/probe-reply", "relax/pop", "relax/pop-reply",
 	"relax/steal", "relax/steal-reply",
