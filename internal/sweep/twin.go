@@ -84,7 +84,7 @@ type Envelope struct {
 func DefaultTwin() *Twin {
 	return &Twin{Coeffs: map[string]Coeffs{
 		ProtoSkeap:   {RoundsA: 8, RoundsB: 30, CongA: 18, CongB: 40, BitsA: 100, BitsB: 2600},
-		ProtoSeap:    {RoundsA: 460, RoundsB: 120, CongA: 5, CongB: 60, BitsA: 20, BitsB: 900},
+		ProtoSeap:    {RoundsA: 300, RoundsB: 120, CongA: 5, CongB: 60, BitsA: 20, BitsB: 900},
 		ProtoKSelect: {RoundsA: 460, RoundsB: 300, CongA: 8, CongB: 30, BitsA: 20, BitsB: 600},
 		// SampleK rank envelope: mean rank error ≤ RankA·(n/k) + RankB.
 		// The intercept is large relative to the sequential power-of-choice
