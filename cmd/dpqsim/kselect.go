@@ -44,8 +44,12 @@ func kselectMain() {
 	fmt.Printf("  result            %v\n", res.Elem)
 	fmt.Printf("  rounds            %d\n", met.Rounds)
 	fmt.Printf("  messages          %d (max %d bits, congestion %d)\n", met.Messages, met.MaxMessageBit, met.Congestion)
-	fmt.Printf("  candidates        %d after phase 1, %d at phase 3 (Lemmas 4.4/4.7)\n",
-		res.CandidatesAfterP1, res.CandidatesAtP3)
+	if res.Phase1Skipped {
+		fmt.Printf("  candidates        phase 1 skipped (m ≤ n^{3/2}), %d at phase 3 (Lemma 4.7)\n", res.CandidatesAtP3)
+	} else {
+		fmt.Printf("  candidates        %d after phase 1, %d at phase 3 (Lemmas 4.4/4.7)\n",
+			res.CandidatesAfterP1, res.CandidatesAtP3)
+	}
 	fmt.Printf("  phase-2 iters     %d (retries %d)\n", res.Phase2Iters, res.Retries)
 	mean, max := sel.HolderStats()
 	fmt.Printf("  tree holders/node %.2f mean, %d max (Lemma 4.5)\n", mean, max)

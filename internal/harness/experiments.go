@@ -212,7 +212,7 @@ func KSelectRounds(sz Sizes) Table {
 		xs = append(xs, float64(n))
 		ys = append(ys, mathx.Mean(rs))
 	}
-	t.Notef("growth exponent %.2f — far below linear; constants are dominated by the ~10 aggregation exchanges per phase-2 iteration.",
+	t.Notef("growth exponent %.2f — far below linear; constants are dominated by the 6 tree waves per phase-2 iteration (sample start, up and down; the done convergecast; rank start and up) and the sort between them.",
 		mathx.GrowthExponent(xs, ys))
 	return t
 }

@@ -160,7 +160,7 @@ func TestScaleFootprint(t *testing.T) {
 // it. The measured values repeat run to run; each budget is 2x the value
 // measured when the gate was set, skeap-sat's 1.3x so that the batch code
 // that allocated per entry (10.2) fails it, and the serial seap and
-// kselect rows 1.2x so that per-node aggtree registration fails them.
+// kselect rows 1.1x so that per-node aggtree registration fails them.
 func TestAllocationBudget(t *testing.T) {
 	const seed = 1
 	// heap buffers batches × hosts × perHost operations in be, perHost per
@@ -198,8 +198,8 @@ func TestAllocationBudget(t *testing.T) {
 	}{
 		{"skeap", 63},      // measured 31.6 (45.5 before batches shared arrays)
 		{"skeap-sat", 6.4}, // measured 4.9 (10.2 before)
-		{"seap", 302},      // measured 251.3 (287.2 before dense sort tables, 380.7 before one aggtree table per protocol)
-		{"kselect", 147},   // measured 122.2 (143.8 before dense sort tables, 190.5 before that)
+		{"seap", 135},      // measured 123.2 (189.6 before a KSelect iteration took three tree instances, 251.3 before the sort ended by convergecast)
+		{"kselect", 65},    // measured 59.2 (88.9 before a KSelect iteration took three tree instances, 122.2 before the sort ended by convergecast)
 	}
 	for _, c := range cases {
 		const n = 256

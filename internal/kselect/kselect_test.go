@@ -108,8 +108,8 @@ func TestSelectExtremes(t *testing.T) {
 
 func TestRoundsLogarithmic(t *testing.T) {
 	// Theorem 4.2: O(log n) rounds w.h.p. Constants at simulation scale
-	// are large (each of the ~10 aggregation exchanges per phase-2
-	// iteration costs 2·height rounds), so assert a generous absolute
+	// are large (each of the 6 tree waves per phase-2 iteration costs a
+	// tree height of rounds, plus the sort), so assert a generous absolute
 	// envelope plus sub-linear growth: quadrupling n must not quadruple
 	// the rounds.
 	rounds := map[int]int{}

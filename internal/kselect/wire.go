@@ -122,12 +122,15 @@ func init() {
 	)
 	wire.Register("sort/ordered", &OrderedMsg{},
 		func(w *wire.Writer, msg sim.Message) {
-			w.U64(msg.(*OrderedMsg).Epoch)
+			m := msg.(*OrderedMsg)
+			w.U64(m.Epoch)
+			w.I64(m.Pos)
+			w.I64(m.Order)
 		},
 		func(r *wire.Reader) sim.Message {
-			return &OrderedMsg{Epoch: r.U64()}
+			return &OrderedMsg{Epoch: r.U64(), Pos: r.I64(), Order: r.I64()}
 		},
-		&OrderedMsg{Epoch: 3},
+		&OrderedMsg{Epoch: 3, Pos: 5, Order: 2},
 	)
 
 	wire.Register("kselect/sample-params", &sampleParams{},
@@ -136,16 +139,20 @@ func init() {
 			w.I64(p.N)
 			w.U64(p.Epoch)
 			w.Bool(p.Exact)
+			w.Key(p.Lo)
+			w.Key(p.Hi)
 		},
 		func(r *wire.Reader) sim.Message {
 			p := &sampleParams{}
 			p.N = r.I64()
 			p.Epoch = r.U64()
 			p.Exact = r.Bool()
+			p.Lo = r.Key()
+			p.Hi = r.Key()
 			return p
 		},
-		&sampleParams{N: 128, Epoch: 6},
-		&sampleParams{N: 1, Epoch: 0, Exact: true},
+		&sampleParams{N: 128, Epoch: 6, Lo: prio.MinKey, Hi: prio.MaxKey},
+		&sampleParams{N: 1, Epoch: 0, Exact: true, Lo: prio.Key{Prio: 4, ID: 9}, Hi: prio.Key{Prio: 7, ID: 2}},
 	)
 	wire.Register("kselect/pos-share", &posShare{},
 		func(w *wire.Writer, msg sim.Message) {
@@ -153,22 +160,27 @@ func init() {
 			w.I64(p.Lo)
 			w.I64(p.Hi)
 			w.I64(p.NPrime)
+			w.I64(p.L)
+			w.I64(p.R)
 		},
 		func(r *wire.Reader) sim.Message {
-			return &posShare{Lo: r.I64(), Hi: r.I64(), NPrime: r.I64()}
+			return &posShare{Lo: r.I64(), Hi: r.I64(), NPrime: r.I64(), L: r.I64(), R: r.I64()}
 		},
-		&posShare{Lo: 1, Hi: 4, NPrime: 16},
+		&posShare{Lo: 1, Hi: 4, NPrime: 16, L: 3, R: 9},
 	)
-	wire.Register("kselect/elem", elemVal{},
+	wire.Register("kselect/done", doneVal{},
 		func(w *wire.Writer, msg sim.Message) {
-			v := msg.(elemVal)
-			w.Element(v.E)
-			w.Bool(v.Valid)
+			v := msg.(doneVal)
+			w.I64(v.Issued)
+			w.Key(v.Lo)
+			w.Key(v.Hi)
+			w.Element(v.Ans)
+			w.Bool(v.HasAns)
 		},
 		func(r *wire.Reader) sim.Message {
-			return elemVal{E: r.Element(), Valid: r.Bool()}
+			return doneVal{Issued: r.I64(), Lo: r.Key(), Hi: r.Key(), Ans: r.Element(), HasAns: r.Bool()}
 		},
-		elemVal{},
-		elemVal{E: prio.Element{ID: 3, Prio: 2, Payload: "p"}, Valid: true},
+		doneVal{Issued: 7, Lo: prio.Key{Prio: 2, ID: 5}, Hi: prio.MinKey},
+		doneVal{Issued: 1, Lo: prio.MaxKey, Hi: prio.MinKey, Ans: prio.Element{ID: 3, Prio: 2, Payload: "p"}, HasAns: true},
 	)
 }
