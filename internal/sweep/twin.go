@@ -85,7 +85,7 @@ func DefaultTwin() *Twin {
 	return &Twin{Coeffs: map[string]Coeffs{
 		ProtoSkeap:   {RoundsA: 8, RoundsB: 30, CongA: 18, CongB: 40, BitsA: 100, BitsB: 2600},
 		ProtoSeap:    {RoundsA: 300, RoundsB: 120, CongA: 5, CongB: 60, BitsA: 20, BitsB: 900},
-		ProtoKSelect: {RoundsA: 460, RoundsB: 300, CongA: 8, CongB: 30, BitsA: 20, BitsB: 600},
+		ProtoKSelect: {RoundsA: 300, RoundsB: 300, CongA: 8, CongB: 30, BitsA: 20, BitsB: 600},
 		// SampleK rank envelope: mean rank error ≤ RankA·(n/k) + RankB.
 		// The intercept is large relative to the sequential power-of-choice
 		// expectation (n+1)/(k+1) − 1 because the engine pipelines deletes
