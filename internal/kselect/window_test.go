@@ -13,8 +13,10 @@ import (
 // window [P_min, P_max] must always contain the rank-k element,
 // whatever the local candidate counts are.
 
-// runPhase1Once executes exactly one window+prune exchange and returns the
-// k-th element's survival.
+// phase1KeepsTarget runs a selection of rank k over dist's elements on 5
+// processes and checks its answer. The elements must number more than
+// 5^{3/2} ≈ 11.2, or phase 1, the code under test, is skipped; the check
+// fails if it was.
 func phase1KeepsTarget(t *testing.T, dist func(sel *Selector, ov *ldb.Overlay) []prio.Element, k int64, seed uint64) {
 	t.Helper()
 	ov := ldb.New(5, hashutil.New(seed))
@@ -24,6 +26,9 @@ func phase1KeepsTarget(t *testing.T, dist func(sel *Selector, ov *ldb.Overlay) [
 	sel.Start(eng.Context(sel.Anchor()), k)
 	if !eng.RunUntil(sel.Done, 500000) {
 		t.Fatal("selection stuck")
+	}
+	if sel.Result().Phase1Skipped {
+		t.Fatalf("k=%d: phase 1 skipped over %d elements, the test needs it to run", k, len(elems))
 	}
 	want := expected(elems, k)
 	if sel.Result().Elem != want {
@@ -55,15 +60,15 @@ func TestWindowSparseNodes(t *testing.T) {
 	// local value.
 	dist := func(sel *Selector, ov *ldb.Overlay) []prio.Element {
 		var elems []prio.Element
-		// 3 elements on each of the first two virtual nodes only.
-		for i := 0; i < 6; i++ {
+		// 6 elements on each of the first two virtual nodes only.
+		for i := 0; i < 12; i++ {
 			e := prio.Element{ID: prio.ElemID(i + 1), Prio: prio.Priority(100 - i)}
 			elems = append(elems, e)
 			sel.Load(sim.NodeID(i%2), e)
 		}
 		return elems
 	}
-	for _, k := range []int64{1, 3, 6} {
+	for _, k := range []int64{1, 6, 12} {
 		phase1KeepsTarget(t, dist, k, 200+uint64(k))
 	}
 }
