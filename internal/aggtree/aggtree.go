@@ -52,7 +52,9 @@ type Proto struct {
 	// Combine merges the node's own contribution with its children's.
 	Combine func(self *ldb.VInfo, seq uint64, params Value, own Value, kids []KidValue) Value
 	// AtRoot consumes the fully combined value at the anchor and returns
-	// the value to scatter down, or nil for a gather-only instance.
+	// the value to scatter down, or nil for a gather-only instance. A
+	// scattering Proto must always scatter: a nil return would leave every
+	// other node holding the instance's gather state.
 	AtRoot func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, combined Value) Value
 	// Split decomposes a down value into the node's own part and one part
 	// per remembered child (same order as kids). Nil parts are not sent.
@@ -395,6 +397,9 @@ func (r *Runner) maybeCombine(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq ui
 	if self.Parent == sim.None {
 		down := p.AtRoot(ctx, self, seq, params, combined)
 		if down == nil {
+			if !p.GatherOnly {
+				panic(fmt.Sprintf("aggtree: %s instance %d ended without a scatter", p.Name, seq))
+			}
 			r.dropState(key{tag, seq})
 			return
 		}

@@ -1,6 +1,8 @@
 package aggtree
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dpq/internal/hashutil"
@@ -121,4 +123,34 @@ func TestDoubleStartPanics(t *testing.T) {
 		}
 	}()
 	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, 0, nil)
+}
+
+// TestScatterlessRootPanics: an instance of a scattering Proto must end
+// with a scatter; an AtRoot that returns nil would leave every other node
+// holding the instance's gather state.
+func TestScatterlessRootPanics(t *testing.T) {
+	ov, eng, nodes := buildNetwork(1, 781, func(tab *Table) {
+		tab.Register(1, &Proto{
+			Name: "mute",
+			Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value) Value {
+				return IntVal(0)
+			},
+			Combine: func(self *ldb.VInfo, seq uint64, params Value, own Value, kids []KidValue) Value {
+				return IntVal(0)
+			},
+			AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, combined Value) Value {
+				return nil
+			},
+			Split: func(self *ldb.VInfo, seq uint64, params Value, down Value, own Value, kids []KidValue) (Value, []Value) {
+				return down, make([]Value, len(kids))
+			},
+		})
+	})
+	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, 1, nil)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "without a scatter") {
+			t.Fatalf("recovered %v, want the missing scatter's panic", r)
+		}
+	}()
+	eng.RunUntil(func() bool { return false }, 1000)
 }

@@ -75,9 +75,9 @@ func TestKSelectBudget(t *testing.T) {
 // sample of ≈ 5.7 candidates and δ clamped to 1 make windows fail or span
 // the sample: the mean rounds and the total retries (failed rank checks,
 // empty samples, full-window resamples) of `dpqsim kselect -n 8 -m 128`,
-// seeds 1–20, at most 1.1× their readings when the bound was set (455.35
-// and 23; 679.25 and 26 before a phase-2 iteration took three tree
-// instances).
+// seeds 1–20, at most 1.1× their readings when the bound was set (450.95
+// and 23; 455.35 and 23 before a full-window sample was abandoned unsorted,
+// 679.25 and 26 before a phase-2 iteration took three tree instances).
 func TestKSelectSmallTreeBudget(t *testing.T) {
 	const n, m, seeds = 8, 128, 20
 	var rounds, retries int
@@ -95,18 +95,18 @@ func TestKSelectSmallTreeBudget(t *testing.T) {
 	}
 	mean := float64(rounds) / seeds
 	t.Logf("kselect n=%d m=%d, seeds 1–%d: %.2f mean rounds, %d retries", n, m, seeds, mean, retries)
-	if mean > 500 || retries > 25 {
-		t.Errorf("kselect n=%d: %.2f mean rounds and %d retries exceed the budget of 500 and 25", n, mean, retries)
+	if mean > 496 || retries > 25 {
+		t.Errorf("kselect n=%d: %.2f mean rounds and %d retries exceed the budget of 496 and 25", n, mean, retries)
 	}
 }
 
 // TestSeapBatchBudget: one Seap batch with one operation per host.
 func TestSeapBatchBudget(t *testing.T) {
 	for _, c := range []budget{
-		{8, 196, 610, 7},
-		{64, 675, 10330, 14},
-		{512, 1580, 96200, 14},
-		{2048, 2095, 434600, 19},
+		{8, 152, 484, 7},
+		{64, 565, 9280, 14},
+		{512, 1369, 87700, 14},
+		{2048, 1849, 400800, 19},
 	} {
 		checkBudget(t, "seap", c, oneBatch(t, "seap"))
 	}

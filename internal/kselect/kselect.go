@@ -28,14 +28,18 @@
 //	  [c_l, c_r]; it updates k and N at once, and the nodes prune to the
 //	  window when the next sample starts, shrinking N to O(√n) w.h.p.
 //	  (Lemma 4.7). An iteration is three tree instances: sample, done,
-//	  rank. A failed window (rank k outside it — the low-probability event
-//	  of Lemma 4.6) is detected and retried with doubled δ on the same
-//	  ordered sample, fetching the new boundaries from the nodes that
-//	  issued them.
+//	  rank. An empty sample, or one the window spans, is drawn again
+//	  before it is sorted. A failed window (rank k outside it — the
+//	  low-probability event of Lemma 4.6) is detected and retried with
+//	  doubled δ on the same ordered sample, fetching the new boundaries
+//	  from the nodes that issued them.
 //
 //	Phase 3 (exact): all remaining candidates are sorted by the same
 //	  machinery (sampling probability 1); the done convergecast brings the
 //	  candidate of order k, the answer.
+//
+// Every done convergecast also counts the candidates the nodes hold, which
+// the anchor checks against N.
 //
 // Ties are broken by element id (prio.Key), giving the total order §1.2
 // requires.
@@ -126,6 +130,7 @@ type Selector struct {
 	haveCl bool
 	haveCr bool
 	onDone func(ctx *sim.Context, res Result)
+	load   func(ctx *sim.Context, self *ldb.VInfo) []prio.Element
 	col    *obs.Collector // optional phase-timeline collector (nil-safe)
 	// fullWindow counts consecutive rounds whose δ-window covered every
 	// sample (no pruning possible); bounded resampling avoids an
@@ -201,6 +206,11 @@ func (s *Selector) NewSyncEngine(seed uint64) *sim.SyncEngine {
 // selection completes — host protocols (Seap) chain their next phase here.
 func (s *Selector) SetOnDone(f func(ctx *sim.Context, res Result)) { s.onDone = f }
 
+// SetLoad sets the hook through which an embedded selection's first start
+// (window or sample) installs each node's candidates: the host returns the
+// elements it stores at self, and the node keeps the slice.
+func (s *Selector) SetLoad(f func(ctx *sim.Context, self *ldb.VInfo) []prio.Element) { s.load = f }
+
 // SetObs attaches a phase-timeline collector: every anchor-driven phase
 // transition (window, prune, sort, boundary, rank, answer) is marked on it
 // so delivered messages attribute to the paper's phases. nil detaches.
@@ -235,9 +245,9 @@ func (s *Selector) HolderStats() (mean float64, max int) {
 // SortingRounds returns how many sorting rounds (epochs) ran.
 func (s *Selector) SortingRounds() int { return int(s.epoch) }
 
-// StartEmbedded begins a selection whose candidates were installed by the
-// host protocol via SetCandidates; total is their global count (known at
-// the host's anchor). State from previous selections is discarded.
+// StartEmbedded begins a selection whose candidates the host installs at
+// its first start (SetLoad); total is their global count (known at the
+// host's anchor). State from previous selections is discarded.
 func (s *Selector) StartEmbedded(ctx *sim.Context, k, total int64) {
 	s.m = total
 	s.result = Result{}

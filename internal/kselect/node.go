@@ -20,6 +20,9 @@ type Node struct {
 
 	cand   []prio.Element // remaining candidates, kept sorted by key
 	sorted bool
+	// loaded: the node took its candidates from the host (load) at an
+	// embedded selection's first start, and has not yet seen its phase 3.
+	loaded bool
 
 	epoch uint64
 	// sample holds the candidates this node chose in the current sample
@@ -162,11 +165,13 @@ func (n *Node) HandleRouted(ctx *sim.Context, self *ldb.VInfo, payload sim.Messa
 	return true
 }
 
-// SetCandidates replaces the node's candidate set — used by host protocols
-// (Seap) that reload candidates from their own storage before a selection.
-func (n *Node) SetCandidates(elems []prio.Element) {
-	n.cand = append(n.cand[:0], elems...)
-	n.sorted = false
+// load installs the node's candidates through the host's hook
+// (Selector.SetLoad) when an embedded selection's first start reaches it.
+func (n *Node) load(ctx *sim.Context, self *ldb.VInfo) {
+	if n.loaded || n.sel.load == nil {
+		return
+	}
+	n.cand, n.sorted, n.loaded = n.sel.load(ctx, self), false, true
 }
 
 // countLess returns |{c ∈ v.C : key(c) < k}| on the sorted candidate list.

@@ -26,7 +26,8 @@ func (p *sampleParams) Bits() int { return 2*64 + 1 + p.Lo.Bits() + p.Hi.Bits() 
 // posShare is the scattered position range of the sampling round, carrying
 // n′ so every node learns the sample total along with its share, and the
 // orders whose candidates the done convergecast brings to the anchor: l
-// and r in phase 2, k (as L, with R = 0) in phase 3.
+// and r in phase 2, k (as L, with R = 0) in phase 3. NPrime = 0 marks an
+// abandoned sample, whose positions every node ignores.
 type posShare struct {
 	Lo, Hi int64
 	NPrime int64
@@ -37,23 +38,24 @@ type posShare struct {
 func (p *posShare) Bits() int { return 5 * 64 }
 
 // doneVal is a done-convergecast contribution: the candidates a subtree
-// issued and, among them, the keys of those of order l and r (MaxKey and
-// MinKey when the subtree issued neither), or in phase 3 the candidate of
-// order k.
+// holds and those it issued and, among the issued, the keys of those of
+// order l and r (MaxKey and MinKey when the subtree issued neither), or in
+// phase 3 the candidate of order k.
 type doneVal struct {
+	Cands  int64
 	Issued int64
 	Lo, Hi prio.Key
 	Ans    prio.Element
 	HasAns bool
 }
 
-// Bits accounts the count, a flag and either the answer (phase 3) or the
-// two keys (phase 2): a value carries one or the other.
+// Bits accounts the two counts, a flag and either the answer (phase 3) or
+// the two keys (phase 2): a value carries one or the other.
 func (v doneVal) Bits() int {
 	if v.HasAns {
-		return 64 + 1 + v.Ans.Bits()
+		return 2*64 + 1 + v.Ans.Bits()
 	}
-	return 64 + 1 + v.Lo.Bits() + v.Hi.Bits()
+	return 2*64 + 1 + v.Lo.Bits() + v.Hi.Bits()
 }
 
 // noneDone is the neutral done contribution.
@@ -141,8 +143,9 @@ func (s *Selector) placeWindow() {
 }
 
 // resampleIfFull handles a window that spans every sample — an unluckily
-// small draw, a δ too wide for this scale, or a window widened past the
-// sample by failed rank checks — and reports whether it did. It resamples
+// small draw or a δ too wide for this scale, found before the sample is
+// sorted, or a window widened past the sample by failed rank checks — and
+// reports whether it did. It resamples
 // while the candidate set is still large (the exact phase costs Θ(N²)
 // comparisons), with a smaller δ unless failures widened this window;
 // otherwise it goes exact. The count of resamples is capped.
@@ -219,6 +222,7 @@ func (s *Selector) windowProto() *aggtree.Proto {
 		Name: "ks-window",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
 			n := s.nodes[self.ID]
+			n.load(ctx, self)
 			n.ensureSorted()
 			k := int64(params.(aggtree.IntVal))
 			nv := int64(s.ov.NumVirtual())
@@ -300,13 +304,15 @@ func (s *Selector) pruneProto() *aggtree.Proto {
 // sampleProto: phase 2a + 2b start — prune to the last checked window,
 // sample candidates, gather the count n′, scatter unique positions [1, n′]
 // with the orders the done convergecast reports, and route each sampled
-// candidate to its sorting root.
+// candidate to its sorting root. An empty sample, or one the δ window
+// spans, is abandoned: its scatter carries NPrime = 0 and routes nothing.
 func (s *Selector) sampleProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "ks-sample",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
 			n := s.nodes[self.ID]
 			p := params.(*sampleParams)
+			n.load(ctx, self)
 			n.epoch = p.Epoch
 			if p.Lo != prio.MinKey || p.Hi != prio.MaxKey {
 				n.prune(p.Lo, p.Hi)
@@ -317,6 +323,9 @@ func (s *Selector) sampleProto() *aggtree.Proto {
 				if p.Exact || ctx.Rand().Bool(prob) {
 					n.sample = append(n.sample, sampled{elem: e})
 				}
+			}
+			if p.Exact {
+				n.loaded = false // the selection's last start
 			}
 			return aggtree.IntVal(len(n.sample))
 		},
@@ -330,17 +339,24 @@ func (s *Selector) sampleProto() *aggtree.Proto {
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
 			nPrime := int64(combined.(aggtree.IntVal))
 			if nPrime == 0 {
+				if s.exact {
+					panic("kselect: the exact phase drew no candidates")
+				}
 				// Empty sample (possible for tiny N): retry the round.
 				s.result.Retries++
-				s.startSample(ctx, s.exact)
-				return nil
+				s.startSample(ctx, false)
+				return &posShare{Lo: 1, Hi: 0}
 			}
 			s.nPrime = nPrime
-			s.tables.reset(nPrime)
 			if s.exact {
+				s.tables.reset(nPrime)
 				return &posShare{Lo: 1, Hi: nPrime, NPrime: nPrime, L: s.k}
 			}
 			s.placeWindow()
+			if s.resampleIfFull(ctx) {
+				return &posShare{Lo: 1, Hi: nPrime}
+			}
+			s.tables.reset(nPrime)
 			return &posShare{Lo: 1, Hi: nPrime, NPrime: nPrime, L: s.lOrder, R: s.rOrder}
 		},
 		Split: func(self *ldb.VInfo, seq uint64, params aggtree.Value, down aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) (aggtree.Value, []aggtree.Value) {
@@ -365,11 +381,15 @@ func (s *Selector) sampleProto() *aggtree.Proto {
 			n := s.nodes[self.ID]
 			p := params.(*sampleParams)
 			iv := ownPart.(*posShare)
+			if iv.NPrime == 0 {
+				return
+			}
 			if int64(len(n.sample)) != iv.Hi-iv.Lo+1 {
 				panic("kselect: position share does not match sample count")
 			}
 			n.samplePos, n.exact, n.ordL, n.ordR = iv.Lo, p.Exact, iv.L, iv.R
 			n.done = noneDone
+			n.done.Cands = int64(len(n.cand))
 			n.unordered = int64(len(n.sample))
 			for i, c := range n.sample {
 				pos := iv.Lo + int64(i)
@@ -391,10 +411,11 @@ func (s *Selector) sampleProto() *aggtree.Proto {
 func sampleSize(n int) float64 { return math.Sqrt(float64(n)) + 3 }
 
 // doneProto is the convergecast that ends a sort: a node contributes the
-// number of candidates it issued, with the keys of those of order l and r
-// (phase 3: the candidate of order k), once each of their sorting roots
-// has reported its order (Node.maybeDone). The anchor learns that all n′
-// candidates are ordered one tree height after the last of them, and goes
+// number of candidates it holds and the number it issued, with the keys of
+// those of order l and r (phase 3: the candidate of order k), once each of
+// their sorting roots has reported its order (Node.maybeDone). The anchor
+// learns that all n′ candidates are ordered one tree height after the last
+// of them, checks that the nodes hold the N candidates it counts, and goes
 // straight to the rank check, or finishes.
 func (s *Selector) doneProto() *aggtree.Proto {
 	return &aggtree.Proto{
@@ -403,6 +424,7 @@ func (s *Selector) doneProto() *aggtree.Proto {
 			t := own.(doneVal)
 			for _, kv := range kids {
 				k := kv.V.(doneVal)
+				t.Cands += k.Cands
 				t.Issued += k.Issued
 				t.Lo = prio.MinKeyOf(t.Lo, k.Lo)
 				t.Hi = prio.MaxKeyOf(t.Hi, k.Hi)
@@ -417,6 +439,9 @@ func (s *Selector) doneProto() *aggtree.Proto {
 			if v.Issued != s.nPrime {
 				panic("kselect: sort ended with a count other than n′")
 			}
+			if v.Cands != s.n {
+				panic("kselect: the nodes hold a candidate count other than N")
+			}
 			if s.phase == phase3Sort {
 				if !v.HasAns {
 					panic("kselect: no candidate has the target order")
@@ -424,9 +449,7 @@ func (s *Selector) doneProto() *aggtree.Proto {
 				s.finish(ctx, v.Ans)
 				return nil
 			}
-			if !s.resampleIfFull(ctx) {
-				s.checkBoundary(ctx, v.Lo, v.Hi)
-			}
+			s.checkBoundary(ctx, v.Lo, v.Hi)
 			return nil
 		},
 		GatherOnly: true,

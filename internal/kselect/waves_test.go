@@ -108,3 +108,54 @@ func TestSelectionWaves(t *testing.T) {
 		t.Error("δ = 0.05 failed no rank check: the boundary fallback went untested")
 	}
 }
+
+// TestAbandonedSamplesEnd: a sample the anchor abandons, an empty draw or
+// one the δ window spans, ends with a scatter that every node ignores. A
+// node holds a sample instance's tree state from its start to its
+// scatter, so every node that received a sample's start must receive its
+// down too; a Seap heap reuses its selector every cycle, where kept states
+// would pile up. n = 8 with m = 128 abandons samples over these seeds.
+func TestAbandonedSamplesEnd(t *testing.T) {
+	const n, m, k = 8, 128, 64
+	abandoned := 0
+	for seed := uint64(1); seed <= 400; seed++ {
+		ov := ldb.New(n, hashutil.New(seed))
+		sel := New(ov, hashutil.New(seed+1))
+		elems := sel.LoadUniform(m, 4*m, seed+2)
+		eng := sel.NewSyncEngine(seed + 3)
+		open := map[uint64]int{}  // sample instance → starts minus downs delivered
+		gone := map[uint64]bool{} // abandoned sample instances
+		eng.SetObserver(func(d sim.Delivery) {
+			switch msg := d.Msg.(type) {
+			case *aggtree.StartMsg:
+				if msg.Tag == tagSample {
+					open[msg.Seq]++
+				}
+			case *aggtree.DownMsg:
+				if msg.Tag == tagSample {
+					open[msg.Seq]--
+					if msg.V.(*posShare).NPrime == 0 {
+						gone[msg.Seq] = true
+					}
+				}
+			}
+		})
+		sel.Start(eng.Context(sel.Anchor()), k)
+		if !eng.RunUntil(func() bool { return sel.Done() && !eng.Pending() }, 500000) {
+			t.Fatalf("seed %d: selection did not finish", seed)
+		}
+		if want := expected(elems, k); sel.Result().Elem != want {
+			t.Fatalf("seed %d: selected %v, want %v", seed, sel.Result().Elem, want)
+		}
+		abandoned += len(gone)
+		for seq, c := range open {
+			if c != 0 {
+				t.Errorf("seed %d: sample instance %d: %d nodes began it and never got its scatter", seed, seq, c)
+			}
+		}
+	}
+	t.Logf("%d samples abandoned", abandoned)
+	if abandoned == 0 {
+		t.Error("no sample was abandoned: the test covers nothing")
+	}
+}

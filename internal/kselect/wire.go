@@ -171,6 +171,7 @@ func init() {
 	wire.Register("kselect/done", doneVal{},
 		func(w *wire.Writer, msg sim.Message) {
 			v := msg.(doneVal)
+			w.I64(v.Cands)
 			w.I64(v.Issued)
 			w.Key(v.Lo)
 			w.Key(v.Hi)
@@ -178,9 +179,9 @@ func init() {
 			w.Bool(v.HasAns)
 		},
 		func(r *wire.Reader) sim.Message {
-			return doneVal{Issued: r.I64(), Lo: r.Key(), Hi: r.Key(), Ans: r.Element(), HasAns: r.Bool()}
+			return doneVal{Cands: r.I64(), Issued: r.I64(), Lo: r.Key(), Hi: r.Key(), Ans: r.Element(), HasAns: r.Bool()}
 		},
-		doneVal{Issued: 7, Lo: prio.Key{Prio: 2, ID: 5}, Hi: prio.MinKey},
-		doneVal{Issued: 1, Lo: prio.MaxKey, Hi: prio.MinKey, Ans: prio.Element{ID: 3, Prio: 2, Payload: "p"}, HasAns: true},
+		doneVal{Cands: 40, Issued: 7, Lo: prio.Key{Prio: 2, ID: 5}, Hi: prio.MinKey},
+		doneVal{Cands: 1, Issued: 1, Lo: prio.MaxKey, Hi: prio.MinKey, Ans: prio.Element{ID: 3, Prio: 2, Payload: "p"}, HasAns: true},
 	)
 }

@@ -9,15 +9,20 @@ import (
 	"dpq/internal/sim"
 )
 
-// valShare is a scattered interval of serialization values or positions.
+// valShare is a share of a cycle's intervals: the serialization values
+// [ValLo, ValHi] of the inserts and the positions [PosLo, PosHi] of the
+// deletes (positions beyond KStar return ⊥), split by each subtree's
+// (inserts, deletes) counts. The assign uses the positions alone, for the
+// extracted elements.
 type valShare struct {
-	Lo, Hi int64
-	Cycle  uint64
-	KStar  int64 // delete phase: positions beyond KStar return ⊥
+	ValLo, ValHi int64
+	PosLo, PosHi int64
+	Cycle        uint64
+	KStar        int64
 }
 
-// Bits accounts four integers.
-func (v *valShare) Bits() int { return 4 * 64 }
+// Bits accounts six integers.
+func (v *valShare) Bits() int { return 6 * 64 }
 
 // assignParams broadcasts the delete phase's extraction threshold.
 type assignParams struct {
@@ -30,10 +35,8 @@ func (p *assignParams) Bits() int { return 64 + 128 }
 
 // register builds the heap's protocol table, once for all of its nodes.
 func (h *Heap) register() {
-	h.protos.Register(tagInsCount, h.insCountProto())
-	h.protos.Register(tagInsStore, h.completionProto("seap-ins-store", &h.k, h.startDelCount))
-	h.protos.Register(tagDelCount, h.delCountProto())
-	h.protos.Register(tagLoad, h.loadProto())
+	h.protos.Register(tagCount, h.countProto())
+	h.protos.Register(tagInsStore, h.completionProto("seap-ins-store", &h.k, h.afterStore))
 	h.protos.Register(tagAssign, h.assignProto())
 	h.protos.Register(tagDelFetch, h.completionProto("seap-del-fetch", &h.kStar, h.endCycle))
 }
@@ -55,14 +58,10 @@ func (h *Heap) await(tag aggtree.Tag) { h.col.Phase(phaseName(tag)) }
 // structure as seen by the anchor).
 func phaseName(tag aggtree.Tag) string {
 	switch tag {
-	case tagInsCount:
-		return "seap:ins-count"
+	case tagCount:
+		return "seap:count"
 	case tagInsStore:
 		return "seap:ins-store"
-	case tagDelCount:
-		return "seap:del-count"
-	case tagLoad:
-		return "seap:load"
 	case tagAssign:
 		return "seap:assign"
 	case tagDelFetch:
@@ -71,12 +70,16 @@ func phaseName(tag aggtree.Tag) string {
 	return "seap:other"
 }
 
-func (h *Heap) startInsCount(ctx *sim.Context) { h.start(ctx, tagInsCount, nil) }
-func (h *Heap) startDelCount(ctx *sim.Context) { h.start(ctx, tagDelCount, nil) }
-func (h *Heap) startLoad(ctx *sim.Context)     { h.start(ctx, tagLoad, nil) }
-
-func (h *Heap) startAssign(ctx *sim.Context) {
-	h.start(ctx, tagAssign, &assignParams{Cycle: h.cycle, Threshold: h.threshold})
+// afterStore runs once every insert is stored: a cycle that extracts
+// selects the rank-k* element among the m + k* stored ones, and the
+// selection's first start loads the candidates (Heap.load); a cycle with
+// k* = 0 has answered its deletes with ⊥ and ends.
+func (h *Heap) afterStore(ctx *sim.Context) {
+	if h.kStar == 0 {
+		h.endCycle(ctx)
+		return
+	}
+	h.selector.StartEmbedded(ctx, h.kStar, h.m+h.kStar)
 }
 
 // onSelectDone chains the delete phase after KSelect found the rank-k*
@@ -86,177 +89,118 @@ func (h *Heap) onSelectDone(ctx *sim.Context, res kselect.Result) {
 		panic("seap: selection failed")
 	}
 	h.threshold = prio.KeyOf(res.Elem)
-	h.startAssign(ctx)
+	h.start(ctx, tagAssign, &assignParams{Cycle: h.cycle, Threshold: h.threshold})
+}
+
+// load is the selector's load hook (kselect.Selector.SetLoad). The
+// selection's first start reaches a node after every Put of the cycle is
+// confirmed, so the node issues the Gets of its matched deletes now — they
+// park at the responsible nodes until the assign stores the extracted
+// elements (§3.2.4 asynchrony rule) — and offers its stored elements as
+// candidates.
+func (h *Heap) load(ctx *sim.Context, self *ldb.VInfo) []prio.Element {
+	n := h.nodes[self.ID]
+	cycle := n.cycle
+	for _, rec := range n.fetch {
+		n.gets.out++
+		n.store.Get(ctx, self, h.posKey(cycle, rec.pos), func(e prio.Element, found bool) {
+			n.gets.out--
+			n.gets.done++
+			h.markDeleteDone(cycle, rec, e)
+		})
+	}
+	n.fetch = nil
+	n.gets.cycle = cycle
+	n.settle(ctx, self, tagDelFetch, &n.gets)
+	return n.store.Elements()
 }
 
 // ---- protos -----------------------------------------------------------------
 
-// insCountProto: aggregate the number of buffered inserts (§5.1), update
-// v₀.m, and scatter serialization-value intervals as the go-ahead.
-func (h *Heap) insCountProto() *aggtree.Proto {
+// countProto aggregates the numbers k of buffered inserts and d of
+// buffered deletes in one wave (§5.1, §5.2). The anchor updates v₀.m, fixes
+// k* = min(d, m) and scatters the go-ahead: serialization values for the
+// inserts, then unique positions in [1, d] for the deletes by interval
+// decomposition. Every node stores its inserts under uniformly random DHT
+// keys and answers its deletes beyond k* with ⊥; the Gets of the others
+// wait for the selection (Heap.load).
+func (h *Heap) countProto() *aggtree.Proto {
 	return &aggtree.Proto{
-		Name: "seap-ins-count",
+		Name: "seap-count",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
 			n := h.nodes[self.ID]
 			n.mu.Lock()
-			var snap []pendingOp
 			if h.cfg.SeqConsistent {
-				// §6 variant: only the oldest buffered op is eligible, and
-				// only if it is an Insert.
-				if len(n.seqBuf) > 0 && n.seqBuf[0].kind == semantics.Insert {
-					snap = []pendingOp{n.seqBuf[0]}
-					n.seqBuf = n.seqBuf[1:]
-				}
+				// §6 variant: only the oldest buffered op is eligible if it
+				// is an Insert, and the op after it if that is a DeleteMin.
+				n.ins = n.takeHead(semantics.Insert)
+				n.del = n.takeHead(semantics.DeleteMin)
 			} else {
-				snap = n.insBuf
-				n.insBuf = nil
+				n.ins, n.insBuf = n.insBuf, nil
+				n.del, n.delBuf = n.delBuf, nil
 			}
 			n.mu.Unlock()
-			// Empty snapshots are not stored: OnOwn reads a missing entry
-			// as nil, and idle nodes never allocate the map.
-			if len(snap) > 0 {
-				if n.insSnap == nil {
-					n.insSnap = make(map[uint64][]pendingOp)
-				}
-				n.insSnap[seq] = snap
-			}
-			return aggtree.IntVal(len(snap))
+			return aggtree.Int2Val{A: int64(len(n.ins)), B: int64(len(n.del))}
 		},
-		Combine: sumCombine,
+		Combine: pairCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			k := int64(combined.(aggtree.IntVal))
+			t := combined.(aggtree.Int2Val)
+			k, d := t.A, t.B
 			h.k = k
 			h.m += k
+			h.kStar = min(d, h.m)
+			h.m -= h.kStar
+			// Inserts serialize before the cycle's deletes.
 			base := h.valueCounter
-			h.valueCounter += k
-			// The delete phase starts once every store is confirmed.
+			h.valueCounter += k + d
+			h.traceMu.Lock()
+			h.delPhases[h.cycle] = &delPhase{base: base + k, expect: d}
+			h.traceMu.Unlock()
+			// The selection starts once every store is confirmed.
 			h.await(tagInsStore)
-			return &valShare{Lo: base, Hi: base + k - 1, Cycle: h.cycle}
+			return &valShare{ValLo: base, ValHi: base + k - 1, PosLo: 1, PosHi: d, Cycle: h.cycle, KStar: h.kStar}
 		},
 		Split: splitByCounts,
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, ownPart aggtree.Value) {
 			n := h.nodes[self.ID]
 			share := ownPart.(*valShare)
-			snap := n.insSnap[seq]
-			delete(n.insSnap, seq)
-			if int64(len(snap)) != share.Hi-share.Lo+1 {
-				panic("seap: insert value share does not match snapshot")
+			ins, del := n.ins, n.del
+			n.ins, n.del = nil, nil
+			if int64(len(ins)) != share.ValHi-share.ValLo+1 || int64(len(del)) != share.PosHi-share.PosLo+1 {
+				panic("seap: count share does not match the snapshot")
 			}
+			n.cycle = share.Cycle
 			n.puts.cycle = share.Cycle
-			n.puts.out += len(snap)
-			for i, po := range snap {
-				h.trace.Complete(po.op, prio.Element{}, share.Lo+int64(i))
+			n.puts.out += len(ins)
+			for i, po := range ins {
+				h.trace.Complete(po.op, prio.Element{}, share.ValLo+int64(i))
 				key := ctx.Rand().Uint64() // uniformly random DHT key (§5.1)
 				n.store.Put(ctx, self, key, po.elem, func() { n.puts.out--; n.puts.done++ })
+			}
+			for i, po := range del {
+				rec := &delRecord{op: po.op, pos: share.PosLo + int64(i)}
+				h.recordDelete(share.Cycle, rec)
+				if rec.pos > share.KStar {
+					// The heap holds fewer than pos elements: ⊥.
+					h.markDeleteDone(share.Cycle, rec, prio.Element{})
+					continue
+				}
+				n.fetch = append(n.fetch, rec)
 			}
 			n.settle(ctx, self, tagInsStore, &n.puts)
 		},
 	}
 }
 
-// delCountProto: aggregate the number of buffered deletes, assign each a
-// unique position in [1,d] (positions beyond k* = min(d, m) return ⊥) and
-// issue the Gets — they park at the responsible nodes until the assign
-// phase stores the extracted elements (§3.2.4 asynchrony rule).
-func (h *Heap) delCountProto() *aggtree.Proto {
-	return &aggtree.Proto{
-		Name: "seap-del-count",
-		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
-			n := h.nodes[self.ID]
-			n.mu.Lock()
-			var snap []pendingOp
-			if h.cfg.SeqConsistent {
-				if len(n.seqBuf) > 0 && n.seqBuf[0].kind == semantics.DeleteMin {
-					snap = []pendingOp{n.seqBuf[0]}
-					n.seqBuf = n.seqBuf[1:]
-				}
-			} else {
-				snap = n.delBuf
-				n.delBuf = nil
-			}
-			n.mu.Unlock()
-			if len(snap) > 0 {
-				if n.delSnap == nil {
-					n.delSnap = make(map[uint64][]pendingOp)
-				}
-				n.delSnap[seq] = snap
-			}
-			return aggtree.IntVal(len(snap))
-		},
-		Combine: sumCombine,
-		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			d := int64(combined.(aggtree.IntVal))
-			h.kStar = d
-			if h.kStar > h.m {
-				h.kStar = h.m
-			}
-			base := h.valueCounter
-			h.valueCounter += d
-			h.traceMu.Lock()
-			h.delPhases[h.cycle] = &delPhase{base: base, expect: d}
-			h.traceMu.Unlock()
-			h.m -= h.kStar
-			if h.kStar >= 1 {
-				h.startLoad(ctx)
-			} else {
-				h.await(tagDelFetch)
-			}
-			return &valShare{Lo: 1, Hi: d, Cycle: h.cycle, KStar: h.kStar}
-		},
-		Split: splitByCounts,
-		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, ownPart aggtree.Value) {
-			n := h.nodes[self.ID]
-			share := ownPart.(*valShare)
-			snap := n.delSnap[seq]
-			delete(n.delSnap, seq)
-			if int64(len(snap)) != share.Hi-share.Lo+1 {
-				panic("seap: delete position share does not match snapshot")
-			}
-			for i, po := range snap {
-				pos := share.Lo + int64(i)
-				rec := &delRecord{op: po.op, pos: pos}
-				h.recordDelete(share.Cycle, rec)
-				if pos > share.KStar {
-					// The heap holds fewer than pos elements: ⊥.
-					h.markDeleteDone(share.Cycle, rec, prio.Element{})
-					continue
-				}
-				n.gets.out++
-				cycle := share.Cycle
-				n.store.Get(ctx, self, h.posKey(cycle, pos), func(e prio.Element, found bool) {
-					n.gets.out--
-					n.gets.done++
-					h.markDeleteDone(cycle, rec, e)
-				})
-			}
-			n.gets.cycle = share.Cycle
-			n.settle(ctx, self, tagDelFetch, &n.gets)
-		},
+// takeHead removes and returns the head of the §6 variant's FIFO if it is
+// an op of kind.
+func (n *Node) takeHead(kind semantics.OpKind) []pendingOp {
+	if len(n.seqBuf) == 0 || n.seqBuf[0].kind != kind {
+		return nil
 	}
-}
-
-// loadProto installs the DHT contents as KSelect candidates and starts the
-// selection of the rank-k* element.
-func (h *Heap) loadProto() *aggtree.Proto {
-	return &aggtree.Proto{
-		Name: "seap-load",
-		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
-			n := h.nodes[self.ID]
-			elems := n.store.Elements()
-			h.selector.NodeAt(self.ID).SetCandidates(elems)
-			return aggtree.IntVal(len(elems))
-		},
-		Combine: sumCombine,
-		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			total := int64(combined.(aggtree.IntVal))
-			if total != h.m+h.kStar {
-				panic("seap: stored elements disagree with the anchor's m")
-			}
-			h.selector.StartEmbedded(ctx, h.kStar, total)
-			return nil
-		},
-		GatherOnly: true,
-	}
+	head := n.seqBuf[:1:1]
+	n.seqBuf = n.seqBuf[1:]
+	return head
 }
 
 // assignProto extracts every stored element with key ≤ threshold, assigns
@@ -267,36 +211,28 @@ func (h *Heap) assignProto() *aggtree.Proto {
 		Name: "seap-assign",
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value) aggtree.Value {
 			n := h.nodes[self.ID]
-			p := params.(*assignParams)
-			taken := n.store.TakeLeq(p.Threshold)
-			if len(taken) > 0 {
-				if n.assignBuf == nil {
-					n.assignBuf = make(map[uint64][]prio.Element)
-				}
-				n.assignBuf[seq] = taken
-			}
-			return aggtree.IntVal(len(taken))
+			n.taken = n.store.TakeLeq(params.(*assignParams).Threshold)
+			return aggtree.Int2Val{B: int64(len(n.taken))}
 		},
-		Combine: sumCombine,
+		Combine: pairCombine,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
-			if int64(combined.(aggtree.IntVal)) != h.kStar {
+			if combined.(aggtree.Int2Val).B != h.kStar {
 				panic("seap: extracted element count disagrees with k*")
 			}
 			h.await(tagDelFetch)
-			return &valShare{Lo: 1, Hi: h.kStar, Cycle: h.cycle}
+			return &valShare{ValLo: 1, ValHi: 0, PosLo: 1, PosHi: h.kStar, Cycle: h.cycle}
 		},
 		Split: splitByCounts,
 		OnOwn: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, ownPart aggtree.Value) {
 			n := h.nodes[self.ID]
 			share := ownPart.(*valShare)
-			taken := n.assignBuf[seq]
-			delete(n.assignBuf, seq)
-			if int64(len(taken)) != share.Hi-share.Lo+1 {
+			taken := n.taken
+			n.taken = nil
+			if int64(len(taken)) != share.PosHi-share.PosLo+1 {
 				panic("seap: extraction share does not match")
 			}
 			for i, e := range taken {
-				pos := share.Lo + int64(i)
-				n.store.Put(ctx, self, h.posKey(share.Cycle, pos), e, nil)
+				n.store.Put(ctx, self, h.posKey(share.Cycle, share.PosLo+int64(i)), e, nil)
 			}
 		},
 	}
@@ -338,21 +274,33 @@ func sumCombine(self *ldb.VInfo, seq uint64, params aggtree.Value, own aggtree.V
 	return t
 }
 
-// splitByCounts decomposes a valShare interval among the node and its
-// children proportionally to their gathered counts, own first.
+// pairCombine adds (inserts, deletes) count pairs.
+func pairCombine(self *ldb.VInfo, seq uint64, params aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) aggtree.Value {
+	t := own.(aggtree.Int2Val)
+	for _, kv := range kids {
+		t.A += kv.V.(aggtree.Int2Val).A
+		t.B += kv.V.(aggtree.Int2Val).B
+	}
+	return t
+}
+
+// splitByCounts decomposes a valShare's two intervals among the node and
+// its children by their gathered (inserts, deletes) counts, own first.
 func splitByCounts(self *ldb.VInfo, seq uint64, params aggtree.Value, down aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) (aggtree.Value, []aggtree.Value) {
 	share := down.(*valShare)
-	lo := share.Lo
-	ownC := int64(own.(aggtree.IntVal))
-	ownPart := &valShare{Lo: lo, Hi: lo + ownC - 1, Cycle: share.Cycle, KStar: share.KStar}
-	lo += ownC
+	val, pos := share.ValLo, share.PosLo
+	part := func(c aggtree.Value) *valShare {
+		t := c.(aggtree.Int2Val)
+		p := &valShare{ValLo: val, ValHi: val + t.A - 1, PosLo: pos, PosHi: pos + t.B - 1, Cycle: share.Cycle, KStar: share.KStar}
+		val, pos = val+t.A, pos+t.B
+		return p
+	}
+	ownPart := part(own)
 	parts := make([]aggtree.Value, len(kids))
 	for i, kv := range kids {
-		c := int64(kv.V.(aggtree.IntVal))
-		parts[i] = &valShare{Lo: lo, Hi: lo + c - 1, Cycle: share.Cycle, KStar: share.KStar}
-		lo += c
+		parts[i] = part(kv.V)
 	}
-	if lo != share.Hi+1 {
+	if val != share.ValHi+1 || pos != share.PosHi+1 {
 		panic("seap: interval decomposition does not cover")
 	}
 	return ownPart, parts

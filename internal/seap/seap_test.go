@@ -1,6 +1,8 @@
 package seap
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"dpq/internal/hashutil"
@@ -312,10 +314,61 @@ func TestDelRecordSorting(t *testing.T) {
 }
 
 func TestValShareBits(t *testing.T) {
-	if (&valShare{}).Bits() != 4*64 {
+	if (&valShare{}).Bits() != 6*64 {
 		t.Fatal("valShare bits")
 	}
 	if (&assignParams{}).Bits() != 64+128 {
 		t.Fatal("assignParams bits")
 	}
+}
+
+// TestSeapSelectionRunsPhase1: with m > n^{3/2} stored elements the
+// selection starts with phase 1's window, and that start, not a sample's,
+// loads every node's candidates: phase 1 prunes some of them.
+func TestSeapSelectionRunsPhase1(t *testing.T) {
+	const n = 8
+	h := New(Config{N: n, PrioBound: 1000, Seed: 650})
+	h.SetAutoRepeat(false)
+	id := prio.ElemID(1)
+	for host := 0; host < n; host++ {
+		for i := 0; i < 12; i++ {
+			h.InjectInsert(host, id, uint64(id*37%1000)+1, "")
+			id++
+			if i%2 == 0 {
+				h.InjectDelete(host)
+			}
+		}
+	}
+	runCycle(t, h, engineOf(h))
+	res := h.selector.Result()
+	if total := h.m + h.kStar; res.Phase1Skipped || h.kStar != 6*n || res.CandidatesAfterP1 >= total {
+		t.Fatalf("k* = %d among %d elements, phase 1 skipped %v and left %d: want a selection whose phase 1 prunes", h.kStar, total, res.Phase1Skipped, res.CandidatesAfterP1)
+	}
+	if !h.Done() {
+		t.Fatalf("%d/%d ops done after the cycle", h.trace.DoneCount(), h.trace.Len())
+	}
+	if rep := h.Check(); !rep.Ok() {
+		t.Fatalf("semantics violated:\n%s", rep.Error())
+	}
+}
+
+// TestStoredCountChecked: the selection's first sort checks that the nodes
+// hold the m + k* elements the anchor counts, so an anchor whose m is off
+// fails loudly instead of extracting the wrong elements.
+func TestStoredCountChecked(t *testing.T) {
+	h := New(Config{N: 4, PrioBound: 100, Seed: 660})
+	h.SetAutoRepeat(false)
+	for host := 0; host < 4; host++ {
+		h.InjectInsert(host, prio.ElemID(host+1), uint64(host)+1, "")
+	}
+	eng := engineOf(h)
+	runCycle(t, h, eng)
+	h.m++ // one element the DHT does not hold
+	h.InjectDelete(0)
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "candidate count other than N") {
+			t.Fatalf("recovered %v, want the candidate count check's panic", r)
+		}
+	}()
+	runCycle(t, h, eng)
 }

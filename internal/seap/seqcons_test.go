@@ -112,3 +112,39 @@ func TestStandardSeapNotLocallyConsistent(t *testing.T) {
 		t.Fatalf("serializability must hold:\n%s", rep.Error())
 	}
 }
+
+// TestSeqConsistentCycleTakesInsertThenDelete: in the §6 variant one count
+// takes a node's oldest op if it is an Insert and then the next op if it
+// is a DeleteMin. An Insert then a DeleteMin both join one cycle, and the
+// delete finds the inserted element; a DeleteMin then an Insert: only the
+// DeleteMin joins, and it returns ⊥.
+func TestSeqConsistentCycleTakesInsertThenDelete(t *testing.T) {
+	for _, insFirst := range []bool{true, false} {
+		h := New(Config{N: 1, PrioBound: 100, Seed: 640, SeqConsistent: true})
+		h.SetAutoRepeat(false)
+		var ins, del *semantics.Op
+		if insFirst {
+			ins = h.InjectInsert(0, 1, 5, "")
+			del = h.InjectDelete(0)
+		} else {
+			del = h.InjectDelete(0)
+			ins = h.InjectInsert(0, 1, 5, "")
+		}
+		runCycle(t, h, h.NewSyncEngine())
+		if !del.Done {
+			t.Fatalf("insert first %v: the DeleteMin did not join the cycle", insFirst)
+		}
+		if ins.Done != insFirst {
+			t.Errorf("insert first %v: the Insert joined the cycle: %v, want %v", insFirst, ins.Done, insFirst)
+		}
+		if got := del.Result; insFirst && got.ID != 1 || !insFirst && !got.Nil() {
+			t.Errorf("insert first %v: the DeleteMin returned %v", insFirst, del.Result)
+		}
+		if !insFirst {
+			continue // the oracle checks complete traces only
+		}
+		if rep := semantics.CheckAll(h.Trace(), semantics.ByID); !rep.Ok() {
+			t.Fatalf("sequential consistency violated:\n%s", rep.Error())
+		}
+	}
+}

@@ -13,20 +13,17 @@ func init() {
 	wire.Register("seap/val-share", &valShare{},
 		func(w *wire.Writer, msg sim.Message) {
 			v := msg.(*valShare)
-			w.I64(v.Lo)
-			w.I64(v.Hi)
+			w.I64(v.ValLo)
+			w.I64(v.ValHi)
+			w.I64(v.PosLo)
+			w.I64(v.PosHi)
 			w.U64(v.Cycle)
 			w.I64(v.KStar)
 		},
 		func(r *wire.Reader) sim.Message {
-			v := &valShare{}
-			v.Lo = r.I64()
-			v.Hi = r.I64()
-			v.Cycle = r.U64()
-			v.KStar = r.I64()
-			return v
+			return &valShare{ValLo: r.I64(), ValHi: r.I64(), PosLo: r.I64(), PosHi: r.I64(), Cycle: r.U64(), KStar: r.I64()}
 		},
-		&valShare{Lo: 3, Hi: 9, Cycle: 2, KStar: 5},
+		&valShare{ValLo: 3, ValHi: 9, PosLo: 1, PosHi: 4, Cycle: 2, KStar: 5},
 	)
 	wire.Register("seap/assign-params", &assignParams{},
 		func(w *wire.Writer, msg sim.Message) {
