@@ -198,8 +198,8 @@ func TestAllocationBudget(t *testing.T) {
 	}{
 		{"skeap", 63},      // measured 31.6 (45.5 before batches shared arrays)
 		{"skeap-sat", 6.4}, // measured 4.9 (10.2 before)
-		{"seap", 126},      // measured 114.8 (123.2 before a cycle ran one count and no load, 189.6 before a KSelect iteration took three tree instances, 251.3 before the sort ended by convergecast)
-		{"kselect", 65},    // measured 59.2 (88.9 before a KSelect iteration took three tree instances, 122.2 before the sort ended by convergecast)
+		{"seap", 82},       // measured 74.8 (114.8 before the tree instances skipped subtrees without work, 123.2 before a cycle ran one count and no load, 189.6 before a KSelect iteration took three tree instances, 251.3 before the sort ended by convergecast)
+		{"kselect", 37},    // measured 33.8 (59.2 before the tree instances skipped subtrees without candidates, 88.9 before a KSelect iteration took three tree instances, 122.2 before the sort ended by convergecast)
 	}
 	for _, c := range cases {
 		const n = 256

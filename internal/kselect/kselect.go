@@ -38,8 +38,13 @@
 //	  machinery (sampling probability 1); the done convergecast brings the
 //	  candidate of order k, the answer.
 //
-// Every done convergecast also counts the candidates the nodes hold, which
-// the anchor checks against N.
+// Every sample's gather also counts the candidates the nodes hold, which
+// the anchor checks against N, and tells each node which of its subtrees
+// still hold candidates and which drew samples: the next sample, rank and
+// boundary instances, the sample's scatter and the done convergecast run
+// only on those (Node.candKids, Node.issuerKids), since a skipped subtree
+// would contribute the identity. Only a selection's first start reaches
+// every node.
 //
 // Ties are broken by element id (prio.Key), giving the total order §1.2
 // requires.
@@ -120,6 +125,7 @@ type Selector struct {
 	nPrime int64   // samples in the current sorting round
 	seq    uint64  // aggtree instance counter
 	exact  bool    // phase 3: sample everything
+	first  bool    // the next instance started is the selection's first
 	lOrder int64   // boundary orders for the current round
 	rOrder int64
 	// lo and hi are the key window of the last passed rank check; the
@@ -272,6 +278,7 @@ func (s *Selector) Start(ctx *sim.Context, k int64) {
 	s.delta = initialDelta(s.ov.N)
 	s.lo, s.hi = prio.MinKey, prio.MaxKey
 	s.p1Iter = 0
+	s.first = true
 	if !s.phase1Needed() {
 		s.result.Phase1Skipped = true
 		s.result.CandidatesAfterP1 = s.m

@@ -20,9 +20,10 @@ type Node struct {
 
 	cand   []prio.Element // remaining candidates, kept sorted by key
 	sorted bool
-	// loaded: the node took its candidates from the host (load) at an
-	// embedded selection's first start, and has not yet seen its phase 3.
-	loaded bool
+	// candKids names the children whose subtrees held candidates after the
+	// last sample's prune, issuerKids those whose subtrees issued samples
+	// in it (sampleProto). The selection's first start resets candKids.
+	candKids, issuerKids aggtree.Mask
 
 	epoch uint64
 	// sample holds the candidates this node chose in the current sample
@@ -165,13 +166,15 @@ func (n *Node) HandleRouted(ctx *sim.Context, self *ldb.VInfo, payload sim.Messa
 	return true
 }
 
-// load installs the node's candidates through the host's hook
-// (Selector.SetLoad) when an embedded selection's first start reaches it.
-func (n *Node) load(ctx *sim.Context, self *ldb.VInfo) {
-	if n.loaded || n.sel.load == nil {
-		return
+// begin runs when the selection's first start (window or sample) reaches
+// the node, as it reaches every node: every subtree may hold candidates,
+// and an embedded selection installs the node's through the host's hook
+// (Selector.SetLoad).
+func (n *Node) begin(ctx *sim.Context, self *ldb.VInfo) {
+	n.candKids = aggtree.AllKids
+	if n.sel.load != nil {
+		n.cand, n.sorted = n.sel.load(ctx, self), false
 	}
-	n.cand, n.sorted, n.loaded = n.sel.load(ctx, self), false, true
 }
 
 // countLess returns |{c ∈ v.C : key(c) < k}| on the sorted candidate list.

@@ -130,12 +130,23 @@ func (s *Selector) meetPoint(epoch uint64, i, j int64) float64 {
 	return s.hasher.Unit(h)
 }
 
+// sortEpoch checks a sorting message's epoch at this node. A node whose
+// subtree held no candidate is skipped by the sample's start, and so still
+// knows an older epoch, yet it may host a sorting root, a holder or a
+// meeting point: it adopts a later epoch from the first sorting message it
+// gets. Every message of an epoch is consumed before the next epoch's
+// sample starts, so an older epoch is a protocol error.
+func (n *Node) sortEpoch(epoch uint64) {
+	if epoch < n.epoch {
+		panic("kselect: sorting message from a stale epoch")
+	}
+	n.epoch = epoch
+}
+
 // newRoot makes this node the sorting root v_i for position m.Pos: it
 // records the root in the root table and installs the root of the distribution tree over [1, n′].
 func (n *Node) newRoot(ctx *sim.Context, self *ldb.VInfo, m *SampleRootMsg) {
-	if m.Epoch != n.epoch {
-		panic("kselect: sorting message from a stale epoch")
-	}
+	n.sortEpoch(m.Epoch)
 	rt := n.sel.tables.root(m.Pos)
 	if rt == nil {
 		panic("kselect: sorting root outside the epoch's n′ positions")
@@ -151,9 +162,7 @@ func (n *Node) newRoot(ctx *sim.Context, self *ldb.VInfo, m *SampleRootMsg) {
 // keeps the copy j = mid, spawns the two child subtrees along de Bruijn
 // edges and routes its own copy to the meeting point.
 func (n *Node) newHolder(ctx *sim.Context, self *ldb.VInfo, epoch uint64, rootPos, lo, hi int64, key prio.Key, parent sim.NodeID, parentJ int64) {
-	if epoch != n.epoch {
-		panic("kselect: sorting message from a stale epoch")
-	}
+	n.sortEpoch(epoch)
 	mid := (lo + hi) / 2
 	hs := n.sel.tables.holder(rootPos, mid)
 	if hs == nil {
@@ -220,9 +229,7 @@ func (n *Node) onSeek(ctx *sim.Context, self *ldb.VInfo, m *DistSeekMsg) {
 // onCopy keeps the first copy of a pair at its meeting point; when the
 // second arrives, the two are compared and the outcome vectors dispatched.
 func (n *Node) onCopy(ctx *sim.Context, self *ldb.VInfo, m *CopyMsg) {
-	if m.Epoch != n.epoch {
-		panic("kselect: sorting message from a stale epoch")
-	}
+	n.sortEpoch(m.Epoch)
 	mp := n.sel.tables.meetAt(m.I, m.J)
 	if mp == nil {
 		panic("kselect: copy outside the epoch's pairs")
@@ -260,9 +267,7 @@ func (n *Node) onVec(ctx *sim.Context, self *ldb.VInfo, m *VecMsg) {
 // contributions it forwards the combined vector to its parent, or — at the
 // sorting root — records the candidate's order L+1.
 func (n *Node) addVec(ctx *sim.Context, self *ldb.VInfo, epoch uint64, root, j, l, r int64) {
-	if epoch != n.epoch {
-		panic("kselect: vector from a stale epoch")
-	}
+	n.sortEpoch(epoch)
 	hs := n.sel.tables.holder(root, j)
 	if hs == nil || hs.state != entryLive {
 		panic("kselect: vector for unknown holder")

@@ -242,11 +242,12 @@ func watchEpochs(sel *Selector, check func(*sortTables)) func() bool {
 }
 
 // TestSortEndsByConvergecast: a sort ends by one up wave, not by polling.
-// No start wave of the done instance is sent, every non-anchor node sends
-// exactly one done message per completed sort (the convergecast's O(n)
-// messages), and the anchor hears the last of them at most one tree
-// height after the sort's last message (position share, route, seek,
-// vector or order report).
+// No start wave of the done instance is sent; per completed sort, exactly
+// the non-anchor nodes whose subtrees issued samples, as their sample ups
+// say, send one done message each (the convergecast's O(n) messages, on
+// the issuers' paths only); and the anchor hears the last of them at most
+// one tree height after the sort's last message (position share, route,
+// seek, vector or order report).
 func TestSortEndsByConvergecast(t *testing.T) {
 	for _, seed := range []uint64{1, 2, 3} {
 		n := 64
@@ -256,6 +257,14 @@ func TestSortEndsByConvergecast(t *testing.T) {
 		eng := sel.NewSyncEngine(seed + 3)
 		var starts, ups, sorts, lastSort, worst int
 		doneTag := tagDone
+		issuers := map[uint64]map[sim.NodeID]int{} // sample seq → senders of a non-empty draw
+		dones := map[uint64]map[sim.NodeID]int{}   // done seq → senders of a done message
+		count := func(m map[uint64]map[sim.NodeID]int, seq uint64, from sim.NodeID) {
+			if m[seq] == nil {
+				m[seq] = map[sim.NodeID]int{}
+			}
+			m[seq][from]++
+		}
 		eng.SetObserver(func(d sim.Delivery) {
 			switch m := d.Msg.(type) {
 			case *aggtree.StartMsg:
@@ -263,10 +272,14 @@ func TestSortEndsByConvergecast(t *testing.T) {
 					starts++
 				}
 			case *aggtree.UpMsg:
+				if m.Tag == tagSample && m.V.(aggtree.Int2Val).A > 0 {
+					count(issuers, m.Seq, d.From)
+				}
 				if m.Tag != doneTag {
 					return
 				}
 				ups++
+				count(dones, m.Seq, d.From)
 				if d.To == ov.Anchor {
 					worst = max(worst, d.Round-lastSort)
 				}
@@ -293,8 +306,18 @@ func TestSortEndsByConvergecast(t *testing.T) {
 		if starts != 0 {
 			t.Errorf("seed %d: %d start messages of the done instance, want none", seed, starts)
 		}
-		if nonAnchor := ov.NumVirtual() - 1; ups == 0 || ups%nonAnchor != 0 || ups/nonAnchor > sorts {
-			t.Errorf("seed %d: %d done messages over %d sorts, want one per non-anchor node (%d) per sort", seed, ups, sorts, nonAnchor)
+		if len(dones) == 0 || len(dones) > sorts {
+			t.Errorf("seed %d: done convergecasts for %d sample instances over %d sorts", seed, len(dones), sorts)
+		}
+		for seq, senders := range dones {
+			if len(senders) != len(issuers[seq]) {
+				t.Errorf("seed %d: sort %d: %d nodes sent done messages, %d subtrees issued samples", seed, seq, len(senders), len(issuers[seq]))
+			}
+			for from, c := range senders {
+				if c != 1 || issuers[seq][from] != 1 {
+					t.Errorf("seed %d: sort %d: node %d sent %d done messages and %d non-empty sample ups, want 1 and 1", seed, seq, from, c, issuers[seq][from])
+				}
+			}
 		}
 		if limit := ov.TreeHeight(); worst > limit {
 			t.Errorf("seed %d: the anchor heard a sort's end %d rounds after its last message, want ≤ height = %d", seed, worst, limit)

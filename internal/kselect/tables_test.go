@@ -91,7 +91,7 @@ func TestSortTableInvariants(t *testing.T) {
 		ov := ldb.New(4, hashutil.New(1))
 		sel := New(ov, hashutil.New(2))
 		eng := sel.NewSyncEngine(3)
-		const epoch = 1
+		const epoch = 2
 		sel.tables.reset(4)
 		for _, nd := range sel.nodes {
 			nd.epoch = epoch
@@ -121,10 +121,18 @@ func TestSortTableInvariants(t *testing.T) {
 			return &CopyMsg{Epoch: epoch, I: i, J: j, Key: prio.Key{Prio: 5, ID: prio.ElemID(i)}, Holder: holder}
 		}
 
-		// 1. A message of another epoch.
-		mustPanic("stale epoch", a, arrive(epoch+1, 1, 2))
-		mustPanic("stale epoch", a, &VecMsg{Epoch: epoch + 1, Root: 1, J: 2})
-		mustPanic("stale epoch", a, &CopyMsg{Epoch: epoch + 1, I: 1, J: 2})
+		// 1. A message of an older epoch; a node that a sample's start
+		// skipped adopts a later one from the first sorting message.
+		mustPanic("stale epoch", a, arrive(epoch-1, 1, 2))
+		mustPanic("stale epoch", a, &VecMsg{Epoch: epoch - 1, Root: 1, J: 2})
+		mustPanic("stale epoch", a, &CopyMsg{Epoch: epoch - 1, I: 1, J: 2})
+		skipped := sim.NodeID(2)
+		sel.nodes[skipped].epoch = epoch - 1
+		feed(skipped, copyOf(2, 4, skipped))
+		if got := sel.nodes[skipped].epoch; got != epoch {
+			t.Errorf("a skipped node at epoch %d kept epoch %d after a copy of epoch %d", epoch-1, got, epoch)
+		}
+		mustPanic("stale epoch", skipped, arrive(epoch-1, 2, 2))
 
 		// 2. A second holder for one copy, at its node or another.
 		feed(a, arrive(epoch, 1, 2))

@@ -111,9 +111,10 @@ func TestSelectionWaves(t *testing.T) {
 
 // TestAbandonedSamplesEnd: a sample the anchor abandons, an empty draw or
 // one the δ window spans, ends with a scatter that every node ignores. A
-// node holds a sample instance's tree state from its start to its
-// scatter, so every node that received a sample's start must receive its
-// down too; a Seap heap reuses its selector every cycle, where kept states
+// node holds a sample instance's tree state from its start to its scatter,
+// or, when its subtree drew nothing, until it sends its up; so every node
+// that received a sample's start must receive its down or send an empty
+// draw up. A Seap heap reuses its selector every cycle, where kept states
 // would pile up. n = 8 with m = 128 abandons samples over these seeds.
 func TestAbandonedSamplesEnd(t *testing.T) {
 	const n, m, k = 8, 128, 64
@@ -130,6 +131,10 @@ func TestAbandonedSamplesEnd(t *testing.T) {
 			case *aggtree.StartMsg:
 				if msg.Tag == tagSample {
 					open[msg.Seq]++
+				}
+			case *aggtree.UpMsg:
+				if msg.Tag == tagSample && msg.V.(aggtree.Int2Val).A == 0 {
+					open[msg.Seq]--
 				}
 			case *aggtree.DownMsg:
 				if msg.Tag == tagSample {
@@ -150,7 +155,7 @@ func TestAbandonedSamplesEnd(t *testing.T) {
 		abandoned += len(gone)
 		for seq, c := range open {
 			if c != 0 {
-				t.Errorf("seed %d: sample instance %d: %d nodes began it and never got its scatter", seed, seq, c)
+				t.Errorf("seed %d: sample instance %d: %d nodes began it and neither got its scatter nor sent an empty draw up", seed, seq, c)
 			}
 		}
 	}

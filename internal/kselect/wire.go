@@ -133,12 +133,24 @@ func init() {
 		&OrderedMsg{Epoch: 3, Pos: 5, Order: 2},
 	)
 
+	wire.Register("kselect/window-params", &windowParams{},
+		func(w *wire.Writer, msg sim.Message) {
+			p := msg.(*windowParams)
+			w.I64(p.K)
+			w.Bool(p.First)
+		},
+		func(r *wire.Reader) sim.Message {
+			return &windowParams{K: r.I64(), First: r.Bool()}
+		},
+		&windowParams{K: 300, First: true},
+	)
 	wire.Register("kselect/sample-params", &sampleParams{},
 		func(w *wire.Writer, msg sim.Message) {
 			p := msg.(*sampleParams)
 			w.I64(p.N)
 			w.U64(p.Epoch)
 			w.Bool(p.Exact)
+			w.Bool(p.First)
 			w.Key(p.Lo)
 			w.Key(p.Hi)
 		},
@@ -147,11 +159,12 @@ func init() {
 			p.N = r.I64()
 			p.Epoch = r.U64()
 			p.Exact = r.Bool()
+			p.First = r.Bool()
 			p.Lo = r.Key()
 			p.Hi = r.Key()
 			return p
 		},
-		&sampleParams{N: 128, Epoch: 6, Lo: prio.MinKey, Hi: prio.MaxKey},
+		&sampleParams{N: 128, Epoch: 6, First: true, Lo: prio.MinKey, Hi: prio.MaxKey},
 		&sampleParams{N: 1, Epoch: 0, Exact: true, Lo: prio.Key{Prio: 4, ID: 9}, Hi: prio.Key{Prio: 7, ID: 2}},
 	)
 	wire.Register("kselect/pos-share", &posShare{},
@@ -171,7 +184,6 @@ func init() {
 	wire.Register("kselect/done", doneVal{},
 		func(w *wire.Writer, msg sim.Message) {
 			v := msg.(doneVal)
-			w.I64(v.Cands)
 			w.I64(v.Issued)
 			w.Key(v.Lo)
 			w.Key(v.Hi)
@@ -179,9 +191,9 @@ func init() {
 			w.Bool(v.HasAns)
 		},
 		func(r *wire.Reader) sim.Message {
-			return doneVal{Cands: r.I64(), Issued: r.I64(), Lo: r.Key(), Hi: r.Key(), Ans: r.Element(), HasAns: r.Bool()}
+			return doneVal{Issued: r.I64(), Lo: r.Key(), Hi: r.Key(), Ans: r.Element(), HasAns: r.Bool()}
 		},
-		doneVal{Cands: 40, Issued: 7, Lo: prio.Key{Prio: 2, ID: 5}, Hi: prio.MinKey},
-		doneVal{Cands: 1, Issued: 1, Lo: prio.MaxKey, Hi: prio.MinKey, Ans: prio.Element{ID: 3, Prio: 2, Payload: "p"}, HasAns: true},
+		doneVal{Issued: 7, Lo: prio.Key{Prio: 2, ID: 5}, Hi: prio.MinKey},
+		doneVal{Issued: 1, Lo: prio.MaxKey, Hi: prio.MinKey, Ans: prio.Element{ID: 3, Prio: 2, Payload: "p"}, HasAns: true},
 	)
 }

@@ -68,7 +68,9 @@ func runCycle(t *testing.T, h *Heap, eng *sim.SyncEngine) {
 // extracting cycle starts count and assign once each and no other Seap
 // instance (KSelect starts its own), and learns that every insert is
 // stored and every delete answered from convergecasts the nodes begin
-// themselves — one up message per tree edge each, no start wave, and heard
+// themselves — one up message per tree edge each, except the edges to the
+// right leaves, which hold no operation (aggtree.SkipRightLeaves), no
+// start wave, and heard
 // at most one tree height after the last confirmation. A cycle with k* = 0
 // starts only the count, and its stores' convergecast ends it.
 func TestSeapCycleEndsByConvergecast(t *testing.T) {
@@ -84,11 +86,11 @@ func TestSeapCycleEndsByConvergecast(t *testing.T) {
 				t.Errorf("%s: the anchor started no instance, want 1", phaseName(tag))
 			}
 		}
-		nonAnchor := h.ov.NumVirtual() - 1
+		leftAndMiddle := 2*h.ov.N - 1 // non-anchor nodes that are no right leaf
 		for _, tag := range []aggtree.Tag{tagInsStore, tagDelFetch} {
 			want := 0
 			if slices.Contains(completion, tag) {
-				want = nonAnchor
+				want = leftAndMiddle
 			}
 			if c.ups[tag] != want {
 				t.Errorf("%s: %d up messages, want %d", phaseName(tag), c.ups[tag], want)

@@ -12,10 +12,13 @@ import (
 // batchProto builds the gather–scatter describing one Skeap iteration:
 // Own = Phase 1 snapshot, Combine = Phase 1 entrywise combination,
 // AtRoot = Phase 2 position assignment, Split = Phase 3 decomposition and
-// OnOwn = Phase 4 DHT operations.
+// OnOwn = Phase 4 DHT operations. Operations are buffered at middle
+// nodes only, so the batch skips the right leaves, which would contribute
+// empty batches (aggtree.SkipRightLeaves).
 func (h *Heap) batchProto() *aggtree.Proto {
 	return &aggtree.Proto{
 		Name: "skeap-batch",
+		Kids: aggtree.SkipRightLeaves,
 		Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, _ aggtree.Value) aggtree.Value {
 			return h.nodes[self.ID].snapshot(seq)
 		},

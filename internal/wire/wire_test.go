@@ -31,7 +31,7 @@ var wantKinds = []string{
 	"ldb/route", "ldb/splice", "ldb/leave", "ldb/midpred",
 	"dht/put", "dht/get", "dht/reply",
 	"sort/sample-root", "sort/seek", "sort/arrive", "sort/copy", "sort/vector", "sort/ordered",
-	"kselect/sample-params", "kselect/pos-share", "kselect/done",
+	"kselect/window-params", "kselect/sample-params", "kselect/pos-share", "kselect/done",
 	"seap/val-share", "seap/assign-params",
 	"skeap/reset", "skeap/quiet", "skeap/wake",
 	"relax/probe", "relax/probe-reply", "relax/pop", "relax/pop-reply",
