@@ -1,6 +1,7 @@
 package aggtree
 
 import (
+	"dpq/internal/ldb"
 	"dpq/internal/mathx"
 	"dpq/internal/prio"
 )
@@ -27,6 +28,17 @@ type Int2Val struct{ A, B int64 }
 
 // Bits returns the encoding size of the pair.
 func (v Int2Val) Bits() int { return IntVal(v.A).Bits() + IntVal(v.B).Bits() }
+
+// SumInt2 is a Combine that adds Int2Val contributions entrywise.
+func SumInt2(self *ldb.VInfo, seq uint64, params Value, own Value, kids []KidValue) Value {
+	t := own.(Int2Val)
+	for _, kv := range kids {
+		k := kv.V.(Int2Val)
+		t.A += k.A
+		t.B += k.B
+	}
+	return t
+}
 
 // KeyVal is a single element key (priority plus tiebreaker id).
 type KeyVal prio.Key
