@@ -178,33 +178,13 @@ func (r *Response) Retryable() bool {
 		(r.Status == StatusError && r.Code == ErrPeerUnavailable)
 }
 
-func writeFrame(w io.Writer, body []byte) error {
-	var lenb [4]byte
-	binary.BigEndian.PutUint32(lenb[:], uint32(len(body)))
-	if _, err := w.Write(lenb[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(body)
+// writeFrame sets the length word that opens b (written as 0 before the
+// body) and writes the frame with one Write.
+func writeFrame(w io.Writer, b *wire.Writer) error {
+	frame := b.Bytes()
+	binary.BigEndian.PutUint32(frame, uint32(len(frame)-4))
+	_, err := w.Write(frame)
 	return err
-}
-
-// readFrame reads one frame and points fr at its body. The caller owns fr
-// (a local: nothing here makes it escape, so it costs no allocation).
-func readFrame(r io.Reader, fr *wire.Reader) error {
-	var lenb [4]byte
-	if _, err := io.ReadFull(r, lenb[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(lenb[:])
-	if n == 0 || n > maxFrame {
-		return fmt.Errorf("clientproto: implausible frame length %d", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return err
-	}
-	fr.Reset(body)
-	return nil
 }
 
 // WriteRequest frames and writes one request.
@@ -215,6 +195,7 @@ func WriteRequest(w io.Writer, req *Request) error {
 	}
 	b := wire.GetWriter()
 	defer wire.PutWriter(b)
+	b.U32(0)
 	b.U8(req.Op)
 	b.U64(req.ReqID)
 	switch req.Op {
@@ -224,22 +205,81 @@ func WriteRequest(w io.Writer, req *Request) error {
 	case OpAck, OpNack, OpLeaseScan:
 		b.U64(req.ID)
 	}
-	return writeFrame(w, b.Bytes())
+	return writeFrame(w, b)
 }
 
-// ReadRequest reads one framed request. A *ReqError return means the frame
-// itself was consumed and the stream is still usable; any other error is
-// fatal for the connection.
-func ReadRequest(r io.Reader) (*Request, error) {
-	var fr wire.Reader
-	if err := readFrame(r, &fr); err != nil {
-		return nil, err
+// WriteResponse frames and writes one response.
+func WriteResponse(w io.Writer, resp *Response) error {
+	b := wire.GetWriter()
+	defer wire.PutWriter(b)
+	b.U32(0)
+	b.U64(resp.ReqID)
+	b.U8(resp.Status)
+	b.U8(uint8(resp.Code))
+	b.U64(resp.ID)
+	b.U64(resp.Prio)
+	b.I64(resp.Value)
+	b.U32(resp.Deliveries)
+	return writeFrame(w, b)
+}
+
+// keepFrame is the largest frame buffer a Decoder keeps for the next
+// frame; a larger frame gets a buffer of its own, so one oversized insert
+// does not pin its size for the rest of the connection.
+const keepFrame = 4 << 10
+
+// Decoder reads the frames of one stream into a buffer it reuses, so a
+// connection decodes request after request without allocating. Nothing a
+// decoded Request or Response holds points into that buffer: an insert's
+// payload, which outlives the request, is copied out.
+type Decoder struct {
+	r    io.Reader
+	head [4]byte
+	buf  []byte
+	fr   wire.Reader
+}
+
+// NewDecoder decodes the frames r delivers. It reads exactly one frame
+// per call, so r may be read by other means between calls.
+func NewDecoder(r io.Reader) *Decoder { return &Decoder{r: r} }
+
+// frame reads one frame and points d.fr at its body.
+func (d *Decoder) frame() error {
+	if _, err := io.ReadFull(d.r, d.head[:]); err != nil {
+		return err
 	}
-	req := &Request{}
+	n := binary.BigEndian.Uint32(d.head[:])
+	if n == 0 || n > maxFrame {
+		return fmt.Errorf("clientproto: implausible frame length %d", n)
+	}
+	body := d.buf
+	if int(n) > cap(body) {
+		body = make([]byte, n)
+		if n <= keepFrame {
+			d.buf = body
+		}
+	}
+	body = body[:n]
+	if _, err := io.ReadFull(d.r, body); err != nil {
+		return err
+	}
+	d.fr.Reset(body)
+	return nil
+}
+
+// Request decodes the next frame into req, overwriting all of it. A
+// *ReqError return means the frame itself was consumed and the stream is
+// still usable; any other error is fatal for the connection.
+func (d *Decoder) Request(req *Request) error {
+	if err := d.frame(); err != nil {
+		return err
+	}
+	fr := &d.fr
+	*req = Request{}
 	req.Op = fr.U8()
 	req.ReqID = fr.U64()
 	if err := fr.Err(); err != nil {
-		return nil, &ReqError{Code: ErrMalformed, Cause: err.Error()}
+		return &ReqError{Code: ErrMalformed, Cause: err.Error()}
 	}
 	switch req.Op {
 	case OpInsert:
@@ -249,44 +289,30 @@ func ReadRequest(r io.Reader) (*Request, error) {
 	case OpAck, OpNack, OpLeaseScan:
 		req.ID = fr.U64()
 	default:
-		return nil, &ReqError{Code: ErrBadOp, ReqID: req.ReqID, Cause: fmt.Sprintf("op %d", req.Op)}
+		return &ReqError{Code: ErrBadOp, ReqID: req.ReqID, Cause: fmt.Sprintf("op %d", req.Op)}
 	}
 	if err := fr.Err(); err != nil {
-		return nil, &ReqError{Code: ErrMalformed, ReqID: req.ReqID, Cause: err.Error()}
+		return &ReqError{Code: ErrMalformed, ReqID: req.ReqID, Cause: err.Error()}
 	}
 	if fr.Remaining() > 0 {
-		return nil, &ReqError{Code: ErrMalformed, ReqID: req.ReqID,
+		return &ReqError{Code: ErrMalformed, ReqID: req.ReqID,
 			Cause: fmt.Sprintf("%d trailing bytes in request", fr.Remaining())}
 	}
 	if len(req.Payload) > MaxPayload {
-		return nil, &ReqError{Code: ErrPayloadTooLarge, ReqID: req.ReqID,
+		return &ReqError{Code: ErrPayloadTooLarge, ReqID: req.ReqID,
 			Cause: fmt.Sprintf("payload %d bytes, max %d", len(req.Payload), MaxPayload)}
 	}
-	return req, nil
+	return nil
 }
 
-// WriteResponse frames and writes one response.
-func WriteResponse(w io.Writer, resp *Response) error {
-	b := wire.GetWriter()
-	defer wire.PutWriter(b)
-	b.U64(resp.ReqID)
-	b.U8(resp.Status)
-	b.U8(uint8(resp.Code))
-	b.U64(resp.ID)
-	b.U64(resp.Prio)
-	b.I64(resp.Value)
-	b.U32(resp.Deliveries)
-	return writeFrame(w, b.Bytes())
-}
-
-// ReadResponse reads one framed response. StatusError responses are
-// returned as values, not errors — callers route them with Response.Err.
-func ReadResponse(r io.Reader) (*Response, error) {
-	var fr wire.Reader
-	if err := readFrame(r, &fr); err != nil {
-		return nil, err
+// Response decodes the next frame into resp, overwriting all of it.
+// StatusError responses are values, not errors — callers route them with
+// Response.Err.
+func (d *Decoder) Response(resp *Response) error {
+	if err := d.frame(); err != nil {
+		return err
 	}
-	resp := &Response{}
+	fr := &d.fr
 	resp.ReqID = fr.U64()
 	resp.Status = fr.U8()
 	resp.Code = ErrCode(fr.U8())
@@ -295,23 +321,43 @@ func ReadResponse(r io.Reader) (*Response, error) {
 	resp.Value = fr.I64()
 	resp.Deliveries = fr.U32()
 	if err := fr.Err(); err != nil {
-		return nil, err
+		return err
 	}
 	if fr.Remaining() > 0 {
-		return nil, fmt.Errorf("clientproto: %d trailing bytes in response", fr.Remaining())
+		return fmt.Errorf("clientproto: %d trailing bytes in response", fr.Remaining())
 	}
 	switch resp.Status {
 	case StatusInserted, StatusElem, StatusBottom, StatusAcked, StatusNacked:
 		if resp.Code != ErrNone {
-			return nil, fmt.Errorf("clientproto: status %d carries error code %s", resp.Status, resp.Code)
+			return fmt.Errorf("clientproto: status %d carries error code %s", resp.Status, resp.Code)
 		}
-		return resp, nil
+		return nil
 	case StatusError, StatusUnavailable:
 		if resp.Code == ErrNone || resp.Code >= errCodeCount {
-			return nil, fmt.Errorf("clientproto: error response with invalid code %d", uint8(resp.Code))
+			return fmt.Errorf("clientproto: error response with invalid code %d", uint8(resp.Code))
 		}
-		return resp, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("clientproto: unknown status %d", resp.Status)
+		return fmt.Errorf("clientproto: unknown status %d", resp.Status)
 	}
+}
+
+// ReadRequest reads one framed request (Decoder.Request on a decoder of
+// its own).
+func ReadRequest(r io.Reader) (*Request, error) {
+	req := new(Request)
+	if err := NewDecoder(r).Request(req); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// ReadResponse reads one framed response (Decoder.Response on a decoder
+// of its own).
+func ReadResponse(r io.Reader) (*Response, error) {
+	resp := new(Response)
+	if err := NewDecoder(r).Response(resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
 }

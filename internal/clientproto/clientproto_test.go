@@ -193,3 +193,71 @@ func TestMalformedInputs(t *testing.T) {
 		t.Fatal("oversized frame accepted")
 	}
 }
+
+// FuzzReadRequest decodes a stream of frames through one Decoder into one
+// reused Request and requires, frame by frame, what ReadRequest returns on
+// the same bytes, errors included, with both at the same stream offset.
+// Every payload decoded so far must still read as it did when its frame
+// was decoded: a payload that pointed into the decoder's reused buffer
+// would change when a later frame overwrote it.
+func FuzzReadRequest(f *testing.F) {
+	frames := func(reqs ...*Request) []byte {
+		var buf bytes.Buffer
+		for _, r := range reqs {
+			if err := WriteRequest(&buf, r); err != nil {
+				f.Fatal(err)
+			}
+		}
+		return buf.Bytes()
+	}
+	f.Add(frames(
+		&Request{Op: OpInsert, ReqID: 1, Prio: 2, Payload: "first"},
+		&Request{Op: OpInsert, ReqID: 2, Prio: 0, Payload: "second, longer"},
+		&Request{Op: OpDelete, ReqID: 3},
+		&Request{Op: OpAck, ReqID: 4, ID: 1 << 40},
+		&Request{Op: OpNack, ReqID: 5, ID: 7},
+		&Request{Op: OpLeaseScan, ReqID: 6, ID: 9},
+	))
+	badOp := frames(&Request{Op: OpDelete, ReqID: 7})
+	badOp[4] = 99
+	f.Add(append(badOp, frames(&Request{Op: OpInsert, ReqID: 8, Payload: "after"})...))
+	trailing := append(frames(&Request{Op: OpDelete, ReqID: 9}), 0xAB)
+	trailing[3]++
+	f.Add(append(trailing, frames(&Request{Op: OpInsert, ReqID: 10, Payload: "x"})...))
+	big := frames(&Request{Op: OpInsert, ReqID: 11, Payload: strings.Repeat("b", keepFrame)})
+	f.Add(append(big, frames(&Request{Op: OpInsert, ReqID: 12, Payload: "small"})...))
+	f.Add(frames(&Request{Op: OpInsert, ReqID: 13, Payload: "cut"})[:12])
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		ref := bytes.NewReader(stream)
+		in := bytes.NewReader(stream)
+		dec := NewDecoder(in)
+		var req Request
+		var got, want []string
+		for frame := 0; ; frame++ {
+			wantReq, wantErr := ReadRequest(ref)
+			err := dec.Request(&req)
+			if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+				t.Fatalf("frame %d: decoder error %v, ReadRequest error %v", frame, err, wantErr)
+			}
+			if in.Len() != ref.Len() {
+				t.Fatalf("frame %d: decoder left %d bytes, ReadRequest %d", frame, in.Len(), ref.Len())
+			}
+			if err != nil {
+				var re *ReqError
+				if errors.As(err, &re) {
+					continue
+				}
+				return
+			}
+			if req != *wantReq {
+				t.Fatalf("frame %d: decoded %+v, ReadRequest %+v", frame, req, *wantReq)
+			}
+			got, want = append(got, req.Payload), append(want, strings.Clone(wantReq.Payload))
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("frame %d: payload %d changed to %q, was %q", frame, i, got[i], want[i])
+				}
+			}
+		}
+	})
+}

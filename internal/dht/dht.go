@@ -9,6 +9,10 @@
 // Asynchrony is handled exactly as §3.2.4 prescribes: a Get arriving
 // before its matching Put waits at the responsible node until the Put
 // arrives.
+//
+// Replies are plain messages: Put and Get return the request id that the
+// matching ReplyMsg carries, and the issuing protocol handles the
+// ReplyMsg itself, matching it against its own record of the request.
 package dht
 
 import (
@@ -71,25 +75,81 @@ type waiter struct {
 	reqID   uint64
 }
 
+// fifo is what a node keeps under one key, in arrival order: the first
+// entry inline and any later ones in more. Keys rarely collide (Skeap's
+// are one per position, Seap's random), so a key's single element or
+// parked Get costs no slice of its own. A key with nothing has no entry.
+type fifo[T any] struct {
+	first T
+	more  []T
+}
+
+// push appends v to key's queue in m.
+func push[T any](m map[uint64]fifo[T], key uint64, v T) {
+	q, ok := m[key]
+	if !ok {
+		m[key] = fifo[T]{first: v}
+		return
+	}
+	q.more = append(q.more, v)
+	m[key] = q
+}
+
+// pop removes and returns the oldest entry of key's queue in m; ok is
+// false when the key has none.
+func pop[T any](m map[uint64]fifo[T], key uint64) (v T, ok bool) {
+	q, ok := m[key]
+	if !ok {
+		return v, false
+	}
+	if len(q.more) == 0 {
+		delete(m, key)
+	} else {
+		m[key] = fifo[T]{first: q.more[0], more: q.more[1:]}
+	}
+	return q.first, true
+}
+
+// all appends q's entries to dst in arrival order.
+func (q fifo[T]) all(dst []T) []T { return append(append(dst, q.first), q.more...) }
+
+// filter returns the n entries of q for which keep is true, in order, in
+// q's own backing array.
+func (q fifo[T]) filter(keep func(T) bool) (kept fifo[T], n int) {
+	more := q.more[:0]
+	for i := -1; i < len(q.more); i++ {
+		v := q.first
+		if i >= 0 {
+			v = q.more[i]
+		}
+		if !keep(v) {
+			continue
+		}
+		if n == 0 {
+			kept.first = v
+		} else {
+			more = append(more, v)
+		}
+		n++
+	}
+	kept.more = more
+	return kept, n
+}
+
 // DHT is the per-node component: each virtual node owns a shard of the key
-// space plus its outstanding-request table. Protocol handlers delegate
-// routed PutMsg/GetMsg payloads and direct ReplyMsgs to Handle.
+// space and the Gets parked at it, and keeps no record of the requests it
+// issues (see the package doc). Protocol handlers delegate routed
+// PutMsg/GetMsg payloads to HandleRouted.
 type DHT struct {
 	ov      *ldb.Overlay
-	store   map[uint64][]prio.Element
-	pending map[uint64][]waiter
+	store   map[uint64]fifo[prio.Element]
+	pending map[uint64]fifo[waiter]
 	nextReq uint64
-	onReply map[uint64]func(e prio.Element, found bool)
-	// aborted remembers requests cancelled by a partial-failure reset: a
-	// straggler reply (for example a stale Put matching a parked Get of an
-	// abandoned position) must be consumed silently instead of tripping the
-	// unknown-request panic that guards against real protocol bugs.
-	aborted map[uint64]bool
 }
 
 // New creates the DHT component of one virtual node. The per-node maps are
 // allocated lazily on first write: at million-node scale most virtual nodes
-// never store an element or issue a request, and four empty map headers per
+// never store an element or park a request, and empty map headers per
 // node would dominate the idle footprint.
 func New(ov *ldb.Overlay) *DHT {
 	return &DHT{ov: ov}
@@ -110,14 +170,11 @@ func NewAll(ov *ldb.Overlay, n int) []DHT {
 // experiments, Lemma 2.2(iv)).
 func (d *DHT) StoreSize() int {
 	n := 0
-	for _, es := range d.store {
-		n += len(es)
+	for _, q := range d.store {
+		n += 1 + len(q.more)
 	}
 	return n
 }
-
-// Outstanding returns the number of local requests still awaiting replies.
-func (d *DHT) Outstanding() int { return len(d.onReply) }
 
 // Elements returns a copy of all elements stored in this node's shard
 // (Seap loads KSelect candidates from it, §5.2). The result is in
@@ -125,8 +182,8 @@ func (d *DHT) Outstanding() int { return len(d.onReply) }
 // iteration order leak into protocol state would make runs irreproducible.
 func (d *DHT) Elements() []prio.Element {
 	var out []prio.Element
-	for _, es := range d.store {
-		out = append(out, es...)
+	for _, q := range d.store {
+		out = q.all(out)
 	}
 	sortByKey(out)
 	return out
@@ -140,7 +197,10 @@ func sortByKey(es []prio.Element) {
 // Dump removes and returns the node's whole shard — used when membership
 // changes move key ranges to different responsible nodes.
 func (d *DHT) Dump() map[uint64][]prio.Element {
-	out := d.store
+	out := make(map[uint64][]prio.Element, len(d.store))
+	for key, q := range d.store {
+		out[key] = q.all(nil)
+	}
 	d.store = nil
 	return out
 }
@@ -149,9 +209,11 @@ func (d *DHT) Dump() map[uint64][]prio.Element {
 // migration; the receiving node is the key's new responsible node).
 func (d *DHT) Absorb(key uint64, elems []prio.Element) {
 	if d.store == nil {
-		d.store = make(map[uint64][]prio.Element)
+		d.store = make(map[uint64]fifo[prio.Element])
 	}
-	d.store[key] = append(d.store[key], elems...)
+	for _, e := range elems {
+		push(d.store, key, e)
+	}
 }
 
 // Migrate hands every stored element of the n virtual nodes (node i's
@@ -194,16 +256,14 @@ func (d *DHT) PendingCount() int { return len(d.pending) }
 // not leak into the protocol.
 func (d *DHT) TakeLeq(bound prio.Key) []prio.Element {
 	var out []prio.Element
-	for key, es := range d.store {
-		kept := es[:0]
-		for _, e := range es {
+	for key, q := range d.store {
+		if kept, n := q.filter(func(e prio.Element) bool {
 			if prio.KeyOf(e).LessEq(bound) {
 				out = append(out, e)
-			} else {
-				kept = append(kept, e)
+				return false
 			}
-		}
-		if len(kept) == 0 {
+			return true
+		}); n == 0 {
 			delete(d.store, key)
 		} else {
 			d.store[key] = kept
@@ -213,52 +273,27 @@ func (d *DHT) TakeLeq(bound prio.Key) []prio.Element {
 	return out
 }
 
-// Put routes a store request for (key, e). onAck, if non-nil, runs when
-// the storing node confirms.
-func (d *DHT) Put(ctx *sim.Context, self *ldb.VInfo, key uint64, e prio.Element, onAck func()) {
+// Put routes a store request for (key, e). With ack, the storing node
+// confirms with a ReplyMsg (Ack set) carrying the returned request id;
+// without, no reply comes and the id is 0.
+func (d *DHT) Put(ctx *sim.Context, self *ldb.VInfo, key uint64, e prio.Element, ack bool) uint64 {
 	m := &PutMsg{Key: key, Elem: e, AckTo: sim.None}
-	if onAck != nil {
+	if ack {
 		d.nextReq++
 		m.AckTo, m.ReqID = self.ID, d.nextReq
-		d.setReply(m.ReqID, func(prio.Element, bool) { onAck() })
 	}
-	d.dispatch(ctx, self, key, m)
-}
-
-// Get routes a retrieve request for key; cb runs at this node with the
-// element once it has been fetched (found is always true for matched
-// requests — an unmatched Get waits forever, per §3.2.4). The returned
-// request id can be passed to Abort when a reset cancels the fetch.
-func (d *DHT) Get(ctx *sim.Context, self *ldb.VInfo, key uint64, cb func(e prio.Element, found bool)) uint64 {
-	d.nextReq++
-	m := &GetMsg{Key: key, ReplyTo: self.ID, ReqID: d.nextReq}
-	d.setReply(m.ReqID, cb)
 	d.dispatch(ctx, self, key, m)
 	return m.ReqID
 }
 
-// Abort cancels an outstanding request: its callback will never run, and a
-// straggler reply is dropped silently. Used by partial-failure resets. The
-// aborted-id memory is bounded by the requests in flight at reset time; an
-// id is reclaimed when its straggler reply arrives (fetches parked forever
-// at a crashed node leak one map entry per reset).
-func (d *DHT) Abort(reqID uint64) {
-	if _, ok := d.onReply[reqID]; !ok {
-		return
-	}
-	delete(d.onReply, reqID)
-	if d.aborted == nil {
-		d.aborted = make(map[uint64]bool)
-	}
-	d.aborted[reqID] = true
-}
-
-// setReply registers a reply callback, allocating the table on first use.
-func (d *DHT) setReply(reqID uint64, cb func(prio.Element, bool)) {
-	if d.onReply == nil {
-		d.onReply = make(map[uint64]func(prio.Element, bool))
-	}
-	d.onReply[reqID] = cb
+// Get routes a retrieve request for key and returns its request id. The
+// element comes back to this node in a ReplyMsg (Found set) carrying that
+// id once it has been fetched; an unmatched Get waits forever, per §3.2.4.
+func (d *DHT) Get(ctx *sim.Context, self *ldb.VInfo, key uint64) uint64 {
+	d.nextReq++
+	m := &GetMsg{Key: key, ReplyTo: self.ID, ReqID: d.nextReq}
+	d.dispatch(ctx, self, key, m)
+	return m.ReqID
 }
 
 func (d *DHT) dispatch(ctx *sim.Context, self *ldb.VInfo, key uint64, payload sim.Message) {
@@ -281,59 +316,29 @@ func (d *DHT) HandleRouted(ctx *sim.Context, payload sim.Message) bool {
 	return false
 }
 
-// Handle consumes direct DHT messages (replies). It reports whether the
-// message belonged to the DHT.
-func (d *DHT) Handle(ctx *sim.Context, from sim.NodeID, msg sim.Message) bool {
-	r, ok := msg.(*ReplyMsg)
-	if !ok {
-		return false
-	}
-	cb, known := d.onReply[r.ReqID]
-	if !known {
-		if d.aborted[r.ReqID] {
-			delete(d.aborted, r.ReqID)
-			return true
-		}
-		panic("dht: reply for unknown request")
-	}
-	delete(d.onReply, r.ReqID)
-	cb(r.Elem, r.Found)
-	return true
-}
-
 func (d *DHT) deliver(ctx *sim.Context, payload sim.Message) {
 	switch m := payload.(type) {
 	case *PutMsg:
-		if ws := d.pending[m.Key]; len(ws) > 0 {
+		if w, ok := pop(d.pending, m.Key); ok {
 			// A Get outran this Put (§3.2.4): match immediately.
-			w := ws[0]
-			d.pending[m.Key] = ws[1:]
-			if len(d.pending[m.Key]) == 0 {
-				delete(d.pending, m.Key)
-			}
 			ctx.Send(w.replyTo, &ReplyMsg{ReqID: w.reqID, Elem: m.Elem, Found: true})
 		} else {
 			if d.store == nil {
-				d.store = make(map[uint64][]prio.Element)
+				d.store = make(map[uint64]fifo[prio.Element])
 			}
-			d.store[m.Key] = append(d.store[m.Key], m.Elem)
+			push(d.store, m.Key, m.Elem)
 		}
 		if m.AckTo != sim.None {
 			ctx.Send(m.AckTo, &ReplyMsg{ReqID: m.ReqID, Ack: true})
 		}
 	case *GetMsg:
-		if es := d.store[m.Key]; len(es) > 0 {
-			e := es[0]
-			d.store[m.Key] = es[1:]
-			if len(d.store[m.Key]) == 0 {
-				delete(d.store, m.Key)
-			}
+		if e, ok := pop(d.store, m.Key); ok {
 			ctx.Send(m.ReplyTo, &ReplyMsg{ReqID: m.ReqID, Elem: e, Found: true})
 		} else {
 			if d.pending == nil {
-				d.pending = make(map[uint64][]waiter)
+				d.pending = make(map[uint64]fifo[waiter])
 			}
-			d.pending[m.Key] = append(d.pending[m.Key], waiter{replyTo: m.ReplyTo, reqID: m.ReqID})
+			push(d.pending, m.Key, waiter{replyTo: m.ReplyTo, reqID: m.ReqID})
 		}
 	default:
 		panic("dht: unexpected routed payload")

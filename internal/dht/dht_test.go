@@ -1,6 +1,7 @@
 package dht
 
 import (
+	"slices"
 	"testing"
 
 	"dpq/internal/hashutil"
@@ -10,11 +11,17 @@ import (
 	"dpq/internal/sim"
 )
 
-// dhtNode is a minimal protocol node hosting only a DHT shard.
+// dhtNode is a minimal protocol node hosting only a DHT shard. It keeps
+// the replies to its requests by request id, in arrival order in got.
 type dhtNode struct {
-	ov *ldb.Overlay
-	d  *DHT
+	ov      *ldb.Overlay
+	d       *DHT
+	replies map[uint64]*ReplyMsg
+	got     []*ReplyMsg
 }
+
+// answered reports whether the reply to request req has arrived.
+func (n *dhtNode) answered(req uint64) bool { return n.replies[req] != nil }
 
 func (n *dhtNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Message) {
 	switch m := msg.(type) {
@@ -24,10 +31,14 @@ func (n *dhtNode) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.Messa
 				panic("unexpected routed payload")
 			}
 		}
-	default:
-		if !n.d.Handle(ctx, from, msg) {
-			panic("unexpected message")
+	case *ReplyMsg:
+		if n.replies[m.ReqID] != nil {
+			panic("second reply to one request")
 		}
+		n.replies[m.ReqID] = m
+		n.got = append(n.got, m)
+	default:
+		panic("unexpected message")
 	}
 }
 
@@ -38,7 +49,7 @@ func newDHTNet(n int, seed uint64) (*ldb.Overlay, *sim.SyncEngine, []*dhtNode) {
 	nodes := make([]*dhtNode, ov.NumVirtual())
 	handlers := make([]sim.Handler, ov.NumVirtual())
 	for i := range handlers {
-		nodes[i] = &dhtNode{ov: ov, d: New(ov)}
+		nodes[i] = &dhtNode{ov: ov, d: New(ov), replies: map[uint64]*ReplyMsg{}}
 		handlers[i] = nodes[i]
 	}
 	groups, group := ov.Group()
@@ -52,22 +63,20 @@ func TestPutThenGet(t *testing.T) {
 	ov, eng, nodes := newDHTNet(16, 1)
 	src := ov.Anchor
 	e := prio.Element{ID: 42, Prio: 7, Payload: "hello"}
-	acked := false
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), 12345, e, func() { acked = true })
-	if !eng.RunUntil(func() bool { return acked }, maxRounds(16)) {
+	put := nodes[src].d.Put(eng.Context(src), ov.Info(src), 12345, e, true)
+	if !eng.RunUntil(func() bool { return nodes[src].answered(put) }, maxRounds(16)) {
 		t.Fatal("put never acknowledged")
 	}
-	var got prio.Element
-	found := false
+	if r := nodes[src].replies[put]; !r.Ack || r.Found {
+		t.Fatalf("put answered %+v, want an ack", r)
+	}
 	getter := sim.NodeID(5)
-	nodes[getter].d.Get(eng.Context(getter), ov.Info(getter), 12345, func(e prio.Element, ok bool) {
-		got, found = e, ok
-	})
-	if !eng.RunUntil(func() bool { return found }, maxRounds(16)) {
+	get := nodes[getter].d.Get(eng.Context(getter), ov.Info(getter), 12345)
+	if !eng.RunUntil(func() bool { return nodes[getter].answered(get) }, maxRounds(16)) {
 		t.Fatal("get never answered")
 	}
-	if got != e {
-		t.Fatalf("got %v want %v", got, e)
+	if r := nodes[getter].replies[get]; !r.Found || r.Elem != e {
+		t.Fatalf("got %+v want %v", r, e)
 	}
 }
 
@@ -75,26 +84,24 @@ func TestGetBeforePutWaits(t *testing.T) {
 	// §3.2.4: a Get arriving before its Put waits at the responsible node.
 	ov, eng, nodes := newDHTNet(8, 2)
 	key := uint64(999)
-	var got prio.Element
-	found := false
 	getter := sim.NodeID(1)
-	nodes[getter].d.Get(eng.Context(getter), ov.Info(getter), key, func(e prio.Element, ok bool) {
-		got, found = e, ok
-	})
+	get := nodes[getter].d.Get(eng.Context(getter), ov.Info(getter), key)
 	// Let the Get arrive and park.
 	for i := 0; i < maxRounds(8); i++ {
 		eng.Step()
 	}
-	if found {
+	if nodes[getter].answered(get) {
 		t.Fatal("get answered before any put")
 	}
 	e := prio.Element{ID: 1, Prio: 3}
 	putter := sim.NodeID(4)
-	nodes[putter].d.Put(eng.Context(putter), ov.Info(putter), key, e, nil)
-	if !eng.RunUntil(func() bool { return found }, maxRounds(8)) {
+	if req := nodes[putter].d.Put(eng.Context(putter), ov.Info(putter), key, e, false); req != 0 {
+		t.Fatalf("a Put without ack returned request id %d", req)
+	}
+	if !eng.RunUntil(func() bool { return nodes[getter].answered(get) }, maxRounds(8)) {
 		t.Fatal("parked get never matched")
 	}
-	if got != e {
+	if got := nodes[getter].replies[get].Elem; got != e {
 		t.Fatalf("got %v want %v", got, e)
 	}
 }
@@ -103,16 +110,15 @@ func TestGetRemovesElement(t *testing.T) {
 	ov, eng, nodes := newDHTNet(8, 3)
 	key := uint64(7)
 	src := sim.NodeID(0)
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 1, Prio: 1}, nil)
-	done := 0
-	nodes[src].d.Get(eng.Context(src), ov.Info(src), key, func(prio.Element, bool) { done++ })
-	eng.RunUntil(func() bool { return done == 1 }, maxRounds(8))
+	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 1, Prio: 1}, false)
+	nodes[src].d.Get(eng.Context(src), ov.Info(src), key)
+	eng.RunUntil(func() bool { return len(nodes[src].got) == 1 }, maxRounds(8))
 	// Second get must park (element removed).
-	nodes[src].d.Get(eng.Context(src), ov.Info(src), key, func(prio.Element, bool) { done++ })
+	nodes[src].d.Get(eng.Context(src), ov.Info(src), key)
 	for i := 0; i < maxRounds(8); i++ {
 		eng.Step()
 	}
-	if done != 1 {
+	if len(nodes[src].got) != 1 {
 		t.Fatal("second get should wait: element was removed by the first")
 	}
 }
@@ -123,18 +129,17 @@ func TestSameKeyMultiset(t *testing.T) {
 	ov, eng, nodes := newDHTNet(8, 4)
 	key := uint64(5)
 	src := sim.NodeID(2)
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 1, Prio: 1}, nil)
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 2, Prio: 2}, nil)
-	got := map[prio.ElemID]bool{}
-	count := 0
+	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 1, Prio: 1}, false)
+	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 2, Prio: 2}, false)
 	for i := 0; i < 2; i++ {
-		nodes[src].d.Get(eng.Context(src), ov.Info(src), key, func(e prio.Element, ok bool) {
-			got[e.ID] = true
-			count++
-		})
+		nodes[src].d.Get(eng.Context(src), ov.Info(src), key)
 	}
-	if !eng.RunUntil(func() bool { return count == 2 }, maxRounds(8)) {
+	if !eng.RunUntil(func() bool { return len(nodes[src].got) == 2 }, maxRounds(8)) {
 		t.Fatal("gets unanswered")
+	}
+	got := map[prio.ElemID]bool{}
+	for _, r := range nodes[src].got {
+		got[r.Elem.ID] = true
 	}
 	if !got[1] || !got[2] {
 		t.Fatalf("both elements must be served: %v", got)
@@ -146,9 +151,8 @@ func TestHopsLogarithmic(t *testing.T) {
 	for _, n := range []int{8, 64, 256} {
 		ov, eng, nodes := newDHTNet(n, uint64(n))
 		src := ov.Anchor
-		acked := false
-		nodes[src].d.Put(eng.Context(src), ov.Info(src), 42, prio.Element{ID: 1, Prio: 1}, func() { acked = true })
-		if !eng.RunUntil(func() bool { return acked }, maxRounds(n)) {
+		put := nodes[src].d.Put(eng.Context(src), ov.Info(src), 42, prio.Element{ID: 1, Prio: 1}, true)
+		if !eng.RunUntil(func() bool { return nodes[src].answered(put) }, maxRounds(n)) {
 			t.Fatalf("n=%d: put unacknowledged", n)
 		}
 		bound := 45 * (mathx.Log2Ceil(n) + 2)
@@ -166,7 +170,7 @@ func TestUniformDistribution(t *testing.T) {
 	m := 64 * n
 	src := ov.Anchor
 	for i := 0; i < m; i++ {
-		nodes[src].d.Put(eng.Context(src), ov.Info(src), rnd.Uint64(), prio.Element{ID: prio.ElemID(i + 1), Prio: 1}, nil)
+		nodes[src].d.Put(eng.Context(src), ov.Info(src), rnd.Uint64(), prio.Element{ID: prio.ElemID(i + 1), Prio: 1}, false)
 	}
 	eng.RunQuiescent(func() bool { return true }, 100000)
 	perHost := make([]int, n)
@@ -190,17 +194,27 @@ func TestUniformDistribution(t *testing.T) {
 	}
 }
 
+// TestOutstandingBookkeeping: request ids are distinct per issuing node,
+// a Get with nothing stored parks at the key's responsible node, and a
+// later Put resolves it with exactly one reply carrying the Get's id.
 func TestOutstandingBookkeeping(t *testing.T) {
 	ov, eng, nodes := newDHTNet(4, 7)
 	src := ov.Anchor
-	nodes[src].d.Get(eng.Context(src), ov.Info(src), 1, func(prio.Element, bool) {})
-	if nodes[src].d.Outstanding() != 1 {
-		t.Fatal("outstanding request not tracked")
+	get := nodes[src].d.Get(eng.Context(src), ov.Info(src), 1)
+	if put := nodes[src].d.Put(eng.Context(src), ov.Info(src), 2, prio.Element{ID: 2, Prio: 1}, true); put == get || put == 0 {
+		t.Fatalf("Put with ack got request id %d beside the Get's %d", put, get)
 	}
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), 1, prio.Element{ID: 1, Prio: 1}, nil)
-	eng.RunUntil(func() bool { return nodes[src].d.Outstanding() == 0 }, maxRounds(4))
-	if nodes[src].d.Outstanding() != 0 {
+	holder := nodes[ov.Responsible(KeyPoint(1))]
+	if !eng.RunUntil(func() bool { return holder.d.PendingCount() == 1 }, maxRounds(4)) {
+		t.Fatal("the Get never parked at the responsible node")
+	}
+	nodes[src].d.Put(eng.Context(src), ov.Info(src), 1, prio.Element{ID: 1, Prio: 1}, false)
+	if !eng.RunUntil(func() bool { return nodes[src].answered(get) }, maxRounds(4)) {
 		t.Fatal("request never resolved")
+	}
+	eng.RunQuiescent(func() bool { return true }, maxRounds(4))
+	if holder.d.PendingCount() != 0 || len(nodes[src].got) != 2 || nodes[src].replies[get].Elem.ID != 1 {
+		t.Fatalf("after the Put: %d parked, replies %+v", holder.d.PendingCount(), nodes[src].got)
 	}
 }
 
@@ -216,12 +230,10 @@ func TestKeyPointRange(t *testing.T) {
 func TestSingleNodeDHT(t *testing.T) {
 	ov, eng, nodes := newDHTNet(1, 8)
 	src := ov.Anchor
-	done := false
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), 3, prio.Element{ID: 9, Prio: 2}, nil)
-	nodes[src].d.Get(eng.Context(src), ov.Info(src), 3, func(e prio.Element, ok bool) {
-		done = ok && e.ID == 9
-	})
-	if !eng.RunUntil(func() bool { return done }, maxRounds(1)) {
+	nodes[src].d.Put(eng.Context(src), ov.Info(src), 3, prio.Element{ID: 9, Prio: 2}, false)
+	get := nodes[src].d.Get(eng.Context(src), ov.Info(src), 3)
+	done := func() bool { r := nodes[src].replies[get]; return r != nil && r.Found && r.Elem.ID == 9 }
+	if !eng.RunUntil(done, maxRounds(1)) {
 		t.Fatal("single-node DHT broken")
 	}
 }
@@ -229,15 +241,17 @@ func TestSingleNodeDHT(t *testing.T) {
 func TestPutAckRoundTrip(t *testing.T) {
 	ov, eng, nodes := newDHTNet(8, 20)
 	src := sim.NodeID(2)
-	acks := 0
+	var puts []uint64
 	for i := 0; i < 5; i++ {
-		nodes[src].d.Put(eng.Context(src), ov.Info(src), uint64(100+i), prio.Element{ID: prio.ElemID(i + 1), Prio: 1}, func() { acks++ })
+		puts = append(puts, nodes[src].d.Put(eng.Context(src), ov.Info(src), uint64(100+i), prio.Element{ID: prio.ElemID(i + 1), Prio: 1}, true))
 	}
-	if !eng.RunUntil(func() bool { return acks == 5 }, maxRounds(8)) {
-		t.Fatalf("acks=%d", acks)
+	if !eng.RunUntil(func() bool { return len(nodes[src].got) == 5 }, maxRounds(8)) {
+		t.Fatalf("acks=%d", len(nodes[src].got))
 	}
-	if nodes[src].d.Outstanding() != 0 {
-		t.Fatal("outstanding acks remain")
+	for _, put := range puts {
+		if r := nodes[src].replies[put]; r == nil || !r.Ack {
+			t.Fatalf("put %d: reply %+v, want an ack", put, r)
+		}
 	}
 }
 
@@ -247,23 +261,21 @@ func TestMultiplePendingGetsServedInOrder(t *testing.T) {
 	ov, eng, nodes := newDHTNet(4, 21)
 	key := uint64(77)
 	src := ov.Anchor
-	var got []prio.ElemID
+	var gets []uint64
 	for i := 0; i < 2; i++ {
-		nodes[src].d.Get(eng.Context(src), ov.Info(src), key, func(e prio.Element, ok bool) {
-			got = append(got, e.ID)
-		})
+		gets = append(gets, nodes[src].d.Get(eng.Context(src), ov.Info(src), key))
 	}
 	for i := 0; i < maxRounds(4); i++ {
 		eng.Step()
 	}
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 10, Prio: 1}, nil)
-	eng.RunUntil(func() bool { return len(got) == 1 }, maxRounds(4))
-	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 20, Prio: 1}, nil)
-	if !eng.RunUntil(func() bool { return len(got) == 2 }, maxRounds(4)) {
-		t.Fatalf("served %d of 2", len(got))
+	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 10, Prio: 1}, false)
+	eng.RunUntil(func() bool { return nodes[src].answered(gets[0]) }, maxRounds(4))
+	nodes[src].d.Put(eng.Context(src), ov.Info(src), key, prio.Element{ID: 20, Prio: 1}, false)
+	if !eng.RunUntil(func() bool { return nodes[src].answered(gets[1]) }, maxRounds(4)) {
+		t.Fatalf("served %d of 2", len(nodes[src].got))
 	}
-	if got[0] != 10 || got[1] != 20 {
-		t.Fatalf("service order %v", got)
+	if a, b := nodes[src].replies[gets[0]].Elem.ID, nodes[src].replies[gets[1]].Elem.ID; a != 10 || b != 20 {
+		t.Fatalf("service order %d, %d", a, b)
 	}
 }
 
@@ -271,7 +283,7 @@ func TestDumpAbsorbRoundTrip(t *testing.T) {
 	ov, eng, nodes := newDHTNet(4, 22)
 	src := ov.Anchor
 	for i := 0; i < 6; i++ {
-		nodes[src].d.Put(eng.Context(src), ov.Info(src), uint64(i), prio.Element{ID: prio.ElemID(i + 1), Prio: 1}, nil)
+		nodes[src].d.Put(eng.Context(src), ov.Info(src), uint64(i), prio.Element{ID: prio.ElemID(i + 1), Prio: 1}, false)
 	}
 	eng.RunQuiescent(func() bool { return true }, maxRounds(4))
 	total := 0
@@ -299,7 +311,7 @@ func TestTakeLeqBoundary(t *testing.T) {
 	ov, eng, nodes := newDHTNet(2, 23)
 	src := ov.Anchor
 	for i := 1; i <= 5; i++ {
-		nodes[src].d.Put(eng.Context(src), ov.Info(src), uint64(i), prio.Element{ID: prio.ElemID(i), Prio: prio.Priority(i * 10)}, nil)
+		nodes[src].d.Put(eng.Context(src), ov.Info(src), uint64(i), prio.Element{ID: prio.ElemID(i), Prio: prio.Priority(i * 10)}, false)
 	}
 	eng.RunQuiescent(func() bool { return true }, maxRounds(2))
 	bound := prio.Key{Prio: 30, ID: prio.ElemID(3)} // inclusive of element 3
@@ -316,5 +328,30 @@ func TestTakeLeqBoundary(t *testing.T) {
 	}
 	if remaining != 2 {
 		t.Fatalf("remaining %d", remaining)
+	}
+}
+
+// TestTakeLeqKeepsKeyOrder: elements that share a key and stay after
+// TakeLeq keep their arrival order, whichever of them are taken.
+func TestTakeLeqKeepsKeyOrder(t *testing.T) {
+	prios := []prio.Priority{30, 10, 40, 20, 50}
+	for mask := 0; mask < 1<<len(prios); mask++ {
+		d := New(nil)
+		var want []prio.Element
+		for i, p := range prios {
+			e := prio.Element{ID: prio.ElemID(i + 1), Prio: p}
+			if mask>>i&1 == 1 {
+				e.Prio += 100 // above the bound: stays
+				want = append(want, e)
+			}
+			d.Absorb(7, []prio.Element{e})
+		}
+		taken := d.TakeLeq(prio.Key{Prio: 100, ID: ^prio.ElemID(0)})
+		if len(taken)+len(want) != len(prios) || d.StoreSize() != len(want) {
+			t.Fatalf("mask %b: took %d, %d stay, want %d", mask, len(taken), d.StoreSize(), len(want))
+		}
+		if got := d.Dump()[7]; !slices.Equal(got, want) {
+			t.Fatalf("mask %b: key holds %v, want %v", mask, got, want)
+		}
 	}
 }

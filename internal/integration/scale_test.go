@@ -196,9 +196,9 @@ func TestAllocationBudget(t *testing.T) {
 		name   string
 		budget float64 // allocations per operation (per element for KSelect)
 	}{
-		{"skeap", 63},      // measured 31.6 (45.5 before batches shared arrays)
-		{"skeap-sat", 6.4}, // measured 4.9 (10.2 before)
-		{"seap", 82},       // measured 74.8 (114.8 before the tree instances skipped subtrees without work, 123.2 before a cycle ran one count and no load, 189.6 before a KSelect iteration took three tree instances, 251.3 before the sort ended by convergecast)
+		{"skeap", 43},      // measured 21.5 (23.6 before DHT replies went to the issuer's records, 28.6 before the batch skipped right leaves, 45.5 before batches shared arrays)
+		{"skeap-sat", 4.0}, // measured 3.1 (4.6 before DHT replies went to the issuer's records, 10.2 before batches shared arrays)
+		{"seap", 79},       // measured 71.8 (74.8 before DHT replies went to the issuer's records, 114.8 before the tree instances skipped subtrees without work, 123.2 before a cycle ran one count and no load, 189.6 before a KSelect iteration took three tree instances, 251.3 before the sort ended by convergecast)
 		{"kselect", 37},    // measured 33.8 (59.2 before the tree instances skipped subtrees without candidates, 88.9 before a KSelect iteration took three tree instances, 122.2 before the sort ended by convergecast)
 	}
 	for _, c := range cases {

@@ -100,17 +100,15 @@ func (h *Heap) onSelectDone(ctx *sim.Context, res kselect.Result) {
 // candidates.
 func (h *Heap) load(ctx *sim.Context, self *ldb.VInfo) []prio.Element {
 	n := h.nodes[self.ID]
-	cycle := n.cycle
+	if len(n.fetch) > 0 && n.fetching == nil {
+		n.fetching = make(map[uint64]*delRecord, len(n.fetch))
+	}
 	for _, rec := range n.fetch {
 		n.gets.out++
-		n.store.Get(ctx, self, h.posKey(cycle, rec.pos), func(e prio.Element, found bool) {
-			n.gets.out--
-			n.gets.done++
-			h.markDeleteDone(cycle, rec, e)
-		})
+		n.fetching[n.store.Get(ctx, self, h.posKey(n.cycle, rec.pos))] = rec
 	}
 	n.fetch = nil
-	n.gets.cycle = cycle
+	n.gets.cycle = n.cycle
 	n.settle(ctx, self, tagDelFetch, &n.gets)
 	return n.store.Elements()
 }
@@ -178,14 +176,14 @@ func (h *Heap) countProto() *aggtree.Proto {
 			for i, po := range ins {
 				h.trace.Complete(po.op, prio.Element{}, share.ValLo+int64(i))
 				key := ctx.Rand().Uint64() // uniformly random DHT key (§5.1)
-				n.store.Put(ctx, self, key, po.elem, func() { n.puts.out--; n.puts.done++ })
+				n.store.Put(ctx, self, key, po.elem, true)
 			}
 			for i, po := range del {
 				rec := &delRecord{op: po.op, pos: share.PosLo + int64(i)}
 				h.recordDelete(share.Cycle, rec)
 				if rec.pos > share.KStar {
 					// The heap holds fewer than pos elements: ⊥.
-					h.markDeleteDone(share.Cycle, rec, prio.Element{})
+					h.markDeleteDone(rec, prio.Element{})
 					continue
 				}
 				n.fetch = append(n.fetch, rec)
@@ -235,7 +233,7 @@ func (h *Heap) assignProto() *aggtree.Proto {
 				panic("seap: extraction share does not match")
 			}
 			for i, e := range taken {
-				n.store.Put(ctx, self, h.posKey(share.Cycle, share.PosLo+int64(i)), e, nil)
+				n.store.Put(ctx, self, h.posKey(share.Cycle, share.PosLo+int64(i)), e, false)
 			}
 		},
 	}

@@ -80,12 +80,13 @@ type Node struct {
 	seqBuf []pendingOp
 
 	// The node's part of the current cycle: the ops its count took, the
-	// deletes whose Gets wait for the selection (Heap.load), and the
-	// elements the assign took.
+	// deletes whose Gets wait for the selection (Heap.load), the elements
+	// the assign took, and the deletes whose Gets are out, by request id.
 	cycle    uint64
 	ins, del []pendingOp
 	taken    []prio.Element
 	fetch    []*delRecord
+	fetching map[uint64]*delRecord
 
 	// puts and gets are the node's parts of the cycle's two completion
 	// convergecasts: its insert Puts and its delete Gets.
@@ -107,6 +108,27 @@ func (n *Node) settle(ctx *sim.Context, self *ldb.VInfo, tag aggtree.Tag, o *owe
 	}
 	n.runner.Contribute(ctx, self, tag, o.cycle, aggtree.IntVal(o.done))
 	*o = owed{}
+}
+
+// replied counts a confirmed insert Put, or completes the delete whose
+// Get r answers.
+func (n *Node) replied(r *dht.ReplyMsg) {
+	if r.Ack {
+		if n.puts.out == 0 {
+			panic("seap: Put confirmation with none outstanding")
+		}
+		n.puts.out--
+		n.puts.done++
+		return
+	}
+	rec, ok := n.fetching[r.ReqID]
+	if !ok {
+		panic("seap: reply for unknown request")
+	}
+	delete(n.fetching, r.ReqID)
+	n.gets.out--
+	n.gets.done++
+	n.heap.markDeleteDone(rec, r.Elem)
 }
 
 // delRecord tracks one DeleteMin of a cycle for the serialization-value
@@ -338,7 +360,7 @@ func (h *Heap) recordDelete(cycle uint64, r *delRecord) {
 	ph.records = append(ph.records, r)
 }
 
-func (h *Heap) markDeleteDone(cycle uint64, r *delRecord, res prio.Element) {
+func (h *Heap) markDeleteDone(r *delRecord, res prio.Element) {
 	h.traceMu.Lock()
 	defer h.traceMu.Unlock()
 	r.res = res
@@ -425,7 +447,8 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 		if n.runner.Handle(ctx, self, from, msg) {
 			return
 		}
-		if n.store.Handle(ctx, from, msg) {
+		if r, ok := msg.(*dht.ReplyMsg); ok {
+			n.replied(r)
 			n.settle(ctx, self, tagInsStore, &n.puts)
 			n.settle(ctx, self, tagDelFetch, &n.gets)
 			return

@@ -317,10 +317,10 @@ func (p *peerConn) checkDeadline() {
 // readLoop matches the peer's responses to outstanding forwards until the
 // connection dies, then fails whatever is left.
 func (p *peerConn) readLoop(conn net.Conn) {
-	br := bufio.NewReader(conn)
+	dec := clientproto.NewDecoder(bufio.NewReader(conn))
+	var resp clientproto.Response
 	for {
-		resp, err := clientproto.ReadResponse(br)
-		if err != nil {
+		if err := dec.Response(&resp); err != nil {
 			p.mu.Lock()
 			if p.conn == conn {
 				p.dropLocked(fmt.Errorf("peer connection lost: %v", err))

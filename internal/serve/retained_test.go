@@ -25,46 +25,11 @@ import (
 // be within 1.2× of what was in use after N: nothing is kept per op.
 func TestServeRetainedBytes(t *testing.T) {
 	const hosts, prios, workers, n = 4, 3, 8, 2000
-	h := skeap.New(skeap.Config{N: hosts, P: prios, Seed: 11})
-	heap := NewSkeapHeap(h, prios)
-	heap.Trace().Forget()
-	groups, group := h.Overlay().Group()
-	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := netrun.New(netrun.Config{
-		Proc: 0, Addrs: []string{peerLn.Addr().String()}, Listener: peerLn,
-		Handlers: h.Handlers(), Seed: 12, Groups: groups, Group: group,
-		Tick: 200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids atomic.Uint64
-	srv, err := New(Config{
-		Heap: heap, Hosts: []int{0, 1, 2, 3},
-		NextID:   func() prio.ElemID { return prio.ElemID(ids.Add(1)) },
-		LeaseTTL: time.Hour,
-	})
-	if err != nil {
-		eng.Close()
-		t.Fatal(err)
-	}
-	eng.Start()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	go srv.Serve(ln)
-	defer func() {
-		ln.Close()
-		srv.Shutdown()
-		eng.Close()
-	}()
+	srv, addr := startSkeapDaemon(t, hosts, prios)
 	conns := make([]*retainClient, workers)
 	for i := range conns {
-		if conns[i], err = dialRetain(ln.Addr().String()); err != nil {
+		var err error
+		if conns[i], err = dialRetain(addr); err != nil {
 			t.Fatal(err)
 		}
 		defer conns[i].conn.Close()
@@ -110,6 +75,56 @@ func TestServeRetainedBytes(t *testing.T) {
 	if float64(after) > 1.2*float64(first) {
 		t.Errorf("heap in use grew from %d B after %d ops to %d B after %d: the daemon retains per-op state", first, n, after, 11*n)
 	}
+}
+
+// startSkeapDaemon serves a single-process Skeap heap of the given hosts
+// and priority classes over loopback, built as dpqd builds it: a netrun
+// engine, a trace that keeps counts, not operations, and no WAL. It
+// returns the server and its client address; cleanup stops both.
+func startSkeapDaemon(t *testing.T, hosts, prios int) (*Server, string) {
+	t.Helper()
+	h := skeap.New(skeap.Config{N: hosts, P: prios, Seed: 11})
+	heap := NewSkeapHeap(h, prios)
+	heap.Trace().Forget()
+	groups, group := h.Overlay().Group()
+	peerLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := netrun.New(netrun.Config{
+		Proc: 0, Addrs: []string{peerLn.Addr().String()}, Listener: peerLn,
+		Handlers: h.Handlers(), Seed: 12, Groups: groups, Group: group,
+		Tick: 200 * time.Microsecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids atomic.Uint64
+	local := make([]int, hosts)
+	for i := range local {
+		local[i] = i
+	}
+	srv, err := New(Config{
+		Heap: heap, Hosts: local,
+		NextID:   func() prio.ElemID { return prio.ElemID(ids.Add(1)) },
+		LeaseTTL: time.Hour,
+	})
+	if err != nil {
+		eng.Close()
+		t.Fatal(err)
+	}
+	eng.Start()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ln.Close()
+		srv.Shutdown()
+		eng.Close()
+	})
+	return srv, ln.Addr().String()
 }
 
 // retainClient is a minimal clientproto session whose errors are returned,

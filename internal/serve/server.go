@@ -176,6 +176,9 @@ type Server struct {
 	durCond *sync.Cond
 	durQ    []durWait
 	durStop bool
+	// durSpare is the batch releaseLoop last released, durQ's next backing
+	// array (the two swap, as a connWriter's queues do).
+	durSpare []durWait
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -226,7 +229,7 @@ func (s *Server) retireLocked(id prio.ElemID, r *elemState) {
 type durWait struct {
 	seq  uint64
 	cw   *connWriter
-	resp *clientproto.Response
+	resp clientproto.Response
 }
 
 // New builds the serving layer, recovering and re-injecting the durable
@@ -380,10 +383,10 @@ func (s *Server) serveConn(cw *connWriter, host int) {
 		}
 		s.mu.Unlock()
 	}()
-	br := bufio.NewReader(cw.conn)
+	dec := clientproto.NewDecoder(bufio.NewReader(cw.conn))
+	var req clientproto.Request
 	for {
-		req, err := clientproto.ReadRequest(br)
-		if err != nil {
+		if err := dec.Request(&req); err != nil {
 			var re *clientproto.ReqError
 			if errors.As(err, &re) {
 				s.mu.Lock()
@@ -392,14 +395,15 @@ func (s *Server) serveConn(cw *connWriter, host int) {
 			}
 			return
 		}
-		if !s.handle(cw, host, req) {
+		if !s.handle(cw, host, &req) {
 			return
 		}
 	}
 }
 
 // handle serves one request; false means the connection should end (the
-// writer was evicted).
+// writer was evicted). req belongs to the connection's decoder and is
+// overwritten by the next request: nothing may keep it.
 func (s *Server) handle(cw *connWriter, host int, req *clientproto.Request) bool {
 	switch req.Op {
 	case clientproto.OpAck, clientproto.OpNack:
@@ -424,7 +428,7 @@ func (s *Server) handle(cw *connWriter, host int, req *clientproto.Request) bool
 		// skip them: same answer.
 		s.stats.Unavailable++
 		s.mu.Unlock()
-		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusUnavailable, Code: clientproto.ErrPeerUnavailable})
+		return cw.send(clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusUnavailable, Code: clientproto.ErrPeerUnavailable})
 	}
 	// Holding s.mu across inject+track closes the window in which the
 	// protocol could complete the op before it is tracked; the WAL append
@@ -448,7 +452,7 @@ func (s *Server) handle(cw *connWriter, host int, req *clientproto.Request) bool
 			s.stats.DegradedInserts++
 			s.stats.Served++
 			s.mu.Unlock()
-			return s.reply(seq, cw, &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusInserted, ID: uint64(op.Elem.ID), Value: -1})
+			return s.reply(seq, cw, clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusInserted, ID: uint64(op.Elem.ID), Value: -1})
 		}
 	} else {
 		op = s.heap.Delete(host)
@@ -475,9 +479,9 @@ func (s *Server) leaseScan(cw *connWriter, req *clientproto.Request) bool {
 	s.stats.Served++
 	s.mu.Unlock()
 	if !found {
-		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusBottom})
+		return cw.send(clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusBottom})
 	}
-	return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusElem, ID: uint64(best)})
+	return cw.send(clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusElem, ID: uint64(best)})
 }
 
 // settle serves an ack or nack for a leased element. Acks come in three
@@ -509,7 +513,7 @@ func (s *Server) settle(cw *connWriter, host int, req *clientproto.Request) bool
 		s.stats.Nacked++
 		s.stats.Served++
 		s.mu.Unlock()
-		return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusNacked, ID: req.ID})
+		return cw.send(clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusNacked, ID: req.ID})
 	}
 	if l != nil {
 		if owner := s.ownerOf(id); owner != s.cfg.Proc && s.cfg.PeerAck != nil {
@@ -518,7 +522,8 @@ func (s *Server) settle(cw *connWriter, host int, req *clientproto.Request) bool
 			// the client's response waits for the owner's durable ack.
 			l.settling = true
 			s.mu.Unlock()
-			s.cfg.PeerAck(owner, id, func(err error) { s.settleRemote(cw, req.ReqID, id, err) })
+			reqID := req.ReqID
+			s.cfg.PeerAck(owner, id, func(err error) { s.settleRemote(cw, reqID, id, err) })
 			return true
 		}
 		s.stats.Acked++
@@ -543,13 +548,14 @@ func (s *Server) settle(cw *connWriter, host int, req *clientproto.Request) bool
 			// retrying). Acks are idempotent — report success.
 			s.stats.Served++
 			s.mu.Unlock()
-			return cw.send(&clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID})
+			return cw.send(clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID})
 		} else if s.cfg.PeerAck != nil {
 			// Foreign element with no local lease: the lease may have lived
 			// on a daemon that since crashed, or was settled by a flushed
 			// parked ack. Forward to the owner, which answers idempotently.
 			s.mu.Unlock()
-			s.cfg.PeerAck(owner, id, func(err error) { s.settleRemote(cw, req.ReqID, id, err) })
+			reqID := req.ReqID
+			s.cfg.PeerAck(owner, id, func(err error) { s.settleRemote(cw, reqID, id, err) })
 			return true
 		}
 	}
@@ -572,7 +578,7 @@ func (s *Server) ackLocked(cw *connWriter, req *clientproto.Request) bool {
 		seq = s.wal.AppendAck(id)
 	}
 	s.mu.Unlock()
-	return s.reply(seq, cw, &clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID})
+	return s.reply(seq, cw, clientproto.Response{ReqID: req.ReqID, Status: clientproto.StatusAcked, ID: req.ID})
 }
 
 // settleRemote finishes a foreign-element ack once the owner daemon
@@ -593,7 +599,7 @@ func (s *Server) settleRemote(cw *connWriter, reqID uint64, id prio.ElemID, err 
 		s.stats.ParkedAcks++
 		s.stats.Unavailable++
 		s.mu.Unlock()
-		cw.send(&clientproto.Response{ReqID: reqID, Status: clientproto.StatusUnavailable, Code: clientproto.ErrPeerUnavailable})
+		cw.send(clientproto.Response{ReqID: reqID, Status: clientproto.StatusUnavailable, Code: clientproto.ErrPeerUnavailable})
 		return
 	}
 	if err != nil {
@@ -603,14 +609,14 @@ func (s *Server) settleRemote(cw *connWriter, reqID uint64, id prio.ElemID, err 
 		s.stats.Rejected++
 		s.mu.Unlock()
 		s.cfg.Logf("peer ack for element %d failed: %v", id, err)
-		cw.send(&clientproto.Response{ReqID: reqID, Status: clientproto.StatusError, Code: clientproto.ErrPeerUnavailable})
+		cw.send(clientproto.Response{ReqID: reqID, Status: clientproto.StatusError, Code: clientproto.ErrPeerUnavailable})
 		return
 	}
 	delete(s.leases, id)
 	s.stats.Acked++
 	s.stats.Served++
 	s.mu.Unlock()
-	cw.send(&clientproto.Response{ReqID: reqID, Status: clientproto.StatusAcked, ID: uint64(id)})
+	cw.send(clientproto.Response{ReqID: reqID, Status: clientproto.StatusAcked, ID: uint64(id)})
 }
 
 // ownerOf maps an element to the daemon holding its durability records.
@@ -704,7 +710,7 @@ func (s *Server) SettleParked(id prio.ElemID, err error) {
 func (s *Server) rejectLocked(cw *connWriter, reqID uint64, code clientproto.ErrCode) bool {
 	s.stats.Rejected++
 	s.mu.Unlock()
-	return cw.send(&clientproto.Response{ReqID: reqID, Status: clientproto.StatusError, Code: code})
+	return cw.send(clientproto.Response{ReqID: reqID, Status: clientproto.StatusError, Code: code})
 }
 
 // onComplete answers the client that issued op (ops injected by recovery
@@ -731,7 +737,7 @@ func (s *Server) onComplete(op *semantics.Op) {
 	}
 	delete(s.pending, op)
 	s.stats.Served++
-	resp := &clientproto.Response{ReqID: ref.reqID, Value: op.Value}
+	resp := clientproto.Response{ReqID: ref.reqID, Value: op.Value}
 	switch {
 	case op.Kind == semantics.Insert:
 		resp.Status = clientproto.StatusInserted
@@ -755,7 +761,7 @@ func (s *Server) onComplete(op *semantics.Op) {
 // reply sends resp now, or when seq is non-zero, enqueues it for delivery
 // once that WAL record is fsynced. It reports false only when an immediate
 // send found the connection gone.
-func (s *Server) reply(seq uint64, cw *connWriter, resp *clientproto.Response) bool {
+func (s *Server) reply(seq uint64, cw *connWriter, resp clientproto.Response) bool {
 	if seq == 0 {
 		return cw.send(resp)
 	}
@@ -781,17 +787,23 @@ func (s *Server) releaseLoop() {
 			return
 		}
 		batch := s.durQ
-		s.durQ = nil
+		s.durQ, s.durSpare = s.durSpare[:0], nil
 		s.durMu.Unlock()
 		for _, w := range batch {
 			if err := s.wal.WaitDurable(w.seq); err != nil {
 				// Durability lost (I/O error or shutdown): the client must
 				// not see success for a record that may not survive.
 				s.cfg.Logf("wal: %v; failing response %d", err, w.resp.ReqID)
-				w.cw.send(&clientproto.Response{ReqID: w.resp.ReqID, Status: clientproto.StatusError, Code: clientproto.ErrShuttingDown})
+				w.cw.send(clientproto.Response{ReqID: w.resp.ReqID, Status: clientproto.StatusError, Code: clientproto.ErrShuttingDown})
 				continue
 			}
 			w.cw.send(w.resp)
+		}
+		if cap(batch) <= keepQueue {
+			clear(batch) // drop the connWriters it names
+			s.durMu.Lock()
+			s.durSpare = batch
+			s.durMu.Unlock()
 		}
 	}
 }

@@ -97,6 +97,8 @@ type WAL struct {
 	cond    *sync.Cond
 	f       *os.File
 	buf     []byte // encoded records not yet handed to the sync loop
+	spare   []byte // the buffer the sync loop last wrote, for buf's next turn
+	rec     []byte // append's record body, reused
 	next    uint64 // next seq to assign
 	encoded uint64 // last seq encoded into buf
 	durable uint64 // last seq written and fsynced
@@ -186,8 +188,7 @@ func (w *WAL) append(typ uint8, e prio.Element) uint64 {
 	defer w.mu.Unlock()
 	w.next++
 	seq := w.next - 1
-	body := make([]byte, 0, 64+len(e.Payload))
-	body = binary.BigEndian.AppendUint64(body, seq)
+	body := binary.BigEndian.AppendUint64(w.rec[:0], seq)
 	body = append(body, typ)
 	body = binary.BigEndian.AppendUint64(body, uint64(e.ID))
 	if typ == recInsert {
@@ -199,6 +200,7 @@ func (w *WAL) append(typ uint8, e prio.Element) uint64 {
 		}
 	}
 	w.buf = appendFrame(w.buf, body)
+	w.rec = body
 	w.encoded = seq
 	w.stats.Records++
 	w.cond.Broadcast()
@@ -238,7 +240,7 @@ func (w *WAL) syncLoop() {
 		}
 		buf := w.buf
 		seq := w.encoded
-		w.buf = nil
+		w.buf, w.spare = w.spare[:0], nil
 		w.syncing = true
 		w.mu.Unlock()
 
@@ -248,6 +250,7 @@ func (w *WAL) syncLoop() {
 		}
 
 		w.mu.Lock()
+		w.spare = buf
 		w.syncing = false
 		if err != nil {
 			w.err = fmt.Errorf("serve: wal sync: %v", err)

@@ -22,10 +22,19 @@ type connWriter struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	queue  []*clientproto.Response
+	queue  []clientproto.Response
 	closed bool
 	full   bool // queue overflowed; the connection is being evicted
+
+	// spare is the batch writeLoop last wrote, the queue's next backing
+	// array: the two swap, so a steady connection queues without
+	// allocating. writeLoop alone touches it.
+	spare []clientproto.Response
 }
+
+// keepQueue is the largest batch capacity writeLoop keeps as the spare; a
+// backlog beyond it is not pinned for the rest of the connection.
+const keepQueue = 1 << 10
 
 func newConnWriter(conn net.Conn, maxQueue int) *connWriter {
 	c := &connWriter{conn: conn, bw: bufio.NewWriter(conn), maxQueue: maxQueue}
@@ -36,7 +45,7 @@ func newConnWriter(conn net.Conn, maxQueue int) *connWriter {
 // send enqueues one response. It returns false when the connection is
 // closed or the queue is at capacity — on overflow the writer marks itself
 // full and the caller evicts the connection.
-func (c *connWriter) send(resp *clientproto.Response) bool {
+func (c *connWriter) send(resp clientproto.Response) bool {
 	c.mu.Lock()
 	if c.closed || c.full {
 		c.mu.Unlock()
@@ -112,14 +121,17 @@ func (c *connWriter) writeLoop() {
 			return
 		}
 		batch := c.queue
-		c.queue = nil
+		c.queue, c.spare = c.spare[:0], nil
 		closed := c.closed
 		c.mu.Unlock()
-		for _, resp := range batch {
-			if err := clientproto.WriteResponse(c.bw, resp); err != nil {
+		for i := range batch {
+			if err := clientproto.WriteResponse(c.bw, &batch[i]); err != nil {
 				c.close()
 				return
 			}
+		}
+		if cap(batch) <= keepQueue {
+			c.spare = batch
 		}
 		if len(batch) > 0 {
 			if err := c.bw.Flush(); err != nil {

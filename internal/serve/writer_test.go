@@ -39,7 +39,7 @@ func TestWriterSlowSocketQueues(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 1; i <= n; i++ {
-			if !cw.send(&clientproto.Response{ReqID: uint64(i), Status: clientproto.StatusBottom}) {
+			if !cw.send(clientproto.Response{ReqID: uint64(i), Status: clientproto.StatusBottom}) {
 				t.Errorf("send %d refused", i)
 				return
 			}
@@ -82,7 +82,7 @@ func TestWriterGracefulFlushesFinalError(t *testing.T) {
 		go cw.writeLoop()
 		got := make(chan []*clientproto.Response, 1)
 		go func() { got <- readAllResponses(client) }()
-		if !cw.send(&clientproto.Response{ReqID: 9, Status: clientproto.StatusError, Code: clientproto.ErrShuttingDown}) {
+		if !cw.send(clientproto.Response{ReqID: 9, Status: clientproto.StatusError, Code: clientproto.ErrShuttingDown}) {
 			t.Fatal("send refused")
 		}
 		cw.closeGraceful()
@@ -105,7 +105,7 @@ func TestWriterSendAfterClose(t *testing.T) {
 	cw := newConnWriter(server, 0)
 	go cw.writeLoop()
 	cw.close()
-	if cw.send(&clientproto.Response{ReqID: 1, Status: clientproto.StatusBottom}) {
+	if cw.send(clientproto.Response{ReqID: 1, Status: clientproto.StatusBottom}) {
 		t.Fatal("send accepted after close")
 	}
 	cw.close()
@@ -115,7 +115,7 @@ func TestWriterSendAfterClose(t *testing.T) {
 	cw2 := newConnWriter(server2, 0)
 	go cw2.writeLoop()
 	cw2.closeGraceful()
-	if cw2.send(&clientproto.Response{ReqID: 1, Status: clientproto.StatusBottom}) {
+	if cw2.send(clientproto.Response{ReqID: 1, Status: clientproto.StatusBottom}) {
 		t.Fatal("send accepted after closeGraceful")
 	}
 }
@@ -134,7 +134,7 @@ func TestWriterEvictionAtCap(t *testing.T) {
 	// fill the queue; the 5th must evict.
 	refused := false
 	for i := 1; i <= 5; i++ {
-		ok := cw.send(&clientproto.Response{ReqID: uint64(i), Status: clientproto.StatusBottom})
+		ok := cw.send(clientproto.Response{ReqID: uint64(i), Status: clientproto.StatusBottom})
 		if !ok {
 			refused = true
 			break
@@ -174,12 +174,12 @@ func TestWriterConcurrentSendClose(t *testing.T) {
 			go func(g int) {
 				defer wg.Done()
 				for k := 0; k < 20; k++ {
-					cw.send(&clientproto.Response{ReqID: uint64(g*100 + k), Status: clientproto.StatusBottom})
+					cw.send(clientproto.Response{ReqID: uint64(g*100 + k), Status: clientproto.StatusBottom})
 				}
 			}(g)
 		}
 		cw.close()
-		if cw.send(&clientproto.Response{ReqID: 999, Status: clientproto.StatusBottom}) {
+		if cw.send(clientproto.Response{ReqID: 999, Status: clientproto.StatusBottom}) {
 			t.Fatal("send accepted after close returned")
 		}
 		wg.Wait()

@@ -3,6 +3,7 @@ package skeap
 import (
 	"dpq/internal/aggtree"
 	"dpq/internal/batch"
+	"dpq/internal/dht"
 	"dpq/internal/ldb"
 	"dpq/internal/prio"
 	"dpq/internal/semantics"
@@ -158,27 +159,34 @@ func (n *Node) apply(ctx *sim.Context, self *ldb.VInfo, seq uint64, asn *batch.A
 			value := ea.InsBase + s.insIdx
 			n.heap.trace.Complete(s.op.op, prio.Element{}, value)
 			key := n.heap.hasher.Pair(uint64(p), uint64(pos))
-			n.store.Put(ctx, self, key, s.op.elem, nil)
+			n.store.Put(ctx, self, key, s.op.elem, false)
 			continue
 		}
 		value := ea.DelBase + s.delIdx
 		if loc, ok := deletePosition(ea.Del, s.delIdx); ok {
 			key := n.heap.hasher.Pair(uint64(loc.p), uint64(loc.pos))
-			po := s.op
-			var reqID uint64
-			reqID = n.store.Get(ctx, self, key, func(e prio.Element, found bool) {
-				delete(n.pendingGets, reqID)
-				n.heap.trace.Complete(po.op, e, value)
-			})
 			if n.pendingGets == nil {
 				n.pendingGets = make(map[uint64]pendingGet)
 			}
-			n.pendingGets[reqID] = pendingGet{op: po, seq: seq}
+			n.pendingGets[n.store.Get(ctx, self, key)] = pendingGet{op: s.op, seq: seq, value: value}
 		} else {
 			// The heap was empty at this point of the serialization:
 			// DeleteMin returns ⊥ (Definition 1.2, property (2) boundary).
 			n.heap.trace.Complete(s.op.op, prio.Element{}, value)
 		}
+	}
+}
+
+// fetched completes the delete whose Phase-4 fetch r answers, or drops r
+// when a reset aborted that fetch.
+func (n *Node) fetched(r *dht.ReplyMsg) {
+	pg, ok := n.pendingGets[r.ReqID]
+	if !ok {
+		panic("skeap: reply for unknown request")
+	}
+	delete(n.pendingGets, r.ReqID)
+	if !pg.aborted {
+		n.heap.trace.Complete(pg.op.op, r.Elem, pg.value)
 	}
 }
 

@@ -132,15 +132,16 @@ func (n *Node) applyReset(floor uint64) {
 
 	reqs := make([]uint64, 0, len(n.pendingGets))
 	for req, pg := range n.pendingGets {
-		if pg.seq < floor {
+		if pg.seq < floor && !pg.aborted {
 			reqs = append(reqs, req)
 		}
 	}
 	sort.Slice(reqs, func(i, j int) bool { return reqs[i] < reqs[j] })
 	for _, req := range reqs {
-		n.store.Abort(req)
-		reops = append(reops, n.pendingGets[req].op)
-		delete(n.pendingGets, req)
+		pg := n.pendingGets[req]
+		reops = append(reops, pg.op)
+		pg.aborted = true
+		n.pendingGets[req] = pg
 	}
 
 	n.mu.Lock()

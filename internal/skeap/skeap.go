@@ -67,10 +67,15 @@ type pendingOp struct {
 }
 
 // pendingGet is one Phase-4 DHT fetch in flight, tagged with the
-// iteration that issued it (see Node.pendingGets).
+// iteration that issued it (see Node.pendingGets): its delete, which the
+// reply completes with the element and value. aborted marks a fetch a
+// reset cancelled: its delete is back in the buffer, and the record only
+// waits to drop a straggler reply.
 type pendingGet struct {
-	op  pendingOp
-	seq uint64
+	op      pendingOp
+	seq     uint64
+	value   int64
+	aborted bool
 }
 
 // slot records how a snapshotted operation maps into its batch: its entry,
@@ -93,9 +98,10 @@ type Node struct {
 	buffer    []pendingOp
 	snapshots map[uint64][]slot
 
-	// pendingGets tracks Phase-4 DHT fetches in flight, by request id, so a
-	// partial-failure reset can abort them and re-buffer their operations
-	// (a fetch aimed at a cell lost in a crash would otherwise park forever).
+	// pendingGets tracks Phase-4 DHT fetches in flight, by request id: a
+	// reply completes its delete, and a partial-failure reset can abort
+	// them and re-buffer their operations (a fetch aimed at a cell lost in
+	// a crash would otherwise park forever).
 	// Each record keeps its iteration seq: a reset only aborts fetches of
 	// iterations below the floor, so a node that sees the ResetMsg late
 	// cannot cancel fetches the post-reset serialization already issued.
@@ -359,7 +365,8 @@ func (nh *nodeHandler) HandleMessage(ctx *sim.Context, from sim.NodeID, msg sim.
 		if n.runner.Handle(ctx, self, from, msg) {
 			return
 		}
-		if n.store.Handle(ctx, from, msg) {
+		if r, ok := msg.(*dht.ReplyMsg); ok {
+			n.fetched(r)
 			return
 		}
 		panic("skeap: unexpected message")
