@@ -62,7 +62,8 @@ type pendingReq struct {
 type conn struct {
 	idx      int
 	c        net.Conn
-	br       *bufio.Reader
+	dec      *clientproto.Decoder
+	resp     clientproto.Response // every response is decoded into it
 	bw       *bufio.Writer
 	seq      uint64
 	sent     map[uint64]pendingReq // reqID → in-flight request
@@ -147,8 +148,8 @@ func (c *conn) retry(pend pendingReq) error {
 // readOne consumes one response, records its outcome and drives the lease
 // protocol for delivered elements according to the connection's mode.
 func (c *conn) readOne() error {
-	resp, err := clientproto.ReadResponse(c.br)
-	if err != nil {
+	resp := &c.resp
+	if err := c.dec.Response(resp); err != nil {
 		return err
 	}
 	pend, ok := c.sent[resp.ReqID]
@@ -390,7 +391,7 @@ func main() {
 			defer nc.Close()
 			conns = append(conns, &conn{
 				idx: len(conns), c: nc,
-				br:           bufio.NewReader(nc),
+				dec:          clientproto.NewDecoder(bufio.NewReader(nc)),
 				bw:           bufio.NewWriter(nc),
 				sent:         map[uint64]pendingReq{},
 				mode:         *ackMode,

@@ -67,7 +67,7 @@ func TestDeletePhaseHonoursWindow(t *testing.T) {
 	}()
 	var consumed atomic.Int64
 	c := &conn{
-		c: client, br: bufio.NewReader(client), bw: bufio.NewWriter(client),
+		c: client, dec: clientproto.NewDecoder(bufio.NewReader(client)), bw: bufio.NewWriter(client),
 		sent: map[uint64]pendingReq{}, mode: "ack", consumed: &consumed,
 		rng: rand.New(rand.NewSource(1)),
 	}

@@ -54,7 +54,7 @@ func skeapMain() {
 	guarantee := "sequentially consistent + heap consistent ✓"
 	switch {
 	case *lifo:
-		guarantee = "locally consistent ✓ (stack order; see internal/queue.CheckStack)"
+		guarantee = "locally consistent ✓ (stack order; see dpq.CheckStack)"
 	case *maxHeap:
 		guarantee += " (max-heap)"
 	}

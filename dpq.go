@@ -35,12 +35,9 @@
 package dpq
 
 import (
-	"dpq/internal/counter"
 	"dpq/internal/obs"
 	"dpq/internal/prio"
-	"dpq/internal/queue"
 	"dpq/internal/relax"
-	"dpq/internal/semantics"
 )
 
 // Relaxation configures relaxed DeleteMin semantics (Options.Relaxation):
@@ -72,29 +69,3 @@ type Element = prio.Element
 
 // ElemID uniquely identifies an element.
 type ElemID = prio.ElemID
-
-// Queue is the sequentially consistent distributed FIFO queue (Skueue).
-type Queue = queue.Queue
-
-// NewQueue builds a distributed queue over n processes.
-func NewQueue(n int, seed uint64) *Queue { return queue.NewQueue(n, seed) }
-
-// Stack is the sequentially consistent distributed LIFO stack.
-type Stack = queue.Stack
-
-// NewStack builds a distributed stack over n processes.
-func NewStack(n int, seed uint64) *Stack { return queue.NewStack(n, seed) }
-
-// CheckQueue verifies a queue trace against sequential FIFO semantics.
-func CheckQueue(t *semantics.Trace) *semantics.Report { return queue.CheckQueue(t) }
-
-// CheckStack verifies a stack trace against sequential LIFO semantics.
-func CheckStack(t *semantics.Trace) *semantics.Report { return queue.CheckStack(t) }
-
-// Counter is a distributed fetch-and-increment counter (§1's distributed
-// counting application): every increment receives a unique, gap-free,
-// sequentially consistent value via the aggregation tree.
-type Counter = counter.Counter
-
-// NewCounter builds a distributed counter over n processes.
-func NewCounter(n int, seed uint64) *Counter { return counter.New(n, seed) }

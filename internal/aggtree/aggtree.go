@@ -54,17 +54,17 @@ type Proto struct {
 	// Combine merges the node's own contribution with its children's.
 	Combine func(self *ldb.VInfo, seq uint64, params Value, own Value, kids []KidValue) Value
 	// AtRoot consumes the fully combined value at the anchor and returns
-	// the value to scatter down, or nil for a gather-only instance. A
-	// scattering Proto must always scatter: a nil return would leave every
-	// other node holding the instance's gather state.
+	// the value to scatter down. A scattering Proto must always scatter: a
+	// nil return would leave every other node holding the instance's
+	// gather state. A gather-only Proto's AtRoot returns nil.
 	AtRoot func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, combined Value) Value
 	// Split decomposes a down value into the node's own part and one part
 	// per remembered child (same order as kids). Nil parts are not sent.
+	// A Proto without Split is gather-only: it never scatters, and every
+	// node drops the instance once its up is sent.
 	Split func(self *ldb.VInfo, seq uint64, params Value, down Value, own Value, kids []KidValue) (ownPart Value, kidParts []Value)
 	// OnOwn consumes the node's own part of the scatter.
 	OnOwn func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, ownPart Value)
-	// GatherOnly marks protocols whose AtRoot never scatters.
-	GatherOnly bool
 	// Kids, when set, names the children whose subtrees the instance runs
 	// on at self; the others are skipped: they get no start, and self
 	// awaits no up from them, for started and contributed instances alike
@@ -326,12 +326,13 @@ func (r *Runner) Start(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64, p
 // combined value goes up as soon as its children's have arrived. It is a
 // convergecast, counted like the up wave of a started instance, and the
 // anchor's AtRoot runs when the last subtree has reported. The Proto must
-// be GatherOnly; its params are nil and its Own is not called. Every node
-// the instance runs on (the anchor and, below each of them, the children
-// its Kids rule names) must contribute exactly once per seq.
+// be gather-only (no Split); its params are nil and its Own is not
+// called. Every node the instance runs on (the anchor and, below each of
+// them, the children its Kids rule names) must contribute exactly once
+// per seq.
 func (r *Runner) Contribute(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq uint64, own Value) {
 	p := r.proto(tag)
-	if !p.GatherOnly {
+	if !p.gatherOnly() {
 		panic(fmt.Sprintf("aggtree: %s contributed to but scatters", p.Name))
 	}
 	st := r.state(tag, seq)
@@ -401,6 +402,11 @@ func (p *Proto) runsOn(self *ldb.VInfo, seq uint64, params Value) Mask {
 	}
 	return p.Kids(self, seq, params)
 }
+
+// gatherOnly reports whether the instance never scatters, so that every
+// node drops it once its up is sent. Dense does not apply: a gather-only
+// instance has no scatter to send to anyone.
+func (p *Proto) gatherOnly() bool { return p.Split == nil }
 
 // unshared reports whether a subtree that sent up gets no share of the
 // scatter.
@@ -521,18 +527,20 @@ func (r *Runner) maybeCombine(ctx *sim.Context, self *ldb.VInfo, tag Tag, seq ui
 	st.sentUp = true
 	if self.Parent == sim.None {
 		down := p.AtRoot(ctx, self, seq, params, combined)
-		if down == nil {
-			if !p.GatherOnly {
-				panic(fmt.Sprintf("aggtree: %s instance %d ended without a scatter", p.Name, seq))
-			}
+		switch {
+		case p.gatherOnly() && down != nil:
+			panic(fmt.Sprintf("aggtree: %s instance %d: a gather-only AtRoot returned a value to scatter", p.Name, seq))
+		case p.gatherOnly():
 			r.dropState(key{tag, seq})
-			return
+		case down == nil:
+			panic(fmt.Sprintf("aggtree: %s instance %d ended without a scatter", p.Name, seq))
+		default:
+			r.scatter(ctx, self, tag, seq, down)
 		}
-		r.scatter(ctx, self, tag, seq, down)
 		return
 	}
 	ctx.Send(self.Parent, &UpMsg{Tag: tag, Seq: seq, V: combined})
-	if p.GatherOnly || p.unshared(combined) {
+	if p.gatherOnly() || p.unshared(combined) {
 		r.dropState(key{tag, seq})
 	}
 }

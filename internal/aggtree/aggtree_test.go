@@ -6,6 +6,7 @@ import (
 	"dpq/internal/hashutil"
 	"dpq/internal/ldb"
 	"dpq/internal/mathx"
+	"dpq/internal/prio"
 	"dpq/internal/sim"
 )
 
@@ -62,7 +63,6 @@ func countProto(result *int64, done *bool) *Proto {
 			*done = true
 			return nil
 		},
-		GatherOnly: true,
 	}
 }
 
@@ -230,6 +230,20 @@ func TestStartAtNonAnchorPanics(t *testing.T) {
 	r.Start(nil, ov.Info(notAnchor), 1, 0, nil)
 }
 
+// TestKeyHull: the hull of key ranges takes the smallest Lo and the
+// largest Hi; the "none" sentinel range (MaxKey, MinKey) is its identity.
+func TestKeyHull(t *testing.T) {
+	k := func(p uint64) prio.Key { return prio.Key{Prio: prio.Priority(p), ID: 1} }
+	none := KeyRangeVal{Lo: prio.MaxKey, Hi: prio.MinKey}
+	kids := []KidValue{{V: KeyRangeVal{Lo: k(3), Hi: k(5)}}, {V: none}, {V: KeyRangeVal{Lo: k(1), Hi: k(4)}}}
+	if got, want := KeyHull(nil, 0, nil, KeyRangeVal{Lo: k(2), Hi: k(9)}, kids), (KeyRangeVal{Lo: k(1), Hi: k(9)}); got != want {
+		t.Fatalf("hull %v, want %v", got, want)
+	}
+	if got := KeyHull(nil, 0, nil, none, kids[1:2]); got != none {
+		t.Fatalf("hull of nothing %v, want the sentinel", got)
+	}
+}
+
 func TestValueBits(t *testing.T) {
 	if IntVal(0).Bits() < 1 || IntVal(-5).Bits() <= IntVal(0).Bits() {
 		t.Fatal("IntVal bit accounting")
@@ -305,7 +319,9 @@ func TestContributeTwicePanics(t *testing.T) {
 	var done bool
 	ov, eng, nodes := buildNetwork(5, 77, func(t *Table) {
 		t.Register(1, countProto(&result, &done))
-		t.Register(2, &Proto{Name: "scatter"})
+		t.Register(2, &Proto{Name: "scatter", Split: func(self *ldb.VInfo, seq uint64, params Value, down Value, own Value, kids []KidValue) (Value, []Value) {
+			return down, make([]Value, len(kids))
+		}})
 	})
 	a := ov.Anchor
 	ctx, self := eng.Context(a), ov.Info(a)

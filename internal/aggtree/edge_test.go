@@ -27,7 +27,6 @@ func TestParamsPropagation(t *testing.T) {
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, combined Value) Value {
 			return nil
 		},
-		GatherOnly: true,
 	}
 	ov, eng, nodes := buildNetwork(n, 777, func(t *Table) { t.Register(5, proto) })
 	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 5, 3, IntVal(42))
@@ -113,7 +112,6 @@ func TestDoubleStartPanics(t *testing.T) {
 			AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, combined Value) Value {
 				return nil
 			},
-			GatherOnly: true,
 		})
 	})
 	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, 0, nil)
@@ -127,30 +125,44 @@ func TestDoubleStartPanics(t *testing.T) {
 
 // TestScatterlessRootPanics: an instance of a scattering Proto must end
 // with a scatter; an AtRoot that returns nil would leave every other node
-// holding the instance's gather state.
+// holding the instance's gather state. A gather-only Proto (no Split) must
+// not return a value to scatter: nothing could split it.
 func TestScatterlessRootPanics(t *testing.T) {
-	ov, eng, nodes := buildNetwork(1, 781, func(tab *Table) {
-		tab.Register(1, &Proto{
-			Name: "mute",
-			Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value) Value {
-				return IntVal(0)
-			},
-			Combine: func(self *ldb.VInfo, seq uint64, params Value, own Value, kids []KidValue) Value {
-				return IntVal(0)
-			},
-			AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, combined Value) Value {
-				return nil
-			},
-			Split: func(self *ldb.VInfo, seq uint64, params Value, down Value, own Value, kids []KidValue) (Value, []Value) {
-				return down, make([]Value, len(kids))
-			},
+	split := func(self *ldb.VInfo, seq uint64, params Value, down Value, own Value, kids []KidValue) (Value, []Value) {
+		return down, make([]Value, len(kids))
+	}
+	for _, c := range []struct {
+		name  string
+		split func(self *ldb.VInfo, seq uint64, params Value, down Value, own Value, kids []KidValue) (Value, []Value)
+		down  Value
+		want  string
+	}{
+		{"mute", split, nil, "without a scatter"},
+		{"loud", nil, IntVal(1), "a gather-only AtRoot returned a value"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ov, eng, nodes := buildNetwork(1, 781, func(tab *Table) {
+				tab.Register(1, &Proto{
+					Name: c.name,
+					Own: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value) Value {
+						return IntVal(0)
+					},
+					Combine: func(self *ldb.VInfo, seq uint64, params Value, own Value, kids []KidValue) Value {
+						return IntVal(0)
+					},
+					AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params Value, combined Value) Value {
+						return c.down
+					},
+					Split: c.split,
+				})
+			})
+			nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, 1, nil)
+			defer func() {
+				if r := recover(); !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Fatalf("recovered %v, want a panic saying %q", r, c.want)
+				}
+			}()
+			eng.RunUntil(func() bool { return false }, 1000)
 		})
-	})
-	nodes[ov.Anchor].r.Start(eng.Context(ov.Anchor), ov.Info(ov.Anchor), 1, 1, nil)
-	defer func() {
-		if r := recover(); !strings.Contains(fmt.Sprint(r), "without a scatter") {
-			t.Fatalf("recovered %v, want the missing scatter's panic", r)
-		}
-	}()
-	eng.RunUntil(func() bool { return false }, 1000)
+	}
 }

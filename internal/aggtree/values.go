@@ -53,6 +53,18 @@ type KeyRangeVal struct{ Lo, Hi prio.Key }
 // Bits returns the encoding size of the range.
 func (v KeyRangeVal) Bits() int { return v.Lo.Bits() + v.Hi.Bits() }
 
+// KeyHull is a Combine that takes the hull of KeyRangeVal contributions:
+// the smallest Lo and the largest Hi.
+func KeyHull(self *ldb.VInfo, seq uint64, params Value, own Value, kids []KidValue) Value {
+	w := own.(KeyRangeVal)
+	for _, kv := range kids {
+		k := kv.V.(KeyRangeVal)
+		w.Lo = prio.MinKeyOf(w.Lo, k.Lo)
+		w.Hi = prio.MaxKeyOf(w.Hi, k.Hi)
+	}
+	return w
+}
+
 // IntervalVal is a half-open-free closed integer interval [Lo, Hi];
 // empty when Hi < Lo. Used for position intervals.
 type IntervalVal struct{ Lo, Hi int64 }

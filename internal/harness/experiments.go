@@ -6,14 +6,11 @@ import (
 	"strings"
 	"sync"
 
-	"dpq/internal/baseline"
-	"dpq/internal/concurrentpq"
 	"dpq/internal/hashutil"
 	"dpq/internal/kselect"
 	"dpq/internal/ldb"
 	"dpq/internal/mathx"
 	"dpq/internal/prio"
-	"dpq/internal/quantile"
 	"dpq/internal/relax"
 	"dpq/internal/seap"
 	"dpq/internal/sim"
@@ -516,16 +513,16 @@ func KSelectVsBaselines(sz Sizes) Table {
 		t.AddRow(n, m, "KSelect", met.Rounds, met.Messages, met.MaxMessageBit)
 		for _, mode := range []struct {
 			name string
-			mode baseline.Mode
-		}{{"gather-all", baseline.GatherAll}, {"binary-search", baseline.BinarySearch}} {
+			mode selectMode
+		}{{"gather-all", gatherAll}, {"binary-search", binarySearch}} {
 			ov := ldb.New(n, hashutil.New(uint64(n)*23))
-			s := baseline.NewSelector(ov, mode.mode)
+			s := newBaselineSelector(ov, mode.mode)
 			rnd := hashutil.NewRand(uint64(n)*23 + 1)
 			for i := 0; i < m; i++ {
 				s.Load(sim.NodeID(rnd.Intn(ov.NumVirtual())),
 					prio.Element{ID: prio.ElemID(i + 1), Prio: prio.Priority(rnd.Uint64n(uint64(m)*4) + 1)})
 			}
-			eng := s.NewSyncEngine(uint64(n)*23 + 2)
+			eng := sim.Build(s.spec(uint64(n)*23 + 2))
 			s.Start(eng.Context(s.Anchor()), k)
 			eng.RunUntil(s.Done, maxRounds(n))
 			met := eng.Metrics()
@@ -602,7 +599,7 @@ func SharedMemoryContention(sz Sizes) Table {
 	}
 	for _, workers := range []int{1, 2, 4, 8, 16} {
 		const perWorker = 400
-		q := concurrentpq.New(uint64(workers) * 131)
+		q := newSkipPQ(uint64(workers) * 131)
 		for i := 0; i < workers*perWorker; i++ {
 			q.Insert(prio.Element{ID: prio.ElemID(i + 1), Prio: prio.Priority(i)})
 		}
@@ -694,12 +691,12 @@ func ApproxQuantileTradeoff(sz Sizes) Table {
 		var met *sim.Metrics
 		for rep := 0; rep < sz.Repeats; rep++ {
 			all, ov := elems(uint64(300 + rep*17))
-			est := quantile.New(ov, hashutil.New(uint64(301+rep*17)), k)
+			est := newQuantileEstimator(ov, hashutil.New(uint64(301+rep*17)), k)
 			rnd := hashutil.NewRand(uint64(302 + rep*17))
 			for _, e := range all {
 				est.Load(sim.NodeID(rnd.Intn(ov.NumVirtual())), e)
 			}
-			eng := est.NewSyncEngine(uint64(303 + rep*17))
+			eng := sim.Build(est.spec(uint64(303 + rep*17)))
 			est.Start(eng.Context(est.Anchor()), 0.5)
 			eng.RunUntil(est.Done, maxRounds(n))
 			met = eng.Metrics()
@@ -871,9 +868,9 @@ func (c adversarialRow) heap(s, ops int) relax.Backend {
 func title(proto string) string { return strings.ToUpper(proto[:1]) + proto[1:] }
 
 func steadyCentral(n, lambda, horizon int, seed uint64) *sim.Metrics {
-	c := baseline.NewCentral(n)
+	c := newCentralHeap(n)
 	gen := workload.New(workload.Config{N: n, Rate: lambda, InsertFrac: 0.6, Dist: workload.Uniform, Bound: 1 << 16, Seed: seed})
-	eng := c.NewSyncEngine(seed + 1)
+	eng := sim.Build(c.spec(seed + 1)).(*sim.SyncEngine)
 	for r := 0; r < horizon; r++ {
 		for _, op := range gen.Round() {
 			if op.Kind == workload.OpInsert {

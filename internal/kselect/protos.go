@@ -266,21 +266,12 @@ func (s *Selector) windowProto() *aggtree.Proto {
 			}
 			return aggtree.KeyRangeVal{Lo: pmin, Hi: pmax}
 		},
-		Combine: func(self *ldb.VInfo, seq uint64, params aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) aggtree.Value {
-			w := own.(aggtree.KeyRangeVal)
-			for _, kv := range kids {
-				kw := kv.V.(aggtree.KeyRangeVal)
-				w.Lo = prio.MinKeyOf(w.Lo, kw.Lo)
-				w.Hi = prio.MaxKeyOf(w.Hi, kw.Hi)
-			}
-			return w
-		},
+		Combine: aggtree.KeyHull,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
 			w := combined.(aggtree.KeyRangeVal)
 			s.startPrune(ctx, w.Lo, w.Hi)
 			return nil
 		},
-		GatherOnly: true,
 	}
 }
 
@@ -311,7 +302,6 @@ func (s *Selector) pruneProto() *aggtree.Proto {
 			s.afterPhase1Prune(ctx)
 			return nil
 		},
-		GatherOnly: true,
 	}
 }
 
@@ -481,7 +471,6 @@ func (s *Selector) doneProto() *aggtree.Proto {
 			s.checkBoundary(ctx, v.Lo, v.Hi)
 			return nil
 		},
-		GatherOnly: true,
 	}
 }
 
@@ -507,21 +496,12 @@ func (s *Selector) boundaryProto() *aggtree.Proto {
 			}
 			return out
 		},
-		Combine: func(self *ldb.VInfo, seq uint64, params aggtree.Value, own aggtree.Value, kids []aggtree.KidValue) aggtree.Value {
-			w := own.(aggtree.KeyRangeVal)
-			for _, kv := range kids {
-				kw := kv.V.(aggtree.KeyRangeVal)
-				w.Lo = prio.MinKeyOf(w.Lo, kw.Lo)
-				w.Hi = prio.MaxKeyOf(w.Hi, kw.Hi)
-			}
-			return w
-		},
+		Combine: aggtree.KeyHull,
 		AtRoot: func(ctx *sim.Context, self *ldb.VInfo, seq uint64, params aggtree.Value, combined aggtree.Value) aggtree.Value {
 			w := combined.(aggtree.KeyRangeVal)
 			s.checkBoundary(ctx, w.Lo, w.Hi)
 			return nil
 		},
-		GatherOnly: true,
 	}
 }
 
@@ -576,6 +556,5 @@ func (s *Selector) rankProto() *aggtree.Proto {
 			s.enterPhase2Or3(ctx)
 			return nil
 		},
-		GatherOnly: true,
 	}
 }

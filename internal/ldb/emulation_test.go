@@ -3,7 +3,6 @@ package ldb
 import (
 	"testing"
 
-	"dpq/internal/debruijn"
 	"dpq/internal/hashutil"
 	"dpq/internal/mathx"
 	"dpq/internal/sim"
@@ -37,10 +36,10 @@ func TestDeBruijnEmulationDilation(t *testing.T) {
 // TestVirtualEdgesAreDeBruijnEdges verifies the structural basis of the
 // emulation: a middle node's left/right siblings sit exactly at the de
 // Bruijn images m/2 and (m+1)/2 of its label — the continuous-discrete
-// counterpart of debruijn.Graph.Neighbors.
+// counterpart of deBruijn.Neighbors.
 func TestVirtualEdgesAreDeBruijnEdges(t *testing.T) {
 	ov := New(40, hashutil.New(107))
-	g := debruijn.New(10)
+	g := newDeBruijn(10)
 	for host := 0; host < 40; host++ {
 		m := ov.Info(VID(host, Middle)).Label
 		l := ov.Info(VID(host, Left)).Label
@@ -52,7 +51,7 @@ func TestVirtualEdgesAreDeBruijnEdges(t *testing.T) {
 		x := g.FromPoint(m)
 		nb := g.Neighbors(x)
 		if g.FromPoint(l) != nb[0] || g.FromPoint(r) != nb[1] {
-			t.Fatalf("host %d: discretization disagrees with debruijn.Neighbors", host)
+			t.Fatalf("host %d: discretization disagrees with the de Bruijn neighbours", host)
 		}
 	}
 }

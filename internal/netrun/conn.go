@@ -65,6 +65,8 @@ const (
 	// returns is enqueued under one lock acquisition, and a frame that fits
 	// is decoded in place.
 	readBufBytes = 64 << 10
+	// flushTimeout bounds how long Close waits for a peer's unsent frames.
+	flushTimeout = 2 * time.Second
 )
 
 // ctlFrom marks a control frame: a body of exactly frameHeaderBytes whose
@@ -701,7 +703,7 @@ func (p *peer) run(e *Engine) {
 			return // closed and drained
 		}
 		if p.closing && p.deadline.IsZero() {
-			p.deadline = time.Now().Add(e.cfg.FlushTimeout)
+			p.deadline = time.Now().Add(flushTimeout)
 		}
 		if !p.send(e, b, hb) {
 			return
@@ -801,7 +803,7 @@ func (p *peer) connect(e *Engine) bool {
 		} else if !sleepInterruptible(sleep, e.stop) {
 			// Engine stopping: switch to flush mode.
 			p.closing = true
-			p.deadline = time.Now().Add(e.cfg.FlushTimeout)
+			p.deadline = time.Now().Add(flushTimeout)
 		}
 	}
 }

@@ -93,9 +93,6 @@ type Config struct {
 	// (defaults 10ms and 1s).
 	DialBackoffMin time.Duration
 	DialBackoffMax time.Duration
-	// FlushTimeout bounds how long Close waits for unsent frames per peer
-	// (default 2s).
-	FlushTimeout time.Duration
 	// HeartbeatEvery enables the failure detector: each peer gets a
 	// control frame per period (when its buffer is idle) and is graded
 	// up/suspect/down by inbound-frame recency. 0 disables the detector
@@ -241,9 +238,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	if cfg.DialBackoffMax < cfg.DialBackoffMin {
 		cfg.DialBackoffMax = time.Second
-	}
-	if cfg.FlushTimeout <= 0 {
-		cfg.FlushTimeout = 2 * time.Second
 	}
 	if cfg.HeartbeatEvery > 0 {
 		if cfg.SuspectAfter <= 0 {
@@ -626,7 +620,7 @@ func (e *Engine) Links() LinkStats {
 }
 
 // Close shuts the engine down: the activation loop stops, peers flush
-// queued frames (bounded by FlushTimeout, not waiting for their
+// queued frames (bounded by flushTimeout, not waiting for their
 // acknowledgement) and all connections close.
 func (e *Engine) Close() error {
 	e.stopOnce.Do(func() {

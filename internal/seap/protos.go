@@ -258,7 +258,6 @@ func (h *Heap) completionProto(name string, want *int64, next func(*sim.Context)
 			next(ctx)
 			return nil
 		},
-		GatherOnly: true,
 	}
 }
 

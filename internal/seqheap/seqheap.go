@@ -3,9 +3,9 @@
 //
 //   - as the *oracle*: the semantics checkers replay a serialization order
 //     ≺ against this heap to verify heap consistency (Definition 1.2), and
-//   - as the state carried by the centralized-coordinator baseline
-//     (internal/baseline), the comparator implied by the paper's
-//     scalability discussion (§1, §1.3).
+//   - as the state carried by the centralized-coordinator baseline of
+//     experiment E15 (internal/harness), the comparator implied by the
+//     paper's scalability discussion (§1, §1.3).
 package seqheap
 
 import "dpq/internal/prio"

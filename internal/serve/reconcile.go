@@ -281,7 +281,8 @@ func scanPeerLeases(addr string) ([]prio.ElemID, error) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
 	bw := bufio.NewWriter(conn)
-	br := bufio.NewReader(conn)
+	dec := clientproto.NewDecoder(bufio.NewReader(conn))
+	var resp clientproto.Response
 	var ids []prio.ElemID
 	var cursor uint64
 	for reqID := uint64(1); ; reqID++ {
@@ -292,8 +293,7 @@ func scanPeerLeases(addr string) ([]prio.ElemID, error) {
 		if err != nil {
 			return ids, err
 		}
-		resp, err := clientproto.ReadResponse(br)
-		if err != nil {
+		if err := dec.Response(&resp); err != nil {
 			return ids, err
 		}
 		switch resp.Status {

@@ -210,7 +210,7 @@ func (h *Heap) Trace() *semantics.Trace { return h.trace }
 // (Theorem 3.2): sequential consistency + heap consistency, for the
 // inverted order under MaxHeap. LIFO order is not heap order, so the oracle
 // replay does not apply to it; local consistency still must hold
-// (internal/queue.CheckStack checks the stack order itself).
+// (dpq.CheckStack checks the stack order itself).
 func (h *Heap) Check() *semantics.Report {
 	switch {
 	case h.cfg.LIFO:
